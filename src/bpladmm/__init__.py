@@ -3,11 +3,8 @@ optimal power flow applications and a benchmark command line."""
 
 from .spaces import (
     BregmanGenerator,
-    axpy,
     bregman_distance,
     dist_sq_nonneg_orthant,
-    inner,
-    norm,
     quadratic_form,
     scaled_squared_norm,
     singular_value_shrink,

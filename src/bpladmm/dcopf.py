@@ -360,7 +360,6 @@ def solver_params_for(case: DcOpfCase, rho: float, alpha: float, tol: float,
     return SolverParams(
         rho=rho,
         mu=1.0,
-        nu=0.0,
         lipschitz_H=case.eta,
         lipschitz_P=0.0,
         weak_convexity_G=0.0,

@@ -1,4 +1,4 @@
-"""Generic multi-block splitting iteration with Bregman proximal terms.
+"""Generic multi-block splitting iteration with Bregman proximal x steps.
 
 The engine minimizes
 
@@ -12,19 +12,20 @@ updates y, and then takes a multiplier ascent step:
 
     x_{i,n+1} = argmin f_i(x_i) + <grad_i P(x_n) - g_{i,n}, x_i>
                 + <z_n, A_i x_i> + (rho/2)||A u_i(x_i) + B y_n - b||^2
-                + mu_n D_phi_i(x_i, x_{i,n})
-    y_{n+1}   = argmin H(y) + <z_n, B y>
-                + (rho/2)||A x_{n+1} + B y - b||^2 + nu_n D_psi(y, y_n)
+                + mu D_phi(x_i, x_{i,n})
+    y_{n+1}   = argmin H(y) + <z_n, B y> + (rho/2)||A x_{n+1} + B y - b||^2
     z_{n+1}   = z_n + rho (A x_{n+1} + B y_{n+1} - b)
 
-with g_n a subgradient of G at x_n and u_i(x_i) the Gauss-Seidel splice of
-fresh earlier blocks, x_i, and stale later blocks.
+with g_n a subgradient of G at x_n, u_i(x_i) the Gauss-Seidel splice of
+fresh earlier blocks, x_i, and stale later blocks, and the proximal kernel
+phi = (alpha/2)||.||^2 with alpha = ``strong_convexity``.  The y step has
+no proximal term.
 
-Validity of (mu, nu, rho) is gated by ``validate_parameters``; a valid run
-drives the merit function
+Validity of (mu, rho) is gated by ``validate_parameters``; a valid run
+drives the merit function, which without a y-proximal term is the
+augmented Lagrangian itself,
 
-    merit_n = L_rho(x_n, y_n, z_n) + c ||y_n - y_{n-1}||^2,
-    c = (l_H + 2 nu l_psi) nu l_psi / (lambda rho)
+    merit_n = L_rho(x_n, y_n, z_n),
 
 downhill by at least delta_x ||x_{n+1}-x_n||^2 + delta_y ||y_{n+1}-y_n||^2
 per sweep, which the engine monitors at runtime.
@@ -36,7 +37,6 @@ import time
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -55,11 +55,13 @@ class ParameterError(ValueError):
 
 
 class BlockOracleError(RuntimeError):
-    """A block subproblem oracle failed; carries the offending block."""
+    """A block subproblem oracle raised or returned non-finite values;
+    carries the offending block and the iteration it was computing."""
 
-    def __init__(self, block: str, cause: Exception):
-        super().__init__(f"{block} oracle failed: {cause}")
+    def __init__(self, block: str, iteration: int, cause: Exception):
+        super().__init__(f"{block} oracle failed at iteration {iteration}: {cause}")
         self.block = block
+        self.iteration = iteration
         self.cause = cause
 
 
@@ -70,7 +72,8 @@ class XBlockContext:
     ``partial_residual`` is sum_{k<i} A_k x_{k,n+1} + sum_{k>i} A_k x_{k,n}
     + B y_n - b; it excludes exactly block i's own contribution, so the
     subproblem's coupling term is (rho/2)||A_i x_i + partial_residual||^2.
-    ``linear_term`` is grad_i P(x_n) - g_{i,n}.
+    ``linear_term`` is grad_i P(x_n) - g_{i,n}; ``bregman`` is the proximal
+    kernel (alpha/2)||.||^2, weighted by ``mu``.
     """
 
     block_index: int
@@ -91,8 +94,6 @@ class YBlockContext:
     multiplier: np.ndarray
     x_residual: np.ndarray
     rho: float
-    nu: float
-    bregman: BregmanGenerator | None
 
 
 class BlockProblem(ABC):
@@ -161,51 +162,23 @@ class BlockProblem(ABC):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Penalty, schedules, Bregman generators, and the constants gating them.
+    """Penalty, proximal weight, the constants gating them, and the stop rule.
 
-    ``mu`` is the infimum of the mu schedule and ``nu`` the supremum of the
-    nu schedule; when no schedule is given they are used verbatim at every
-    sweep.  ``strong_convexity`` is the modulus alpha shared by the x
-    generators; ``lambda_min_BtB`` is the smallest eigenvalue of B^T B and
-    must be positive (full column rank of B).
+    ``mu`` weighs the x proximal term mu D_phi with phi = (alpha/2)||.||^2,
+    where alpha is ``strong_convexity``; ``lambda_min_BtB`` is the smallest
+    eigenvalue of B^T B and must be positive (full column rank of B).
     """
 
     rho: float
     mu: float = 1.0
-    nu: float = 0.0
     lipschitz_H: float = 0.0
     lipschitz_P: float = 0.0
     weak_convexity_G: float = 0.0
     strong_convexity: float = 1.0
-    lipschitz_psi: float = 0.0
     lambda_min_BtB: float = 1.0
     max_iterations: int = 4000
     stop_tolerance: float = 1e-6
     stop_rule: str = STOP_SHIFTED
-    history_window: int | None = None
-    x_bregman: BregmanGenerator | list[BregmanGenerator] | None = None
-    y_bregman: BregmanGenerator | None = None
-    mu_schedule: Callable[[int], float] | None = None
-    nu_schedule: Callable[[int], float] | None = None
-
-    def x_generator(self, i: int) -> BregmanGenerator:
-        if self.x_bregman is None:
-            return scaled_squared_norm(self.strong_convexity)
-        if isinstance(self.x_bregman, BregmanGenerator):
-            return self.x_bregman
-        return self.x_bregman[i]
-
-    def mu_at(self, n: int) -> float:
-        return self.mu if self.mu_schedule is None else self.mu_schedule(n)
-
-    def nu_at(self, n: int) -> float:
-        return self.nu if self.nu_schedule is None else self.nu_schedule(n)
-
-    @property
-    def merit_coefficient(self) -> float:
-        """c = (l_H + 2 nu l_psi) nu l_psi / (lambda rho)."""
-        t = self.lipschitz_H + 2.0 * self.nu * self.lipschitz_psi
-        return t * self.nu * self.lipschitz_psi / (self.lambda_min_BtB * self.rho)
 
     @property
     def delta_x(self) -> float:
@@ -214,30 +187,22 @@ class SolverParams:
 
     @property
     def delta_y(self) -> float:
-        """Guaranteed y descent weight lambda*rho/2 - (l_H+2 nu l_psi)^2/(lambda*rho) - l_H/2."""
+        """Guaranteed y descent weight lambda*rho/2 - l_H^2/(lambda*rho) - l_H/2."""
         lam_rho = self.lambda_min_BtB * self.rho
-        t = self.lipschitz_H + 2.0 * self.nu * self.lipschitz_psi
-        return lam_rho / 2.0 - t * t / lam_rho - self.lipschitz_H / 2.0
-
-
-def mu_lower_bound(params: SolverParams) -> float:
-    """Strict lower bound (l_P + beta) / alpha on the mu schedule."""
-    return (params.lipschitz_P + params.weak_convexity_G) / params.strong_convexity
-
-
-def rho_lower_bound(params: SolverParams) -> float:
-    """Strict lower bound (l_H + sqrt(l_H^2 + 8(l_H + 2 nu l_psi)^2)) / (2 lambda)."""
-    l_h = params.lipschitz_H
-    t = l_h + 2.0 * params.nu * params.lipschitz_psi
-    return (l_h + math.sqrt(l_h * l_h + 8.0 * t * t)) / (2.0 * params.lambda_min_BtB)
+        l_h = self.lipschitz_H
+        return lam_rho / 2.0 - l_h * l_h / lam_rho - l_h / 2.0
 
 
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the admissibility gates; return (mu bound, rho bound) on success.
+    """Check the stop rule and the admissibility gates; return (mu bound,
+    rho bound) on success.
 
-    Both bounds are strict: a schedule infimum mu or penalty rho sitting
-    exactly at its bound is rejected.
+    Both bounds are strict: a mu or rho sitting exactly at its bound is
+    rejected.
     """
+    rules = (STOP_SHIFTED, STOP_RELATIVE)
+    if params.stop_rule not in rules:
+        raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
     if params.strong_convexity <= 0:
         raise ParameterError("strong convexity modulus alpha must be positive")
     if params.lambda_min_BtB <= 0:
@@ -245,10 +210,9 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
             "B lacks full column rank: lambda_min(B^T B) must be positive, "
             f"got {params.lambda_min_BtB}"
         )
-    if params.nu < 0:
-        raise ParameterError("nu must be nonnegative")
-    mu_bound = mu_lower_bound(params)
-    rho_bound = rho_lower_bound(params)
+    mu_bound = (params.lipschitz_P + params.weak_convexity_G) / params.strong_convexity
+    l_h = params.lipschitz_H
+    rho_bound = (l_h + math.sqrt(l_h * l_h + 8.0 * l_h * l_h)) / (2.0 * params.lambda_min_BtB)
     if not params.mu > mu_bound:
         raise ParameterError(
             f"mu = {params.mu} must strictly exceed (l_P + beta)/alpha = {mu_bound}"
@@ -256,7 +220,7 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     if not params.rho > rho_bound:
         raise ParameterError(
             f"rho = {params.rho} must strictly exceed "
-            f"(l_H + sqrt(l_H^2 + 8(l_H + 2*nu*l_psi)^2))/(2*lambda) = {rho_bound}"
+            f"(l_H + sqrt(l_H^2 + 8*l_H^2))/(2*lambda) = {rho_bound}"
         )
     return mu_bound, rho_bound
 
@@ -298,12 +262,11 @@ class IterationReport:
 
 @dataclass
 class SolverState:
-    """Current iterate (x, y, z), the previous y, and the report history."""
+    """Current iterate (x, y, z) and the report history."""
 
     x: list[np.ndarray]
     y: np.ndarray
     z: np.ndarray
-    y_prev: np.ndarray
     n: int = 0
     history: list[IterationReport] = field(default_factory=list)
 
@@ -343,13 +306,34 @@ def augmented_lagrangian(
 
 
 def merit(problem: BlockProblem, params: SolverParams, state: SolverState) -> float:
-    """Augmented Lagrangian plus c||y - y_prev||^2, the monitored quantity."""
-    value = augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
-    c = params.merit_coefficient
-    if c != 0.0:
-        dy = state.y - state.y_prev
-        value += c * float(np.vdot(dy, dy))
-    return value
+    """The monitored quantity: L_rho at the state (there is no y-displacement term)."""
+    return augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
+
+
+def _report(
+    problem: BlockProblem,
+    rho: float,
+    state: SolverState,
+    residual: np.ndarray,
+    previous: SolverState | None = None,
+) -> IterationReport:
+    """Report of ``state`` given its residual A x + B y - b, with steps
+    measured from ``previous`` (zero without one).  The objective is
+    evaluated once and L_rho, which is also the merit, is formed from it.
+    """
+    objective = objective_value(problem, state.x, state.y)
+    l_rho = (objective + float(np.vdot(state.z, residual))
+             + 0.5 * rho * float(np.vdot(residual, residual)))
+    step_x = step_y = step_z = 0.0
+    if previous is not None:
+        step_x = stacked_norm([a - b for a, b in zip(state.x, previous.x)])
+        step_y = float(np.linalg.norm(state.y - previous.y))
+        step_z = float(np.linalg.norm(state.z - previous.z))
+    return IterationReport(
+        n=state.n, augmented_lagrangian=l_rho, merit=l_rho,
+        feasibility=float(np.linalg.norm(residual)), objective=objective,
+        step_x=step_x, step_y=step_y, step_z=step_z,
+    )
 
 
 def x_subproblem_value(
@@ -375,24 +359,32 @@ def x_subproblem_value(
 def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray) -> float:
     """Objective of the y subproblem described by ``ctx`` at the point y."""
     coupling = ctx.x_residual + problem.apply_B(y)
-    value = (
+    return (
         problem.eval_H(y)
         + float(np.vdot(ctx.multiplier, problem.apply_B(y)))
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
     )
-    if ctx.nu != 0.0 and ctx.bregman is not None:
-        value += ctx.nu * bregman_distance(ctx.bregman, y, ctx.current_iterate)
-    return value
 
 
 def initial_state(
     problem: BlockProblem, x: list[np.ndarray], y: np.ndarray, z: np.ndarray
 ) -> SolverState:
-    """Package an initial iterate; y_prev starts equal to y."""
+    """Package an initial iterate with an empty report history."""
     x = [np.asarray(xi, dtype=float).copy() for xi in x]
     y = np.asarray(y, dtype=float).copy()
     z = np.asarray(z, dtype=float).copy()
-    return SolverState(x=x, y=y, z=z, y_prev=y.copy(), n=0)
+    return SolverState(x=x, y=y, z=z, n=0)
+
+
+def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
+    """Run one block oracle; a raise or a non-finite output names the block."""
+    try:
+        out = np.asarray(oracle(*args), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
+        raise BlockOracleError(block, iteration, exc) from exc
+    if not np.isfinite(out).all():
+        raise BlockOracleError(block, iteration, FloatingPointError("output is not finite"))
+    return out
 
 
 def _x_sweep(
@@ -405,6 +397,7 @@ def _x_sweep(
     """
     grad_p = problem.grad_P(state.x)
     g = problem.subgrad_G(state.x)
+    kernel = scaled_squared_norm(params.strong_convexity)
     residual = constraint_residual(problem, state.x, state.y)
     x_new = list(state.x)
     for i in range(problem.num_blocks):
@@ -417,13 +410,9 @@ def _x_sweep(
             partial_residual=partial,
             rho=params.rho,
             mu=mu_n,
-            bregman=params.x_generator(i),
+            bregman=kernel,
         )
-        try:
-            xi = problem.solve_x_block(i, ctx)
-        except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
-            raise BlockOracleError(f"x-block {i}", exc) from exc
-        x_new[i] = np.asarray(xi, dtype=float)
+        x_new[i] = _oracle_output(f"x-block {i}", state.n + 1, problem.solve_x_block, i, ctx)
         residual = partial + problem.apply_A(i, x_new[i])
     return x_new, residual
 
@@ -434,55 +423,29 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     Appends the new iterate's report to the (shared) history list and
     returns the advanced state.
     """
-    mu_n = params.mu_at(state.n)
-    nu_n = params.nu_at(state.n)
-    x_new, residual_xy = _x_sweep(problem, params, state, mu_n)
+    x_new, residual_xy = _x_sweep(problem, params, state, params.mu)
     x_residual = residual_xy - problem.apply_B(state.y)
     y_ctx = YBlockContext(
         current_iterate=state.y,
         multiplier=state.z,
         x_residual=x_residual,
         rho=params.rho,
-        nu=nu_n,
-        bregman=params.y_bregman,
     )
-    try:
-        y_new = np.asarray(problem.solve_y_block(y_ctx), dtype=float)
-    except Exception as exc:  # noqa: BLE001
-        raise BlockOracleError("y-block", exc) from exc
+    y_new = _oracle_output("y-block", state.n + 1, problem.solve_y_block, y_ctx)
     residual = x_residual + problem.apply_B(y_new)
     z_new = state.z + params.rho * residual
 
-    new_state = SolverState(
-        x=x_new,
-        y=y_new,
-        z=z_new,
-        y_prev=state.y,
-        n=state.n + 1,
-        history=state.history,
-    )
-    report = IterationReport(
-        n=new_state.n,
-        augmented_lagrangian=augmented_lagrangian(problem, params.rho, x_new, y_new, z_new),
-        merit=merit(problem, params, new_state),
-        feasibility=float(np.linalg.norm(residual)),
-        objective=objective_value(problem, x_new, y_new),
-        step_x=stacked_norm([a - b for a, b in zip(x_new, state.x)]),
-        step_y=float(np.linalg.norm(y_new - state.y)),
-        step_z=float(np.linalg.norm(z_new - state.z)),
-    )
-    new_state.history.append(report)
+    new_state = SolverState(x=x_new, y=y_new, z=z_new, n=state.n + 1, history=state.history)
+    new_state.history.append(_report(problem, params.rho, new_state, residual, state))
     return new_state
 
 
 def _stop_metric(params: SolverParams, delta: float, base: float) -> bool:
     if params.stop_rule == STOP_SHIFTED:
         return delta / (base + 1.0) <= params.stop_tolerance
-    if params.stop_rule == STOP_RELATIVE:
-        if base == 0.0:
-            return delta == 0.0
-        return delta / base < params.stop_tolerance
-    raise ValueError(f"unknown stop rule {params.stop_rule!r}")
+    if base == 0.0:
+        return delta == 0.0
+    return delta / base < params.stop_tolerance
 
 
 def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
@@ -497,18 +460,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     state = init
     if not state.history:
         state.history.append(
-            IterationReport(
-                n=state.n,
-                augmented_lagrangian=augmented_lagrangian(
-                    problem, params.rho, state.x, state.y, state.z
-                ),
-                merit=merit(problem, params, state),
-                feasibility=float(np.linalg.norm(constraint_residual(problem, state.x, state.y))),
-                objective=objective_value(problem, state.x, state.y),
-                step_x=0.0,
-                step_y=0.0,
-                step_z=0.0,
-            )
+            _report(problem, params.rho, state, constraint_residual(problem, state.x, state.y))
         )
     status = STATUS_MAX_ITERATIONS
     oracle_error = None
@@ -551,12 +503,9 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
             break
     wall = time.perf_counter() - start
 
-    reports = state.history
-    if params.history_window is not None and len(reports) > params.history_window:
-        reports = [reports[0]] + reports[-params.history_window :]
     return SolveResult(
         state=state,
-        reports=reports,
+        reports=state.history,
         status=status,
         iterations=iterations,
         wall_time=wall,
@@ -590,7 +539,7 @@ def stationarity_report(
     feasibility = float(
         np.linalg.norm(constraint_residual(problem, state.x, state.y))
     )
-    x_new, _ = _x_sweep(problem, params, state, params.mu_at(state.n))
+    x_new, _ = _x_sweep(problem, params, state, params.mu)
     x_fixed_point = stacked_norm([a - b for a, b in zip(x_new, state.x)])
     return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)
 

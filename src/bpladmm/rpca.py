@@ -12,6 +12,10 @@ closed form: singular value shrinkage for L, entrywise shrinkage for S
 (shifted by a spectral-norm subgradient of the current S), and an
 averaging step for T.
 
+Both solvers run their own closed-form loop rather than ``engine.solve``.
+Each report records the merit, which is the augmented Lagrangian L_rho,
+but unlike the engine the loop does not check its descent at runtime.
+
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
 side-by-side comparison.
@@ -30,7 +34,12 @@ from .engine import (
     XBlockContext,
     YBlockContext,
 )
-from .spaces import soft_shrink, spectral_norm_subgradient, stacked_norm
+from .spaces import (
+    singular_value_shrink_with_norm,
+    soft_shrink,
+    spectral_norm_subgradient,
+    stacked_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,6 @@ class RpcaConfig:
         return SolverParams(
             rho=self.rho,
             mu=1.0,
-            nu=0.0,
             lipschitz_H=self.gamma,
             lipschitz_P=0.0,
             weak_convexity_G=0.0,
@@ -182,20 +190,13 @@ def recovery_metrics(
     return re, numerical_rank(solution.L), int(np.count_nonzero(solution.S))
 
 
-def _shrink_singular_values(M: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
-    """Singular value shrinkage that also returns the output's nuclear norm."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    shrunk = np.maximum(s - threshold, 0.0)
-    return (U * shrunk) @ Vt, float(shrunk.sum())
-
-
 def _sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
     """One closed-form sweep shared by both solver variants.
 
     The baseline is recovered with alpha = 0 and g2 = 0.  Returns the new
     iterate and the nuclear norm of the new L (free from the shrinkage).
     """
-    L_new, nuclear = _shrink_singular_values(
+    L_new, nuclear = singular_value_shrink_with_norm(
         (-Z - rho * S + rho * T + alpha * L) / (rho + alpha), 1.0 / (rho + alpha)
     )
     S_new = soft_shrink(
@@ -244,7 +245,7 @@ def _run(instance, config, init_seed, *, rho, alpha, with_spectral_term):
             IterationReport(
                 n=n,
                 augmented_lagrangian=l_rho,
-                merit=l_rho,  # nu = 0, so the merit coefficient c vanishes
+                merit=l_rho,  # the merit is L_rho; recorded here, not checked
                 feasibility=float(np.linalg.norm(residual)),
                 objective=objective,
                 step_x=float(np.sqrt(step_l**2 + step_s**2)),
@@ -381,8 +382,7 @@ class RpcaBlockProblem(BlockProblem):
             - ctx.rho * ctx.partial_residual
         ) / weight
         if i == 0:
-            shrunk, _ = _shrink_singular_values(target, 1.0 / weight)
-            return shrunk
+            return singular_value_shrink_with_norm(target, 1.0 / weight)[0]
         return soft_shrink(target, self.tau / weight)
 
     def solve_y_block(self, ctx: YBlockContext):

@@ -21,23 +21,6 @@ def _check_same_shape(u, v):
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean / Frobenius inner product of two same-shaped arrays."""
-    _check_same_shape(u, v)
-    return float(np.vdot(u, v))
-
-
-def norm(u: np.ndarray) -> float:
-    """Euclidean / Frobenius norm."""
-    return float(np.linalg.norm(u))
-
-
-def axpy(a: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a*u + v without mutating the inputs."""
-    _check_same_shape(u, v)
-    return a * u + v
-
-
 def stacked_norm(parts) -> float:
     """Norm of a tuple of arrays viewed as one long stacked vector."""
     return float(np.sqrt(sum(float(np.vdot(p, p)) for p in parts)))
@@ -118,8 +101,9 @@ def soft_shrink(v: np.ndarray, c: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - c, 0.0)
 
 
-def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
-    """Soft shrinkage of the singular values; the proximal map of c*||.||_*."""
+def singular_value_shrink_with_norm(M: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+    """Soft shrinkage of the singular values, the proximal map of c*||.||_*,
+    together with the nuclear norm of its output (free from the shrinkage)."""
     if c < 0:
         raise ValueError("shrinkage threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
@@ -127,7 +111,12 @@ def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
         raise ValueError("input matrix must be finite")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     shrunk = np.maximum(s - c, 0.0)
-    return (U * shrunk) @ Vt
+    return (U * shrunk) @ Vt, float(shrunk.sum())
+
+
+def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
+    """Soft shrinkage of the singular values; the proximal map of c*||.||_*."""
+    return singular_value_shrink_with_norm(M, c)[0]
 
 
 def spectral_norm_subgradient(S: np.ndarray) -> np.ndarray:

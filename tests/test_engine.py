@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from bpladmm import engine, rpca
-from bpladmm.spaces import BregmanGenerator, stacked_norm
+from bpladmm import dcopf, engine, rpca
+from bpladmm.spaces import scaled_squared_norm
 
 REL = 1e-10
-
-
-def half_squared_norm():
-    return BregmanGenerator(
-        value=lambda x: 0.5 * float(np.vdot(x, x)),
-        grad=lambda x: np.asarray(x, dtype=float),
-        strong_convexity=1.0,
-        grad_lipschitz=1.0,
-    )
 
 
 class ScalarToy(engine.BlockProblem):
@@ -37,7 +28,7 @@ class ScalarToy(engine.BlockProblem):
         return -v
 
     def solve_x_block(self, i, ctx):
-        # phi = ||.||^2 / 2 gives the prox term (mu/2)||x - x_n||^2
+        # alpha = 1 gives the prox term (mu/2)||x - x_n||^2
         return (
             ctx.mu * ctx.current_iterate
             - ctx.linear_term
@@ -55,7 +46,6 @@ def toy_params(**overrides):
         mu=1.0,
         strong_convexity=1.0,
         lambda_min_BtB=1.0,
-        x_bregman=half_squared_norm(),
         stop_tolerance=1e-9,
     )
     defaults.update(overrides)
@@ -233,7 +223,7 @@ def test_block_oracle_never_worse_than_incumbent():
             partial_residual=residual - problem.apply_A(i, state.x[i]),
             rho=params.rho,
             mu=1.0,
-            bregman=params.x_generator(i),
+            bregman=scaled_squared_norm(params.strong_convexity),
         )
         candidate = problem.solve_x_block(i, ctx)
         assert engine.x_subproblem_value(problem, ctx, candidate) <= (
@@ -244,8 +234,6 @@ def test_block_oracle_never_worse_than_incumbent():
         multiplier=state.z,
         x_residual=residual - problem.apply_B(state.y),
         rho=params.rho,
-        nu=0.0,
-        bregman=None,
     )
     y_new = problem.solve_y_block(y_ctx)
     assert engine.y_subproblem_value(problem, y_ctx, y_new) <= (
@@ -253,27 +241,54 @@ def test_block_oracle_never_worse_than_incumbent():
     )
 
 
-def test_merit_coefficient_examples():
-    assert engine.SolverParams(rho=2.0, nu=0.0, lipschitz_H=1.0).merit_coefficient == 0.0
-    params = engine.SolverParams(
-        rho=10.0, nu=1.0, lipschitz_H=1.0, lipschitz_psi=1.0, lambda_min_BtB=1.0
-    )
-    assert params.merit_coefficient == pytest.approx(0.3, rel=REL)
-
-
 def test_merit_reduces_to_augmented_lagrangian_without_displacement():
     toy = ScalarToy()
-    params = toy_params(nu=1.0, lipschitz_psi=1.0, lipschitz_H=1.0, rho=13.0)
+    params = toy_params(lipschitz_H=1.0, rho=13.0)
     state = engine.initial_state(toy, [np.array([0.4])], np.array([0.9]), np.array([-0.3]))
     assert engine.merit(toy, params, state) == pytest.approx(
         engine.augmented_lagrangian(toy, params.rho, state.x, state.y, state.z), rel=REL
     )
-    # a displaced y_prev adds exactly c * ||dy||^2
-    state.y_prev = state.y - 2.0
-    expected = engine.augmented_lagrangian(
-        toy, params.rho, state.x, state.y, state.z
-    ) + params.merit_coefficient * 4.0
-    assert engine.merit(toy, params, state) == pytest.approx(expected, rel=REL)
+
+
+def assert_report_matches_one_shot_functions(problem, params, state, report=None):
+    report = state.history[-1] if report is None else report
+    assert report.n == state.n
+    l_rho = engine.augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
+    assert report.augmented_lagrangian == pytest.approx(l_rho, rel=1e-12)
+    assert report.merit == pytest.approx(engine.merit(problem, params, state), rel=1e-12)
+    assert report.objective == pytest.approx(
+        engine.objective_value(problem, state.x, state.y), rel=1e-12
+    )
+
+
+def test_report_matches_one_shot_functions_on_two_bus_fixture():
+    case = dcopf.two_bus_fixture()
+    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case), rho=2e5 + 1e-10, alpha=1e-2)
+    params = dcopf.solver_params_for(case, rho=2e5 + 1e-10, alpha=1e-2, tol=1e-5,
+                                     max_iterations=200)
+    init = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
+    result = engine.solve(problem, params, init)
+    assert_report_matches_one_shot_functions(problem, params, init, result.reports[0])
+    assert_report_matches_one_shot_functions(problem, params, result.state)
+    state = result.state
+    for _ in range(20):
+        state = engine.step(problem, params, state)
+        assert_report_matches_one_shot_functions(problem, params, state)
+
+
+def test_report_matches_one_shot_functions_on_rpca_engine_run():
+    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=7)
+    config = rpca.RpcaConfig(rows=6, cols=5)
+    problem = rpca.RpcaBlockProblem(instance, config)
+    params = config.solver_params()
+    rng = np.random.default_rng(6)
+    state = engine.initial_state(
+        problem, [rng.standard_normal((6, 5)), rng.standard_normal((6, 5))],
+        instance.M.copy(), np.zeros((6, 5)),
+    )
+    for _ in range(20):
+        state = engine.step(problem, params, state)
+        assert_report_matches_one_shot_functions(problem, params, state)
 
 
 def test_quantified_merit_descent_on_rpca_engine_run():
@@ -308,6 +323,47 @@ def test_block_oracle_failure_names_the_block():
     result = engine.solve(toy, toy_params(), state)
     assert result.status == engine.STATUS_ORACLE_FAILURE
     assert "x-block 0" in str(result.oracle_error)
+
+
+class InfiniteOutput(dcopf.DcOpfBlockProblem):
+    """Two-bus adapter whose chosen oracle returns inf from a chosen sweep on."""
+
+    def __init__(self, *args, block, iteration, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.block = block
+        self.iteration = iteration
+        self.sweep = 0
+
+    def solve_x_block(self, i, ctx):
+        if i == 0:
+            self.sweep += 1
+        out = super().solve_x_block(i, ctx)
+        if self.block == i and self.sweep >= self.iteration:
+            out[dcopf.GEN] = np.inf
+        return out
+
+    def solve_y_block(self, ctx):
+        out = super().solve_y_block(ctx)
+        if self.block == "y" and self.sweep >= self.iteration:
+            out[0] = -np.inf
+        return out
+
+
+@pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block")])
+def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
+    case = dcopf.two_bus_fixture()
+    rho = 2.0 * case.eta + 1e-10
+    problem = InfiniteOutput(dcopf.build_problem(case), rho=rho, alpha=1e-2,
+                             block=block, iteration=4)
+    params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=1e-5, max_iterations=50)
+    result = engine.solve(problem, params, dcopf.lower_bound_init(problem))
+    assert result.status == engine.STATUS_ORACLE_FAILURE
+    assert result.iterations == 3
+    assert result.oracle_error.block == label
+    assert result.oracle_error.iteration == 4
+    assert f"{label} oracle failed at iteration 4" in str(result.oracle_error)
+    assert "not finite" in str(result.oracle_error)
+    assert all(np.isfinite(xi).all() for xi in result.state.x)
 
 
 class Walker(ScalarToy):
@@ -363,13 +419,12 @@ def test_adjoint_and_gradient_consistency_helpers(rng):
         assert numeric == pytest.approx(float(np.vdot(grad, direction)), abs=1e-5)
 
 
-def test_history_window_caps_reports():
+def test_solve_reports_every_iterate():
     toy = Walker()  # never converges, so the run uses all 40 iterations
     init = engine.initial_state(toy, [np.array([50.0])], np.zeros(1), np.zeros(1))
     with pytest.warns(RuntimeWarning):
-        result = engine.solve(toy, toy_params(history_window=5, max_iterations=40), init)
-    assert len(result.reports) == 6  # initial report plus the last five
-    assert result.reports[0].n == 0
+        result = engine.solve(toy, toy_params(max_iterations=40), init)
+    assert [r.n for r in result.reports] == list(range(41))
     assert result.reports[-1].n == result.state.n == 40
 
 
@@ -387,6 +442,16 @@ def test_stop_rule_variants():
     assert relative.status == engine.STATUS_CONVERGED
     # the unshifted denominator is smaller, so it can only stop later
     assert relative.iterations >= shifted.iterations
+
+
+@pytest.mark.parametrize("max_iterations", [0, 5])
+def test_unknown_stop_rule_is_rejected_up_front(max_iterations):
+    toy = ScalarToy()
+    params = toy_params(stop_rule="bogus", max_iterations=max_iterations)
+    with pytest.raises(engine.ParameterError, match="'shifted', 'relative'"):
+        engine.validate_parameters(params)
+    with pytest.raises(engine.ParameterError, match="bogus"):
+        engine.solve(toy, params, engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1)))
 
 
 def test_write_reports_csv_roundtrip(tmp_path):

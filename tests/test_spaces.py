@@ -14,25 +14,6 @@ REL = 1e-10  # equality tolerance; 1e-8 where an SVD is involved
 SVD_REL = 1e-8
 
 
-def test_inner_product_axioms(rng):
-    for shape in [(7,), (4, 3)]:
-        v = rng.standard_normal(shape)
-        u = rng.standard_normal(shape)
-        assert spaces.inner(v, v) >= 0.0
-        assert spaces.inner(np.zeros(shape), np.zeros(shape)) == 0.0
-        assert spaces.norm(v) == pytest.approx(np.sqrt(spaces.inner(v, v)), rel=REL)
-        # axpy is linear in both arguments
-        a, c = 0.37, -1.25
-        lhs = spaces.axpy(a, u + c * v, v)
-        rhs = spaces.axpy(a, u, v) + a * c * v
-        assert np.allclose(lhs, rhs, rtol=REL, atol=1e-12)
-
-
-def test_inner_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        spaces.inner(np.zeros(3), np.zeros(4))
-
-
 def test_bregman_squared_norm_example():
     gen = spaces.squared_norm()
     d = spaces.bregman_distance(gen, np.array([1.0, 2.0]), np.zeros(2))
@@ -117,6 +98,10 @@ def test_singular_value_shrink_examples(rng):
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=SVD_REL)
     m = rng.standard_normal((4, 6))
     assert np.allclose(spaces.singular_value_shrink(m, 0.0), m, atol=SVD_REL)
+    # the paired form also returns the output's nuclear norm
+    shrunk, nuclear = spaces.singular_value_shrink_with_norm(m, 0.5)
+    assert np.array_equal(shrunk, spaces.singular_value_shrink(m, 0.5))
+    assert nuclear == pytest.approx(nuclear_norm(shrunk), rel=SVD_REL)
 
 
 def test_singular_value_shrink_local_minimality_probe(rng):
