@@ -12,7 +12,10 @@ with slack y whose negativity is penalized by (eta/2) dist^2(y, R^p_+).
 The resulting model is solved by the generic engine with closed-form
 oracles: each x block solves a 4x4 symmetric positive definite system whose
 matrix is iteration independent (factored once), and the y update is a
-componentwise two-branch formula.
+componentwise two-branch formula.  A bus block touches only its own rows,
+the rows of its neighbours' balance and line limits and the penetration
+floor, so the engine works on those rows alone and a block update costs
+O(nnz(A_i)), not O(p).
 """
 
 import time
@@ -216,7 +219,9 @@ def x_block_update(
 
         (Q + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
 
-    with proximal weight w = mu * alpha and r the partial residual.  When
+    with proximal weight w = mu * alpha and r the partial residual.  ``A``
+    may hold only some rows of A_i (all its nonzero ones) when the
+    context's multiplier and partial residual hold the same rows.  When
     ``solver`` (the precomputed inverse of the system matrix) is given it
     is applied directly; it must have been built for the same rho and w.
     """
@@ -249,9 +254,12 @@ def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float
 class DcOpfBlockProblem(BlockProblem):
     """Engine adapter with cached per-bus factorizations.
 
-    The block system matrix Q_i + rho A_i^T A_i + alpha I does not change
-    across iterations (the penalty gradient enters only the right-hand
-    side), so its inverse is computed once per bus.
+    Each bus couples through the rows where its A_i has a nonzero entry;
+    those row indices and the compact A_i restricted to them are kept, and
+    the operators and the block oracle work on them.  The block system
+    matrix Q_i + rho A_i^T A_i + alpha I does not change across iterations
+    (the penalty gradient enters only the right-hand side), so its inverse
+    is computed once per bus.
     """
 
     def __init__(self, problem: DcOpfProblem, rho: float, alpha: float,
@@ -267,17 +275,22 @@ class DcOpfBlockProblem(BlockProblem):
         self.block_shapes = [(dim,) for _ in range(n)]
         self.y_shape = (problem.p,)
         self.rhs = problem.b
+        self._rows = [np.flatnonzero(np.any(Ai != 0.0, axis=1)) for Ai in problem.A]
+        self._A = [Ai[rows] for Ai, rows in zip(problem.A, self._rows)]
         self._solvers = [
-            np.linalg.inv(problem.Q[i] + rho * (problem.A[i].T @ problem.A[i]) + alpha * np.eye(dim))
+            np.linalg.inv(problem.Q[i] + rho * (self._A[i].T @ self._A[i]) + alpha * np.eye(dim))
             for i in range(n)
         ]
         self._cost_const = [float(c) for c in case.gen_cost_c]
 
+    def block_rows(self, i):
+        return self._rows[i]
+
     def apply_A(self, i, x):
-        return self.problem.A[i] @ x
+        return self._A[i] @ x
 
     def apply_A_transpose(self, i, v):
-        return self.problem.A[i].T @ v
+        return self._A[i].T @ v
 
     def apply_B(self, y):
         return y
@@ -310,7 +323,7 @@ class DcOpfBlockProblem(BlockProblem):
     def solve_x_block(self, i, ctx: XBlockContext):
         solver = self._solvers[i] if ctx.mu * self.alpha == self.alpha and ctx.rho == self.rho else None
         return x_block_update(
-            ctx, self.problem.Q[i], self.problem.q[i], self.problem.A[i], self.alpha, solver
+            ctx, self.problem.Q[i], self.problem.q[i], self._A[i], self.alpha, solver
         )
 
     def solve_y_block(self, ctx: YBlockContext):
@@ -371,6 +384,14 @@ def solver_params_for(case: DcOpfCase, rho: float, alpha: float, tol: float,
     )
 
 
+def _stacked_product(block_problem: DcOpfBlockProblem, x: list[np.ndarray]) -> np.ndarray:
+    """sum_i A_i x_i in the full constraint space, each block added on its rows."""
+    ax = np.zeros(block_problem.problem.p)
+    for i, xi in enumerate(x):
+        ax[block_problem.block_rows(i)] += block_problem.apply_A(i, xi)
+    return ax
+
+
 def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
                      seed: int | None = None):
     """All variables at their lower bound (zero), slack absorbing b.
@@ -385,8 +406,7 @@ def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
         x = [jitter * rng.random(dim) for _ in range(n)]
     else:
         x = [np.zeros(dim) for _ in range(n)]
-    ax = sum(block_problem.apply_A(i, x[i]) for i in range(n))
-    y = np.maximum(block_problem.rhs - ax, 0.0)
+    y = np.maximum(block_problem.rhs - _stacked_product(block_problem, x), 0.0)
     z = np.zeros(block_problem.problem.p)
     return engine.initial_state(block_problem, x, y, z)
 
@@ -425,14 +445,12 @@ def frozen_u_recheck(
         x0 = [np.asarray(xi[:U], dtype=float) for xi in warm_x]
     else:
         x0 = [np.zeros(U) for _ in range(n)]
-    ax = sum(block_problem.apply_A(i, x0[i]) for i in range(n))
-    y0 = np.maximum(b_frozen - ax, 0.0)
+    y0 = np.maximum(b_frozen - _stacked_product(block_problem, x0), 0.0)
     init = engine.initial_state(block_problem, x0, y0, np.zeros(problem.p))
     params = solver_params_for(case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iterations)
     result = engine.solve(block_problem, params, init)
     x = result.state.x
-    ax = sum(block_problem.apply_A(i, x[i]) for i in range(n))
-    violation = float(np.max(ax - b_frozen))
+    violation = float(np.max(_stacked_product(block_problem, x) - b_frozen))
     return violation <= feasibility_tolerance, max(violation, 0.0), x
 
 

@@ -29,6 +29,14 @@ augmented Lagrangian itself,
 
 downhill by at least delta_x ||x_{n+1}-x_n||^2 + delta_y ||y_{n+1}-y_n||^2
 per sweep, which the engine monitors at runtime.
+
+Each block couples only through the rows of the constraint space where
+A_i is nonzero.  ``BlockProblem.block_rows(i)`` names them (every row by
+default); ``apply_A(i, .)`` returns A_i x on those rows only, and
+``apply_A_transpose(i, .)`` takes a vector on those rows.  The state
+carries its residual A x + B y - b from sweep to sweep; a block update
+reads and rewrites it on the block's rows alone, so it costs the size of
+the block's support rather than the size of the constraint space.
 """
 
 import csv
@@ -72,6 +80,9 @@ class XBlockContext:
     ``partial_residual`` is sum_{k<i} A_k x_{k,n+1} + sum_{k>i} A_k x_{k,n}
     + B y_n - b; it excludes exactly block i's own contribution, so the
     subproblem's coupling term is (rho/2)||A_i x_i + partial_residual||^2.
+    ``partial_residual`` and ``multiplier`` (z_n) hold only the rows
+    ``block_rows(block_index)``, the rows ``apply_A`` returns; the rows
+    outside add a constant the minimizer does not depend on.
     ``linear_term`` is grad_i P(x_n) - g_{i,n}; ``bregman`` is the proximal
     kernel (alpha/2)||.||^2, weighted by ``mu``.
     """
@@ -104,6 +115,13 @@ class BlockProblem(ABC):
     supply exact argmin oracles for the block subproblems.  The smooth /
     coupling pieces H, P, G default to zero so simple problems only override
     what they use.
+
+    ``block_rows(i)`` indexes the constraint-space rows that A_i can make
+    nonzero, as a slice or an integer index array without repeats; it
+    defaults to every row.  ``apply_A(i, x)`` returns A_i x on those rows
+    only, ``apply_A_transpose(i, v)`` takes v on those rows, and an x-block
+    oracle receives the partial residual and the multiplier on those rows.
+    The engine adds block products into full constraint-space vectors.
     """
 
     block_shapes: list[tuple]
@@ -114,13 +132,17 @@ class BlockProblem(ABC):
     def num_blocks(self) -> int:
         return len(self.block_shapes)
 
+    def block_rows(self, i: int):
+        """Index of the constraint-space rows block i couples through."""
+        return slice(None)
+
     @abstractmethod
     def apply_A(self, i: int, x: np.ndarray) -> np.ndarray:
-        """A_i x, living in the constraint space."""
+        """A_i x on the rows ``block_rows(i)`` of the constraint space."""
 
     @abstractmethod
     def apply_A_transpose(self, i: int, v: np.ndarray) -> np.ndarray:
-        """A_i^T v, living in block space i."""
+        """A_i^T v for v on the rows ``block_rows(i)``; lives in block space i."""
 
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
@@ -262,11 +284,17 @@ class IterationReport:
 
 @dataclass
 class SolverState:
-    """Current iterate (x, y, z) and the report history."""
+    """Current iterate (x, y, z), its residual A x + B y - b, and the
+    report history.
+
+    ``step`` updates a copy of ``residual`` block by block instead of
+    recomputing it, so a state's residual is never shared with another.
+    """
 
     x: list[np.ndarray]
     y: np.ndarray
     z: np.ndarray
+    residual: np.ndarray
     n: int = 0
     history: list[IterationReport] = field(default_factory=list)
 
@@ -290,10 +318,10 @@ def objective_value(problem: BlockProblem, x: list[np.ndarray], y: np.ndarray) -
 
 
 def constraint_residual(problem: BlockProblem, x: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """A x + B y - b."""
+    """A x + B y - b, each block's product added on its own rows."""
     r = problem.apply_B(y) - problem.rhs
     for i, xi in enumerate(x):
-        r = r + problem.apply_A(i, xi)
+        r[problem.block_rows(i)] += problem.apply_A(i, xi)
     return r
 
 
@@ -339,7 +367,9 @@ def _report(
 def x_subproblem_value(
     problem: BlockProblem, ctx: XBlockContext, x: np.ndarray
 ) -> float:
-    """Objective of the block subproblem described by ``ctx`` at the point x.
+    """Objective of the block subproblem described by ``ctx`` at the point x,
+    with the coupling term summed over the block's rows only (the rows
+    outside add a constant).
 
     Useful for testing oracles: an exact oracle's output never evaluates
     worse than any other point, in particular the incumbent iterate.
@@ -369,11 +399,11 @@ def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray)
 def initial_state(
     problem: BlockProblem, x: list[np.ndarray], y: np.ndarray, z: np.ndarray
 ) -> SolverState:
-    """Package an initial iterate with an empty report history."""
+    """Package an initial iterate with its residual and an empty report history."""
     x = [np.asarray(xi, dtype=float).copy() for xi in x]
     y = np.asarray(y, dtype=float).copy()
     z = np.asarray(z, dtype=float).copy()
-    return SolverState(x=x, y=y, z=z, n=0)
+    return SolverState(x=x, y=y, z=z, residual=constraint_residual(problem, x, y), n=0)
 
 
 def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
@@ -392,28 +422,30 @@ def _x_sweep(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
 
-    grad P and the G subgradient are evaluated once at the sweep start, not
-    refreshed mid-sweep.
+    The residual starts as a copy of the state's and each block rewrites
+    its own rows.  grad P and the G subgradient are evaluated once at the
+    sweep start, not refreshed mid-sweep.
     """
     grad_p = problem.grad_P(state.x)
     g = problem.subgrad_G(state.x)
     kernel = scaled_squared_norm(params.strong_convexity)
-    residual = constraint_residual(problem, state.x, state.y)
+    residual = state.residual.copy()
     x_new = list(state.x)
     for i in range(problem.num_blocks):
-        partial = residual - problem.apply_A(i, x_new[i])
+        rows = problem.block_rows(i)
+        partial = residual[rows] - problem.apply_A(i, x_new[i])
         ctx = XBlockContext(
             block_index=i,
             current_iterate=x_new[i],
             linear_term=grad_p[i] - g[i],
-            multiplier=state.z,
+            multiplier=state.z[rows],
             partial_residual=partial,
             rho=params.rho,
             mu=mu_n,
             bregman=kernel,
         )
         x_new[i] = _oracle_output(f"x-block {i}", state.n + 1, problem.solve_x_block, i, ctx)
-        residual = partial + problem.apply_A(i, x_new[i])
+        residual[rows] = partial + problem.apply_A(i, x_new[i])
     return x_new, residual
 
 
@@ -435,7 +467,8 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     residual = x_residual + problem.apply_B(y_new)
     z_new = state.z + params.rho * residual
 
-    new_state = SolverState(x=x_new, y=y_new, z=z_new, n=state.n + 1, history=state.history)
+    new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1,
+                            history=state.history)
     new_state.history.append(_report(problem, params.rho, new_state, residual, state))
     return new_state
 
@@ -451,6 +484,10 @@ def _stop_metric(params: SolverParams, delta: float, base: float) -> bool:
 def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
     """Iterate ``step`` until the stop rule fires or max_iterations is hit.
 
+    The stop rule compares the norm of the whole step (x, y, z), formed
+    from the report's step_x, step_y and step_z, with the norm of the
+    iterate the step started from.
+
     A merit increase beyond 1e-8*(1 + |merit_1|) is a warning, not an error:
     the descent guarantee assumes exact oracles and honest constants, and
     user-supplied constants may be underestimates.  The count and worst
@@ -459,9 +496,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     validate_parameters(params)
     state = init
     if not state.history:
-        state.history.append(
-            _report(problem, params.rho, state, constraint_residual(problem, state.x, state.y))
-        )
+        state.history.append(_report(problem, params.rho, state, state.residual))
     status = STATUS_MAX_ITERATIONS
     oracle_error = None
     merit_increase_count = 0
@@ -493,10 +528,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
                         RuntimeWarning,
                         stacklevel=2,
                     )
-        delta = stacked_norm(
-            [a - b for a, b in zip(new_state.x, state.x)]
-            + [new_state.y - state.y, new_state.z - state.z]
-        )
+        delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
         state = new_state
         if _stop_metric(params, delta, base):
             status = STATUS_CONVERGED
@@ -539,6 +571,7 @@ def stationarity_report(
     feasibility = float(
         np.linalg.norm(constraint_residual(problem, state.x, state.y))
     )
+    # the sweep starts from the state's carried residual, not a fresh one
     x_new, _ = _x_sweep(problem, params, state, params.mu)
     x_fixed_point = stacked_norm([a - b for a, b in zip(x_new, state.x)])
     return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)
@@ -556,7 +589,8 @@ def write_reports_csv(reports: list[IterationReport], path) -> None:
 
 
 def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float = 1e-10) -> float:
-    """Probe <A_i u, v> = <u, A_i^T v> and the B analogue on random inputs.
+    """Probe <A_i u, v> = <u, A_i^T v> and the B analogue on random inputs,
+    with A_i u placed on its rows of the constraint space.
 
     Returns the worst relative mismatch; raises if it exceeds ``tol``.
     """
@@ -564,8 +598,11 @@ def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float =
     v = rng.standard_normal(problem.rhs.shape)
     for i, shape in enumerate(problem.block_shapes):
         u = rng.standard_normal(shape)
-        lhs = float(np.vdot(problem.apply_A(i, u), v))
-        rhs = float(np.vdot(u, problem.apply_A_transpose(i, v)))
+        rows = problem.block_rows(i)
+        au = np.zeros_like(v)
+        au[rows] = problem.apply_A(i, u)
+        lhs = float(np.vdot(au, v))
+        rhs = float(np.vdot(u, problem.apply_A_transpose(i, v[rows])))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     u = rng.standard_normal(problem.y_shape)
     lhs = float(np.vdot(problem.apply_B(u), v))

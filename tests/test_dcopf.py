@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,90 @@ def test_adjoint_identity_for_assembled_operators(rng):
     problem = dcopf.build_problem(case)
     block_problem = dcopf.DcOpfBlockProblem(problem, rho=2.0 * case.eta + 1e-10, alpha=1e-2)
     assert engine.check_adjoints(block_problem, rng, tol=1e-12) <= 1e-12
+
+
+def small_radial_case():
+    """A six-bus radial feeder: bus 0 is the substation, buses 2, 4 and 5 leaves."""
+    return dcopf.DcOpfCase(
+        demand=np.array([0.0, 0.5, 0.3, 0.4, 0.2, 0.6]),
+        lines=((0, 1, 8.0), (1, 2, 6.0), (1, 3, 5.0), (3, 4, 7.0), (3, 5, 4.0)),
+        pv_cost=1.0,
+        gen_cost_a=np.array([0.1, 0.3, 0.3, 0.2, 0.4, 0.3]),
+        gen_cost_b=np.full(6, 0.05),
+        gen_cost_c=np.full(6, 0.2),
+        pv_capacity=0.6,
+        gen_capacity=np.array([4.0, 1.0, 0.5, 1.0, 0.5, 0.5]),
+        line_limit=1.5,
+        gamma=10.0,
+        eta=1e3,
+    )
+
+
+def block_problem_for(case):
+    rho = 2.0 * case.eta + 1e-10
+    problem = dcopf.build_problem(case)
+    block_problem = dcopf.DcOpfBlockProblem(problem, rho=rho, alpha=1e-2)
+    params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=1e-5, max_iterations=300)
+    return problem, block_problem, params
+
+
+CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
+         pytest.param(small_radial_case, id="radial6")]
+
+
+@pytest.mark.parametrize("make_case", CASES)
+def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
+    problem, block_problem, params = block_problem_for(make_case())
+    for i, A in enumerate(problem.A):
+        rows = block_problem.block_rows(i)
+        assert np.array_equal(rows, np.unique(rows))
+        compact = np.column_stack([block_problem.apply_A(i, e) for e in np.eye(4)])
+        full = np.zeros_like(A)
+        full[rows] = compact
+        assert np.array_equal(full, A)
+        assert not np.delete(A, rows, axis=0).any()
+        # the oracle on the block's rows matches the dense update on every row
+        partial = rng.standard_normal(problem.p)
+        multiplier = rng.standard_normal(problem.p)
+        ctx = tame_block_context(rng, rho=params.rho)
+        dense = dcopf.x_block_update(
+            replace(ctx, block_index=i, multiplier=multiplier, partial_residual=partial),
+            problem.Q[i], problem.q[i], A, block_problem.alpha)
+        on_rows = block_problem.solve_x_block(
+            i, replace(ctx, block_index=i, multiplier=multiplier[rows],
+                       partial_residual=partial[rows]))
+        assert np.allclose(on_rows, dense, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_case", CASES)
+def test_carried_residual_matches_a_fresh_one(make_case):
+    # The residual is a difference of O(1) terms (b, B y, A x), so each
+    # entry carries rounding of the terms' size: gaps are scaled by
+    # max(1, max|fresh|).
+    _, block_problem, params = block_problem_for(make_case())
+    state = dcopf.lower_bound_init(block_problem, jitter=0.1, seed=3)
+    for _ in range(50):
+        previous = state.residual.copy()
+        new_state = engine.step(block_problem, params, state)
+        assert np.array_equal(state.residual, previous)  # the old state's is left alone
+        state = new_state
+        fresh = engine.constraint_residual(block_problem, state.x, state.y)
+        scale = max(1.0, float(np.max(np.abs(fresh))))
+        assert np.max(np.abs(state.residual - fresh)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make_case", CASES)
+def test_stationarity_report_of_a_result_uses_its_own_residual(make_case):
+    _, block_problem, params = block_problem_for(make_case())
+    result = engine.solve(block_problem, params,
+                          dcopf.lower_bound_init(block_problem, jitter=0.1, seed=3))
+    final = result.state
+    carried = engine.stationarity_report(block_problem, params, final)
+    fresh = engine.stationarity_report(
+        block_problem, params, engine.initial_state(block_problem, final.x, final.y, final.z))
+    assert carried.dual_y == fresh.dual_y
+    assert carried.feasibility == fresh.feasibility
+    assert carried.x_fixed_point == pytest.approx(fresh.x_fixed_point, rel=1e-9)
 
 
 def test_placement_gradient_values_and_finite_differences(rng):

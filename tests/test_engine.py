@@ -84,6 +84,19 @@ class RecordingProblem(engine.BlockProblem):
         return ctx.current_iterate
 
 
+class RowRecordingProblem(RecordingProblem):
+    """RecordingProblem with block i declared to touch row i only."""
+
+    def block_rows(self, i):
+        return [i]
+
+    def apply_A(self, i, x):
+        return x.copy()
+
+    def apply_A_transpose(self, i, v):
+        return v.copy()
+
+
 def test_validate_parameters_rpca_setting():
     params = engine.SolverParams(rho=2.0 + 1e-10, lipschitz_H=1.0, strong_convexity=0.01)
     mu_bound, rho_bound = engine.validate_parameters(params)
@@ -182,15 +195,14 @@ def test_solve_toy_converges_and_merit_descends():
     assert result.merit_increase_count == 0
 
 
-def test_gauss_seidel_ordering():
-    problem = RecordingProblem()
+def assert_gauss_seidel_splice(problem):
     x = [np.array([10.0]), np.array([20.0]), np.array([30.0])]
     y = np.array([1.0, 2.0, 3.0])
     state = engine.initial_state(problem, x, y, np.zeros(3))
     engine.step(problem, toy_params(rho=2.0), state)
     assert [i for i, _ in problem.seen] == [0, 1, 2]
     # block i sees blocks < i at the new value (old + 1) and blocks > i old,
-    # and never its own contribution
+    # and never its own contribution, on the rows it touches
     by = -y
     expected = {
         0: np.array([0.0, 20.0, 30.0]) + by,
@@ -198,7 +210,30 @@ def test_gauss_seidel_ordering():
         2: np.array([11.0, 21.0, 0.0]) + by,
     }
     for i, partial in problem.seen:
-        assert np.allclose(partial, expected[i], rtol=REL, atol=1e-12)
+        assert np.allclose(partial, expected[i][problem.block_rows(i)], rtol=REL, atol=1e-12)
+
+
+def test_gauss_seidel_ordering():
+    assert_gauss_seidel_splice(RecordingProblem())
+
+
+def test_gauss_seidel_ordering_on_block_rows():
+    assert_gauss_seidel_splice(RowRecordingProblem())
+
+
+def test_block_rows_give_the_whole_space_iterates():
+    whole, rows = RecordingProblem(), RowRecordingProblem()
+    params = toy_params(rho=2.0)
+    start = ([np.array([10.0]), np.array([20.0]), np.array([30.0])],
+             np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.25]))
+    a, b = engine.initial_state(whole, *start), engine.initial_state(rows, *start)
+    assert np.array_equal(a.residual, b.residual)
+    for _ in range(5):
+        a, b = engine.step(whole, params, a), engine.step(rows, params, b)
+        for left, right in zip(a.x + [a.y, a.z, a.residual], b.x + [b.y, b.z, b.residual]):
+            assert np.array_equal(left, right)
+    assert [r.csv_row() for r in a.history] == [r.csv_row() for r in b.history]
+    assert engine.check_adjoints(rows, np.random.default_rng(0)) == 0.0
 
 
 def test_block_oracle_never_worse_than_incumbent():

@@ -5,16 +5,21 @@ saves their final iterates, iteration counts and report columns:
 
     python3 tools/same_answers.py --src path/to/old/src old.npz
     python3 tools/same_answers.py --src src new.npz
-    python3 tools/same_answers.py --compare old.npz new.npz
+    python3 tools/same_answers.py --compare [--rtol R] old.npz new.npz
 
 The solves are the two-bus fixture (canonical run and jitter-0.1 seeds
 0-4, 20000 sweeps at most, with the frozen-u recheck), 100 fixed sweeps on
 the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0),
 BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4, and an
-engine run of ``RpcaBlockProblem`` on a 12x10 instance.  ``--compare``
-requires equal iteration counts, bit-equal final iterates, feasibility
-and step columns, and L_rho, merit and objective columns equal to 1e-12
-relative; it exits nonzero on the first difference it reports.
+engine run of ``RpcaBlockProblem`` on a 12x10 instance.
+
+``--compare`` requires equal iteration counts and report numbers n.  The
+L_rho, merit and objective columns must agree to 1e-12 relative, entry by
+entry.  Every other array (final iterates, recheck violation) and report
+column (feasibility, steps) must satisfy max|a - b| <= R * max(1, max|a|),
+with a the old values and R from ``--rtol`` (default 0: bit-equal).  It
+prints the worst gap of each kind of value over all runs and exits
+nonzero if any check fails.
 """
 
 import argparse
@@ -23,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-REPORT_COLUMNS = ("L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
-EXACT_COLUMNS = ("n", "feasibility", "step_x", "step_y", "step_z")
+REPORT_COLUMNS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
+RELATIVE_COLUMNS = ("L_rho", "merit", "objective")
 RTOL = 1e-12
 
 
@@ -81,43 +86,72 @@ def collect(src: str) -> dict:
     return out
 
 
-def compare(old: dict, new: dict) -> list[str]:
+def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst entrywise |a - b| / max(|a|, |b|), 0 where both are 0."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
+def scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max(1, max|a|) over the entries that are not NaN in
+    both; infinite if the NaNs sit in different places."""
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return np.inf
+    a, b = a[~nan], b[~nan]
+    return float(np.max(np.abs(a - b), initial=0.0) / max(1.0, np.max(np.abs(a), initial=0.0)))
+
+
+def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
+    """Differences beyond the tolerances, and the worst gap of each kind of
+    value as kind -> (gap, run)."""
     problems = []
+    worst = {}
     if sorted(old) != sorted(new):
-        return [f"different runs: {sorted(set(old) ^ set(new))}"]
+        return [f"different runs: {sorted(set(old) ^ set(new))}"], worst
+
+    def check(run, kind, gap, limit):
+        if gap > worst.get(kind, (-1.0,))[0]:
+            worst[kind] = (gap, run)
+        if not gap <= limit:
+            problems.append(f"{run} {kind}: gap {gap:.2e} exceeds {limit:.0e}")
+
     for key in sorted(old):
+        run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
-        if not key.endswith("/reports"):
-            if not np.array_equal(a, b, equal_nan=True):
-                problems.append(f"{key}: not bit-equal")
-            continue
         if a.shape != b.shape:
-            problems.append(f"{key}: {a.shape[0]} vs {b.shape[0]} reports")
-            continue
-        for k, column in enumerate(("n",) + REPORT_COLUMNS):
-            if column in EXACT_COLUMNS:
-                if not np.array_equal(a[:, k], b[:, k]):
-                    problems.append(f"{key}: column {column} not bit-equal")
-                continue
-            gap = np.abs(a[:, k] - b[:, k])
-            scale = np.maximum(np.abs(a[:, k]), np.abs(b[:, k]))
-            worst = float(np.max(gap / np.where(scale > 0, scale, 1.0)))
-            print(f"{key} {column}: worst relative gap {worst:.2e}")
-            if worst > RTOL:
-                problems.append(f"{key}: column {column} differs by {worst:.2e} relative")
-    return problems
+            problems.append(f"{key}: shape {a.shape} vs {b.shape}")
+        elif kind == "iterations":
+            if not np.array_equal(a, b):
+                problems.append(f"{key}: {a} vs {b} iterations")
+        elif kind != "reports":
+            check(run, kind, scaled_gap(a, b), rtol)
+        else:
+            for k, column in enumerate(REPORT_COLUMNS):
+                if column == "n":
+                    check(run, column, scaled_gap(a[:, k], b[:, k]), 0.0)
+                elif column in RELATIVE_COLUMNS:
+                    check(run, column, relative_gap(a[:, k], b[:, k]), RTOL)
+                else:
+                    check(run, column, scaled_gap(a[:, k], b[:, k]), rtol)
+    return problems, worst
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", help="directory holding the bpladmm package to run")
     parser.add_argument("--compare", action="store_true", help="compare two saved answer files")
+    parser.add_argument("--rtol", type=float, default=0.0, metavar="R",
+                        help="allowed max|a - b| / max(1, max|a|) of iterates, feasibility "
+                             "and steps (default 0: bit-equal)")
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (dict(np.load(f)) for f in args.files)
-        problems = compare(old, new)
+        problems, worst = compare(old, new, args.rtol)
         runs = len({k.rsplit("/", 1)[0] for k in old})
+        for kind, (gap, run) in sorted(worst.items()):
+            print(f"{kind}: worst gap {gap:.2e} ({run})")
         for line in problems:
             print("DIFF", line)
         print(f"{runs} runs compared: {'same answers' if not problems else 'DIFFERENT'}")
