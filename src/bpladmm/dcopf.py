@@ -203,12 +203,9 @@ def g_gradient(x: list[np.ndarray], gamma: float) -> list[np.ndarray]:
     The penalty is convex, so this gradient is also the (unique)
     subgradient and the weak convexity modulus is zero.
     """
-    out = []
-    for xi in x:
-        gi = np.zeros_like(xi)
-        gi[U] = gamma * (2.0 * xi[U] - 1.0)
-        out.append(gi)
-    return out
+    out = np.zeros((len(x), 4))
+    out[:, U] = gamma * (2.0 * np.array([xi[U] for xi in x]) - 1.0)
+    return list(out)
 
 
 def x_block_update(

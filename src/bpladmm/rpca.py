@@ -12,6 +12,15 @@ closed form: singular value shrinkage for L, entrywise shrinkage for S
 (shifted by a spectral-norm subgradient of the current S), and an
 averaging step for T.
 
+The two spectral kernels come from ``spaces``: the shrinkage and the
+leading singular pair of S (which gives both the subgradient and the
+spectral term of the objective) each take one eigendecomposition of the
+smaller Gram matrix per sweep, not a full SVD; the shrinkage falls back to
+the SVD when its error certificate fails.  Full SVDs remain only once per
+solve: the nuclear norm of the random starting L and the numerical rank
+of the result, where the Gram matrix would square the condition number
+and lose the small singular values.
+
 Both solvers run their own closed-form loop rather than ``engine.solve``.
 Each report records the merit, which is the augmented Lagrangian L_rho,
 but unlike the engine the loop does not check its descent at runtime.
@@ -35,6 +44,7 @@ from .engine import (
     YBlockContext,
 )
 from .spaces import (
+    leading_singular_pair,
     singular_value_shrink_with_norm,
     soft_shrink,
     spectral_norm_subgradient,
@@ -227,9 +237,8 @@ def _run(instance, config, init_seed, *, rho, alpha, with_spectral_term):
     start = time.perf_counter()
     while True:
         if with_spectral_term:
-            U, s, Vt = np.linalg.svd(S, full_matrices=False)
-            g2 = np.outer(U[:, 0], Vt[0, :]) if s[0] > 0.0 else np.zeros_like(S)
-            spectral = float(s[0])
+            u, spectral, v = leading_singular_pair(S)
+            g2 = np.outer(u, v) if spectral > 0.0 else np.zeros_like(S)
         else:
             g2 = 0.0
             spectral = 0.0
@@ -368,7 +377,7 @@ class RpcaBlockProblem(BlockProblem):
         return self.config.gamma * (y - self.instance.M)
 
     def eval_G(self, x):
-        return self.tau * float(np.linalg.norm(x[1], 2))
+        return self.tau * leading_singular_pair(x[1])[1]
 
     def subgrad_G(self, x):
         return [np.zeros_like(x[0]), self.tau * spectral_norm_subgradient(x[1])]

@@ -143,6 +143,109 @@ def test_shrink_operators_never_increase_their_objectives(rng):
         )
 
 
+def with_singular_values(rng, m, d, values):
+    """An m x d matrix with the given nonzero singular values and random
+    orthonormal singular vectors."""
+    k = len(values)
+    U, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    return (U * np.asarray(values, dtype=float)) @ V.T
+
+
+def svd_shrink(M, c):
+    """Reference singular value shrinkage and nuclear norm from a full SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    shrunk = np.maximum(s - c, 0.0)
+    return (U * shrunk) @ Vt, float(shrunk.sum())
+
+
+def counting_svd(monkeypatch):
+    """Count the full SVDs ``spaces`` runs from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(spaces.np.linalg, "svd", counted)
+    return calls
+
+
+SHRINK_CASES = {
+    "random": None,
+    "repeated": [3.0, 3.0, 3.0, 0.5],
+    "clustered": [2.0, 2.0 + 1e-9, 2.0 - 1e-9, 0.2],
+    "rank_deficient": [4.0, 2.0],
+    "straddling": [2.5, 1.0 + 1e-6, 1.0, 1.0 - 1e-6],
+}
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("case", sorted(SHRINK_CASES))
+def test_gram_shrinkage_matches_the_svd(case, shape, rng, monkeypatch):
+    c = 1.0
+    values = SHRINK_CASES[case]
+    M = 2.0 * rng.standard_normal(shape) if values is None else with_singular_values(
+        rng, *shape, values)
+    expected, expected_nuclear = svd_shrink(M, c)
+    calls = counting_svd(monkeypatch)
+    out, nuclear = spaces.singular_value_shrink_with_norm(M, c)
+    assert not calls  # the Gram route, no SVD
+    assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
+    assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)], ids=["tall", "wide"])
+def test_shrinkage_falls_back_to_the_svd_outside_the_certificate(shape, rng, monkeypatch):
+    M = with_singular_values(rng, *shape, [1e4, 3.0, 0.5])
+    c = 0.1  # eps * sigma_1^2 = 2.2e-8 > 1e-8 * c^2
+    cases = [(M, c, svd_shrink(M, c)), (M, 0.0, svd_shrink(M, 0.0))]
+    calls = counting_svd(monkeypatch)
+    for k, (matrix, threshold, (expected, expected_nuclear)) in enumerate(cases, start=1):
+        out, nuclear = spaces.singular_value_shrink_with_norm(matrix, threshold)
+        assert len(calls) == k
+        assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
+        assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
+def test_leading_singular_pair_matches_the_svd(shape, magnitude, rng):
+    for _ in range(10):
+        S = magnitude * rng.standard_normal(shape)
+        sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
+        u, sigma, v = spaces.leading_singular_pair(S)
+        assert u.shape == (shape[0],) and v.shape == (shape[1],)
+        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert sigma == pytest.approx(sigma_1, rel=1e-12)
+        assert u @ S @ v == pytest.approx(sigma_1, rel=1e-12)
+
+
+def test_leading_singular_pair_on_a_degenerate_top(rng):
+    S = np.diag([2.0, 2.0, 1.0])
+    u, sigma, v = spaces.leading_singular_pair(S)
+    assert sigma == pytest.approx(2.0, rel=1e-12)
+    assert u @ S @ v == pytest.approx(2.0, rel=1e-12)
+    g = spaces.spectral_norm_subgradient(S)
+    assert np.linalg.svd(g, compute_uv=False).sum() == pytest.approx(1.0, rel=1e-12)
+    for _ in range(100):
+        T = 2.0 * rng.standard_normal((3, 3))
+        assert np.linalg.norm(T, 2) >= 2.0 + np.vdot(g, T - S) - 1e-12
+
+
+def test_leading_singular_pair_of_zero_and_of_nonfinite_input():
+    u, sigma, v = spaces.leading_singular_pair(np.zeros((3, 2)))
+    assert sigma == 0.0
+    assert np.linalg.norm(u) == 1.0 and np.linalg.norm(v) == 1.0
+    for bad in (np.nan, np.inf, -np.inf):
+        S = np.eye(3)
+        S[1, 2] = bad
+        with pytest.raises(ValueError):
+            spaces.leading_singular_pair(S)
+
+
 def test_spectral_subgradient_diagonal_example():
     s = np.diag([5.0, 2.0])
     g = spaces.spectral_norm_subgradient(s)

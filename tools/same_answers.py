@@ -10,8 +10,9 @@ saves their final iterates, iteration counts and report columns:
 The solves are the two-bus fixture (canonical run and jitter-0.1 seeds
 0-4, 20000 sweeps at most, with the frozen-u recheck), 100 fixed sweeps on
 the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0),
-BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4, and an
-engine run of ``RpcaBlockProblem`` on a 12x10 instance.
+BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4 and on a
+rank-4 60x40 and 40x60 instance (one of each orientation of a non-square
+matrix), and an engine run of ``RpcaBlockProblem`` on a 12x10 instance.
 
 ``--compare`` requires equal iteration counts and report numbers n.  The
 L_rho, merit and objective columns must agree to 1e-12 relative, entry by
@@ -67,12 +68,14 @@ def collect(src: str) -> dict:
     keep_dcopf("radial141/seed0",
                dcopf.solve_dcopf(radial, tol=0.0, max_iterations=100, recheck=False))
 
-    config = rpca.RpcaConfig(rows=100, cols=100)
-    for seed in range(5):
-        instance = rpca.generate_instance(100, 100, 10, 0.05, 1e-2, seed=seed)
+    rpca_runs = [(f"{seed}", 100, 100, 10, seed) for seed in range(5)]
+    rpca_runs += [("-60x40", 60, 40, 4, 0), ("-40x60", 40, 60, 4, 0)]
+    for tag, m, d, r, seed in rpca_runs:
+        config = rpca.RpcaConfig(rows=m, cols=d)
+        instance = rpca.generate_instance(m, d, r, 0.05, 1e-2, seed=seed)
         for name, solver in (("bpl", rpca.bpl_admm_rpca), ("admm3", rpca.admm3_baseline)):
             sol = solver(instance, config, seed + cli.INIT_SEED_OFFSET)
-            keep(f"rpca/{name}{seed}", [sol.L, sol.S], sol.T, sol.Z, sol.iterations, sol.reports)
+            keep(f"rpca/{name}{tag}", [sol.L, sol.S], sol.T, sol.Z, sol.iterations, sol.reports)
 
     instance = rpca.generate_instance(12, 10, 3, 0.1, 1e-2, seed=1)
     small = rpca.RpcaConfig(rows=12, cols=10)
