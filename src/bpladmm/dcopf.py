@@ -15,7 +15,9 @@ matrix is iteration independent (factored once), and the y update is a
 componentwise two-branch formula.  A bus block touches only its own rows,
 the rows of its neighbours' balance and line limits and the penetration
 floor, so the engine works on those rows alone and a block update costs
-O(nnz(A_i)), not O(p).
+O(nnz(A_i)), not O(p).  The engine stacks the bus blocks into one N x 4
+array, so the placement penalty, its gradient, the quadratic costs and the
+per-bus result columns are column operations on it.
 """
 
 import time
@@ -196,16 +198,18 @@ def build_problem(case: DcOpfCase) -> DcOpfProblem:
     return DcOpfProblem(case=case, A=A, b=b, Q=Q, q=q, p=p)
 
 
-def g_gradient(x: list[np.ndarray], gamma: float) -> list[np.ndarray]:
-    """Gradient of the placement penalty gamma * sum_i (u_i^2 - u_i).
+def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
+    """Gradient of the placement penalty gamma * sum_i (u_i^2 - u_i) at the
+    stacked bus blocks x (N x 4, or a sequence of N 4-vectors).
 
-    Zero except the u component of each block, which is gamma*(2 u_i - 1).
-    The penalty is convex, so this gradient is also the (unique)
-    subgradient and the weak convexity modulus is zero.
+    Zero except the u column, which is gamma*(2 u_i - 1).  The penalty is
+    convex, so this gradient is also the (unique) subgradient and the weak
+    convexity modulus is zero.
     """
-    out = np.zeros((len(x), 4))
-    out[:, U] = gamma * (2.0 * np.array([xi[U] for xi in x]) - 1.0)
-    return list(out)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    out[:, U] = gamma * (2.0 * x[:, U] - 1.0)
+    return out
 
 
 def x_block_update(
@@ -256,7 +260,9 @@ class DcOpfBlockProblem(BlockProblem):
     the operators and the block oracle work on them.  The block system
     matrix Q_i + rho A_i^T A_i + alpha I does not change across iterations
     (the penalty gradient enters only the right-hand side), so its inverse
-    is computed once per bus.
+    is computed once per bus.  The cost matrices Q_i are diagonal (as
+    ``build_problem`` makes them), so sum_i f_i is evaluated from their
+    stacked diagonals and the stacked q_i in one pass.
     """
 
     def __init__(self, problem: DcOpfProblem, rho: float, alpha: float,
@@ -279,6 +285,12 @@ class DcOpfBlockProblem(BlockProblem):
             for i in range(n)
         ]
         self._cost_const = [float(c) for c in case.gen_cost_c]
+        Q = np.array(problem.Q, dtype=float)
+        self._Q_diag = np.diagonal(Q, axis1=1, axis2=2).copy()
+        if np.count_nonzero(Q) != np.count_nonzero(self._Q_diag):
+            raise ValueError("the per-bus cost matrices Q_i must be diagonal")
+        self._q = np.array(problem.q, dtype=float)
+        self._cost_const_total = float(np.sum(case.gen_cost_c))
 
     def block_rows(self, i):
         return self._rows[i]
@@ -298,6 +310,10 @@ class DcOpfBlockProblem(BlockProblem):
     def eval_f(self, i, x):
         return float(0.5 * x @ self.problem.Q[i] @ x + self.problem.q[i] @ x) + self._cost_const[i]
 
+    def eval_f_sum(self, x):
+        quadratic = 0.5 * float(np.vdot(self._Q_diag * x, x))
+        return quadratic + float(np.vdot(self._q, x)) + self._cost_const_total
+
     def eval_H(self, y):
         value, _ = dist_sq_nonneg_orthant(y)
         return 0.5 * self.eta * value
@@ -309,12 +325,12 @@ class DcOpfBlockProblem(BlockProblem):
     def eval_G(self, x):
         if self.gamma == 0.0:
             return 0.0
-        u = np.array([xi[U] for xi in x])
+        u = x[:, U]
         return self.gamma * float(np.sum(u * u - u))
 
     def subgrad_G(self, x):
         if self.gamma == 0.0:
-            return [np.zeros_like(xi) for xi in x]
+            return np.zeros_like(x)
         return g_gradient(x, self.gamma)
 
     def solve_x_block(self, i, ctx: XBlockContext):
@@ -381,7 +397,7 @@ def solver_params_for(case: DcOpfCase, rho: float, alpha: float, tol: float,
     )
 
 
-def _stacked_product(block_problem: DcOpfBlockProblem, x: list[np.ndarray]) -> np.ndarray:
+def _stacked_product(block_problem: DcOpfBlockProblem, x: np.ndarray) -> np.ndarray:
     """sum_i A_i x_i in the full constraint space, each block added on its rows."""
     ax = np.zeros(block_problem.problem.p)
     for i, xi in enumerate(x):
@@ -396,52 +412,59 @@ def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
     A positive ``jitter`` adds uniform [0, jitter) noise to the x blocks so
     seeded repetitions explore different basins.
     """
-    n = len(block_problem.block_shapes)
-    dim = block_problem.block_shapes[0][0]
+    shape = (len(block_problem.block_shapes),) + tuple(block_problem.block_shapes[0])
     if jitter > 0.0:
-        rng = np.random.default_rng(seed)
-        x = [jitter * rng.random(dim) for _ in range(n)]
+        x = jitter * np.random.default_rng(seed).random(shape)
     else:
-        x = [np.zeros(dim) for _ in range(n)]
+        x = np.zeros(shape)
     y = np.maximum(block_problem.rhs - _stacked_product(block_problem, x), 0.0)
     z = np.zeros(block_problem.problem.p)
     return engine.initial_state(block_problem, x, y, z)
 
 
+def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProblem:
+    """The model with the placement frozen at ``u_rounded``.
+
+    The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
+    u_i), leaving a convex three-variable-per-bus power flow.
+    """
+    n = problem.case.num_buses
+    return DcOpfProblem(
+        case=problem.case,
+        A=[Ai[:, :U] for Ai in problem.A],
+        b=problem.b - sum(problem.A[i][:, U] * u_rounded[i] for i in range(n)),
+        Q=[Qi[:U, :U] for Qi in problem.Q],
+        q=[qi[:U] for qi in problem.q],
+        p=problem.p,
+    )
+
+
 def frozen_u_recheck(
     problem: DcOpfProblem,
     u_rounded: np.ndarray,
-    warm_x: list[np.ndarray] | None = None,
+    warm_x: np.ndarray | None = None,
     *,
     rho: float,
     alpha: float,
     tol: float = 1e-6,
     max_iterations: int = 4000,
     feasibility_tolerance: float = 1e-3,
-) -> tuple[bool, float, list[np.ndarray]]:
-    """Re-solve with the placement frozen at the rounded values.
+) -> tuple[bool, float, np.ndarray]:
+    """Re-solve ``frozen_u_problem(problem, u_rounded)``, from the first
+    three columns of ``warm_x`` when given.
 
-    The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
-    u_i), leaving a convex three-variable-per-bus power flow.  Returns
-    (feasible, worst constraint violation, refined blocks); the solution is
-    declared feasible when max(A x - b') does not exceed the tolerance.
+    Returns (feasible, worst constraint violation, refined N x 3 blocks);
+    the solution is declared feasible when max(A x - b') does not exceed
+    the tolerance.
     """
     case = problem.case
-    n = case.num_buses
-    b_frozen = problem.b - sum(problem.A[i][:, U] * u_rounded[i] for i in range(n))
-    reduced = DcOpfProblem(
-        case=case,
-        A=[Ai[:, :U] for Ai in problem.A],
-        b=b_frozen,
-        Q=[Qi[:U, :U] for Qi in problem.Q],
-        q=[qi[:U] for qi in problem.q],
-        p=problem.p,
-    )
+    reduced = frozen_u_problem(problem, u_rounded)
+    b_frozen = reduced.b
     block_problem = DcOpfBlockProblem(reduced, rho=rho, alpha=alpha, gamma=0.0)
     if warm_x is not None:
-        x0 = [np.asarray(xi[:U], dtype=float) for xi in warm_x]
+        x0 = np.asarray(warm_x, dtype=float)[:, :U]
     else:
-        x0 = [np.zeros(U) for _ in range(n)]
+        x0 = np.zeros((case.num_buses, U))
     y0 = np.maximum(b_frozen - _stacked_product(block_problem, x0), 0.0)
     init = engine.initial_state(block_problem, x0, y0, np.zeros(problem.p))
     params = solver_params_for(case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iterations)
@@ -482,10 +505,7 @@ def solve_dcopf(
         raise result.oracle_error
 
     x = result.state.x
-    pv = np.array([xi[PV] for xi in x])
-    gen = np.array([xi[GEN] for xi in x])
-    theta = np.array([xi[THETA] for xi in x])
-    u = np.array([xi[U] for xi in x])
+    pv, gen, theta, u = x.T.copy()  # the PV, GEN, THETA and U columns
     u_rounded = np.where(u >= 0.5, 1.0, 0.0)
 
     rounded_feasible = None

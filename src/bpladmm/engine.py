@@ -37,6 +37,13 @@ default); ``apply_A(i, .)`` returns A_i x on those rows only, and
 carries its residual A x + B y - b from sweep to sweep; a block update
 reads and rewrites it on the block's rows alone, so it costs the size of
 the block's support rather than the size of the constraint space.
+
+The x iterate is one array of shape (m, *block_shape): every block has the
+same shape, and block i is ``x[i]``.  The blocks are still updated one at a
+time in Gauss-Seidel order, but the per-sweep bookkeeping around them (the
+linearization grad P(x_n) - g_n, the step and iterate norms, the objective
+through ``BlockProblem.eval_f_sum`` and the finite check of the oracle
+outputs) is one array operation per sweep instead of one per block.
 """
 
 import csv
@@ -73,7 +80,7 @@ class BlockOracleError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class XBlockContext:
     """Everything an x-block oracle needs for one exact subproblem solve.
 
@@ -85,6 +92,10 @@ class XBlockContext:
     outside add a constant the minimizer does not depend on.
     ``linear_term`` is grad_i P(x_n) - g_{i,n}; ``bregman`` is the proximal
     kernel (alpha/2)||.||^2, weighted by ``mu``.
+
+    One context is built per block and sweep, so it is a plain slotted
+    dataclass (a frozen one costs several times more to build); oracles
+    must treat it as read-only.
     """
 
     block_index: int
@@ -110,11 +121,17 @@ class YBlockContext:
 class BlockProblem(ABC):
     """A problem instance: block spaces, operators, and subproblem oracles.
 
-    Subclasses must set ``block_shapes`` (one shape per x block), ``y_shape``
-    and ``rhs``, implement the linear operators with their adjoints, and
-    supply exact argmin oracles for the block subproblems.  The smooth /
-    coupling pieces H, P, G default to zero so simple problems only override
-    what they use.
+    Subclasses must set ``block_shapes`` (one shape per x block, all of them
+    equal), ``y_shape`` and ``rhs``, implement the linear operators with
+    their adjoints, and supply exact argmin oracles for the block
+    subproblems.  The smooth / coupling pieces H, P, G default to zero so
+    simple problems only override what they use.
+
+    The engine hands the x iterate to ``eval_f_sum``, ``eval_P``,
+    ``grad_P``, ``eval_G`` and ``subgrad_G`` as one array of shape
+    (m, *block_shape); the gradients return an array of that shape.
+    ``eval_f_sum`` is sum_i f_i(x_i); it defaults to a loop over ``eval_f``
+    and is the place to vectorize the objective across blocks.
 
     ``block_rows(i)`` indexes the constraint-space rows that A_i can make
     nonzero, as a slice or an integer index array without repeats; it
@@ -163,23 +180,27 @@ class BlockProblem(ABC):
     def eval_f(self, i: int, x: np.ndarray) -> float:
         return 0.0
 
+    def eval_f_sum(self, x: np.ndarray) -> float:
+        """sum_i f_i(x_i) over the stacked blocks."""
+        return sum(self.eval_f(i, xi) for i, xi in enumerate(x))
+
     def eval_H(self, y: np.ndarray) -> float:
         return 0.0
 
     def grad_H(self, y: np.ndarray) -> np.ndarray:
         return np.zeros_like(y)
 
-    def eval_P(self, x: list[np.ndarray]) -> float:
+    def eval_P(self, x: np.ndarray) -> float:
         return 0.0
 
-    def grad_P(self, x: list[np.ndarray]) -> list[np.ndarray]:
-        return [np.zeros_like(xi) for xi in x]
+    def grad_P(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
 
-    def eval_G(self, x: list[np.ndarray]) -> float:
+    def eval_G(self, x: np.ndarray) -> float:
         return 0.0
 
-    def subgrad_G(self, x: list[np.ndarray]) -> list[np.ndarray]:
-        return [np.zeros_like(xi) for xi in x]
+    def subgrad_G(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -287,11 +308,12 @@ class SolverState:
     """Current iterate (x, y, z), its residual A x + B y - b, and the
     report history.
 
-    ``step`` updates a copy of ``residual`` block by block instead of
-    recomputing it, so a state's residual is never shared with another.
+    ``x`` stacks the blocks into one array of shape (m, *block_shape).
+    ``step`` updates copies of ``x`` and ``residual`` block by block instead
+    of recomputing them, so neither is ever shared with another state.
     """
 
-    x: list[np.ndarray]
+    x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     residual: np.ndarray
@@ -311,13 +333,12 @@ class SolveResult:
     oracle_error: BlockOracleError | None = None
 
 
-def objective_value(problem: BlockProblem, x: list[np.ndarray], y: np.ndarray) -> float:
+def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> float:
     """F(x, y) = sum_i f_i(x_i) + H(y) + P(x) - G(x)."""
-    total = sum(problem.eval_f(i, xi) for i, xi in enumerate(x))
-    return float(total + problem.eval_H(y) + problem.eval_P(x) - problem.eval_G(x))
+    return float(problem.eval_f_sum(x) + problem.eval_H(y) + problem.eval_P(x) - problem.eval_G(x))
 
 
-def constraint_residual(problem: BlockProblem, x: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+def constraint_residual(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A x + B y - b, each block's product added on its own rows."""
     r = problem.apply_B(y) - problem.rhs
     for i, xi in enumerate(x):
@@ -326,7 +347,7 @@ def constraint_residual(problem: BlockProblem, x: list[np.ndarray], y: np.ndarra
 
 
 def augmented_lagrangian(
-    problem: BlockProblem, rho: float, x: list[np.ndarray], y: np.ndarray, z: np.ndarray
+    problem: BlockProblem, rho: float, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> float:
     """F(x, y) + <z, Ax + By - b> + (rho/2)||Ax + By - b||^2."""
     r = constraint_residual(problem, x, y)
@@ -354,7 +375,7 @@ def _report(
              + 0.5 * rho * float(np.vdot(residual, residual)))
     step_x = step_y = step_z = 0.0
     if previous is not None:
-        step_x = stacked_norm([a - b for a, b in zip(state.x, previous.x)])
+        step_x = float(np.linalg.norm(state.x - previous.x))
         step_y = float(np.linalg.norm(state.y - previous.y))
         step_z = float(np.linalg.norm(state.z - previous.z))
     return IterationReport(
@@ -396,14 +417,26 @@ def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray)
     )
 
 
-def initial_state(
-    problem: BlockProblem, x: list[np.ndarray], y: np.ndarray, z: np.ndarray
-) -> SolverState:
-    """Package an initial iterate with its residual and an empty report history."""
-    x = [np.asarray(xi, dtype=float).copy() for xi in x]
+def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> SolverState:
+    """Package an initial iterate with its residual and an empty report history.
+
+    ``x`` holds the m blocks (a sequence of arrays or an array of shape
+    (m, *block_shape)); they are copied into one stacked array, so the
+    problem's ``block_shapes`` and the given blocks must all be one shape.
+    """
+    shapes = [tuple(s) for s in problem.block_shapes]
+    given = [np.shape(xi) for xi in x]
+    if len(set(shapes)) > 1 or given != shapes:
+        raise ValueError(f"x blocks of shapes {given} cannot be stacked for block_shapes "
+                         f"{shapes}: the two must match and hold one shape")
+    x = np.array(x, dtype=float)
     y = np.asarray(y, dtype=float).copy()
     z = np.asarray(z, dtype=float).copy()
     return SolverState(x=x, y=y, z=z, residual=constraint_residual(problem, x, y), n=0)
+
+
+def _not_finite(block: str, iteration: int) -> BlockOracleError:
+    return BlockOracleError(block, iteration, FloatingPointError("output is not finite"))
 
 
 def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
@@ -413,39 +446,50 @@ def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
     except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
         raise BlockOracleError(block, iteration, exc) from exc
     if not np.isfinite(out).all():
-        raise BlockOracleError(block, iteration, FloatingPointError("output is not finite"))
+        raise _not_finite(block, iteration)
     return out
+
+
+def _first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError | None:
+    """The error naming the first block of ``x`` that is not finite, if any."""
+    if np.isfinite(x).all():
+        return None
+    finite = np.isfinite(x).all(axis=tuple(range(1, x.ndim)))
+    return _not_finite(f"x-block {int(np.argmin(finite))}", iteration)
 
 
 def _x_sweep(
     problem: BlockProblem, params: SolverParams, state: SolverState, mu_n: float
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
 
-    The residual starts as a copy of the state's and each block rewrites
-    its own rows.  grad P and the G subgradient are evaluated once at the
-    sweep start, not refreshed mid-sweep.
+    The iterate and the residual start as copies of the state's, and each
+    block rewrites its own entry and its own rows.  grad P and the G
+    subgradient are evaluated once at the sweep start, not refreshed
+    mid-sweep.  The oracle outputs are checked finite once, after the
+    sweep; when an oracle raises, the blocks before it are checked first,
+    so an error always names the first block that failed.
     """
-    grad_p = problem.grad_P(state.x)
-    g = problem.subgrad_G(state.x)
+    linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
     kernel = scaled_squared_norm(params.strong_convexity)
+    iteration = state.n + 1
     residual = state.residual.copy()
-    x_new = list(state.x)
-    for i in range(problem.num_blocks):
+    x_new = state.x.copy()
+    for i in range(len(x_new)):
         rows = problem.block_rows(i)
         partial = residual[rows] - problem.apply_A(i, x_new[i])
-        ctx = XBlockContext(
-            block_index=i,
-            current_iterate=x_new[i],
-            linear_term=grad_p[i] - g[i],
-            multiplier=state.z[rows],
-            partial_residual=partial,
-            rho=params.rho,
-            mu=mu_n,
-            bregman=kernel,
-        )
-        x_new[i] = _oracle_output(f"x-block {i}", state.n + 1, problem.solve_x_block, i, ctx)
+        # positional, in field order: keyword arguments double the build time
+        ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, params.rho, mu_n,
+                            kernel)
+        try:
+            x_new[i] = problem.solve_x_block(i, ctx)
+        except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
+            earlier = _first_non_finite_block(x_new[:i], iteration)
+            raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
         residual[rows] = partial + problem.apply_A(i, x_new[i])
+    failed = _first_non_finite_block(x_new, iteration)
+    if failed is not None:
+        raise failed
     return x_new, residual
 
 
@@ -505,7 +549,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     start = time.perf_counter()
     iterations = 0
     for _ in range(params.max_iterations):
-        base = stacked_norm(list(state.x) + [state.y, state.z])
+        base = stacked_norm([state.x, state.y, state.z])
         try:
             new_state = step(problem, params, state)
         except BlockOracleError as exc:
@@ -573,7 +617,7 @@ def stationarity_report(
     )
     # the sweep starts from the state's carried residual, not a fresh one
     x_new, _ = _x_sweep(problem, params, state, params.mu)
-    x_fixed_point = stacked_norm([a - b for a, b in zip(x_new, state.x)])
+    x_fixed_point = float(np.linalg.norm(x_new - state.x))
     return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)
 
 

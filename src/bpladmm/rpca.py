@@ -23,7 +23,10 @@ and lose the small singular values.
 
 Both solvers run their own closed-form loop rather than ``engine.solve``.
 Each report records the merit, which is the augmented Lagrangian L_rho,
-but unlike the engine the loop does not check its descent at runtime.
+but unlike the engine the loop does not check its descent at runtime.  A
+shrinkage that receives non-finite input ends the run with an
+``engine.BlockOracleError`` naming the block (L or S) and the iteration, as
+an engine oracle failure does.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
@@ -200,19 +203,26 @@ def recovery_metrics(
     return re, numerical_rank(solution.L), int(np.count_nonzero(solution.S))
 
 
-def _sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
+def _sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2, *, iteration=0):
     """One closed-form sweep shared by both solver variants.
 
     The baseline is recovered with alpha = 0 and g2 = 0.  Returns the new
     iterate and the nuclear norm of the new L (free from the shrinkage).
+    Non-finite input to either shrinkage raises ``engine.BlockOracleError``
+    naming the block and ``iteration``, the number of the iterate the sweep
+    computes.
     """
-    L_new, nuclear = singular_value_shrink_with_norm(
-        (-Z - rho * S + rho * T + alpha * L) / (rho + alpha), 1.0 / (rho + alpha)
-    )
-    S_new = soft_shrink(
-        (tau * g2 - Z - rho * L_new + rho * T + alpha * S) / (rho + alpha),
-        tau / (rho + alpha),
-    )
+    try:
+        L_new, nuclear = singular_value_shrink_with_norm(
+            (-Z - rho * S + rho * T + alpha * L) / (rho + alpha), 1.0 / (rho + alpha)
+        )
+    except ValueError as exc:  # the shrinkage rejects non-finite input
+        raise engine.BlockOracleError("L", iteration, exc) from exc
+    s_input = (tau * g2 - Z - rho * L_new + rho * T + alpha * S) / (rho + alpha)
+    if not np.isfinite(s_input).all():
+        raise engine.BlockOracleError(
+            "S", iteration, FloatingPointError("shrinkage input is not finite"))
+    S_new = soft_shrink(s_input, tau / (rho + alpha))
     T_new = (gamma * M + Z + rho * (L_new + S_new)) / (gamma + rho)
     Z_new = Z + rho * (L_new + S_new - T_new)
     return L_new, S_new, T_new, Z_new, nuclear
@@ -270,7 +280,7 @@ def _run(instance, config, init_seed, *, rho, alpha, with_spectral_term):
 
         base = stacked_norm([L, S, T])
         L_new, S_new, T_new, Z_new, nuclear_l = _sweep(
-            L, S, T, Z, M, tau, gamma, rho, alpha, g2
+            L, S, T, Z, M, tau, gamma, rho, alpha, g2, iteration=n + 1
         )
         step_l = float(np.linalg.norm(L_new - L))
         step_s = float(np.linalg.norm(S_new - S))
@@ -338,9 +348,10 @@ def admm3_baseline(
 class RpcaBlockProblem(BlockProblem):
     """The same model expressed for the generic engine.
 
-    Blocks are x = (L, S) with identity couplings, y = T with B = -I and
-    b = 0.  Block oracles are the closed forms above, so a generic-engine
-    sweep and a direct sweep must agree to rounding error.
+    Blocks are x = (L, S) with identity couplings, stacked by the engine
+    into one 2 x m x d array, y = T with B = -I and b = 0.  Block oracles
+    are the closed forms above, so a generic-engine sweep and a direct
+    sweep must agree to rounding error.
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
@@ -380,7 +391,9 @@ class RpcaBlockProblem(BlockProblem):
         return self.tau * leading_singular_pair(x[1])[1]
 
     def subgrad_G(self, x):
-        return [np.zeros_like(x[0]), self.tau * spectral_norm_subgradient(x[1])]
+        out = np.zeros_like(x)
+        out[1] = self.tau * spectral_norm_subgradient(x[1])
+        return out
 
     def solve_x_block(self, i, ctx: XBlockContext):
         weight = ctx.rho + ctx.mu * self.config.alpha

@@ -1,13 +1,20 @@
 """Independent numerical oracles used to cross-check closed-form operators.
 
-Everything here judges points only through objective evaluations, so a
-formula bug in the package cannot leak into its own check.  The pieces the
-package minimizes are piecewise quadratic, for which central finite
-differences are truncation-free; that pushes the oracles well past the
-sqrt(eps) accuracy floor of plain value-comparison searches.
+The minimization oracles judge points only through objective evaluations,
+so a formula bug in the package cannot leak into its own check.  The
+pieces the package minimizes are piecewise quadratic, for which central
+finite differences are truncation-free; that pushes the oracles well past
+the sqrt(eps) accuracy floor of plain value-comparison searches.
+
+``dcopf_reference_sweep`` is a reference for the engine's bookkeeping
+rather than for an operator: the plain per-block loop the engine's sweep
+must reproduce.
 """
 
 import numpy as np
+
+from bpladmm import dcopf
+from bpladmm.engine import XBlockContext
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -135,3 +142,38 @@ def spectral_norm_eig(S):
 
 def nuclear_norm(M):
     return float(np.linalg.svd(M, compute_uv=False).sum())
+
+
+def dcopf_reference_sweep(block_problem, x, y, z):
+    """One sweep of the method on a ``DcOpfBlockProblem``, written as the
+    plain Gauss-Seidel loop: blocks in a list, updated one by one.
+
+    Every block sees the partial residual recomputed from scratch with the
+    dense A_i of ``block_problem.problem`` on every row, and the linear term
+    -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
+    sweep start.  The block oracle is the closed form ``x_block_update``
+    with a fresh solve on all rows, the slack is ``y_block_update`` of the
+    dense A x - b, and the multiplier ascends by rho times the dense
+    residual.  Returns the new (x, y, z), with x a list of blocks.
+    """
+    A, b = block_problem.problem.A, block_problem.rhs
+    Q, q = block_problem.problem.Q, block_problem.problem.q
+    rho, alpha, gamma = block_problem.rho, block_problem.alpha, block_problem.gamma
+    x = [np.array(xi, dtype=float) for xi in x]
+    linear = []
+    for xi in x:
+        term = np.zeros_like(xi)
+        term[dcopf.U] = -gamma * (2.0 * xi[dcopf.U] - 1.0)
+        linear.append(term)
+    for i in range(len(x)):
+        partial = y - b
+        for k in range(len(x)):
+            if k != i:
+                partial = partial + A[k] @ x[k]
+        ctx = XBlockContext(block_index=i, current_iterate=x[i], linear_term=linear[i],
+                            multiplier=z, partial_residual=partial, rho=rho, mu=1.0,
+                            bregman=None)
+        x[i] = dcopf.x_block_update(ctx, Q[i], q[i], A[i], alpha)
+    ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
+    y = dcopf.y_block_update(ax_minus_b, z, block_problem.eta, rho)
+    return x, y, z + rho * (ax_minus_b + y)

@@ -230,7 +230,7 @@ def test_block_rows_give_the_whole_space_iterates():
     assert np.array_equal(a.residual, b.residual)
     for _ in range(5):
         a, b = engine.step(whole, params, a), engine.step(rows, params, b)
-        for left, right in zip(a.x + [a.y, a.z, a.residual], b.x + [b.y, b.z, b.residual]):
+        for left, right in zip([a.x, a.y, a.z, a.residual], [b.x, b.y, b.z, b.residual]):
             assert np.array_equal(left, right)
     assert [r.csv_row() for r in a.history] == [r.csv_row() for r in b.history]
     assert engine.check_adjoints(rows, np.random.default_rng(0)) == 0.0
@@ -384,12 +384,29 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
         return out
 
 
-@pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block")])
+class NanThenRaise(InfiniteOutput):
+    """Block 0 returns NaN from the chosen sweep on, and the oracle of block
+    1, fed the NaN through its partial residual, then raises."""
+
+    def solve_x_block(self, i, ctx):
+        out = super().solve_x_block(i, ctx)
+        if self.sweep >= self.iteration:
+            if i == 1:
+                raise np.linalg.LinAlgError("block 1 cannot solve with a NaN residual")
+            out[dcopf.GEN] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("block, label", [
+    (1, "x-block 1"),
+    ("y", "y-block"),
+    pytest.param("nan 0, then 1 raises", "x-block 0", id="nan-0-then-1-raises"),
+])
 def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     case = dcopf.two_bus_fixture()
     rho = 2.0 * case.eta + 1e-10
-    problem = InfiniteOutput(dcopf.build_problem(case), rho=rho, alpha=1e-2,
-                             block=block, iteration=4)
+    make = NanThenRaise if block == "nan 0, then 1 raises" else InfiniteOutput
+    problem = make(dcopf.build_problem(case), rho=rho, alpha=1e-2, block=block, iteration=4)
     params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=1e-5, max_iterations=50)
     result = engine.solve(problem, params, dcopf.lower_bound_init(problem))
     assert result.status == engine.STATUS_ORACLE_FAILURE
@@ -399,6 +416,39 @@ def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     assert f"{label} oracle failed at iteration 4" in str(result.oracle_error)
     assert "not finite" in str(result.oracle_error)
     assert all(np.isfinite(xi).all() for xi in result.state.x)
+
+
+def test_initial_state_rejects_blocks_of_unequal_shape():
+    toy = RecordingProblem()
+    with pytest.raises(ValueError, match=r"\(1,\), \(2,\), \(1,\)"):
+        engine.initial_state(toy, [np.zeros(1), np.zeros(2), np.zeros(1)], np.zeros(3),
+                             np.zeros(3))
+    toy.block_shapes = [(1,), (2,), (1,)]
+    with pytest.raises(ValueError, match=r"block_shapes \[\(1,\), \(2,\), \(1,\)\]"):
+        engine.initial_state(toy, [np.zeros(1), np.zeros(2), np.zeros(1)], np.zeros(3),
+                             np.zeros(3))
+
+
+def eval_f_sum_problems():
+    case = dcopf.two_bus_fixture()
+    problem = dcopf.build_problem(case)
+    rho = 2.0 * case.eta + 1e-10
+    two_bus = dcopf.DcOpfBlockProblem(problem, rho=rho, alpha=1e-2)
+    frozen = dcopf.DcOpfBlockProblem(dcopf.frozen_u_problem(problem, np.array([1.0, 0.0])),
+                                     rho=rho, alpha=1e-2, gamma=0.0)
+    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=13)
+    decomposition = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=6, cols=5))
+    return [two_bus, frozen, decomposition]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["two-bus", "frozen-u", "rpca"])
+def test_eval_f_sum_equals_the_sum_of_eval_f(index, rng):
+    problem = eval_f_sum_problems()[index]
+    shape = (problem.num_blocks,) + tuple(problem.block_shapes[0])
+    for _ in range(10):
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+        expected = sum(problem.eval_f(i, xi) for i, xi in enumerate(x))
+        assert problem.eval_f_sum(x) == pytest.approx(expected, rel=1e-12)
 
 
 class Walker(ScalarToy):

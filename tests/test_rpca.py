@@ -98,6 +98,31 @@ def test_engine_step_equals_closed_form_sweeps():
         assert np.allclose(state.z, Zc, atol=1e-10)
 
 
+@pytest.mark.parametrize("solver", [rpca.bpl_admm_rpca, rpca.admm3_baseline],
+                         ids=["bpl", "admm3"])
+def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
+    instance = small_instance(seed=4)
+    M = instance.M.copy()
+    M[2, 3] = np.nan
+    broken = rpca.RpcaInstance(M=M, L_O=instance.L_O, S_O=instance.S_O, T_O=instance.T_O,
+                               rank=instance.rank, sparsity_count=instance.sparsity_count,
+                               noise=instance.noise, seed=instance.seed)
+    # T starts at M, so the first sweep's L shrinkage is the first to see the NaN
+    with pytest.raises(engine.BlockOracleError, match="L oracle failed at iteration 1") as info:
+        solver(broken, rpca.RpcaConfig(rows=5, cols=5), init_seed=1)
+    assert (info.value.block, info.value.iteration) == ("L", 1)
+    assert "finite" in str(info.value)
+
+
+def test_non_finite_soft_shrinkage_input_names_the_s_block():
+    instance = small_instance(seed=3)
+    rng = np.random.default_rng(0)
+    L, S, Z = (rng.standard_normal((5, 5)) for _ in range(3))
+    g2 = np.full((5, 5), np.inf)  # reaches the S shrinkage input only
+    with pytest.raises(engine.BlockOracleError, match="S oracle failed at iteration 7"):
+        rpca._sweep(L, S, instance.M.copy(), Z, instance.M, 0.5, 1.0, 2.0, 0.0, g2, iteration=7)
+
+
 def test_baseline_sweep_coincides_when_modifications_off():
     # with the proximal weight zeroed and no spectral subgradient, one
     # sweep of either scheme is the same map at equal rho
