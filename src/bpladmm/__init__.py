@@ -29,7 +29,6 @@ from .engine import (
     initial_state,
     merit,
     objective_value,
-    smallest_eigenvalue_btb,
     solve,
     stationarity_report,
     step,
@@ -44,9 +43,7 @@ from .rpca import (
     admm3_baseline,
     bpl_admm_rpca,
     generate_instance,
-    load_instance,
     recovery_metrics,
-    save_instance,
 )
 from .dcopf import (
     DcOpfBlockProblem,
@@ -61,6 +58,6 @@ from .dcopf import (
     x_block_update,
     y_block_update,
 )
-from .matpower import MatpowerCase, MatpowerParseError, case_to_json, parse_case, to_dcopf_case
+from .matpower import MatpowerCase, MatpowerParseError, parse_case, to_dcopf_case
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,26 +69,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    """A fully resolved experiment request."""
-
-    kind: str
-    params: dict
-    seeds: list[int]
-    out_dir: str
-    jobs: int
-    dump_trace: bool
-    allow_maxiter: bool
-    no_timing: bool
-
-    def validate(self):
-        if not self.seeds:
-            raise UsageError("seed list is empty; give --seeds K or --seed-list")
-        if self.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -107,13 +87,29 @@ def _write_csv(path, fields, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _resolve_seeds(args) -> list[int]:
+def _resolve_seeds(args, default=()) -> list[int]:
+    """The requested seeds (``default`` when neither seed flag is given);
+    rejects an empty seed list and a ``--jobs`` below 1."""
     if args.seed_list is not None:
-        text = args.seed_list.strip()
-        return [int(tok) for tok in text.split(",") if tok.strip()] if text else []
-    if args.seeds is not None:
-        return list(range(args.seeds))
-    return []
+        seeds = [int(tok) for tok in args.seed_list.split(",") if tok.strip()]
+    elif args.seeds is not None:
+        seeds = list(range(args.seeds))
+    else:
+        seeds = list(default)
+    if not seeds:
+        raise UsageError("seed list is empty; give --seeds K or --seed-list")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    return seeds
+
+
+def _map_seeds(worker, seeds, jobs) -> list:
+    """``worker(seed)`` for each seed, in the order of ``seeds``; in a pool
+    of ``jobs`` processes when there is more than one seed to run."""
+    if jobs > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, seeds))
+    return [worker(seed) for seed in seeds]
 
 
 def _add_common_flags(parser):
@@ -169,112 +165,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rpca_one_seed(task):
-    """Run both algorithms on one seeded instance; returns per-run rows."""
-    (m, d, r, s, noise, seed, rho, alpha, gamma, tol, max_iter, out_dir, dump) = task
-    config = rpca.RpcaConfig(
-        rows=m, cols=d, noise=noise, gamma=gamma, alpha=alpha, rho=rho,
-        tolerance=tol, max_iterations=max_iter,
-    )
-    instance = rpca.generate_instance(m, d, r, s, noise, seed)
-    init_seed = seed + INIT_SEED_OFFSET
-    results = {}
+def _rpca_one_seed(config, rank, sparsity, out_dir, dump, seed):
+    """Run both algorithms on one seeded instance; returns one
+    ``RPCA_RUN_FIELDS`` row per algorithm."""
+    instance = rpca.generate_instance(config.rows, config.cols, rank, sparsity, config.noise, seed)
+    rows = []
     for name, solver in (("bpl-admm", rpca.bpl_admm_rpca), ("admm3", rpca.admm3_baseline)):
-        solution = solver(instance, config, init_seed)
+        solution = solver(instance, config, seed + INIT_SEED_OFFSET)
         if dump:
             engine.write_reports_csv(
                 solution.reports, os.path.join(out_dir, f"trace_rpca_{name}_seed{seed}.csv")
             )
-        results[name] = (
-            solution.wall_time,
-            solution.relative_error,
-            solution.iterations,
-            solution.rank_L,
-            solution.sparsity_S,
-            solution.converged,
-        )
-    return seed, results
+        rows.append([seed, name, solution.wall_time, solution.relative_error,
+                     solution.iterations, solution.rank_L, solution.sparsity_S,
+                     solution.converged])
+    return rows
 
 
 def cmd_rpca_bench(args) -> int:
-    manifest = RunManifest(
-        kind="rpca-bench",
-        params={
-            "m": args.size[0], "d": args.size[1], "r": args.rank, "s": args.sparsity,
-            "noise": args.noise, "rho": args.rho, "alpha": args.alpha,
-            "gamma": args.gamma,
-            "tol": args.tol if args.tol is not None else 1e-6,
-            "max_iter": args.max_iter if args.max_iter is not None else 4000,
-        },
-        seeds=_resolve_seeds(args),
-        out_dir=args.out,
-        jobs=args.jobs,
-        dump_trace=args.dump_trace,
-        allow_maxiter=args.allow_maxiter,
-        no_timing=args.no_timing,
-    )
-    manifest.validate()
-    p = manifest.params
-    if not 1 <= p["r"] <= min(p["m"], p["d"]):
-        raise UsageError(f"rank {p['r']} out of range for a {p['m']}x{p['d']} matrix")
-    if not 0.0 < p["s"] < 1.0:
-        raise UsageError(f"sparsity ratio {p['s']} must lie in (0, 1)")
+    seeds = _resolve_seeds(args)
+    (m, d), r, s = args.size, args.rank, args.sparsity
+    if not 1 <= r <= min(m, d):
+        raise UsageError(f"rank {r} out of range for a {m}x{d} matrix")
+    if not 0.0 < s < 1.0:
+        raise UsageError(f"sparsity ratio {s} must lie in (0, 1)")
     config = rpca.RpcaConfig(
-        rows=p["m"], cols=p["d"], noise=p["noise"], gamma=p["gamma"],
-        alpha=p["alpha"], rho=p["rho"], tolerance=p["tol"], max_iterations=p["max_iter"],
+        rows=m, cols=d, noise=args.noise, gamma=args.gamma, alpha=args.alpha, rho=args.rho,
+        tolerance=args.tol if args.tol is not None else 1e-6,
+        max_iterations=args.max_iter if args.max_iter is not None else 4000,
     )
-    try:
-        engine.validate_parameters(config.solver_params())
-    except engine.ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    engine.validate_parameters(config.solver_params())
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    tasks = [
-        (p["m"], p["d"], p["r"], p["s"], p["noise"], seed, p["rho"], p["alpha"],
-         p["gamma"], p["tol"], p["max_iter"], manifest.out_dir, manifest.dump_trace)
-        for seed in manifest.seeds
-    ]
-    if manifest.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
-            outcomes = list(pool.map(_rpca_one_seed, tasks))
-    else:
-        outcomes = [_rpca_one_seed(t) for t in tasks]
-    outcomes.sort(key=lambda item: manifest.seeds.index(item[0]))
-
-    run_rows = []
-    all_converged = True
-    per_alg: dict = {"bpl-admm": [], "admm3": []}
-    for seed, results in outcomes:
-        for name in ("bpl-admm", "admm3"):
-            wall, re_val, iters, rank_hat, sparsity_hat, converged = results[name]
-            if manifest.no_timing:
-                wall = 0.0
-            all_converged &= converged
-            run_rows.append([seed, name, wall, re_val, iters, rank_hat, sparsity_hat, converged])
-            per_alg[name].append((wall, re_val, iters, rank_hat, sparsity_hat))
-    _write_csv(os.path.join(manifest.out_dir, "rpca_runs.csv"), RPCA_RUN_FIELDS, run_rows)
+    os.makedirs(args.out, exist_ok=True)
+    worker = partial(_rpca_one_seed, config, r, s, args.out, args.dump_trace)
+    run_rows = [row for rows in _map_seeds(worker, seeds, args.jobs) for row in rows]
+    if args.no_timing:
+        for row in run_rows:
+            row[2] = 0.0
+    _write_csv(os.path.join(args.out, "rpca_runs.csv"), RPCA_RUN_FIELDS, run_rows)
 
     summary_rows = []
     print(f"{'algorithm':>10} {'time':>10} {'RE':>12} {'iter':>8} {'rank':>7} {'sparsity':>10}")
     for name in ("bpl-admm", "admm3"):
-        data = np.array(per_alg[name], dtype=float)
-        means = data.mean(axis=0)
-        summary_rows.append([
-            p["noise"], p["r"], p["s"], name,
-            means[0], means[1], means[2], means[3], means[4],
-            p["r"], int(round(p["s"] * p["m"] * p["d"])),
-        ])
+        # time, RE, iterations, rank and sparsity, averaged over the seeds
+        means = np.array([row[2:7] for row in run_rows if row[1] == name], dtype=float).mean(axis=0)
+        summary_rows.append([args.noise, r, s, name, *means, r, int(round(s * m * d))])
         print(
             f"{name:>10} {means[0]:>10.4E} {means[1]:>12.4E} "
             f"{means[2]:>8.1f} {means[3]:>7.2f} {means[4]:>10.1f}"
         )
-    _write_csv(os.path.join(manifest.out_dir, "rpca_summary.csv"),
-               RPCA_SUMMARY_FIELDS, summary_rows)
-    return 0 if (all_converged or manifest.allow_maxiter) else 1
+    _write_csv(os.path.join(args.out, "rpca_summary.csv"), RPCA_SUMMARY_FIELDS, summary_rows)
+    all_converged = all(row[7] for row in run_rows)
+    return 0 if (all_converged or args.allow_maxiter) else 1
 
 
-def _dcopf_one_seed(task):
-    (case, rho, alpha, tol, max_iter, jitter, seed, out_dir, dump) = task
+def _dcopf_one_seed(case, rho, alpha, tol, max_iter, jitter, out_dir, dump, seed):
     solution = dcopf_app.solve_dcopf(
         case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iter,
         init_jitter=jitter, seed=seed,
@@ -283,7 +228,7 @@ def _dcopf_one_seed(task):
         engine.write_reports_csv(
             solution.reports, os.path.join(out_dir, f"trace_dcopf_seed{seed}.csv")
         )
-    return seed, solution
+    return solution
 
 
 def cmd_dcopf(args) -> int:
@@ -296,88 +241,51 @@ def cmd_dcopf(args) -> int:
         mp = matpower.parse_case(text)
         eta = args.eta if args.eta is not None else 900.0
         case = matpower.to_dcopf_case(mp, gamma=args.gamma, eta=eta)
-    if args.seeds is None and args.seed_list is None:
-        seeds = [0]  # a single canonical run unless seeds are requested
-    else:
-        seeds = _resolve_seeds(args)
-    manifest = RunManifest(
-        kind="dcopf-solve",
-        params={
-            "rho": args.rho, "alpha": args.alpha, "gamma": args.gamma, "eta": eta,
-            "tol": args.tol if args.tol is not None else 1e-5,
-            "max_iter": args.max_iter if args.max_iter is not None else 4000,
-            "jitter": args.jitter,
-        },
-        seeds=seeds,
-        out_dir=args.out,
-        jobs=args.jobs,
-        dump_trace=args.dump_trace,
-        allow_maxiter=args.allow_maxiter,
-        no_timing=args.no_timing,
+    seeds = _resolve_seeds(args, default=[0])  # one canonical run unless seeds are requested
+    rho = args.rho if args.rho is not None else 2.0 * case.eta + 1e-10
+    tol = args.tol if args.tol is not None else 1e-5
+    max_iter = args.max_iter if args.max_iter is not None else 4000
+    engine.validate_parameters(
+        dcopf_app.solver_params_for(case, rho=rho, alpha=args.alpha, tol=tol,
+                                    max_iterations=max_iter)
     )
-    manifest.validate()
-    p = manifest.params
-    rho = p["rho"] if p["rho"] is not None else 2.0 * case.eta + 1e-10
-    try:
-        engine.validate_parameters(
-            dcopf_app.solver_params_for(case, rho=rho, alpha=p["alpha"],
-                                        tol=p["tol"], max_iterations=p["max_iter"])
-        )
-    except engine.ParameterError as exc:
-        raise UsageError(str(exc)) from exc
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    tasks = [
-        (case, rho, p["alpha"], p["tol"], p["max_iter"], p["jitter"], seed,
-         manifest.out_dir, manifest.dump_trace)
-        for seed in manifest.seeds
+    os.makedirs(args.out, exist_ok=True)
+    worker = partial(_dcopf_one_seed, case, rho, args.alpha, tol, max_iter, args.jitter,
+                     args.out, args.dump_trace)
+    solutions = _map_seeds(worker, seeds, args.jobs)
+    times = np.array([0.0 if args.no_timing else sol.wall_time for sol in solutions])
+
+    run_rows = [
+        [seed, sol.objective_opf1_rounded, sol.objective_opf1_raw, sol.objective_relaxed,
+         sol.binary_violation, sol.feasibility_residual, bool(sol.rounded_feasible),
+         sol.iterations, wall, sol.converged]
+        for seed, sol, wall in zip(seeds, solutions, times.tolist())
     ]
-    if manifest.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
-            outcomes = list(pool.map(_dcopf_one_seed, tasks))
-    else:
-        outcomes = [_dcopf_one_seed(t) for t in tasks]
-    outcomes.sort(key=lambda item: manifest.seeds.index(item[0]))
+    _write_csv(os.path.join(args.out, "dcopf_runs.csv"), DCOPF_RUN_FIELDS, run_rows)
 
-    run_rows = []
-    all_converged = True
-    best = None
-    for seed, sol in outcomes:
-        wall = 0.0 if manifest.no_timing else sol.wall_time
-        all_converged &= sol.converged
-        run_rows.append([
-            seed, sol.objective_opf1_rounded, sol.objective_opf1_raw,
-            sol.objective_relaxed, sol.binary_violation, sol.feasibility_residual,
-            bool(sol.rounded_feasible), sol.iterations, wall, sol.converged,
-        ])
-        if best is None or sol.objective_opf1_rounded < best[1].objective_opf1_rounded:
-            best = (seed, sol)
-    _write_csv(os.path.join(manifest.out_dir, "dcopf_runs.csv"), DCOPF_RUN_FIELDS, run_rows)
-
-    _, best_sol = best
+    best = min(solutions, key=lambda sol: sol.objective_opf1_rounded)
     bus_rows = [
-        [i, best_sol.u_rounded[i], best_sol.u[i], best_sol.pv[i], best_sol.gen[i], best_sol.theta[i]]
-        for i in range(len(best_sol.u))
+        [i, best.u_rounded[i], best.u[i], best.pv[i], best.gen[i], best.theta[i]]
+        for i in range(len(best.u))
     ]
-    _write_csv(os.path.join(manifest.out_dir, "dcopf_solution.csv"),
+    _write_csv(os.path.join(args.out, "dcopf_solution.csv"),
                ("bus", "u_rounded", "u", "P_pv", "P_gen", "theta"), bus_rows)
 
-    objectives = np.array([sol.objective_opf1_rounded for _, sol in outcomes])
-    iterations = np.array([sol.iterations for _, sol in outcomes], dtype=float)
-    times = np.array(
-        [0.0 if manifest.no_timing else sol.wall_time for _, sol in outcomes]
-    )
+    objectives = np.array([sol.objective_opf1_rounded for sol in solutions])
+    iterations = np.array([sol.iterations for sol in solutions], dtype=float)
     _write_csv(
-        os.path.join(manifest.out_dir, "dcopf_summary.csv"),
+        os.path.join(args.out, "dcopf_summary.csv"),
         ("mean_objective", "best_objective", "mean_iterations", "mean_time_seconds", "runs"),
-        [[objectives.mean(), objectives.min(), iterations.mean(), times.mean(), len(outcomes)]],
+        [[objectives.mean(), objectives.min(), iterations.mean(), times.mean(), len(solutions)]],
     )
     print(
         f"objective mean {objectives.mean():.4E} best {objectives.min():.4E} "
         f"iterations mean {iterations.mean():.1f} "
-        f"rounded-u feasible {all(bool(s.rounded_feasible) for _, s in outcomes)}"
+        f"rounded-u feasible {all(bool(sol.rounded_feasible) for sol in solutions)}"
     )
-    return 0 if (all_converged or manifest.allow_maxiter) else 1
+    all_converged = all(sol.converged for sol in solutions)
+    return 0 if (all_converged or args.allow_maxiter) else 1
 
 
 def cmd_verify_trace(args) -> int:
@@ -414,7 +322,7 @@ def main(argv=None) -> int:
             return cmd_dcopf(args)
         if args.command == "verify-trace":
             return cmd_verify_trace(args)
-    except UsageError as exc:
+    except (UsageError, engine.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except matpower.MatpowerParseError as exc:

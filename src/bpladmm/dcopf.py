@@ -38,6 +38,12 @@ from .spaces import dist_sq_nonneg_orthant
 PV, GEN, THETA, U = 0, 1, 2, 3  # column layout of a bus block
 BLOCK_DIM = 4
 
+# the frozen-u recheck: its stop tolerance and sweep cap, and the largest
+# constraint violation it still calls feasible
+RECHECK_TOLERANCE = 1e-6
+RECHECK_MAX_ITERATIONS = 4000
+RECHECK_FEASIBILITY_TOLERANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class DcOpfCase:
@@ -446,16 +452,13 @@ def frozen_u_recheck(
     *,
     rho: float,
     alpha: float,
-    tol: float = 1e-6,
-    max_iterations: int = 4000,
-    feasibility_tolerance: float = 1e-3,
 ) -> tuple[bool, float, np.ndarray]:
     """Re-solve ``frozen_u_problem(problem, u_rounded)``, from the first
     three columns of ``warm_x`` when given.
 
     Returns (feasible, worst constraint violation, refined N x 3 blocks);
     the solution is declared feasible when max(A x - b') does not exceed
-    the tolerance.
+    ``RECHECK_FEASIBILITY_TOLERANCE``.
     """
     case = problem.case
     reduced = frozen_u_problem(problem, u_rounded)
@@ -467,11 +470,12 @@ def frozen_u_recheck(
         x0 = np.zeros((case.num_buses, U))
     y0 = np.maximum(b_frozen - _stacked_product(block_problem, x0), 0.0)
     init = engine.initial_state(block_problem, x0, y0, np.zeros(problem.p))
-    params = solver_params_for(case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iterations)
+    params = solver_params_for(case, rho=rho, alpha=alpha, tol=RECHECK_TOLERANCE,
+                               max_iterations=RECHECK_MAX_ITERATIONS)
     result = engine.solve(block_problem, params, init)
     x = result.state.x
     violation = float(np.max(_stacked_product(block_problem, x) - b_frozen))
-    return violation <= feasibility_tolerance, max(violation, 0.0), x
+    return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0), x
 
 
 def solve_dcopf(

@@ -268,13 +268,6 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     return mu_bound, rho_bound
 
 
-def smallest_eigenvalue_btb(B: np.ndarray) -> float:
-    """Smallest eigenvalue of B^T B via a symmetric eigendecomposition."""
-    B = np.asarray(B, dtype=float)
-    gram = B.T @ B
-    return float(np.linalg.eigvalsh(gram)[0])
-
-
 @dataclass(frozen=True)
 class IterationReport:
     """Scalar diagnostics of one iterate, exportable as a CSV row."""
@@ -536,6 +529,11 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     the descent guarantee assumes exact oracles and honest constants, and
     user-supplied constants may be underestimates.  The count and worst
     violation are recorded on the result.
+
+    A non-finite oracle output ends the run with a ``BlockOracleError``
+    naming the first block that produced it.  The rest of that sweep
+    computes on the non-finite values before the check raises, so numpy's
+    invalid and overflow warnings are silenced for the run.
     """
     validate_parameters(params)
     state = init
@@ -548,35 +546,36 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     merit_slack = None
     start = time.perf_counter()
     iterations = 0
-    for _ in range(params.max_iterations):
-        base = stacked_norm([state.x, state.y, state.z])
-        try:
-            new_state = step(problem, params, state)
-        except BlockOracleError as exc:
-            status = STATUS_ORACLE_FAILURE
-            oracle_error = exc
-            break
-        iterations += 1
-        report = new_state.history[-1]
-        if report.n == 1:
-            merit_slack = 1e-8 * (1.0 + abs(report.merit))
-        elif merit_slack is not None:
-            increase = report.merit - new_state.history[-2].merit
-            if increase > merit_slack:
-                merit_increase_count += 1
-                max_merit_increase = max(max_merit_increase, increase)
-                if merit_increase_count == 1:
-                    warnings.warn(
-                        f"merit increased by {increase:.3e} at iteration {report.n}; "
-                        "supplied constants may underestimate the true ones",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
-        state = new_state
-        if _stop_metric(params, delta, base):
-            status = STATUS_CONVERGED
-            break
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(params.max_iterations):
+            base = stacked_norm([state.x, state.y, state.z])
+            try:
+                new_state = step(problem, params, state)
+            except BlockOracleError as exc:
+                status = STATUS_ORACLE_FAILURE
+                oracle_error = exc
+                break
+            iterations += 1
+            report = new_state.history[-1]
+            if report.n == 1:
+                merit_slack = 1e-8 * (1.0 + abs(report.merit))
+            elif merit_slack is not None:
+                increase = report.merit - new_state.history[-2].merit
+                if increase > merit_slack:
+                    merit_increase_count += 1
+                    max_merit_increase = max(max_merit_increase, increase)
+                    if merit_increase_count == 1:
+                        warnings.warn(
+                            f"merit increased by {increase:.3e} at iteration {report.n}; "
+                            "supplied constants may underestimate the true ones",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
+            delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
+            state = new_state
+            if _stop_metric(params, delta, base):
+                status = STATUS_CONVERGED
+                break
     wall = time.perf_counter() - start
 
     return SolveResult(

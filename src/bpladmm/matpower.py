@@ -9,7 +9,6 @@ consumed and dropped, and anything that is not an ``mpc`` assignment is
 ignored.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -263,24 +262,4 @@ def to_dcopf_case(
         line_limit=line_limit_kw / 1000.0 / base,
         gamma=gamma,
         eta=eta,
-    )
-
-
-def case_to_json(case: DcOpfCase) -> str:
-    """Dump the normalized case for inspection."""
-    return json.dumps(
-        {
-            "demand": case.demand.tolist(),
-            "lines": [[i, j, b] for i, j, b in case.lines],
-            "pv_cost": case.pv_cost,
-            "gen_cost_a": case.gen_cost_a.tolist(),
-            "gen_cost_b": case.gen_cost_b.tolist(),
-            "gen_cost_c": case.gen_cost_c.tolist(),
-            "pv_capacity": case.pv_capacity,
-            "gen_capacity": case.gen_capacity.tolist(),
-            "line_limit": case.line_limit,
-            "gamma": case.gamma,
-            "eta": case.eta,
-        },
-        indent=2,
     )

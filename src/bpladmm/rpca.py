@@ -412,40 +412,3 @@ class RpcaBlockProblem(BlockProblem):
         return (
             gamma * self.instance.M + ctx.multiplier + ctx.rho * ctx.x_residual
         ) / (gamma + ctx.rho)
-
-
-def save_instance(path, instance: RpcaInstance) -> None:
-    """Write an instance as a flat binary archive with its generation header."""
-    np.savez(
-        path,
-        M=instance.M,
-        L_O=instance.L_O,
-        S_O=instance.S_O,
-        T_O=instance.T_O,
-        header=np.array(
-            [
-                instance.M.shape[0],
-                instance.M.shape[1],
-                instance.rank,
-                instance.sparsity_count,
-                instance.seed,
-            ],
-            dtype=np.int64,
-        ),
-        noise=np.array([instance.noise]),
-    )
-
-
-def load_instance(path) -> RpcaInstance:
-    with np.load(path) as data:
-        header = data["header"]
-        return RpcaInstance(
-            M=data["M"],
-            L_O=data["L_O"],
-            S_O=data["S_O"],
-            T_O=data["T_O"],
-            rank=int(header[2]),
-            sparsity_count=int(header[3]),
-            noise=float(data["noise"][0]),
-            seed=int(header[4]),
-        )

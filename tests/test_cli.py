@@ -151,3 +151,24 @@ def test_parallel_jobs_match_serial_results(tmp_path):
     assert main(base + ["--jobs", "3", "--seeds", "3", "--no-timing",
                         "--out", str(parallel)]) == 0
     assert (serial / "rpca_runs.csv").read_bytes() == (parallel / "rpca_runs.csv").read_bytes()
+
+
+def test_seed_list_rows_keep_the_given_order_in_parallel(tmp_path):
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    base = RPCA_SMALL[:-2] + ["--seed-list", "3,1,2", "--no-timing"]
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+    runs = read_csv(parallel / "rpca_runs.csv")
+    assert [row["seed"] for row in runs] == ["3", "3", "1", "1", "2", "2"]
+    for name in ("rpca_runs.csv", "rpca_summary.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [RPCA_SMALL[:-2], ["dcopf", "--fixture", "2bus"]],
+                         ids=["rpca-bench", "dcopf"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command):
+    rc = main(command + ["--seeds", "1", "--jobs", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

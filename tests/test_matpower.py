@@ -173,12 +173,3 @@ def test_linear_gencost_maps_to_zero_quadratic_term():
     assert case.gen_cost_a[0] == 0.0
     assert case.gen_cost_b[0] == pytest.approx(200.0)
     assert case.gen_cost_c[0] == pytest.approx(10.0)
-
-
-def test_case_json_dump_roundtrips_demand():
-    import json
-
-    case = matpower.to_dcopf_case(matpower.parse_case(CASE3))
-    payload = json.loads(matpower.case_to_json(case))
-    assert payload["demand"] == case.demand.tolist()
-    assert payload["lines"] == [[0, 1, 2.0], [1, 2, 4.0]]

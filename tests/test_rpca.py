@@ -217,21 +217,6 @@ def test_sparsity_counts_exact_zeros():
         assert np.abs(nonzero).min() > 0.0
 
 
-def test_instance_save_load_roundtrip(tmp_path):
-    instance = rpca.generate_instance(10, 8, 2, 0.1, 2e-2, seed=23)
-    path = tmp_path / "instance.npz"
-    rpca.save_instance(path, instance)
-    back = rpca.load_instance(path)
-    assert np.array_equal(back.M, instance.M)
-    assert np.array_equal(back.L_O, instance.L_O)
-    assert np.array_equal(back.S_O, instance.S_O)
-    assert np.array_equal(back.T_O, instance.T_O)
-    assert back.rank == instance.rank
-    assert back.sparsity_count == instance.sparsity_count
-    assert back.noise == instance.noise
-    assert back.seed == instance.seed
-
-
 def test_admm3_uses_plain_thresholds():
     instance = rpca.generate_instance(15, 15, 2, 0.1, 1e-2, seed=41)
     config = rpca.RpcaConfig(rows=15, cols=15)

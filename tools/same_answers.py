@@ -13,18 +13,24 @@ the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0),
 BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4 and on a
 rank-4 60x40 and 40x60 instance (one of each orientation of a non-square
 matrix), and an engine run of ``RpcaBlockProblem`` on a 12x10 instance.
+It also runs the two command line manifests of acceptance criterion 10
+(``rpca-bench`` with ``--dump-trace`` and ``dcopf`` on the two-bus fixture,
+both with ``--no-timing``) and saves every CSV they write.
 
 ``--compare`` requires equal iteration counts and report numbers n.  The
 L_rho, merit and objective columns must agree to 1e-12 relative, entry by
 entry.  Every other array (final iterates, recheck violation) and report
 column (feasibility, steps) must satisfy max|a - b| <= R * max(1, max|a|),
-with a the old values and R from ``--rtol`` (default 0: bit-equal).  It
-prints the worst gap of each kind of value over all runs and exits
-nonzero if any check fails.
+with a the old values and R from ``--rtol`` (default 0: bit-equal).  The
+CLI CSVs must be byte-identical whatever R is.  It prints the worst gap
+of each kind of value over all runs and exits nonzero if any check fails.
 """
 
 import argparse
+import contextlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,13 @@ import numpy as np
 REPORT_COLUMNS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
 RELATIVE_COLUMNS = ("L_rho", "merit", "objective")
 RTOL = 1e-12
+# the manifests of acceptance criterion 10, as (label, argv)
+CLI_MANIFESTS = (
+    ("rpca", ["rpca-bench", "--size", "30", "30", "--rank", "3", "--sparsity", "0.05",
+              "--seeds", "2", "--jobs", "1", "--no-timing", "--dump-trace"]),
+    ("dcopf", ["dcopf", "--fixture", "2bus", "--eta", "10000", "--seeds", "1", "--jobs", "1",
+               "--no-timing"]),
+)
 
 
 def report_table(reports) -> np.ndarray:
@@ -86,6 +99,13 @@ def collect(src: str) -> dict:
     result = engine.solve(problem, small.solver_params(), init)
     keep("rpca/engine", result.state.x, result.state.y, result.state.z, result.iterations,
          result.reports)
+
+    for label, argv in CLI_MANIFESTS:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv + ["--out", tmp]) != 0:
+                raise RuntimeError(f"{' '.join(argv)} failed")
+            for path in sorted(Path(tmp).iterdir()):
+                out[f"cli/{label}/{path.name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     return out
 
 
@@ -122,7 +142,10 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
     for key in sorted(old):
         run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
-        if a.shape != b.shape:
+        if run.startswith("cli/"):
+            if not np.array_equal(a, b):
+                problems.append(f"{key}: the CSV files differ")
+        elif a.shape != b.shape:
             problems.append(f"{key}: shape {a.shape} vs {b.shape}")
         elif kind == "iterations":
             if not np.array_equal(a, b):
