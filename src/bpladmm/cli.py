@@ -89,9 +89,13 @@ def _write_csv(path, fields, rows):
 
 def _resolve_seeds(args, default=()) -> list[int]:
     """The requested seeds (``default`` when neither seed flag is given);
-    rejects an empty seed list and a ``--jobs`` below 1."""
+    rejects an empty or malformed seed list and a ``--jobs`` below 1."""
     if args.seed_list is not None:
-        seeds = [int(tok) for tok in args.seed_list.split(",") if tok.strip()]
+        tokens = [tok.strip() for tok in args.seed_list.split(",") if tok.strip()]
+        for tok in tokens:
+            if not tok.isdecimal():
+                raise UsageError(f"--seed-list entry {tok!r} is not a non-negative integer")
+        seeds = [int(tok) for tok in tokens]
     elif args.seeds is not None:
         seeds = list(range(args.seeds))
     else:

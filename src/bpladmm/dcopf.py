@@ -14,7 +14,8 @@ oracles: each x block solves a 4x4 symmetric positive definite system whose
 matrix is iteration independent (factored once), and the y update is a
 componentwise two-branch formula.  A bus block touches only its own rows,
 the rows of its neighbours' balance and line limits and the penetration
-floor, so the engine works on those rows alone and a block update costs
+floor.  ``build_problem`` writes each A_i on those rows alone (the dense
+p x 4 form is a view built on demand), so a block update costs
 O(nnz(A_i)), not O(p).  The engine stacks the bus blocks into one N x 4
 array, so the placement penalty, its gradient, the quadratic costs and the
 per-bus result columns are column operations on it.
@@ -22,6 +23,7 @@ per-bus result columns are column operations on it.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,15 +110,25 @@ class DcOpfCase:
 
 @dataclass(frozen=True)
 class DcOpfProblem:
-    """Assembled constraint matrices A_i (p x 4), right-hand side b, and the
-    per-bus quadratic cost data."""
+    """A x <= b with each A_i kept on ``rows[i]``, the sorted rows where it
+    has a nonzero entry, as ``blocks[i]`` (len(rows[i]) x k); the dense
+    p x k blocks ``A`` are built on first access.  Q, q: per-bus costs."""
 
     case: DcOpfCase
-    A: list
+    rows: list
+    blocks: list
     b: np.ndarray
     Q: list
     q: list
     p: int
+
+    @cached_property
+    def A(self) -> list:
+        """The dense blocks A_i (p x k), scattered from the compact ones."""
+        dense = [np.zeros((self.p, block.shape[1])) for block in self.blocks]
+        for full, rows, block in zip(dense, self.rows, self.blocks):
+            full[rows] = block
+        return dense
 
 
 def expected_row_count(case: DcOpfCase) -> int:
@@ -125,8 +137,25 @@ def expected_row_count(case: DcOpfCase) -> int:
     return 9 * case.num_buses + degree_sum + 1
 
 
+def _compact_blocks(n: int, entries: list) -> tuple[list, list]:
+    """Group (bus array, row, column, value) entries, scalars filled out to
+    the bus length, into per-bus sorted rows and the blocks A_i on them,
+    without all-zero rows; the sort is stable, so repeats sum in order."""
+    bus, row, col, value = (np.concatenate(part) for part in zip(
+        *([np.full(len(entry[0]), field) for field in entry] for entry in entries)))
+    order = np.lexsort((row, bus))
+    bus, row, col, value = bus[order], row[order], col[order], value[order]
+    first = (np.diff(bus, prepend=-1) != 0) | (np.diff(row, prepend=-1) != 0)
+    compact = np.zeros((int(np.count_nonzero(first)), BLOCK_DIM))
+    np.add.at(compact, (np.cumsum(first) - 1, col), value)
+    keep = np.any(compact != 0.0, axis=1)
+    bus, row, compact = bus[first][keep], row[first][keep], compact[keep]
+    starts = np.searchsorted(bus, np.arange(1, n))
+    return np.split(row, starts), np.split(compact, starts)
+
+
 def build_problem(case: DcOpfCase) -> DcOpfProblem:
-    """Assemble A x <= b row by row.
+    """Assemble A x <= b as compact per-bus blocks.
 
     Row order: power balance per bus, the penetration floor, thermal limits
     per directed line (grouped by source bus), then per bus the PV linking
@@ -135,73 +164,40 @@ def build_problem(case: DcOpfCase) -> DcOpfProblem:
     """
     case.validate()
     n = case.num_buses
-    adjacency = case.neighbors()
     b_table = case.susceptance()
     p = expected_row_count(case)
-    A = [np.zeros((p, BLOCK_DIM)) for _ in range(n)]
+    buses = np.arange(n)
+    edges = [(i, j) for i, adjacent in enumerate(case.neighbors()) for j in adjacent]
+    source, target = np.array(edges, dtype=int).reshape(-1, 2).T
+    weight = np.array([b_table[e] for e in edges])
+    line_rows = n + 1 + np.arange(len(edges))
+    # upper rows of the per-bus pairs; each lower row follows its upper row
+    link, gen, u_box, theta_box = line_rows.size + n + 1 + 2 * (n * np.arange(4)[:, None] + buses)
+    rows, blocks = _compact_blocks(n, [
+        # demand coverage: -P_pv - P_gen + sum_j b_ij (theta_i - theta_j) <= -D_i
+        (buses, buses, PV, -1.0), (buses, buses, GEN, -1.0),
+        (source, source, THETA, weight), (target, source, THETA, -weight),
+        # penetration floor: total PV output covers half of total demand
+        (buses, n, PV, -1.0),
+        # thermal limit of each directed line: b_ij (theta_i - theta_j) <= limit
+        (source, line_rows, THETA, weight), (target, line_rows, THETA, -weight),
+        # PV output linked to placement: 0 <= P_pv <= u * capacity
+        (buses, link, PV, 1.0), (buses, link, U, -case.pv_capacity), (buses, link + 1, PV, -1.0),
+        # generator bounds, placement box u in [0, 1], angle box theta in [0, 2*pi]
+        (buses, gen, GEN, 1.0), (buses, gen + 1, GEN, -1.0),
+        (buses, u_box, U, 1.0), (buses, u_box + 1, U, -1.0),
+        (buses, theta_box, THETA, 1.0), (buses, theta_box + 1, THETA, -1.0),
+    ])
     b = np.zeros(p)
-    row = 0
-
-    # demand coverage: -P_pv - P_gen + sum_j b_ij (theta_i - theta_j) <= -D_i
-    for i in range(n):
-        A[i][row, PV] = -1.0
-        A[i][row, GEN] = -1.0
-        for j in adjacency[i]:
-            A[i][row, THETA] += b_table[(i, j)]
-            A[j][row, THETA] = -b_table[(i, j)]
-        b[row] = -case.demand[i]
-        row += 1
-
-    # penetration floor: total PV output covers half of total demand
-    for i in range(n):
-        A[i][row, PV] = -1.0
-    b[row] = -float(np.sum(case.demand)) / 2.0
-    row += 1
-
-    # thermal limit of each directed line: b_ij (theta_i - theta_j) <= limit
-    for i in range(n):
-        for j in adjacency[i]:
-            A[i][row, THETA] = b_table[(i, j)]
-            A[j][row, THETA] = -b_table[(i, j)]
-            b[row] = case.line_limit
-            row += 1
-
-    # PV output linked to placement: 0 <= P_pv <= u * capacity
-    for i in range(n):
-        A[i][row, PV] = 1.0
-        A[i][row, U] = -case.pv_capacity
-        row += 1
-        A[i][row, PV] = -1.0
-        row += 1
-
-    # generator bounds: 0 <= P_gen <= capacity_i
-    for i in range(n):
-        A[i][row, GEN] = 1.0
-        b[row] = case.gen_capacity[i]
-        row += 1
-        A[i][row, GEN] = -1.0
-        row += 1
-
-    # placement box: u in [0, 1]
-    for i in range(n):
-        A[i][row, U] = 1.0
-        b[row] = 1.0
-        row += 1
-        A[i][row, U] = -1.0
-        row += 1
-
-    # angle box: theta in [0, 2*pi]
-    for i in range(n):
-        A[i][row, THETA] = 1.0
-        b[row] = 2.0 * np.pi
-        row += 1
-        A[i][row, THETA] = -1.0
-        row += 1
-
-    assert row == p
+    b[:n] = -case.demand
+    b[n] = -float(np.sum(case.demand)) / 2.0
+    b[line_rows] = case.line_limit
+    b[gen] = case.gen_capacity
+    b[u_box] = 1.0
+    b[theta_box] = 2.0 * np.pi
     Q = [np.diag([0.0, 2.0 * case.gen_cost_a[i], 0.0, 0.0]) for i in range(n)]
     q = [np.array([0.0, case.gen_cost_b[i], 0.0, case.pv_cost]) for i in range(n)]
-    return DcOpfProblem(case=case, A=A, b=b, Q=Q, q=q, p=p)
+    return DcOpfProblem(case=case, rows=rows, blocks=blocks, b=b, Q=Q, q=q, p=p)
 
 
 def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -262,13 +258,13 @@ class DcOpfBlockProblem(BlockProblem):
     """Engine adapter with cached per-bus factorizations.
 
     Each bus couples through the rows where its A_i has a nonzero entry;
-    those row indices and the compact A_i restricted to them are kept, and
-    the operators and the block oracle work on them.  The block system
-    matrix Q_i + rho A_i^T A_i + alpha I does not change across iterations
-    (the penalty gradient enters only the right-hand side), so its inverse
-    is computed once per bus.  The cost matrices Q_i are diagonal (as
-    ``build_problem`` makes them), so sum_i f_i is evaluated from their
-    stacked diagonals and the stacked q_i in one pass.
+    the operators and the block oracle work on the problem's compact
+    blocks, taken as they are.  The block system matrix Q_i + rho A_i^T
+    A_i + alpha I does not change across iterations (the penalty gradient
+    enters only the right-hand side), so its inverse is computed once per
+    bus.  The cost matrices Q_i are diagonal (as ``build_problem`` makes
+    them), so sum_i f_i is evaluated from their stacked diagonals and the
+    stacked q_i in one pass.
     """
 
     def __init__(self, problem: DcOpfProblem, rho: float, alpha: float,
@@ -279,17 +275,12 @@ class DcOpfBlockProblem(BlockProblem):
         self.rho = rho
         self.gamma = case.gamma if gamma is None else gamma
         self.eta = case.eta
-        n = len(problem.A)
-        dim = problem.A[0].shape[1]
-        self.block_shapes = [(dim,) for _ in range(n)]
+        self.block_shapes = [block.shape[1:] for block in problem.blocks]
         self.y_shape = (problem.p,)
         self.rhs = problem.b
-        self._rows = [np.flatnonzero(np.any(Ai != 0.0, axis=1)) for Ai in problem.A]
-        self._A = [Ai[rows] for Ai, rows in zip(problem.A, self._rows)]
-        self._solvers = [
-            np.linalg.inv(problem.Q[i] + rho * (self._A[i].T @ self._A[i]) + alpha * np.eye(dim))
-            for i in range(n)
-        ]
+        self._rows, self._A = problem.rows, problem.blocks
+        self._solvers = [np.linalg.inv(Qi + rho * (Ai.T @ Ai) + alpha * np.eye(len(Qi)))
+                         for Qi, Ai in zip(problem.Q, self._A)]
         self._cost_const = [float(c) for c in case.gen_cost_c]
         Q = np.array(problem.Q, dtype=float)
         self._Q_diag = np.diagonal(Q, axis1=1, axis2=2).copy()
@@ -432,13 +423,18 @@ def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProbl
     """The model with the placement frozen at ``u_rounded``.
 
     The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
-    u_i), leaving a convex three-variable-per-bus power flow.
+    u_i), leaving a convex three-variable-per-bus power flow; each block
+    keeps the rows where its first three columns are nonzero.
     """
-    n = problem.case.num_buses
+    b = problem.b.copy()
+    for rows, block, u_i in zip(problem.rows, problem.blocks, u_rounded):
+        b[rows] -= block[:, U] * u_i
+    keep = [np.any(block[:, :U] != 0.0, axis=1) for block in problem.blocks]
     return DcOpfProblem(
         case=problem.case,
-        A=[Ai[:, :U] for Ai in problem.A],
-        b=problem.b - sum(problem.A[i][:, U] * u_rounded[i] for i in range(n)),
+        rows=[rows[k] for rows, k in zip(problem.rows, keep)],
+        blocks=[block[k, :U] for block, k in zip(problem.blocks, keep)],
+        b=b,
         Q=[Qi[:U, :U] for Qi in problem.Q],
         q=[qi[:U] for qi in problem.q],
         p=problem.p,

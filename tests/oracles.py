@@ -6,6 +6,8 @@ pieces the package minimizes are piecewise quadratic, for which central
 finite differences are truncation-free; that pushes the oracles well past
 the sqrt(eps) accuracy floor of plain value-comparison searches.
 
+``dense_reference_problem`` assembles the DC-OPF constraints row by row
+into dense blocks, a reference for ``dcopf.build_problem``.
 ``dcopf_reference_sweep`` is a reference for the engine's bookkeeping
 rather than for an operator: the plain per-block loop the engine's sweep
 must reproduce.
@@ -144,19 +146,98 @@ def nuclear_norm(M):
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def dense_reference_problem(case):
+    """The constraints A x <= b of a ``DcOpfCase`` as dense p x 4 blocks,
+    written row by row with a running row counter; returns (A, b).
+
+    Row order: power balance per bus, the penetration floor, thermal limits
+    per directed line (grouped by source bus), then per bus the PV linking
+    pair, generator bound pair, u box pair, and theta box pair (upper row
+    before lower row in each pair).
+    """
+    PV, GEN, THETA, U = dcopf.PV, dcopf.GEN, dcopf.THETA, dcopf.U
+    n = case.num_buses
+    adjacency = case.neighbors()
+    b_table = case.susceptance()
+    p = dcopf.expected_row_count(case)
+    A = [np.zeros((p, dcopf.BLOCK_DIM)) for _ in range(n)]
+    b = np.zeros(p)
+    row = 0
+
+    # demand coverage: -P_pv - P_gen + sum_j b_ij (theta_i - theta_j) <= -D_i
+    for i in range(n):
+        A[i][row, PV] = -1.0
+        A[i][row, GEN] = -1.0
+        for j in adjacency[i]:
+            A[i][row, THETA] += b_table[(i, j)]
+            A[j][row, THETA] = -b_table[(i, j)]
+        b[row] = -case.demand[i]
+        row += 1
+
+    # penetration floor: total PV output covers half of total demand
+    for i in range(n):
+        A[i][row, PV] = -1.0
+    b[row] = -float(np.sum(case.demand)) / 2.0
+    row += 1
+
+    # thermal limit of each directed line: b_ij (theta_i - theta_j) <= limit
+    for i in range(n):
+        for j in adjacency[i]:
+            A[i][row, THETA] = b_table[(i, j)]
+            A[j][row, THETA] = -b_table[(i, j)]
+            b[row] = case.line_limit
+            row += 1
+
+    # PV output linked to placement: 0 <= P_pv <= u * capacity
+    for i in range(n):
+        A[i][row, PV] = 1.0
+        A[i][row, U] = -case.pv_capacity
+        row += 1
+        A[i][row, PV] = -1.0
+        row += 1
+
+    # generator bounds: 0 <= P_gen <= capacity_i
+    for i in range(n):
+        A[i][row, GEN] = 1.0
+        b[row] = case.gen_capacity[i]
+        row += 1
+        A[i][row, GEN] = -1.0
+        row += 1
+
+    # placement box: u in [0, 1]
+    for i in range(n):
+        A[i][row, U] = 1.0
+        b[row] = 1.0
+        row += 1
+        A[i][row, U] = -1.0
+        row += 1
+
+    # angle box: theta in [0, 2*pi]
+    for i in range(n):
+        A[i][row, THETA] = 1.0
+        b[row] = 2.0 * np.pi
+        row += 1
+        A[i][row, THETA] = -1.0
+        row += 1
+
+    assert row == p
+    return A, b
+
+
 def dcopf_reference_sweep(block_problem, x, y, z):
-    """One sweep of the method on a ``DcOpfBlockProblem``, written as the
-    plain Gauss-Seidel loop: blocks in a list, updated one by one.
+    """One sweep of the method on a ``DcOpfBlockProblem`` of a whole (not
+    frozen-u) case, written as the plain Gauss-Seidel loop: blocks in a
+    list, updated one by one.
 
     Every block sees the partial residual recomputed from scratch with the
-    dense A_i of ``block_problem.problem`` on every row, and the linear term
+    dense A_i of ``dense_reference_problem`` on every row, and the linear term
     -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
     sweep start.  The block oracle is the closed form ``x_block_update``
     with a fresh solve on all rows, the slack is ``y_block_update`` of the
     dense A x - b, and the multiplier ascends by rho times the dense
     residual.  Returns the new (x, y, z), with x a list of blocks.
     """
-    A, b = block_problem.problem.A, block_problem.rhs
+    A, b = dense_reference_problem(block_problem.problem.case)
     Q, q = block_problem.problem.Q, block_problem.problem.q
     rho, alpha, gamma = block_problem.rho, block_problem.alpha, block_problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]

@@ -172,3 +172,14 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command):
     assert rc == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [RPCA_SMALL[:-2], ["dcopf", "--fixture", "2bus"]],
+                         ids=["rpca-bench", "dcopf"])
+@pytest.mark.parametrize("seed_list, token", [("-1", "-1"), ("1,x", "x")],
+                         ids=["negative", "non-integer"])
+def test_bad_seed_list_entry_is_usage_error(tmp_path, capsys, command, seed_list, token):
+    rc = main(command + [f"--seed-list={seed_list}", "--jobs", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"--seed-list entry {token!r} is not a non-negative integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

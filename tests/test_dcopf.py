@@ -171,6 +171,26 @@ def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
 
 
 @pytest.mark.parametrize("make_case", CASES)
+def test_the_solve_path_never_builds_the_dense_blocks(make_case, monkeypatch):
+    # the recheck builds its frozen-u problem inside; record it on the way out
+    frozen, build_frozen = [], dcopf.frozen_u_problem
+
+    def recorded_frozen_u_problem(problem, u_rounded):
+        frozen.append(build_frozen(problem, u_rounded))
+        return frozen[-1]
+
+    monkeypatch.setattr(dcopf, "frozen_u_problem", recorded_frozen_u_problem)
+    problem, block_problem, params = block_problem_for(make_case())
+    result = engine.solve(block_problem, params, dcopf.lower_bound_init(block_problem))
+    x = result.state.x
+    dcopf.frozen_u_recheck(problem, np.where(x[:, dcopf.U] >= 0.5, 1.0, 0.0), warm_x=x,
+                           rho=params.rho, alpha=block_problem.alpha)
+    assert len(frozen) == 1
+    for built in (problem, *frozen):
+        assert "A" not in vars(built)
+
+
+@pytest.mark.parametrize("make_case", CASES)
 def test_carried_residual_matches_a_fresh_one(make_case):
     # The residual is a difference of O(1) terms (b, B y, A x), so each
     # entry carries rounding of the terms' size: gaps are scaled by

@@ -1,5 +1,8 @@
-"""Property tests of the engine's stacked sweep on random small radial
-DC-OPF cases, against the plain per-block reference sweep of ``oracles``."""
+"""Property tests on random small radial DC-OPF cases: the compact assembly
+against the dense row-by-row oracle, and the engine's stacked sweep against
+the plain per-block reference sweep of ``oracles``."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bpladmm import dcopf, engine  # noqa: E402
-from oracles import dcopf_reference_sweep  # noqa: E402
+from oracles import dcopf_reference_sweep, dense_reference_problem  # noqa: E402
 
 SWEEPS = 20
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -69,3 +72,33 @@ def test_merit_is_nonincreasing_over_twenty_sweeps(num_buses, case_seed, jitter_
     merits = [r.merit for r in result.reports]
     slack = 1e-8 * (1.0 + abs(merits[1]))  # acceptance criterion 5's slack
     assert all(later - earlier <= slack for earlier, later in zip(merits[1:], merits[2:]))
+
+
+def assert_blocks_match(problem, A, b):
+    """``problem`` holds the dense blocks ``A`` and right-hand side ``b``,
+    each block exactly on its nonzero rows."""
+    assert np.array_equal(problem.b, b)
+    for i, dense in enumerate(A):
+        rows = np.flatnonzero(np.any(dense != 0.0, axis=1))
+        assert np.array_equal(problem.rows[i], rows), i
+        assert np.array_equal(problem.blocks[i], dense[rows]), i
+        assert np.array_equal(problem.A[i], dense), i
+
+
+@PROPERTY_SETTINGS
+@given(num_buses=CASES["num_buses"], case_seed=CASES["case_seed"],
+       u_seed=st.integers(0, 2**32 - 1), cancelled_line=st.booleans())
+def test_assembly_matches_the_dense_row_by_row_oracle(num_buses, case_seed, u_seed,
+                                                      cancelled_line):
+    case = random_radial_case(num_buses, case_seed)
+    if cancelled_line:
+        # a parallel line of opposite susceptance leaves its buses' line rows all zero
+        i, j, susceptance = case.lines[-1]
+        case = replace(case, lines=case.lines + ((j, i, -susceptance),))
+    problem = dcopf.build_problem(case)
+    A, b = dense_reference_problem(case)
+    assert_blocks_match(problem, A, b)
+    u = np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float)
+    U = dcopf.U
+    assert_blocks_match(dcopf.frozen_u_problem(problem, u), [Ai[:, :U] for Ai in A],
+                        b - sum(Ai[:, U] * ui for Ai, ui in zip(A, u)))
