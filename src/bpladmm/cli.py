@@ -329,10 +329,7 @@ def main(argv=None) -> int:
     except (UsageError, engine.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except matpower.MatpowerParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (matpower.MatpowerParseError, OSError, UnicodeDecodeError) as exc:  # reading --case
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -112,14 +112,15 @@ class DcOpfCase:
 class DcOpfProblem:
     """A x <= b with each A_i kept on ``rows[i]``, the sorted rows where it
     has a nonzero entry, as ``blocks[i]`` (len(rows[i]) x k); the dense
-    p x k blocks ``A`` are built on first access.  Q, q: per-bus costs."""
+    p x k blocks ``A`` are built on first access.  Q_diag, q: N x k arrays
+    of the per-bus cost diagonals and linear terms."""
 
     case: DcOpfCase
     rows: list
     blocks: list
     b: np.ndarray
-    Q: list
-    q: list
+    Q_diag: np.ndarray
+    q: np.ndarray
     p: int
 
     @cached_property
@@ -195,9 +196,10 @@ def build_problem(case: DcOpfCase) -> DcOpfProblem:
     b[gen] = case.gen_capacity
     b[u_box] = 1.0
     b[theta_box] = 2.0 * np.pi
-    Q = [np.diag([0.0, 2.0 * case.gen_cost_a[i], 0.0, 0.0]) for i in range(n)]
-    q = [np.array([0.0, case.gen_cost_b[i], 0.0, case.pv_cost]) for i in range(n)]
-    return DcOpfProblem(case=case, rows=rows, blocks=blocks, b=b, Q=Q, q=q, p=p)
+    Q_diag, q = np.zeros((n, BLOCK_DIM)), np.zeros((n, BLOCK_DIM))
+    Q_diag[:, GEN] = 2.0 * case.gen_cost_a
+    q[:, GEN], q[:, U] = case.gen_cost_b, case.pv_cost
+    return DcOpfProblem(case=case, rows=rows, blocks=blocks, b=b, Q_diag=Q_diag, q=q, p=p)
 
 
 def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -215,20 +217,20 @@ def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def x_block_update(
-    ctx: XBlockContext, Q: np.ndarray, q: np.ndarray, A: np.ndarray, alpha: float,
+    ctx: XBlockContext, Q_diag: np.ndarray, q: np.ndarray, A: np.ndarray,
     solver: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form block update: solve the SPD system
 
-        (Q + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
+        (diag(Q_diag) + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
 
-    with proximal weight w = mu * alpha and r the partial residual.  ``A``
+    with w the context's proximal weight and r the partial residual.  ``A``
     may hold only some rows of A_i (all its nonzero ones) when the
     context's multiplier and partial residual hold the same rows.  When
     ``solver`` (the precomputed inverse of the system matrix) is given it
     is applied directly; it must have been built for the same rho and w.
     """
-    w = ctx.mu * alpha
+    w = ctx.prox_weight
     rhs = (
         w * ctx.current_iterate
         - q
@@ -237,7 +239,7 @@ def x_block_update(
     )
     if solver is not None:
         return solver @ rhs
-    matrix = Q + ctx.rho * (A.T @ A) + w * np.eye(len(q))
+    matrix = np.diag(Q_diag) + ctx.rho * (A.T @ A) + w * np.eye(len(q))
     try:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
@@ -259,34 +261,28 @@ class DcOpfBlockProblem(BlockProblem):
 
     Each bus couples through the rows where its A_i has a nonzero entry;
     the operators and the block oracle work on the problem's compact
-    blocks, taken as they are.  The block system matrix Q_i + rho A_i^T
-    A_i + alpha I does not change across iterations (the penalty gradient
-    enters only the right-hand side), so its inverse is computed once per
-    bus.  The cost matrices Q_i are diagonal (as ``build_problem`` makes
-    them), so sum_i f_i is evaluated from their stacked diagonals and the
-    stacked q_i in one pass.
+    blocks, taken as they are.  The block system matrix diag(Q_diag[i]) +
+    rho A_i^T A_i + alpha I does not change across iterations (the penalty
+    gradient enters only the right-hand side), so its inverse is computed
+    once per bus, for the proximal weight mu * alpha = alpha (mu = 1).  A
+    problem without the u column (the frozen-u recheck) has no placement
+    penalty, so gamma is the case's with four columns and 0 with three.
     """
 
-    def __init__(self, problem: DcOpfProblem, rho: float, alpha: float,
-                 gamma: float | None = None):
+    def __init__(self, problem: DcOpfProblem, rho: float, alpha: float):
         case = problem.case
         self.problem = problem
         self.alpha = alpha
         self.rho = rho
-        self.gamma = case.gamma if gamma is None else gamma
+        self.num_blocks, width = problem.q.shape
+        self.gamma = case.gamma if width > U else 0.0
         self.eta = case.eta
-        self.block_shapes = [block.shape[1:] for block in problem.blocks]
+        self.block_shape = (width,)
         self.y_shape = (problem.p,)
         self.rhs = problem.b
         self._rows, self._A = problem.rows, problem.blocks
-        self._solvers = [np.linalg.inv(Qi + rho * (Ai.T @ Ai) + alpha * np.eye(len(Qi)))
-                         for Qi, Ai in zip(problem.Q, self._A)]
-        self._cost_const = [float(c) for c in case.gen_cost_c]
-        Q = np.array(problem.Q, dtype=float)
-        self._Q_diag = np.diagonal(Q, axis1=1, axis2=2).copy()
-        if np.count_nonzero(Q) != np.count_nonzero(self._Q_diag):
-            raise ValueError("the per-bus cost matrices Q_i must be diagonal")
-        self._q = np.array(problem.q, dtype=float)
+        self._solvers = [np.linalg.inv(np.diag(Qi) + rho * (Ai.T @ Ai) + alpha * np.eye(width))
+                         for Qi, Ai in zip(problem.Q_diag, self._A)]
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
     def block_rows(self, i):
@@ -295,9 +291,6 @@ class DcOpfBlockProblem(BlockProblem):
     def apply_A(self, i, x):
         return self._A[i] @ x
 
-    def apply_A_transpose(self, i, v):
-        return self._A[i].T @ v
-
     def apply_B(self, y):
         return y
 
@@ -305,11 +298,12 @@ class DcOpfBlockProblem(BlockProblem):
         return v
 
     def eval_f(self, i, x):
-        return float(0.5 * x @ self.problem.Q[i] @ x + self.problem.q[i] @ x) + self._cost_const[i]
+        quadratic = 0.5 * float(np.vdot(self.problem.Q_diag[i] * x, x))
+        return quadratic + float(self.problem.q[i] @ x) + float(self.problem.case.gen_cost_c[i])
 
     def eval_f_sum(self, x):
-        quadratic = 0.5 * float(np.vdot(self._Q_diag * x, x))
-        return quadratic + float(np.vdot(self._q, x)) + self._cost_const_total
+        quadratic = 0.5 * float(np.vdot(self.problem.Q_diag * x, x))
+        return quadratic + float(np.vdot(self.problem.q, x)) + self._cost_const_total
 
     def eval_H(self, y):
         value, _ = dist_sq_nonneg_orthant(y)
@@ -331,10 +325,8 @@ class DcOpfBlockProblem(BlockProblem):
         return g_gradient(x, self.gamma)
 
     def solve_x_block(self, i, ctx: XBlockContext):
-        solver = self._solvers[i] if ctx.mu * self.alpha == self.alpha and ctx.rho == self.rho else None
-        return x_block_update(
-            ctx, self.problem.Q[i], self.problem.q[i], self._A[i], self.alpha, solver
-        )
+        solver = self._solvers[i] if ctx.prox_weight == self.alpha and ctx.rho == self.rho else None
+        return x_block_update(ctx, self.problem.Q_diag[i], self.problem.q[i], self._A[i], solver)
 
     def solve_y_block(self, ctx: YBlockContext):
         return y_block_update(ctx.x_residual, ctx.multiplier, self.eta, ctx.rho)
@@ -409,7 +401,7 @@ def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
     A positive ``jitter`` adds uniform [0, jitter) noise to the x blocks so
     seeded repetitions explore different basins.
     """
-    shape = (len(block_problem.block_shapes),) + tuple(block_problem.block_shapes[0])
+    shape = (block_problem.num_blocks, *block_problem.block_shape)
     if jitter > 0.0:
         x = jitter * np.random.default_rng(seed).random(shape)
     else:
@@ -435,8 +427,8 @@ def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProbl
         rows=[rows[k] for rows, k in zip(problem.rows, keep)],
         blocks=[block[k, :U] for block, k in zip(problem.blocks, keep)],
         b=b,
-        Q=[Qi[:U, :U] for Qi in problem.Q],
-        q=[qi[:U] for qi in problem.q],
+        Q_diag=problem.Q_diag[:, :U],
+        q=problem.q[:, :U],
         p=problem.p,
     )
 
@@ -459,7 +451,7 @@ def frozen_u_recheck(
     case = problem.case
     reduced = frozen_u_problem(problem, u_rounded)
     b_frozen = reduced.b
-    block_problem = DcOpfBlockProblem(reduced, rho=rho, alpha=alpha, gamma=0.0)
+    block_problem = DcOpfBlockProblem(reduced, rho=rho, alpha=alpha)
     if warm_x is not None:
         x0 = np.asarray(warm_x, dtype=float)[:, :U]
     else:

@@ -18,8 +18,9 @@ updates y, and then takes a multiplier ascent step:
 
 with g_n a subgradient of G at x_n, u_i(x_i) the Gauss-Seidel splice of
 fresh earlier blocks, x_i, and stale later blocks, and the proximal kernel
-phi = (alpha/2)||.||^2 with alpha = ``strong_convexity``.  The y step has
-no proximal term.
+phi = (alpha/2)||.||^2 with alpha = ``strong_convexity``, so that the
+proximal term is (w/2)||x_i - x_{i,n}||^2 with the one weight w = mu alpha.
+The y step has no proximal term.
 
 Validity of (mu, rho) is gated by ``validate_parameters``; a valid run
 drives the merit function, which without a y-proximal term is the
@@ -32,9 +33,8 @@ per sweep, which the engine monitors at runtime.
 
 Each block couples only through the rows of the constraint space where
 A_i is nonzero.  ``BlockProblem.block_rows(i)`` names them (every row by
-default); ``apply_A(i, .)`` returns A_i x on those rows only, and
-``apply_A_transpose(i, .)`` takes a vector on those rows.  The state
-carries its residual A x + B y - b from sweep to sweep; a block update
+default), and ``apply_A(i, .)`` returns A_i x on those rows only.  The
+state carries its residual A x + B y - b from sweep to sweep; a block update
 reads and rewrites it on the block's rows alone, so it costs the size of
 the block's support rather than the size of the constraint space.
 
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import BregmanGenerator, bregman_distance, scaled_squared_norm, stacked_norm
+from .spaces import stacked_norm
 
 STOP_SHIFTED = "shifted"  # ||delta|| / (||iterate|| + 1) <= tol
 STOP_RELATIVE = "relative"  # ||delta|| / ||iterate|| < tol
@@ -90,8 +90,9 @@ class XBlockContext:
     ``partial_residual`` and ``multiplier`` (z_n) hold only the rows
     ``block_rows(block_index)``, the rows ``apply_A`` returns; the rows
     outside add a constant the minimizer does not depend on.
-    ``linear_term`` is grad_i P(x_n) - g_{i,n}; ``bregman`` is the proximal
-    kernel (alpha/2)||.||^2, weighted by ``mu``.
+    ``linear_term`` is grad_i P(x_n) - g_{i,n}.  With phi = (alpha/2)||.||^2
+    the proximal term mu D_phi(x_i, x_{i,n}) is (w/2)||x_i - x_{i,n}||^2,
+    and ``prox_weight`` is w = mu * alpha.
 
     One context is built per block and sweep, so it is a plain slotted
     dataclass (a frozen one costs several times more to build); oracles
@@ -104,15 +105,14 @@ class XBlockContext:
     multiplier: np.ndarray
     partial_residual: np.ndarray
     rho: float
-    mu: float
-    bregman: BregmanGenerator
+    prox_weight: float
 
 
 @dataclass(frozen=True)
 class YBlockContext:
-    """Inputs of the y subproblem; ``x_residual`` is A x_{n+1} - b."""
+    """Inputs of the y subproblem; ``x_residual`` is A x_{n+1} - b.  The y
+    step has no proximal term, so the current y is not among them."""
 
-    current_iterate: np.ndarray
     multiplier: np.ndarray
     x_residual: np.ndarray
     rho: float
@@ -121,9 +121,9 @@ class YBlockContext:
 class BlockProblem(ABC):
     """A problem instance: block spaces, operators, and subproblem oracles.
 
-    Subclasses must set ``block_shapes`` (one shape per x block, all of them
-    equal), ``y_shape`` and ``rhs``, implement the linear operators with
-    their adjoints, and supply exact argmin oracles for the block
+    Subclasses must set ``num_blocks`` and ``block_shape`` (the one shape
+    of every x block), ``y_shape`` and ``rhs``, implement A and B and the
+    adjoint of B, and supply exact argmin oracles for the block
     subproblems.  The smooth / coupling pieces H, P, G default to zero so
     simple problems only override what they use.
 
@@ -136,18 +136,15 @@ class BlockProblem(ABC):
     ``block_rows(i)`` indexes the constraint-space rows that A_i can make
     nonzero, as a slice or an integer index array without repeats; it
     defaults to every row.  ``apply_A(i, x)`` returns A_i x on those rows
-    only, ``apply_A_transpose(i, v)`` takes v on those rows, and an x-block
-    oracle receives the partial residual and the multiplier on those rows.
-    The engine adds block products into full constraint-space vectors.
+    only, and an x-block oracle receives the partial residual and the
+    multiplier on those rows.  The engine adds block products into full
+    constraint-space vectors.
     """
 
-    block_shapes: list[tuple]
+    num_blocks: int
+    block_shape: tuple
     y_shape: tuple
     rhs: np.ndarray
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_shapes)
 
     def block_rows(self, i: int):
         """Index of the constraint-space rows block i couples through."""
@@ -156,10 +153,6 @@ class BlockProblem(ABC):
     @abstractmethod
     def apply_A(self, i: int, x: np.ndarray) -> np.ndarray:
         """A_i x on the rows ``block_rows(i)`` of the constraint space."""
-
-    @abstractmethod
-    def apply_A_transpose(self, i: int, v: np.ndarray) -> np.ndarray:
-        """A_i^T v for v on the rows ``block_rows(i)``; lives in block space i."""
 
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
@@ -395,9 +388,8 @@ def x_subproblem_value(
         + float(np.vdot(ctx.multiplier, problem.apply_A(ctx.block_index, x)))
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
     )
-    if ctx.mu != 0.0:
-        value += ctx.mu * bregman_distance(ctx.bregman, x, ctx.current_iterate)
-    return value
+    step = x - ctx.current_iterate
+    return value + 0.5 * ctx.prox_weight * float(np.vdot(step, step))
 
 
 def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray) -> float:
@@ -414,14 +406,13 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     """Package an initial iterate with its residual and an empty report history.
 
     ``x`` holds the m blocks (a sequence of arrays or an array of shape
-    (m, *block_shape)); they are copied into one stacked array, so the
-    problem's ``block_shapes`` and the given blocks must all be one shape.
+    (m, *block_shape)); they are copied into one stacked array, which must
+    have the problem's shape (num_blocks, *block_shape).
     """
-    shapes = [tuple(s) for s in problem.block_shapes]
+    shape = (problem.num_blocks, *problem.block_shape)
     given = [np.shape(xi) for xi in x]
-    if len(set(shapes)) > 1 or given != shapes:
-        raise ValueError(f"x blocks of shapes {given} cannot be stacked for block_shapes "
-                         f"{shapes}: the two must match and hold one shape")
+    if given != [shape[1:]] * shape[0]:
+        raise ValueError(f"x blocks of shapes {given} do not stack to {shape}")
     x = np.array(x, dtype=float)
     y = np.asarray(y, dtype=float).copy()
     z = np.asarray(z, dtype=float).copy()
@@ -452,7 +443,7 @@ def _first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError |
 
 
 def _x_sweep(
-    problem: BlockProblem, params: SolverParams, state: SolverState, mu_n: float
+    problem: BlockProblem, params: SolverParams, state: SolverState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
 
@@ -464,7 +455,7 @@ def _x_sweep(
     so an error always names the first block that failed.
     """
     linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
-    kernel = scaled_squared_norm(params.strong_convexity)
+    weight = params.mu * params.strong_convexity
     iteration = state.n + 1
     residual = state.residual.copy()
     x_new = state.x.copy()
@@ -472,8 +463,7 @@ def _x_sweep(
         rows = problem.block_rows(i)
         partial = residual[rows] - problem.apply_A(i, x_new[i])
         # positional, in field order: keyword arguments double the build time
-        ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, params.rho, mu_n,
-                            kernel)
+        ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, params.rho, weight)
         try:
             x_new[i] = problem.solve_x_block(i, ctx)
         except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
@@ -492,10 +482,9 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     Appends the new iterate's report to the (shared) history list and
     returns the advanced state.
     """
-    x_new, residual_xy = _x_sweep(problem, params, state, params.mu)
+    x_new, residual_xy = _x_sweep(problem, params, state)
     x_residual = residual_xy - problem.apply_B(state.y)
     y_ctx = YBlockContext(
-        current_iterate=state.y,
         multiplier=state.z,
         x_residual=x_residual,
         rho=params.rho,
@@ -615,7 +604,7 @@ def stationarity_report(
         np.linalg.norm(constraint_residual(problem, state.x, state.y))
     )
     # the sweep starts from the state's carried residual, not a fresh one
-    x_new, _ = _x_sweep(problem, params, state, params.mu)
+    x_new, _ = _x_sweep(problem, params, state)
     x_fixed_point = float(np.linalg.norm(x_new - state.x))
     return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)
 
@@ -632,25 +621,16 @@ def write_reports_csv(reports: list[IterationReport], path) -> None:
 
 
 def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float = 1e-10) -> float:
-    """Probe <A_i u, v> = <u, A_i^T v> and the B analogue on random inputs,
-    with A_i u placed on its rows of the constraint space.
+    """Probe <B u, v> = <u, B^T v> on random inputs; ``stationarity_report``
+    relies on B^T.
 
-    Returns the worst relative mismatch; raises if it exceeds ``tol``.
+    Returns the relative mismatch; raises if it exceeds ``tol``.
     """
-    worst = 0.0
     v = rng.standard_normal(problem.rhs.shape)
-    for i, shape in enumerate(problem.block_shapes):
-        u = rng.standard_normal(shape)
-        rows = problem.block_rows(i)
-        au = np.zeros_like(v)
-        au[rows] = problem.apply_A(i, u)
-        lhs = float(np.vdot(au, v))
-        rhs = float(np.vdot(u, problem.apply_A_transpose(i, v[rows])))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     u = rng.standard_normal(problem.y_shape)
     lhs = float(np.vdot(problem.apply_B(u), v))
     rhs = float(np.vdot(u, problem.apply_B_transpose(v)))
-    worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    worst = abs(lhs - rhs) / (1.0 + abs(lhs))
     if worst > tol:
         raise ValueError(f"adjoint identity violated: relative error {worst:.3e}")
     return worst

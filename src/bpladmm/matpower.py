@@ -22,6 +22,11 @@ BRANCH_FROM, BRANCH_TO, BRANCH_X = 0, 1, 3
 GEN_BUS, GEN_PMAX = 0, 8
 COST_MODEL, COST_NCOEF = 0, 3
 
+# the PV unit cost, and the PV capacity and line limit in kW, of every case
+PV_COST = 1.0
+PV_CAPACITY_KW = 800.0
+LINE_LIMIT_KW = 3000.0
+
 
 class MatpowerParseError(ValueError):
     """Malformed case text; carries the offending 1-based line number."""
@@ -79,8 +84,8 @@ def parse_case(text: str) -> MatpowerCase:
     """Parse MATPOWER case text into its numeric tables.
 
     Raises MatpowerParseError with a line number for ragged rows or
-    non-numeric tokens, and a named error when a required field (baseMVA,
-    bus, branch) is missing.
+    non-numeric tokens, and a named error when a required field is missing
+    or of the wrong kind (baseMVA a scalar, bus and branch matrices).
     """
     scalars: dict = {}
     strings: dict = {}
@@ -151,9 +156,10 @@ def parse_case(text: str) -> MatpowerCase:
 
     if matrix_name is not None:
         raise MatpowerParseError(f"matrix {matrix_name} is not terminated", matrix_start)
-    for required in ("baseMVA", "bus", "branch"):
-        if required not in scalars and required not in matrices:
-            raise MatpowerParseError(f"required field mpc.{required} is missing")
+    for required, table, kind in (("baseMVA", scalars, "scalar"), ("bus", matrices, "matrix"),
+                                  ("branch", matrices, "matrix")):
+        if required not in table:
+            raise MatpowerParseError(f"required field mpc.{required} is missing or not a {kind}")
     return MatpowerCase(
         base_mva=float(scalars["baseMVA"]),
         bus=matrices["bus"],
@@ -183,24 +189,24 @@ def _gencost_coefficients(row: np.ndarray, row_index: int) -> tuple[float, float
     return coeffs[0], coeffs[1], coeffs[2]
 
 
-def to_dcopf_case(
-    mp: MatpowerCase,
-    pv_cost: float = 1.0,
-    pv_capacity_kw: float = 800.0,
-    gamma: float = 80.0,
-    eta: float = 900.0,
-    line_limit_kw: float = 3000.0,
-) -> DcOpfCase:
+def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> DcOpfCase:
     """Normalize a parsed case into per-unit model data.
 
     Conventions: demand D_i = Pd / baseMVA; line susceptance b_ij = 1/x in
     pu with parallel branches summed; generator cost coefficients are
     rescaled so the cost of pu power matches the cost of MW power (a =
-    c2*base^2, b = c1*base, c = c0); PV and line capacities given in kW are
-    converted at the case base.
+    c2*base^2, b = c1*base, c = c0); the PV capacity ``PV_CAPACITY_KW`` and
+    line limit ``LINE_LIMIT_KW`` are converted at the case base.  A table
+    too narrow for a column read here, or a branch from a bus to itself,
+    raises MatpowerParseError naming the table or row.
     """
     if mp.base_mva <= 0:
         raise MatpowerParseError(f"baseMVA must be positive, got {mp.base_mva}")
+    for name, table, column in (("bus", mp.bus, BUS_PD), ("branch", mp.branch, BRANCH_X),
+                                ("gen", mp.gen, GEN_PMAX), ("gencost", mp.gencost, COST_NCOEF)):
+        if table is not None and table.shape[1] <= column:
+            raise MatpowerParseError(f"mpc.{name} has {table.shape[1]} columns, too few for "
+                                     f"column {column + 1}")
     base = mp.base_mva
     bus_ids = [int(v) for v in mp.bus[:, BUS_ID]]
     index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
@@ -214,6 +220,8 @@ def to_dcopf_case(
             raise MatpowerParseError(
                 f"branch row {row_index}: endpoint {i_id}-{j_id} references an unknown bus"
             )
+        if i_id == j_id:
+            raise MatpowerParseError(f"branch row {row_index}: bus {i_id} connects to itself")
         x = float(row[BRANCH_X])
         if x == 0.0:
             raise MatpowerParseError(
@@ -253,13 +261,13 @@ def to_dcopf_case(
     return DcOpfCase(
         demand=demand,
         lines=lines,
-        pv_cost=pv_cost,
+        pv_cost=PV_COST,
         gen_cost_a=cost_a,
         gen_cost_b=cost_b,
         gen_cost_c=cost_c,
-        pv_capacity=pv_capacity_kw / 1000.0 / base,
+        pv_capacity=PV_CAPACITY_KW / 1000.0 / base,
         gen_capacity=gen_capacity,
-        line_limit=line_limit_kw / 1000.0 / base,
+        line_limit=LINE_LIMIT_KW / 1000.0 / base,
         gamma=gamma,
         eta=eta,
     )

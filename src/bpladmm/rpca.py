@@ -67,24 +67,11 @@ class RpcaConfig:
     rho: float = 2.0 + 1e-10
     tolerance: float = 1e-6
     max_iterations: int = 4000
-    tau: float | None = None
 
     @property
     def tau_value(self) -> float:
-        """Sparsity weight; 1/sqrt(max(m, d)) unless overridden."""
-        if self.tau is not None:
-            return self.tau
+        """Sparsity weight 1/sqrt(max(m, d))."""
         return 1.0 / np.sqrt(max(self.rows, self.cols))
-
-    @property
-    def l_threshold(self) -> float:
-        """Singular value shrinkage threshold of the L update, 1/(rho+alpha)."""
-        return 1.0 / (self.rho + self.alpha)
-
-    @property
-    def s_threshold(self) -> float:
-        """Entrywise shrinkage threshold of the S update, tau/(rho+alpha)."""
-        return self.tau_value / (self.rho + self.alpha)
 
     def solver_params(self) -> SolverParams:
         """Equivalent generic-engine parameters (l_H = gamma, lambda = 1)."""
@@ -330,16 +317,14 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     )
 
 
-def admm3_baseline(
-    instance: RpcaInstance, config: RpcaConfig, init_seed: int, rho: float = 2.0
-) -> RpcaSolution:
+def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -> RpcaSolution:
     """Three-block ADMM on the plain l1 model: no spectral shift, no
     proximal terms, shrinkage thresholds 1/rho and tau/rho with rho = 2."""
     return _run(
         instance,
         config,
         init_seed,
-        rho=rho,
+        rho=2.0,
         alpha=0.0,
         with_spectral_term=False,
     )
@@ -357,17 +342,13 @@ class RpcaBlockProblem(BlockProblem):
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
         self.instance = instance
         self.config = config
-        shape = instance.M.shape
-        self.block_shapes = [shape, shape]
-        self.y_shape = shape
-        self.rhs = np.zeros(shape)
+        self.num_blocks = 2
+        self.block_shape = self.y_shape = instance.M.shape
+        self.rhs = np.zeros(instance.M.shape)
         self.tau = config.tau_value
 
     def apply_A(self, i, x):
         return x
-
-    def apply_A_transpose(self, i, v):
-        return v
 
     def apply_B(self, y):
         return -y
@@ -396,9 +377,9 @@ class RpcaBlockProblem(BlockProblem):
         return out
 
     def solve_x_block(self, i, ctx: XBlockContext):
-        weight = ctx.rho + ctx.mu * self.config.alpha
+        weight = ctx.rho + ctx.prox_weight
         target = (
-            ctx.mu * self.config.alpha * ctx.current_iterate
+            ctx.prox_weight * ctx.current_iterate
             - ctx.linear_term
             - ctx.multiplier
             - ctx.rho * ctx.partial_residual

@@ -238,7 +238,7 @@ def dcopf_reference_sweep(block_problem, x, y, z):
     residual.  Returns the new (x, y, z), with x a list of blocks.
     """
     A, b = dense_reference_problem(block_problem.problem.case)
-    Q, q = block_problem.problem.Q, block_problem.problem.q
+    Q_diag, q = block_problem.problem.Q_diag, block_problem.problem.q
     rho, alpha, gamma = block_problem.rho, block_problem.alpha, block_problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]
     linear = []
@@ -252,9 +252,8 @@ def dcopf_reference_sweep(block_problem, x, y, z):
             if k != i:
                 partial = partial + A[k] @ x[k]
         ctx = XBlockContext(block_index=i, current_iterate=x[i], linear_term=linear[i],
-                            multiplier=z, partial_residual=partial, rho=rho, mu=1.0,
-                            bregman=None)
-        x[i] = dcopf.x_block_update(ctx, Q[i], q[i], A[i], alpha)
+                            multiplier=z, partial_residual=partial, rho=rho, prox_weight=alpha)
+        x[i] = dcopf.x_block_update(ctx, Q_diag[i], q[i], A[i])
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
     y = dcopf.y_block_update(ax_minus_b, z, block_problem.eta, rho)
     return x, y, z + rho * (ax_minus_b + y)

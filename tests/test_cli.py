@@ -132,6 +132,26 @@ def test_missing_case_file_is_reported(tmp_path, capsys):
     assert "nope.m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["scalar-bus", "self-loop", "narrow-bus", "narrow-gen",
+                                  "directory", "not-utf-8"])
+def test_malformed_case_input_is_an_error_not_a_traceback(tmp_path, capsys, name):
+    from test_matpower import MALFORMED
+
+    path = tmp_path / "case.m"
+    if name == "directory":
+        path.mkdir()
+    elif name == "not-utf-8":
+        path.write_bytes(b"\xff\xfe mpc.baseMVA = 100;")
+    else:
+        path.write_text(MALFORMED[name][0])
+    out = tmp_path / "out"
+    rc = main(["dcopf", "--case", str(path), "--seeds", "1", "--jobs", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_identical_manifests_produce_identical_csvs(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

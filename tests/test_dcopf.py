@@ -160,10 +160,10 @@ def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
         # the oracle on the block's rows matches the dense update on every row
         partial = rng.standard_normal(problem.p)
         multiplier = rng.standard_normal(problem.p)
-        ctx = tame_block_context(rng, rho=params.rho)
+        ctx = tame_block_context(rng, rho=params.rho, prox_weight=block_problem.alpha)
         dense = dcopf.x_block_update(
             replace(ctx, block_index=i, multiplier=multiplier, partial_residual=partial),
-            problem.Q[i], problem.q[i], A, block_problem.alpha)
+            problem.Q_diag[i], problem.q[i], A)
         on_rows = block_problem.solve_x_block(
             i, replace(ctx, block_index=i, multiplier=multiplier[rows],
                        partial_residual=partial[rows]))
@@ -239,7 +239,7 @@ def test_placement_gradient_values_and_finite_differences(rng):
     assert np.allclose([g[dcopf.U] for g in grads], numeric, atol=1e-6)
 
 
-def tame_block_context(rng, rho=2.0, mu=1.0):
+def tame_block_context(rng, rho=2.0, prox_weight=1.0):
     return engine.XBlockContext(
         block_index=0,
         current_iterate=rng.standard_normal(4),
@@ -247,9 +247,22 @@ def tame_block_context(rng, rho=2.0, mu=1.0):
         multiplier=rng.standard_normal(21),
         partial_residual=rng.standard_normal(21),
         rho=rho,
-        mu=mu,
-        bregman=None,
+        prox_weight=prox_weight,
     )
+
+
+@pytest.mark.parametrize("make_case", CASES)
+@pytest.mark.parametrize("changed", ["rho", "prox_weight"])
+def test_x_oracle_solves_afresh_when_the_cached_inverse_does_not_fit(make_case, changed, rng):
+    problem, block_problem, params = block_problem_for(make_case())
+    for i, (rows, A) in enumerate(zip(problem.rows, problem.blocks)):
+        ctx = replace(tame_block_context(rng, rho=params.rho, prox_weight=block_problem.alpha),
+                      block_index=i, multiplier=rng.standard_normal(len(rows)),
+                      partial_residual=rng.standard_normal(len(rows)))
+        ctx = replace(ctx, **{changed: 3.0 * getattr(ctx, changed)})
+        fresh = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], A)
+        out = block_problem.solve_x_block(i, ctx)
+        assert np.max(np.abs(out - fresh)) <= 1e-12 * max(1.0, float(np.max(np.abs(fresh))))
 
 
 def test_x_block_update_matches_newton_oracle(rng):
@@ -257,18 +270,18 @@ def test_x_block_update_matches_newton_oracle(rng):
     problem = dcopf.build_problem(case)
     alpha = 0.5
     for i in range(2):
-        ctx = tame_block_context(rng)
-        out = dcopf.x_block_update(ctx, problem.Q[i], problem.q[i], problem.A[i], alpha)
+        ctx = tame_block_context(rng, prox_weight=alpha)
+        out = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], problem.A[i])
 
         def objective(x, i=i, ctx=ctx):
             coupling = problem.A[i] @ x + ctx.partial_residual
             return (
-                0.5 * x @ problem.Q[i] @ x
+                0.5 * x @ (problem.Q_diag[i] * x)
                 + problem.q[i] @ x
                 + float(np.vdot(ctx.linear_term, x))
                 + float(np.vdot(ctx.multiplier, problem.A[i] @ x))
                 + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
-                + 0.5 * ctx.mu * alpha * float(np.vdot(x - ctx.current_iterate, x - ctx.current_iterate))
+                + 0.5 * alpha * float(np.vdot(x - ctx.current_iterate, x - ctx.current_iterate))
             )
 
         reference = newton_fd(objective, np.zeros(4))
@@ -286,10 +299,9 @@ def test_x_block_update_decoupled_case(rng):
         multiplier=np.zeros(21),
         partial_residual=np.zeros(21),
         rho=0.0,
-        mu=1.0,
-        bregman=None,
+        prox_weight=alpha,
     )
-    out = dcopf.x_block_update(ctx, np.zeros((4, 4)), q, np.zeros((21, 4)), alpha)
+    out = dcopf.x_block_update(ctx, np.zeros(4), q, np.zeros((21, 4)))
     assert np.allclose(out, (alpha * ctx.current_iterate - q) / alpha, rtol=REL)
 
 
@@ -304,7 +316,7 @@ def test_x_block_update_fixed_point(rng):
     partial = rng.standard_normal(21)
     multiplier = rng.standard_normal(21)
     linear = -(
-        problem.Q[i] @ x_star
+        problem.Q_diag[i] * x_star
         + problem.q[i]
         + problem.A[i].T @ (multiplier + rho * (problem.A[i] @ x_star + partial))
     )
@@ -315,10 +327,9 @@ def test_x_block_update_fixed_point(rng):
         multiplier=multiplier,
         partial_residual=partial,
         rho=rho,
-        mu=1.0,
-        bregman=None,
+        prox_weight=alpha,
     )
-    out = dcopf.x_block_update(ctx, problem.Q[i], problem.q[i], problem.A[i], alpha)
+    out = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], problem.A[i])
     assert np.allclose(out, x_star, atol=1e-10)
 
 

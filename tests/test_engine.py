@@ -1,10 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bpladmm import dcopf, engine, rpca
-from bpladmm.spaces import scaled_squared_norm
+from bpladmm.spaces import spectral_norm_subgradient
 
 REL = 1e-10
 
@@ -12,16 +13,14 @@ REL = 1e-10
 class ScalarToy(engine.BlockProblem):
     """m = 1, f = H = P = G = 0, A = I, B = -I, b = 0; exact solution x = y."""
 
+    num_blocks = 1
+
     def __init__(self, dim=1):
-        self.block_shapes = [(dim,)]
-        self.y_shape = (dim,)
+        self.block_shape = self.y_shape = (dim,)
         self.rhs = np.zeros(dim)
 
     def apply_A(self, i, x):
         return x
-
-    def apply_A_transpose(self, i, v):
-        return v
 
     def apply_B(self, y):
         return -y
@@ -30,13 +29,12 @@ class ScalarToy(engine.BlockProblem):
         return -v
 
     def solve_x_block(self, i, ctx):
-        # alpha = 1 gives the prox term (mu/2)||x - x_n||^2
         return (
-            ctx.mu * ctx.current_iterate
+            ctx.prox_weight * ctx.current_iterate
             - ctx.linear_term
             - ctx.multiplier
             - ctx.rho * ctx.partial_residual
-        ) / (ctx.rho + ctx.mu)
+        ) / (ctx.rho + ctx.prox_weight)
 
     def solve_y_block(self, ctx):
         return ctx.x_residual + ctx.multiplier / ctx.rho
@@ -58,8 +56,9 @@ class RecordingProblem(engine.BlockProblem):
     """Three scalar blocks embedded as the coordinates of R^3; the oracle
     logs its context so the Gauss-Seidel ordering can be inspected."""
 
+    num_blocks, block_shape = 3, (1,)
+
     def __init__(self):
-        self.block_shapes = [(1,)] * 3
         self.y_shape = (3,)
         self.rhs = np.zeros(3)
         self.seen = []
@@ -68,9 +67,6 @@ class RecordingProblem(engine.BlockProblem):
         out = np.zeros(3)
         out[i] = x[0]
         return out
-
-    def apply_A_transpose(self, i, v):
-        return np.array([v[i]])
 
     def apply_B(self, y):
         return -y
@@ -83,7 +79,7 @@ class RecordingProblem(engine.BlockProblem):
         return ctx.current_iterate + 1.0
 
     def solve_y_block(self, ctx):
-        return ctx.current_iterate
+        return np.zeros(3)
 
 
 class RowRecordingProblem(RecordingProblem):
@@ -94,9 +90,6 @@ class RowRecordingProblem(RecordingProblem):
 
     def apply_A(self, i, x):
         return x.copy()
-
-    def apply_A_transpose(self, i, v):
-        return v.copy()
 
 
 def test_validate_parameters_rpca_setting():
@@ -166,6 +159,21 @@ def test_z_update_exactness_in_reports():
         state = engine.step(problem, params, state)
         report = state.history[-1]
         assert report.step_z == pytest.approx(params.rho * report.feasibility, rel=1e-12)
+
+
+def test_proximal_weight_is_mu_times_alpha():
+    # with mu = 2 an engine sweep is the closed-form sweep of alpha' = 2 alpha;
+    # a weight of mu or of alpha alone would miss it by far more than 1e-10
+    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=17)
+    config = rpca.RpcaConfig(rows=6, cols=5)
+    problem = rpca.RpcaBlockProblem(instance, config)
+    params = replace(config.solver_params(), mu=2.0)
+    L, S, Z = np.random.default_rng(3).standard_normal((3, 6, 5))
+    state = engine.step(problem, params, engine.initial_state(problem, [L, S], instance.M, Z))
+    reference = rpca._sweep(L, S, instance.M, Z, instance.M, config.tau_value, config.gamma,
+                            config.rho, 2.0 * config.alpha, spectral_norm_subgradient(S))
+    for mine, closed_form in zip((state.x[0], state.x[1], state.y, state.z), reference):
+        assert np.abs(mine - closed_form).max() <= 1e-10
 
 
 def test_solve_toy_from_stationary_point_converges_immediately():
@@ -252,15 +260,13 @@ def test_block_oracle_never_worse_than_incumbent():
             multiplier=state.z,
             partial_residual=residual - problem.apply_A(i, state.x[i]),
             rho=params.rho,
-            mu=1.0,
-            bregman=scaled_squared_norm(params.strong_convexity),
+            prox_weight=params.mu * params.strong_convexity,
         )
         candidate = problem.solve_x_block(i, ctx)
         assert engine.x_subproblem_value(problem, ctx, candidate) <= (
             engine.x_subproblem_value(problem, ctx, state.x[i]) + 1e-10
         )
     y_ctx = engine.YBlockContext(
-        current_iterate=state.y,
         multiplier=state.z,
         x_residual=residual - problem.apply_B(state.y),
         rho=params.rho,
@@ -422,10 +428,10 @@ def test_initial_state_rejects_blocks_of_unequal_shape():
     with pytest.raises(ValueError, match=r"\(1,\), \(2,\), \(1,\)"):
         engine.initial_state(toy, [np.zeros(1), np.zeros(2), np.zeros(1)], np.zeros(3),
                              np.zeros(3))
-    toy.block_shapes = [(1,), (2,), (1,)]
-    with pytest.raises(ValueError, match=r"block_shapes \[\(1,\), \(2,\), \(1,\)\]"):
-        engine.initial_state(toy, [np.zeros(1), np.zeros(2), np.zeros(1)], np.zeros(3),
-                             np.zeros(3))
+    # equal blocks that do not stack to (num_blocks, *block_shape)
+    for x in ([np.zeros(2)] * 3, [np.zeros(1)] * 2, np.zeros((3, 1, 1))):
+        with pytest.raises(ValueError, match=r"do not stack to \(3, 1\)"):
+            engine.initial_state(toy, x, np.zeros(3), np.zeros(3))
 
 
 def eval_f_sum_problems():
@@ -434,7 +440,7 @@ def eval_f_sum_problems():
     rho = 2.0 * case.eta + 1e-10
     two_bus = dcopf.DcOpfBlockProblem(problem, rho=rho, alpha=1e-2)
     frozen = dcopf.DcOpfBlockProblem(dcopf.frozen_u_problem(problem, np.array([1.0, 0.0])),
-                                     rho=rho, alpha=1e-2, gamma=0.0)
+                                     rho=rho, alpha=1e-2)
     instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=13)
     decomposition = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=6, cols=5))
     return [two_bus, frozen, decomposition]
@@ -443,7 +449,7 @@ def eval_f_sum_problems():
 @pytest.mark.parametrize("index", range(3), ids=["two-bus", "frozen-u", "rpca"])
 def test_eval_f_sum_equals_the_sum_of_eval_f(index, rng):
     problem = eval_f_sum_problems()[index]
-    shape = (problem.num_blocks,) + tuple(problem.block_shapes[0])
+    shape = (problem.num_blocks, *problem.block_shape)
     for _ in range(10):
         x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
         expected = sum(problem.eval_f(i, xi) for i, xi in enumerate(x))
@@ -458,7 +464,7 @@ class Walker(ScalarToy):
         return ctx.current_iterate + 3.0
 
     def solve_y_block(self, ctx):
-        return ctx.current_iterate
+        return np.zeros(1)  # every Walker run starts from y = 0
 
 
 def test_nonmonotone_merit_raises_warning():

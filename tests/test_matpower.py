@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,21 @@ mpc.gencost = [
     2  0  0  3  0.02  2.0  10;
 ];
 """
+
+
+def with_table(name, assignment):
+    """CASE3 with its matrix mpc.<name> replaced by ``assignment``."""
+    return re.sub(rf"mpc\.{name} = \[.*?\];", lambda _: assignment, CASE3, count=1, flags=re.S)
+
+
+# malformed cases: (text, what the MatpowerParseError must say)
+MALFORMED = {
+    "scalar-bus": (with_table("bus", "mpc.bus = 5;"), r"mpc\.bus is missing or not a matrix"),
+    "self-loop": (CASE3.replace("2  3  0.02  0.25", "2  2  0.02  0.25"),
+                  "branch row 1: bus 2 connects to itself"),
+    "narrow-bus": (with_table("bus", "mpc.bus = [1 3; 2 1; 3 1];"), "mpc.bus has 2 columns"),
+    "narrow-gen": (with_table("gen", "mpc.gen = [1 40 0];"), "mpc.gen has 3 columns"),
+}
 
 
 def test_parse_counts_match_the_fixture():
@@ -165,6 +182,13 @@ def test_multiple_generators_on_one_bus_warns_and_keeps_first():
         case = matpower.to_dcopf_case(matpower.parse_case(doubled))
     assert case.gen_capacity[0] == pytest.approx(0.8)
     assert case.gen_cost_a[0] == pytest.approx(0.02 * 100 * 100)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_case_is_a_parse_error_naming_the_field_or_row(name):
+    text, message = MALFORMED[name]
+    with pytest.raises(matpower.MatpowerParseError, match=message):
+        matpower.to_dcopf_case(matpower.parse_case(text))
 
 
 def test_linear_gencost_maps_to_zero_quadratic_term():

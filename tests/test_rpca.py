@@ -43,13 +43,9 @@ def test_generate_instance_rejects_bad_arguments():
         rpca.generate_instance(5, 5, 2, 1.5, 0.0, seed=0)
 
 
-def test_config_thresholds_and_tau():
+def test_config_tau():
     config = rpca.RpcaConfig(rows=100, cols=100)
     assert config.tau_value == pytest.approx(0.1, rel=REL)
-    assert config.l_threshold == pytest.approx(1.0 / (config.rho + config.alpha), rel=REL)
-    assert config.s_threshold == pytest.approx(
-        config.tau_value / (config.rho + config.alpha), rel=REL
-    )
     rect = rpca.RpcaConfig(rows=200, cols=100)
     assert rect.tau_value == pytest.approx(1.0 / np.sqrt(200), rel=REL)
 
