@@ -57,8 +57,8 @@ import numpy as np
 
 from .spaces import stacked_norm
 
-STOP_SHIFTED = "shifted"  # ||delta|| / (||iterate|| + 1) <= tol
-STOP_RELATIVE = "relative"  # ||delta|| / ||iterate|| < tol
+STOP_SHIFTED = "shifted"  # ||delta (x, y)|| / (||(x, y)|| + 1) <= tol, z left out
+STOP_RELATIVE = "relative"  # ||delta (x, y, z)|| / ||(x, y, z)|| < tol
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -499,9 +499,13 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     return new_state
 
 
-def _stop_metric(params: SolverParams, delta: float, base: float) -> bool:
+def _stopped(params: SolverParams, previous: SolverState, report: IterationReport) -> bool:
+    """The stop rule on the step from ``previous`` to the iterate of ``report``."""
     if params.stop_rule == STOP_SHIFTED:
-        return delta / (base + 1.0) <= params.stop_tolerance
+        delta = math.sqrt(report.step_x**2 + report.step_y**2)
+        return delta / (stacked_norm([previous.x, previous.y]) + 1.0) <= params.stop_tolerance
+    delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
+    base = stacked_norm([previous.x, previous.y, previous.z])
     if base == 0.0:
         return delta == 0.0
     return delta / base < params.stop_tolerance
@@ -510,9 +514,9 @@ def _stop_metric(params: SolverParams, delta: float, base: float) -> bool:
 def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
     """Iterate ``step`` until the stop rule fires or max_iterations is hit.
 
-    The stop rule compares the norm of the whole step (x, y, z), formed
-    from the report's step_x, step_y and step_z, with the norm of the
-    iterate the step started from.
+    The stop rule compares the norm of the step, formed from the report's
+    step norms, with the norm of the iterate the step started from: over
+    (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``.
 
     A merit increase beyond 1e-8*(1 + |merit_1|) is a warning, not an error:
     the descent guarantee assumes exact oracles and honest constants, and
@@ -537,7 +541,6 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(params.max_iterations):
-            base = stacked_norm([state.x, state.y, state.z])
             try:
                 new_state = step(problem, params, state)
             except BlockOracleError as exc:
@@ -560,9 +563,9 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
                             RuntimeWarning,
                             stacklevel=2,
                         )
-            delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
+            stopped = _stopped(params, state, report)
             state = new_state
-            if _stop_metric(params, delta, base):
+            if stopped:
                 status = STATUS_CONVERGED
                 break
     wall = time.perf_counter() - start

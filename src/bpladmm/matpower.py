@@ -182,8 +182,12 @@ def _gencost_coefficients(row: np.ndarray, row_index: int) -> tuple[float, float
         raise MatpowerParseError(
             f"gencost row {row_index}: degree {ncoef - 1} cost is not quadratic"
         )
-    coeffs = [0.0, 0.0, 0.0]  # c2, c1, c0
     values = row[4 : 4 + ncoef]
+    if len(values) < ncoef:
+        raise MatpowerParseError(
+            f"gencost row {row_index}: {ncoef} cost coefficients declared, {len(values)} given"
+        )
+    coeffs = [0.0, 0.0, 0.0]  # c2, c1, c0
     for offset, value in enumerate(values):
         coeffs[3 - ncoef + offset] = float(value)
     return coeffs[0], coeffs[1], coeffs[2]
@@ -197,8 +201,9 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     rescaled so the cost of pu power matches the cost of MW power (a =
     c2*base^2, b = c1*base, c = c0); the PV capacity ``PV_CAPACITY_KW`` and
     line limit ``LINE_LIMIT_KW`` are converted at the case base.  A table
-    too narrow for a column read here, or a branch from a bus to itself,
-    raises MatpowerParseError naming the table or row.
+    too narrow for a column read here, a branch from a bus to itself, or a
+    gencost row holding fewer coefficients than it declares raises
+    MatpowerParseError naming the table or row.
     """
     if mp.base_mva <= 0:
         raise MatpowerParseError(f"baseMVA must be positive, got {mp.base_mva}")

@@ -8,15 +8,16 @@ the sqrt(eps) accuracy floor of plain value-comparison searches.
 
 ``dense_reference_problem`` assembles the DC-OPF constraints row by row
 into dense blocks, a reference for ``dcopf.build_problem``.
-``dcopf_reference_sweep`` is a reference for the engine's bookkeeping
-rather than for an operator: the plain per-block loop the engine's sweep
-must reproduce.
+``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
+the engine's bookkeeping rather than for an operator: the plain loop, and
+the closed-form recursion, that the engine's sweep must reproduce.
 """
 
 import numpy as np
 
 from bpladmm import dcopf
 from bpladmm.engine import XBlockContext
+from bpladmm.spaces import singular_value_shrink, soft_shrink
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -257,3 +258,19 @@ def dcopf_reference_sweep(block_problem, x, y, z):
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
     y = dcopf.y_block_update(ax_minus_b, z, block_problem.eta, rho)
     return x, y, z + rho * (ax_minus_b + y)
+
+
+def rpca_reference_sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
+    """One sweep of the robust PCA method as its closed-form recursion, with
+    the matrices written out: L by singular value shrinkage, S by soft
+    shrinkage shifted by tau g2 (g2 a spectral-norm subgradient of S, or 0),
+    T by averaging, then the multiplier ascent.  The proximal weight is
+    alpha; alpha = 0 and g2 = 0 give the plain three-block ADMM.  Returns
+    the new (L, S, T, Z).
+    """
+    L_new = singular_value_shrink(
+        (-Z - rho * S + rho * T + alpha * L) / (rho + alpha), 1.0 / (rho + alpha))
+    S_new = soft_shrink((tau * g2 - Z - rho * L_new + rho * T + alpha * S) / (rho + alpha),
+                        tau / (rho + alpha))
+    T_new = (gamma * M + Z + rho * (L_new + S_new)) / (gamma + rho)
+    return L_new, S_new, T_new, Z + rho * (L_new + S_new - T_new)

@@ -12,7 +12,7 @@ import pytest
 
 from bpladmm import dcopf, engine, matpower, rpca, spaces
 from bpladmm.cli import main as cli_main
-from oracles import nuclear_norm, scalar_prox_l1, spectral_norm_eig
+from oracles import nuclear_norm, rpca_reference_sweep, scalar_prox_l1, spectral_norm_eig
 from test_dcopf import expected_two_bus_matrices
 from test_matpower import CASE3
 
@@ -166,7 +166,7 @@ def test_criterion_04_engine_equals_closed_form():
     Lc, Sc, Tc, Zc = L.copy(), S.copy(), T.copy(), Z.copy()
     for _ in range(10):
         g2 = spaces.spectral_norm_subgradient(Sc)
-        Lc, Sc, Tc, Zc, _ = rpca._sweep(
+        Lc, Sc, Tc, Zc = rpca_reference_sweep(
             Lc, Sc, Tc, Zc, instance.M, config.tau_value, config.gamma,
             config.rho, config.alpha, g2,
         )

@@ -6,6 +6,7 @@ import pytest
 
 from bpladmm import dcopf, engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient
+from oracles import rpca_reference_sweep
 
 REL = 1e-10
 
@@ -170,8 +171,9 @@ def test_proximal_weight_is_mu_times_alpha():
     params = replace(config.solver_params(), mu=2.0)
     L, S, Z = np.random.default_rng(3).standard_normal((3, 6, 5))
     state = engine.step(problem, params, engine.initial_state(problem, [L, S], instance.M, Z))
-    reference = rpca._sweep(L, S, instance.M, Z, instance.M, config.tau_value, config.gamma,
-                            config.rho, 2.0 * config.alpha, spectral_norm_subgradient(S))
+    reference = rpca_reference_sweep(L, S, instance.M, Z, instance.M, config.tau_value,
+                                     config.gamma, config.rho, 2.0 * config.alpha,
+                                     spectral_norm_subgradient(S))
     for mine, closed_form in zip((state.x[0], state.x[1], state.y, state.z), reference):
         assert np.abs(mine - closed_form).max() <= 1e-10
 
@@ -532,6 +534,24 @@ def test_stop_rule_variants():
     assert relative.status == engine.STATUS_CONVERGED
     # the unshifted denominator is smaller, so it can only stop later
     assert relative.iterations >= shifted.iterations
+
+
+class Stuck(ScalarToy):
+    """x and y never move off x = 1, y = 0, so only the multiplier does."""
+
+    def solve_x_block(self, i, ctx):
+        return ctx.current_iterate.copy()
+
+    def solve_y_block(self, ctx):
+        return np.zeros(1)
+
+
+def test_shifted_stop_rule_leaves_the_multiplier_out():
+    toy = Stuck()
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    result = engine.solve(toy, toy_params(stop_rule=engine.STOP_SHIFTED, max_iterations=5), init)
+    assert result.reports[-1].step_z == 3.0  # rho times the residual 1
+    assert (result.status, result.iterations) == (engine.STATUS_CONVERGED, 1)
 
 
 @pytest.mark.parametrize("max_iterations", [0, 5])

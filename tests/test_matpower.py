@@ -47,6 +47,8 @@ MALFORMED = {
                   "branch row 1: bus 2 connects to itself"),
     "narrow-bus": (with_table("bus", "mpc.bus = [1 3; 2 1; 3 1];"), "mpc.bus has 2 columns"),
     "narrow-gen": (with_table("gen", "mpc.gen = [1 40 0];"), "mpc.gen has 3 columns"),
+    "short-gencost": (CASE3.replace("2  0  0  3  0.02  2.0  10;", "2  0  0  3  0.02  2.0;"),
+                      "gencost row 0: 3 cost coefficients declared, 2 given"),
 }
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bpladmm import engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient, stacked_norm
+from oracles import nuclear_norm, rpca_reference_sweep, spectral_norm_eig
 
 REL = 1e-10
 
@@ -84,7 +87,7 @@ def test_engine_step_equals_closed_form_sweeps():
     tau = config.tau_value
     for _ in range(10):
         g2 = spectral_norm_subgradient(Sc)
-        Lc, Sc, Tc, Zc, _ = rpca._sweep(
+        Lc, Sc, Tc, Zc = rpca_reference_sweep(
             Lc, Sc, Tc, Zc, instance.M, tau, config.gamma, config.rho, config.alpha, g2
         )
         state = engine.step(problem, params, state)
@@ -104,35 +107,47 @@ def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
                                rank=instance.rank, sparsity_count=instance.sparsity_count,
                                noise=instance.noise, seed=instance.seed)
     # T starts at M, so the first sweep's L shrinkage is the first to see the NaN
-    with pytest.raises(engine.BlockOracleError, match="L oracle failed at iteration 1") as info:
+    with pytest.raises(engine.BlockOracleError,
+                       match="x-block 0 oracle failed at iteration 1") as info:
         solver(broken, rpca.RpcaConfig(rows=5, cols=5), init_seed=1)
-    assert (info.value.block, info.value.iteration) == ("L", 1)
+    assert (info.value.block, info.value.iteration) == ("x-block 0", 1)
     assert "finite" in str(info.value)
 
 
-def test_non_finite_soft_shrinkage_input_names_the_s_block():
-    instance = small_instance(seed=3)
-    rng = np.random.default_rng(0)
-    L, S, Z = (rng.standard_normal((5, 5)) for _ in range(3))
-    g2 = np.full((5, 5), np.inf)  # reaches the S shrinkage input only
-    with pytest.raises(engine.BlockOracleError, match="S oracle failed at iteration 7"):
-        rpca._sweep(L, S, instance.M.copy(), Z, instance.M, 0.5, 1.0, 2.0, 0.0, g2, iteration=7)
+@pytest.mark.parametrize("solver", [rpca.bpl_admm_rpca, rpca.admm3_baseline],
+                         ids=["bpl", "admm3"])
+def test_non_finite_soft_shrinkage_input_names_the_s_block(solver, monkeypatch):
+    # an L shrinkage returning huge finite values overflows the S
+    # shrinkage's input: admm3 checks that input, the engine BPL's output
+    def huge(M, c):
+        return np.full(M.shape, -1e308), 0.0
+
+    monkeypatch.setattr(rpca, "singular_value_shrink_with_norm", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(engine.BlockOracleError,
+                           match="x-block 1 oracle failed at iteration 1") as info:
+            solver(small_instance(seed=3), rpca.RpcaConfig(rows=5, cols=5), init_seed=1)
+    assert "not finite" in str(info.value)
 
 
 def test_baseline_sweep_coincides_when_modifications_off():
-    # with the proximal weight zeroed and no spectral subgradient, one
-    # sweep of either scheme is the same map at equal rho
+    # admm3 is the closed-form recursion with the proximal weight zeroed and
+    # no spectral subgradient, started like BPL from the init seed's L and S
     instance = small_instance(seed=3)
+    config = rpca.RpcaConfig(rows=5, cols=5, tolerance=0.0, max_iterations=10)
+    solution = rpca.admm3_baseline(instance, config, init_seed=0)
+    assert solution.iterations == 10
     rng = np.random.default_rng(0)
     L = rng.standard_normal((5, 5))
     S = rng.standard_normal((5, 5))
     T = instance.M.copy()
-    Z = rng.standard_normal((5, 5))
-    tau = 1.0 / np.sqrt(5)
-    out_a = rpca._sweep(L, S, T, Z, instance.M, tau, 1.0, 2.0, 0.0, 0.0)
-    out_b = rpca._sweep(L, S, T, Z, instance.M, tau, 1.0, 2.0, 0.0, np.zeros((5, 5)))
-    for a, b in zip(out_a[:4], out_b[:4]):
-        assert np.array_equal(a, b)
+    Z = np.zeros((5, 5))
+    for _ in range(10):
+        L, S, T, Z = rpca_reference_sweep(L, S, T, Z, instance.M, config.tau_value,
+                                          config.gamma, 2.0, 0.0, 0.0)
+    for mine, reference in ((solution.L, L), (solution.S, S), (solution.T, T), (solution.Z, Z)):
+        assert np.abs(mine - reference).max() <= 1e-10
 
 
 def test_solution_metrics_at_ground_truth():
@@ -220,3 +235,48 @@ def test_admm3_uses_plain_thresholds():
     assert solution.converged
     # the baseline solves the plain model; its objective has no spectral term
     assert solution.reports[-1].objective >= 0.0
+
+
+def test_by_products_are_reused_only_for_the_block_they_came_from():
+    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=8)
+    config = rpca.RpcaConfig(rows=6, cols=5)
+    problem = rpca.RpcaBlockProblem(instance, config)
+    x0 = np.random.default_rng(9).standard_normal((2, 6, 5))
+    state = engine.initial_state(problem, x0, instance.M, np.zeros((6, 5)))
+    for _ in range(3):
+        state = engine.step(problem, config.solver_params(), state)
+    x, tau = state.x, config.tau_value
+    # at the iterate they came from, the kept norms are the true ones ...
+    assert problem.eval_f(0, x[0]) == pytest.approx(nuclear_norm(x[0]), rel=1e-12)
+    assert problem.eval_G(x) == pytest.approx(tau * spectral_norm_eig(x[1]), rel=1e-12)
+    # ... and once the blocks change, even in place, they are computed afresh
+    x *= 2.0
+    assert problem.eval_f(0, x[0]) == pytest.approx(nuclear_norm(x[0]), rel=1e-12)
+    assert problem.eval_G(x) == pytest.approx(tau * spectral_norm_eig(x[1]), rel=1e-12)
+    assert np.allclose(problem.subgrad_G(x)[1], tau * spectral_norm_subgradient(x[1]),
+                       rtol=0.0, atol=1e-12)
+
+
+def test_fifty_engine_sweeps_take_one_leading_pair_per_iterate_and_one_svd(monkeypatch):
+    instance = rpca.generate_instance(12, 10, 3, 0.1, 1e-2, seed=1)
+    config = rpca.RpcaConfig(rows=12, cols=10, tolerance=0.0, max_iterations=50)
+    problem = rpca.RpcaBlockProblem(instance, config)
+    x0 = np.random.default_rng(2).standard_normal((2, 12, 10))
+    init = engine.initial_state(problem, x0, instance.M, np.zeros((12, 10)))
+    calls = {"pair": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(rpca, "leading_singular_pair",
+                        counted("pair", rpca.leading_singular_pair))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    result = engine.solve(problem, config.solver_params(), init)
+    assert result.iterations == 50
+    # one pair per iterate serves its report and the sweep from it; the one
+    # SVD is the nuclear norm of the starting L
+    assert calls == {"pair": 51, "svd": 1}

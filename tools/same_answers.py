@@ -22,12 +22,15 @@ L_rho, merit and objective columns must agree to 1e-12 relative, entry by
 entry.  Every other array (final iterates, recheck violation) and report
 column (feasibility, steps) must satisfy max|a - b| <= R * max(1, max|a|),
 with a the old values and R from ``--rtol`` (default 0: bit-equal).  The
-CLI CSVs must be byte-identical whatever R is.  It prints the worst gap
+CLI CSVs are compared cell by cell: the header and every text or integer
+column must match exactly, and each float column is held to R like an
+array; at R = 0 the files must be byte-identical.  It prints the worst gap
 of each kind of value over all runs and exits nonzero if any check fails.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import sys
 import tempfile
@@ -125,6 +128,39 @@ def scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b), initial=0.0) / max(1.0, np.max(np.abs(a), initial=0.0)))
 
 
+def _all_parse(kind, cells) -> bool:
+    try:
+        for cell in cells:
+            kind(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_gap(a: bytes, b: bytes) -> tuple[str | None, float]:
+    """Compare two CSV files with a header row cell by cell: the first
+    difference in their shape, header, integer or text cells (None if there
+    is none), and the worst ``scaled_gap`` of their float columns.
+
+    A column whose cells all parse as integers in both files is an integer
+    column, one whose cells all parse as floats a float column, and any
+    other column a text column.
+    """
+    old, new = (list(csv.reader(io.StringIO(f.decode()))) for f in (a, b))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return "the CSV files differ in shape", 0.0
+    if old[0] != new[0]:
+        return "the CSV headers differ", 0.0
+    worst = 0.0
+    for name, col_a, col_b in zip(old[0], zip(*old[1:]), zip(*new[1:])):
+        if _all_parse(float, col_a + col_b) and not _all_parse(int, col_a + col_b):
+            worst = max(worst, scaled_gap(np.array(col_a, dtype=float),
+                                          np.array(col_b, dtype=float)))
+        elif col_a != col_b:
+            return f"column {name} differs", 0.0
+    return None, worst
+
+
 def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
     """Differences beyond the tolerances, and the worst gap of each kind of
     value as kind -> (gap, run)."""
@@ -143,8 +179,16 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
         run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
         if run.startswith("cli/"):
-            if not np.array_equal(a, b):
+            if np.array_equal(a, b):
+                check(key, "csv", 0.0, rtol)
+            elif rtol == 0.0:
                 problems.append(f"{key}: the CSV files differ")
+            else:
+                mismatch, gap = csv_gap(a.tobytes(), b.tobytes())
+                if mismatch is None:
+                    check(key, "csv", gap, rtol)
+                else:
+                    problems.append(f"{key}: {mismatch}")
         elif a.shape != b.shape:
             problems.append(f"{key}: shape {a.shape} vs {b.shape}")
         elif kind == "iterations":
@@ -168,8 +212,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", help="directory holding the bpladmm package to run")
     parser.add_argument("--compare", action="store_true", help="compare two saved answer files")
     parser.add_argument("--rtol", type=float, default=0.0, metavar="R",
-                        help="allowed max|a - b| / max(1, max|a|) of iterates, feasibility "
-                             "and steps (default 0: bit-equal)")
+                        help="allowed max|a - b| / max(1, max|a|) of iterates, feasibility, "
+                             "steps and CSV float columns (default 0: bit-equal)")
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     if args.compare:
