@@ -55,7 +55,6 @@ from .dcopf import (
     g_gradient,
     solve_dcopf,
     two_bus_fixture,
-    x_block_update,
     y_block_update,
 )
 from .matpower import MatpowerCase, MatpowerParseError, parse_case, to_dcopf_case

@@ -116,11 +116,18 @@ def _map_seeds(worker, seeds, jobs) -> list:
     return [worker(seed) for seed in seeds]
 
 
+def _given(args, **flags) -> dict:
+    """Library keyword -> value of the flag (an ``args`` attribute) named
+    for it, for the flags the user gave; the library owns the defaults."""
+    return {key: getattr(args, flag) for key, flag in flags.items()
+            if getattr(args, flag) is not None}
+
+
 def _add_common_flags(parser):
     parser.add_argument("--seeds", type=int, default=None, help="use seeds 0..K-1")
     parser.add_argument("--seed-list", default=None, help="comma separated explicit seeds")
-    parser.add_argument("--tol", type=float, default=None, help="stop tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, help="iteration cap")
+    parser.add_argument("--tol", type=float, help="stop tolerance")
+    parser.add_argument("--max-iter", type=int, help="iteration cap")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel runs (default: core count)")
     parser.add_argument("--out", default=".", help="output directory")
@@ -142,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rpca.add_argument("--rank", type=int, default=10, help="ground truth rank")
     p_rpca.add_argument("--sparsity", type=float, default=0.05,
                         help="ground truth sparsity ratio")
-    p_rpca.add_argument("--noise", type=float, default=1e-2, help="noise level")
-    p_rpca.add_argument("--rho", type=float, default=2.0 + 1e-10)
-    p_rpca.add_argument("--alpha", type=float, default=1e-2)
-    p_rpca.add_argument("--gamma", type=float, default=1.0)
+    p_rpca.add_argument("--noise", type=float, help="noise level")
+    p_rpca.add_argument("--rho", type=float, help="penalty (default just above 2*gamma)")
+    p_rpca.add_argument("--alpha", type=float)
+    p_rpca.add_argument("--gamma", type=float)
     _add_common_flags(p_rpca)
 
     p_dcopf = sub.add_parser("dcopf", help="solve a placement case")
@@ -153,14 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--case", default=None, help="MATPOWER .m case file")
     src.add_argument("--fixture", choices=["2bus"], default=None,
                      help="built-in case")
-    p_dcopf.add_argument("--rho", type=float, default=None,
-                         help="penalty (default 2*eta + 1e-10)")
-    p_dcopf.add_argument("--alpha", type=float, default=1e-2)
-    p_dcopf.add_argument("--gamma", type=float, default=80.0)
-    p_dcopf.add_argument("--eta", type=float, default=None,
-                         help="slack penalty (default: fixture 1e5, case files 900)")
-    p_dcopf.add_argument("--jitter", type=float, default=0.0,
-                         help="uniform init perturbation per seed")
+    p_dcopf.add_argument("--rho", type=float, help="penalty (default just above 2*eta)")
+    p_dcopf.add_argument("--alpha", type=float)
+    p_dcopf.add_argument("--gamma", type=float)
+    p_dcopf.add_argument("--eta", type=float,
+                         help="slack penalty (the fixture's and the case files' defaults differ)")
+    p_dcopf.add_argument("--jitter", type=float, help="uniform init perturbation per seed")
     _add_common_flags(p_dcopf)
 
     p_verify = sub.add_parser("verify-trace", help="check a trace's merit column")
@@ -193,11 +198,9 @@ def cmd_rpca_bench(args) -> int:
         raise UsageError(f"rank {r} out of range for a {m}x{d} matrix")
     if not 0.0 < s < 1.0:
         raise UsageError(f"sparsity ratio {s} must lie in (0, 1)")
-    config = rpca.RpcaConfig(
-        rows=m, cols=d, noise=args.noise, gamma=args.gamma, alpha=args.alpha, rho=args.rho,
-        tolerance=args.tol if args.tol is not None else 1e-6,
-        max_iterations=args.max_iter if args.max_iter is not None else 4000,
-    )
+    config = rpca.RpcaConfig(rows=m, cols=d, **_given(
+        args, noise="noise", gamma="gamma", alpha="alpha", rho="rho", tolerance="tol",
+        max_iterations="max_iter"))
     engine.validate_parameters(config.solver_params())
 
     os.makedirs(args.out, exist_ok=True)
@@ -213,7 +216,7 @@ def cmd_rpca_bench(args) -> int:
     for name in ("bpl-admm", "admm3"):
         # time, RE, iterations, rank and sparsity, averaged over the seeds
         means = np.array([row[2:7] for row in run_rows if row[1] == name], dtype=float).mean(axis=0)
-        summary_rows.append([args.noise, r, s, name, *means, r, int(round(s * m * d))])
+        summary_rows.append([config.noise, r, s, name, *means, r, int(round(s * m * d))])
         print(
             f"{name:>10} {means[0]:>10.4E} {means[1]:>12.4E} "
             f"{means[2]:>8.1f} {means[3]:>7.2f} {means[4]:>10.1f}"
@@ -223,11 +226,8 @@ def cmd_rpca_bench(args) -> int:
     return 0 if (all_converged or args.allow_maxiter) else 1
 
 
-def _dcopf_one_seed(case, rho, alpha, tol, max_iter, jitter, out_dir, dump, seed):
-    solution = dcopf_app.solve_dcopf(
-        case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iter,
-        init_jitter=jitter, seed=seed,
-    )
+def _dcopf_one_seed(case, settings, out_dir, dump, seed):
+    solution = dcopf_app.solve_dcopf(case, seed=seed, **settings)
     if dump:
         engine.write_reports_csv(
             solution.reports, os.path.join(out_dir, f"trace_dcopf_seed{seed}.csv")
@@ -236,26 +236,24 @@ def _dcopf_one_seed(case, rho, alpha, tol, max_iter, jitter, out_dir, dump, seed
 
 
 def cmd_dcopf(args) -> int:
+    case_settings = _given(args, gamma="gamma", eta="eta")
     if args.fixture == "2bus":
-        eta = args.eta if args.eta is not None else 1e5
-        case = dcopf_app.two_bus_fixture(gamma=args.gamma, eta=eta)
+        case = dcopf_app.two_bus_fixture(**case_settings)
     else:
         with open(args.case, encoding="utf-8") as fh:
             text = fh.read()
-        mp = matpower.parse_case(text)
-        eta = args.eta if args.eta is not None else 900.0
-        case = matpower.to_dcopf_case(mp, gamma=args.gamma, eta=eta)
+        case = matpower.to_dcopf_case(matpower.parse_case(text), **case_settings)
+    try:
+        case.validate()  # --eta and --gamma among the case data
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     seeds = _resolve_seeds(args, default=[0])  # one canonical run unless seeds are requested
-    rho = args.rho if args.rho is not None else 2.0 * case.eta + 1e-10
-    tol = args.tol if args.tol is not None else 1e-5
-    max_iter = args.max_iter if args.max_iter is not None else 4000
-    engine.validate_parameters(
-        dcopf_app.solver_params_for(case, rho=rho, alpha=args.alpha, tol=tol,
-                                    max_iterations=max_iter)
-    )
+    solver_settings = _given(args, rho="rho", alpha="alpha", tol="tol",
+                             max_iterations="max_iter")
+    engine.validate_parameters(dcopf_app.solver_params_for(case, **solver_settings))
 
     os.makedirs(args.out, exist_ok=True)
-    worker = partial(_dcopf_one_seed, case, rho, args.alpha, tol, max_iter, args.jitter,
+    worker = partial(_dcopf_one_seed, case, solver_settings | _given(args, init_jitter="jitter"),
                      args.out, args.dump_trace)
     solutions = _map_seeds(worker, seeds, args.jobs)
     times = np.array([0.0 if args.no_timing else sol.wall_time for sol in solutions])

@@ -11,7 +11,8 @@ with slack y whose negativity is penalized by (eta/2) dist^2(y, R^p_+).
 
 The resulting model is solved by the generic engine with closed-form
 oracles: each x block solves a 4x4 symmetric positive definite system whose
-matrix is iteration independent (factored once), and the y update is a
+matrix is iteration independent (inverted once per penalty and proximal
+weight), and the y update is a
 componentwise two-branch formula.  A bus block touches only its own rows,
 the rows of its neighbours' balance and line limits and the penetration
 floor.  ``build_problem`` writes each A_i on those rows alone (the dense
@@ -21,8 +22,7 @@ array, so the placement penalty, its gradient, the quadratic costs and the
 per-bus result columns are column operations on it.
 """
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -216,36 +216,6 @@ def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def x_block_update(
-    ctx: XBlockContext, Q_diag: np.ndarray, q: np.ndarray, A: np.ndarray,
-    solver: np.ndarray | None = None,
-) -> np.ndarray:
-    """Closed-form block update: solve the SPD system
-
-        (diag(Q_diag) + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
-
-    with w the context's proximal weight and r the partial residual.  ``A``
-    may hold only some rows of A_i (all its nonzero ones) when the
-    context's multiplier and partial residual hold the same rows.  When
-    ``solver`` (the precomputed inverse of the system matrix) is given it
-    is applied directly; it must have been built for the same rho and w.
-    """
-    w = ctx.prox_weight
-    rhs = (
-        w * ctx.current_iterate
-        - q
-        - ctx.linear_term
-        - A.T @ (ctx.multiplier + ctx.rho * ctx.partial_residual)
-    )
-    if solver is not None:
-        return solver @ rhs
-    matrix = np.diag(Q_diag) + ctx.rho * (A.T @ A) + w * np.eye(len(q))
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular block system for bus {ctx.block_index}") from exc
-
-
 def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float) -> np.ndarray:
     """Closed-form slack update, componentwise
 
@@ -257,23 +227,27 @@ def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float
 
 
 class DcOpfBlockProblem(BlockProblem):
-    """Engine adapter with cached per-bus factorizations.
+    """Engine adapter with cached per-bus inverses.
 
     Each bus couples through the rows where its A_i has a nonzero entry;
     the operators and the block oracle work on the problem's compact
-    blocks, taken as they are.  The block system matrix diag(Q_diag[i]) +
-    rho A_i^T A_i + alpha I does not change across iterations (the penalty
-    gradient enters only the right-hand side), so its inverse is computed
-    once per bus, for the proximal weight mu * alpha = alpha (mu = 1).  A
-    problem without the u column (the frozen-u recheck) has no placement
-    penalty, so gamma is the case's with four columns and 0 with three.
+    blocks, taken as they are.  The x oracle is the closed-form update
+
+        x = (diag(Q_diag[i]) + rho A_i^T A_i + w I)^{-1}
+            (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
+
+    with w the context's proximal weight alpha and r its partial residual.
+    The system matrix does not change across iterations (the penalty
+    gradient enters only the right-hand side), so the inverses are built
+    for the first context's (rho, w) and rebuilt only when a context brings
+    another pair.  A problem without the u column (the frozen-u recheck)
+    has no placement penalty, so gamma is the case's with four columns and
+    0 with three.
     """
 
-    def __init__(self, problem: DcOpfProblem, rho: float, alpha: float):
+    def __init__(self, problem: DcOpfProblem):
         case = problem.case
         self.problem = problem
-        self.alpha = alpha
-        self.rho = rho
         self.num_blocks, width = problem.q.shape
         self.gamma = case.gamma if width > U else 0.0
         self.eta = case.eta
@@ -281,8 +255,7 @@ class DcOpfBlockProblem(BlockProblem):
         self.y_shape = (problem.p,)
         self.rhs = problem.b
         self._rows, self._A = problem.rows, problem.blocks
-        self._solvers = [np.linalg.inv(np.diag(Qi) + rho * (Ai.T @ Ai) + alpha * np.eye(width))
-                         for Qi, Ai in zip(problem.Q_diag, self._A)]
+        self._rho = self._prox_weight = self._inverses = None  # built by the first x oracle call
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
     def block_rows(self, i):
@@ -325,8 +298,15 @@ class DcOpfBlockProblem(BlockProblem):
         return g_gradient(x, self.gamma)
 
     def solve_x_block(self, i, ctx: XBlockContext):
-        solver = self._solvers[i] if ctx.prox_weight == self.alpha and ctx.rho == self.rho else None
-        return x_block_update(ctx, self.problem.Q_diag[i], self.problem.q[i], self._A[i], solver)
+        rho, w, A = ctx.rho, ctx.prox_weight, self._A[i]
+        if rho != self._rho or w != self._prox_weight:
+            eye = np.eye(*self.block_shape)
+            self._inverses = [np.linalg.inv(np.diag(Qk) + rho * (Ak.T @ Ak) + w * eye)
+                              for Qk, Ak in zip(self.problem.Q_diag, self._A)]
+            self._rho, self._prox_weight = rho, w
+        rhs = w * ctx.current_iterate - self.problem.q[i] - ctx.linear_term - A.T @ (
+            ctx.multiplier + rho * ctx.partial_residual)
+        return self._inverses[i] @ rhs
 
     def solve_y_block(self, ctx: YBlockContext):
         return y_block_update(ctx.x_residual, ctx.multiplier, self.eta, ctx.rho)
@@ -369,17 +349,16 @@ def opf1_objective(case: DcOpfCase, u: np.ndarray, gen: np.ndarray) -> float:
     )
 
 
-def solver_params_for(case: DcOpfCase, rho: float, alpha: float, tol: float,
-                      max_iterations: int) -> SolverParams:
-    """Engine parameters for a case: l_H = eta, lambda = 1, beta = 0."""
+def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 1e-2,
+                      tol: float = 1e-5, max_iterations: int = 4000) -> SolverParams:
+    """Engine parameters for a case: l_H = eta and the engine's lambda = 1
+    and l_P = beta = 0.  The default penalty rho = 2*eta + 1e-10 sits just
+    above its admissible bound.  Termination uses the unshifted relative
+    change of the stacked iterate (x, y, z) against ``tol``."""
     return SolverParams(
-        rho=rho,
-        mu=1.0,
+        rho=engine.rho_above_gate(case.eta) if rho is None else rho,
         lipschitz_H=case.eta,
-        lipschitz_P=0.0,
-        weak_convexity_G=0.0,
         strong_convexity=alpha,
-        lambda_min_BtB=1.0,
         max_iterations=max_iterations,
         stop_tolerance=tol,
         stop_rule=engine.STOP_RELATIVE,
@@ -394,6 +373,13 @@ def _stacked_product(block_problem: DcOpfBlockProblem, x: np.ndarray) -> np.ndar
     return ax
 
 
+def _init_from_blocks(block_problem: DcOpfBlockProblem, x: np.ndarray):
+    """The x blocks with the slack absorbing b - sum_i A_i x_i, clipped at
+    zero, and a zero multiplier."""
+    y = np.maximum(block_problem.rhs - _stacked_product(block_problem, x), 0.0)
+    return engine.initial_state(block_problem, x, y, np.zeros(block_problem.problem.p))
+
+
 def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
                      seed: int | None = None):
     """All variables at their lower bound (zero), slack absorbing b.
@@ -406,9 +392,7 @@ def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
         x = jitter * np.random.default_rng(seed).random(shape)
     else:
         x = np.zeros(shape)
-    y = np.maximum(block_problem.rhs - _stacked_product(block_problem, x), 0.0)
-    z = np.zeros(block_problem.problem.p)
-    return engine.initial_state(block_problem, x, y, z)
+    return _init_from_blocks(block_problem, x)
 
 
 def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProblem:
@@ -436,63 +420,48 @@ def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProbl
 def frozen_u_recheck(
     problem: DcOpfProblem,
     u_rounded: np.ndarray,
+    params: SolverParams,
     warm_x: np.ndarray | None = None,
-    *,
-    rho: float,
-    alpha: float,
 ) -> tuple[bool, float, np.ndarray]:
     """Re-solve ``frozen_u_problem(problem, u_rounded)``, from the first
-    three columns of ``warm_x`` when given.
+    three columns of ``warm_x`` when given, with the penalty and proximal
+    weight of ``params`` and the ``RECHECK_*`` tolerance and sweep cap.
 
     Returns (feasible, worst constraint violation, refined N x 3 blocks);
     the solution is declared feasible when max(A x - b') does not exceed
     ``RECHECK_FEASIBILITY_TOLERANCE``.
     """
-    case = problem.case
-    reduced = frozen_u_problem(problem, u_rounded)
-    b_frozen = reduced.b
-    block_problem = DcOpfBlockProblem(reduced, rho=rho, alpha=alpha)
+    block_problem = DcOpfBlockProblem(frozen_u_problem(problem, u_rounded))
     if warm_x is not None:
         x0 = np.asarray(warm_x, dtype=float)[:, :U]
     else:
-        x0 = np.zeros((case.num_buses, U))
-    y0 = np.maximum(b_frozen - _stacked_product(block_problem, x0), 0.0)
-    init = engine.initial_state(block_problem, x0, y0, np.zeros(problem.p))
-    params = solver_params_for(case, rho=rho, alpha=alpha, tol=RECHECK_TOLERANCE,
-                               max_iterations=RECHECK_MAX_ITERATIONS)
-    result = engine.solve(block_problem, params, init)
-    x = result.state.x
-    violation = float(np.max(_stacked_product(block_problem, x) - b_frozen))
+        x0 = np.zeros((problem.case.num_buses, U))
+    params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
+                     max_iterations=RECHECK_MAX_ITERATIONS)
+    x = engine.solve(block_problem, params, _init_from_blocks(block_problem, x0)).state.x
+    violation = float(np.max(_stacked_product(block_problem, x) - block_problem.rhs))
     return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0), x
 
 
 def solve_dcopf(
     case: DcOpfCase,
     *,
-    rho: float | None = None,
-    alpha: float = 1e-2,
-    tol: float = 1e-5,
-    max_iterations: int = 4000,
     init_jitter: float = 0.0,
     seed: int | None = None,
     recheck: bool = True,
+    **settings,
 ) -> DcOpfSolution:
     """Build the model, run the engine, and report the placement solution.
 
-    The default penalty rho = 2*eta + 1e-10 sits just above its admissible
-    bound.  Termination uses the unshifted relative change of the stacked
-    iterate (x, y, z) against ``tol``.
+    ``settings`` are the keywords of ``solver_params_for`` (rho, alpha, tol,
+    max_iterations), which owns their defaults; the frozen-u recheck runs
+    with the same rho and alpha.
     """
     problem = build_problem(case)
-    if rho is None:
-        rho = 2.0 * case.eta + 1e-10
-    params = solver_params_for(case, rho=rho, alpha=alpha, tol=tol, max_iterations=max_iterations)
-    engine.validate_parameters(params)
-    block_problem = DcOpfBlockProblem(problem, rho=rho, alpha=alpha)
-    init = lower_bound_init(block_problem, jitter=init_jitter, seed=seed)
-    start = time.perf_counter()
-    result = engine.solve(block_problem, params, init)
-    wall = time.perf_counter() - start
+    params = solver_params_for(case, **settings)
+    block_problem = DcOpfBlockProblem(problem)
+    result = engine.solve(block_problem, params,
+                          lower_bound_init(block_problem, jitter=init_jitter, seed=seed))
     if result.status == engine.STATUS_ORACLE_FAILURE:
         raise result.oracle_error
 
@@ -503,9 +472,8 @@ def solve_dcopf(
     rounded_feasible = None
     rounded_violation = None
     if recheck:
-        rounded_feasible, rounded_violation, _ = frozen_u_recheck(
-            problem, u_rounded, warm_x=x, rho=rho, alpha=alpha
-        )
+        rounded_feasible, rounded_violation, _ = frozen_u_recheck(problem, u_rounded, params,
+                                                                  warm_x=x)
     return DcOpfSolution(
         pv=pv,
         gen=gen,
@@ -520,7 +488,7 @@ def solve_dcopf(
         binary_violation=float(np.sum(u - u * u)),
         feasibility_residual=result.reports[-1].feasibility,
         iterations=result.iterations,
-        wall_time=wall,
+        wall_time=result.wall_time,
         converged=result.status == engine.STATUS_CONVERGED,
         rounded_feasible=rounded_feasible,
         rounded_violation=rounded_violation,

@@ -12,17 +12,17 @@ updates y, and then takes a multiplier ascent step:
 
     x_{i,n+1} = argmin f_i(x_i) + <grad_i P(x_n) - g_{i,n}, x_i>
                 + <z_n, A_i x_i> + (rho/2)||A u_i(x_i) + B y_n - b||^2
-                + mu D_phi(x_i, x_{i,n})
+                + D_phi(x_i, x_{i,n})
     y_{n+1}   = argmin H(y) + <z_n, B y> + (rho/2)||A x_{n+1} + B y - b||^2
     z_{n+1}   = z_n + rho (A x_{n+1} + B y_{n+1} - b)
 
 with g_n a subgradient of G at x_n, u_i(x_i) the Gauss-Seidel splice of
 fresh earlier blocks, x_i, and stale later blocks, and the proximal kernel
 phi = (alpha/2)||.||^2 with alpha = ``strong_convexity``, so that the
-proximal term is (w/2)||x_i - x_{i,n}||^2 with the one weight w = mu alpha.
+proximal term is (alpha/2)||x_i - x_{i,n}||^2 with the one weight alpha.
 The y step has no proximal term.
 
-Validity of (mu, rho) is gated by ``validate_parameters``; a valid run
+Validity of (alpha, rho) is gated by ``validate_parameters``; a valid run
 drives the merit function, which without a y-proximal term is the
 augmented Lagrangian itself,
 
@@ -91,8 +91,8 @@ class XBlockContext:
     ``block_rows(block_index)``, the rows ``apply_A`` returns; the rows
     outside add a constant the minimizer does not depend on.
     ``linear_term`` is grad_i P(x_n) - g_{i,n}.  With phi = (alpha/2)||.||^2
-    the proximal term mu D_phi(x_i, x_{i,n}) is (w/2)||x_i - x_{i,n}||^2,
-    and ``prox_weight`` is w = mu * alpha.
+    the proximal term D_phi(x_i, x_{i,n}) is (alpha/2)||x_i - x_{i,n}||^2,
+    and ``prox_weight`` is alpha.
 
     One context is built per block and sweep, so it is a plain slotted
     dataclass (a frozen one costs several times more to build); oracles
@@ -200,13 +200,13 @@ class BlockProblem(ABC):
 class SolverParams:
     """Penalty, proximal weight, the constants gating them, and the stop rule.
 
-    ``mu`` weighs the x proximal term mu D_phi with phi = (alpha/2)||.||^2,
-    where alpha is ``strong_convexity``; ``lambda_min_BtB`` is the smallest
-    eigenvalue of B^T B and must be positive (full column rank of B).
+    ``strong_convexity`` is alpha, the modulus of the kernel
+    phi = (alpha/2)||.||^2 and so the weight of the x proximal term;
+    ``lambda_min_BtB`` is the smallest eigenvalue of B^T B and must be
+    positive (full column rank of B).
     """
 
     rho: float
-    mu: float = 1.0
     lipschitz_H: float = 0.0
     lipschitz_P: float = 0.0
     weak_convexity_G: float = 0.0
@@ -218,8 +218,8 @@ class SolverParams:
 
     @property
     def delta_x(self) -> float:
-        """Guaranteed x descent weight (mu*alpha - l_P - beta)/2."""
-        return (self.mu * self.strong_convexity - self.lipschitz_P - self.weak_convexity_G) / 2.0
+        """Guaranteed x descent weight (alpha - l_P - beta)/2."""
+        return (self.strong_convexity - self.lipschitz_P - self.weak_convexity_G) / 2.0
 
     @property
     def delta_y(self) -> float:
@@ -229,12 +229,18 @@ class SolverParams:
         return lam_rho / 2.0 - l_h * l_h / lam_rho - l_h / 2.0
 
 
+def rho_above_gate(lipschitz_H: float) -> float:
+    """2 l_H + 1e-10: a penalty just above the rho gate 2 l_H / lambda for
+    lambda_min(B^T B) = 1, the default of both applications."""
+    return 2.0 * lipschitz_H + 1e-10
+
+
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the stop rule and the admissibility gates; return (mu bound,
+    """Check the stop rule and the admissibility gates; return (alpha bound,
     rho bound) on success.
 
-    Both bounds are strict: a mu or rho sitting exactly at its bound is
-    rejected.
+    Both bounds are strict: an alpha or rho sitting exactly at its bound is
+    rejected.  They are where ``delta_x`` and ``delta_y`` change sign.
     """
     rules = (STOP_SHIFTED, STOP_RELATIVE)
     if params.stop_rule not in rules:
@@ -246,19 +252,19 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
             "B lacks full column rank: lambda_min(B^T B) must be positive, "
             f"got {params.lambda_min_BtB}"
         )
-    mu_bound = (params.lipschitz_P + params.weak_convexity_G) / params.strong_convexity
+    alpha_bound = params.lipschitz_P + params.weak_convexity_G
     l_h = params.lipschitz_H
     rho_bound = (l_h + math.sqrt(l_h * l_h + 8.0 * l_h * l_h)) / (2.0 * params.lambda_min_BtB)
-    if not params.mu > mu_bound:
+    if not params.strong_convexity > alpha_bound:
         raise ParameterError(
-            f"mu = {params.mu} must strictly exceed (l_P + beta)/alpha = {mu_bound}"
+            f"alpha = {params.strong_convexity} must strictly exceed l_P + beta = {alpha_bound}"
         )
     if not params.rho > rho_bound:
         raise ParameterError(
             f"rho = {params.rho} must strictly exceed "
             f"(l_H + sqrt(l_H^2 + 8*l_H^2))/(2*lambda) = {rho_bound}"
         )
-    return mu_bound, rho_bound
+    return alpha_bound, rho_bound
 
 
 @dataclass(frozen=True)
@@ -455,7 +461,7 @@ def _x_sweep(
     so an error always names the first block that failed.
     """
     linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
-    weight = params.mu * params.strong_convexity
+    weight = params.strong_convexity
     iteration = state.n + 1
     residual = state.residual.copy()
     x_new = state.x.copy()

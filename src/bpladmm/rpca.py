@@ -59,16 +59,25 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class RpcaConfig:
-    """Solver configuration; defaults follow the standard benchmark setup."""
+    """Solver configuration; defaults follow the standard benchmark setup.
+
+    ``rows`` and ``cols`` are the shape of the instances it solves.  The
+    default penalty rho = 2*gamma + 1e-10 sits just above its admissible
+    bound.
+    """
 
     rows: int
     cols: int
     noise: float = 1e-2
     gamma: float = 1.0
     alpha: float = 1e-2
-    rho: float = 2.0 + 1e-10
+    rho: float | None = None
     tolerance: float = 1e-6
     max_iterations: int = 4000
+
+    def __post_init__(self):
+        if self.rho is None:
+            object.__setattr__(self, "rho", engine.rho_above_gate(self.gamma))
 
     @property
     def tau_value(self) -> float:
@@ -76,15 +85,12 @@ class RpcaConfig:
         return 1.0 / np.sqrt(max(self.rows, self.cols))
 
     def solver_params(self) -> SolverParams:
-        """Equivalent generic-engine parameters (l_H = gamma, lambda = 1)."""
+        """Equivalent generic-engine parameters: l_H = gamma and the
+        engine's lambda = 1 and l_P = beta = 0."""
         return SolverParams(
             rho=self.rho,
-            mu=1.0,
             lipschitz_H=self.gamma,
-            lipschitz_P=0.0,
-            weak_convexity_G=0.0,
             strong_convexity=self.alpha,
-            lambda_min_BtB=1.0,
             max_iterations=self.max_iterations,
             stop_tolerance=self.tolerance,
         )
@@ -192,6 +198,14 @@ def recovery_metrics(
     return re, numerical_rank(solution.L), int(np.count_nonzero(solution.S))
 
 
+def _tau(instance: RpcaInstance, config: RpcaConfig) -> float:
+    """The config's sparsity weight, once its shape is checked against the instance's."""
+    if instance.M.shape != (config.rows, config.cols):
+        raise ValueError(f"instance of shape {instance.M.shape} does not match the config "
+                         f"shape {(config.rows, config.cols)}")
+    return config.tau_value
+
+
 def _initial_blocks(shape, init_seed) -> tuple[np.ndarray, np.ndarray]:
     """L and S, in that order, drawn i.i.d. standard normal from ``init_seed``."""
     rng = np.random.default_rng(init_seed)
@@ -216,7 +230,8 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     starts at the observation, and the multiplier starts at zero.  Stops
     when ||(L,S,T)_{n+1} - (L,S,T)_n||_F / (||(L,S,T)_n||_F + 1) falls to
     the configured tolerance (the engine's shifted rule).  An oracle
-    failure raises the engine's ``BlockOracleError``.
+    failure raises the engine's ``BlockOracleError``, and a config of
+    another shape than the instance a ``ValueError``.
     """
     problem = RpcaBlockProblem(instance, config)
     M = instance.M
@@ -242,7 +257,7 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
     (S) and the iteration, the names BPL's engine run uses; as in
     ``engine.solve``, numpy's invalid and overflow warnings are silenced.
     """
-    M, tau, gamma, rho = instance.M, config.tau_value, config.gamma, 2.0
+    M, tau, gamma, rho = instance.M, _tau(instance, config), config.gamma, 2.0
     L, S = _initial_blocks(M.shape, init_seed)
     T = M.copy()
     Z = np.zeros_like(M)
@@ -310,12 +325,12 @@ class RpcaBlockProblem(BlockProblem):
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
+        self.tau = _tau(instance, config)
         self.instance = instance
         self.config = config
         self.num_blocks = 2
         self.block_shape = self.y_shape = instance.M.shape
         self.rhs = np.zeros(instance.M.shape)
-        self.tau = config.tau_value
         self._gamma_M = config.gamma * instance.M
         self._nuclear = (None, 0.0)  # (L, ||L||_*)
         self._pair = (None, None)  # (S, leading_singular_pair(S))

@@ -7,7 +7,9 @@ finite differences are truncation-free; that pushes the oracles well past
 the sqrt(eps) accuracy floor of plain value-comparison searches.
 
 ``dense_reference_problem`` assembles the DC-OPF constraints row by row
-into dense blocks, a reference for ``dcopf.build_problem``.
+into dense blocks, a reference for ``dcopf.build_problem``, and
+``dcopf_x_block_solve`` is the DC-OPF block update as a fresh linear solve,
+a reference for the adapter's cached inverses.
 ``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
 the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.
@@ -225,7 +227,23 @@ def dense_reference_problem(case):
     return A, b
 
 
-def dcopf_reference_sweep(block_problem, x, y, z):
+def dcopf_x_block_solve(ctx, Q_diag, q, A):
+    """The DC-OPF block update as one fresh solve of the SPD system
+
+        (diag(Q_diag) + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
+
+    with w the context's proximal weight and r its partial residual.  ``A``
+    may hold only some rows of A_i (all its nonzero ones) when the
+    context's multiplier and partial residual hold the same rows.
+    """
+    w = ctx.prox_weight
+    matrix = np.diag(Q_diag) + ctx.rho * (A.T @ A) + w * np.eye(len(q))
+    rhs = (w * ctx.current_iterate - q - ctx.linear_term
+           - A.T @ (ctx.multiplier + ctx.rho * ctx.partial_residual))
+    return np.linalg.solve(matrix, rhs)
+
+
+def dcopf_reference_sweep(block_problem, params, x, y, z):
     """One sweep of the method on a ``DcOpfBlockProblem`` of a whole (not
     frozen-u) case, written as the plain Gauss-Seidel loop: blocks in a
     list, updated one by one.
@@ -233,14 +251,15 @@ def dcopf_reference_sweep(block_problem, x, y, z):
     Every block sees the partial residual recomputed from scratch with the
     dense A_i of ``dense_reference_problem`` on every row, and the linear term
     -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
-    sweep start.  The block oracle is the closed form ``x_block_update``
-    with a fresh solve on all rows, the slack is ``y_block_update`` of the
-    dense A x - b, and the multiplier ascends by rho times the dense
-    residual.  Returns the new (x, y, z), with x a list of blocks.
+    sweep start.  The block oracle is ``dcopf_x_block_solve`` on all rows,
+    with the penalty and proximal weight of ``params``, the slack is
+    ``y_block_update`` of the dense A x - b, and the multiplier ascends by
+    rho times the dense residual.  Returns the new (x, y, z), with x a list
+    of blocks.
     """
     A, b = dense_reference_problem(block_problem.problem.case)
     Q_diag, q = block_problem.problem.Q_diag, block_problem.problem.q
-    rho, alpha, gamma = block_problem.rho, block_problem.alpha, block_problem.gamma
+    rho, alpha, gamma = params.rho, params.strong_convexity, block_problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]
     linear = []
     for xi in x:
@@ -254,7 +273,7 @@ def dcopf_reference_sweep(block_problem, x, y, z):
                 partial = partial + A[k] @ x[k]
         ctx = XBlockContext(block_index=i, current_iterate=x[i], linear_term=linear[i],
                             multiplier=z, partial_residual=partial, rho=rho, prox_weight=alpha)
-        x[i] = dcopf.x_block_update(ctx, Q_diag[i], q[i], A[i])
+        x[i] = dcopf_x_block_solve(ctx, Q_diag[i], q[i], A[i])
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
     y = dcopf.y_block_update(ax_minus_b, z, block_problem.eta, rho)
     return x, y, z + rho * (ax_minus_b + y)

@@ -51,6 +51,14 @@ def test_rpca_bench_rejects_rho_at_the_bound(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "rho" in err and "2" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rpca_bench_default_rho_follows_gamma(tmp_path):
+    rc = main(["rpca-bench", "--size", "10", "10", "--rank", "2", "--seeds", "1", "--jobs", "1",
+               "--gamma", "2", "--no-timing", "--out", str(tmp_path)])
+    assert rc == 0
+    assert all(row["converged"] == "1" for row in read_csv(tmp_path / "rpca_runs.csv"))
 
 
 def test_rpca_bench_rejects_bad_rank(tmp_path, capsys):
@@ -97,6 +105,17 @@ def test_dcopf_rho_gate_names_bound(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "200000" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, message", [("--eta=0", "eta must be positive"),
+                                           ("--gamma=-1", "gamma must be nonnegative")])
+def test_dcopf_case_setting_out_of_range_is_usage_error(tmp_path, capsys, flag, message):
+    out = tmp_path / "out"
+    rc = main(["dcopf", "--fixture", "2bus", flag, "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dcopf_parses_matpower_file(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bpladmm import dcopf, engine
-from oracles import finite_difference_gradient, golden_section, newton_fd
+from oracles import dcopf_x_block_solve, finite_difference_gradient, golden_section, newton_fd
 
 REL = 1e-10
 TWO_PI = 2.0 * np.pi
@@ -113,7 +113,7 @@ def test_build_problem_rejects_bad_cases():
 def test_adjoint_identity_for_assembled_operators(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
-    block_problem = dcopf.DcOpfBlockProblem(problem, rho=2.0 * case.eta + 1e-10, alpha=1e-2)
+    block_problem = dcopf.DcOpfBlockProblem(problem)
     assert engine.check_adjoints(block_problem, rng, tol=1e-12) <= 1e-12
 
 
@@ -135,11 +135,9 @@ def small_radial_case():
 
 
 def block_problem_for(case):
-    rho = 2.0 * case.eta + 1e-10
     problem = dcopf.build_problem(case)
-    block_problem = dcopf.DcOpfBlockProblem(problem, rho=rho, alpha=1e-2)
-    params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=1e-5, max_iterations=300)
-    return problem, block_problem, params
+    params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=300)
+    return problem, dcopf.DcOpfBlockProblem(problem), params
 
 
 CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
@@ -160,8 +158,8 @@ def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
         # the oracle on the block's rows matches the dense update on every row
         partial = rng.standard_normal(problem.p)
         multiplier = rng.standard_normal(problem.p)
-        ctx = tame_block_context(rng, rho=params.rho, prox_weight=block_problem.alpha)
-        dense = dcopf.x_block_update(
+        ctx = tame_block_context(rng, rho=params.rho, prox_weight=params.strong_convexity)
+        dense = dcopf_x_block_solve(
             replace(ctx, block_index=i, multiplier=multiplier, partial_residual=partial),
             problem.Q_diag[i], problem.q[i], A)
         on_rows = block_problem.solve_x_block(
@@ -183,8 +181,7 @@ def test_the_solve_path_never_builds_the_dense_blocks(make_case, monkeypatch):
     problem, block_problem, params = block_problem_for(make_case())
     result = engine.solve(block_problem, params, dcopf.lower_bound_init(block_problem))
     x = result.state.x
-    dcopf.frozen_u_recheck(problem, np.where(x[:, dcopf.U] >= 0.5, 1.0, 0.0), warm_x=x,
-                           rho=params.rho, alpha=block_problem.alpha)
+    dcopf.frozen_u_recheck(problem, np.where(x[:, dcopf.U] >= 0.5, 1.0, 0.0), params, warm_x=x)
     assert len(frozen) == 1
     for built in (problem, *frozen):
         assert "A" not in vars(built)
@@ -251,35 +248,45 @@ def tame_block_context(rng, rho=2.0, prox_weight=1.0):
     )
 
 
+def compact_context(rng, problem, i, rho=2.0, prox_weight=1.0):
+    """A random context for bus i on the rows of its compact block."""
+    rows = len(problem.rows[i])
+    return replace(tame_block_context(rng, rho=rho, prox_weight=prox_weight), block_index=i,
+                   multiplier=rng.standard_normal(rows), partial_residual=rng.standard_normal(rows))
+
+
 @pytest.mark.parametrize("make_case", CASES)
 @pytest.mark.parametrize("changed", ["rho", "prox_weight"])
-def test_x_oracle_solves_afresh_when_the_cached_inverse_does_not_fit(make_case, changed, rng):
+def test_x_oracle_rebuilds_its_inverses_for_another_pair(make_case, changed, rng):
+    # the inverses are built for the first context's (rho, w) and rebuilt
+    # whenever a context brings another pair, back and forth
     problem, block_problem, params = block_problem_for(make_case())
-    for i, (rows, A) in enumerate(zip(problem.rows, problem.blocks)):
-        ctx = replace(tame_block_context(rng, rho=params.rho, prox_weight=block_problem.alpha),
-                      block_index=i, multiplier=rng.standard_normal(len(rows)),
-                      partial_residual=rng.standard_normal(len(rows)))
-        ctx = replace(ctx, **{changed: 3.0 * getattr(ctx, changed)})
-        fresh = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], A)
-        out = block_problem.solve_x_block(i, ctx)
-        assert np.max(np.abs(out - fresh)) <= 1e-12 * max(1.0, float(np.max(np.abs(fresh))))
+    first = dict(rho=params.rho, prox_weight=params.strong_convexity)
+    other = {**first, changed: 3.0 * first[changed]}
+    for pair in (first, other, first):
+        for i, A in enumerate(problem.blocks):
+            ctx = compact_context(rng, problem, i, **pair)
+            reference = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
+            out = block_problem.solve_x_block(i, ctx)
+            assert np.max(np.abs(out - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
-def test_x_block_update_matches_newton_oracle(rng):
+def test_x_oracle_matches_newton_oracle(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
+    block_problem = dcopf.DcOpfBlockProblem(problem)
     alpha = 0.5
-    for i in range(2):
-        ctx = tame_block_context(rng, prox_weight=alpha)
-        out = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], problem.A[i])
+    for i, A in enumerate(problem.blocks):
+        ctx = compact_context(rng, problem, i, prox_weight=alpha)
+        out = block_problem.solve_x_block(i, ctx)
 
-        def objective(x, i=i, ctx=ctx):
-            coupling = problem.A[i] @ x + ctx.partial_residual
+        def objective(x, A=A, i=i, ctx=ctx):
+            coupling = A @ x + ctx.partial_residual
             return (
                 0.5 * x @ (problem.Q_diag[i] * x)
                 + problem.q[i] @ x
                 + float(np.vdot(ctx.linear_term, x))
-                + float(np.vdot(ctx.multiplier, problem.A[i] @ x))
+                + float(np.vdot(ctx.multiplier, A @ x))
                 + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
                 + 0.5 * alpha * float(np.vdot(x - ctx.current_iterate, x - ctx.current_iterate))
             )
@@ -288,37 +295,37 @@ def test_x_block_update_matches_newton_oracle(rng):
         assert np.allclose(out, reference, atol=1e-8)
 
 
-def test_x_block_update_decoupled_case(rng):
-    # rho = 0 and no quadratic cost leaves x = (alpha x_n - q) / alpha
-    alpha = 0.25
-    q = np.array([0.0, 0.3, 0.0, 1.0])
-    ctx = engine.XBlockContext(
-        block_index=0,
-        current_iterate=rng.standard_normal(4),
-        linear_term=np.zeros(4),
-        multiplier=np.zeros(21),
-        partial_residual=np.zeros(21),
-        rho=0.0,
-        prox_weight=alpha,
-    )
-    out = dcopf.x_block_update(ctx, np.zeros(4), q, np.zeros((21, 4)))
-    assert np.allclose(out, (alpha * ctx.current_iterate - q) / alpha, rtol=REL)
-
-
-def test_x_block_update_fixed_point(rng):
+def test_x_oracle_decoupled_case(rng):
+    # rho = 0 with no multiplier and no linear term leaves the diagonal
+    # system (diag(Q_diag) + alpha I) x = alpha x_n - q
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
+    block_problem = dcopf.DcOpfBlockProblem(problem)
+    alpha = 0.25
+    for i in range(case.num_buses):
+        ctx = replace(compact_context(rng, problem, i, rho=0.0, prox_weight=alpha),
+                      linear_term=np.zeros(4), multiplier=np.zeros(len(problem.rows[i])))
+        out = block_problem.solve_x_block(i, ctx)
+        expected = (alpha * ctx.current_iterate - problem.q[i]) / (problem.Q_diag[i] + alpha)
+        assert np.allclose(out, expected, rtol=REL)
+
+
+def test_x_oracle_fixed_point(rng):
+    case = dcopf.two_bus_fixture()
+    problem = dcopf.build_problem(case)
+    block_problem = dcopf.DcOpfBlockProblem(problem)
     alpha = 0.3
     rho = 2.0
     i = 0
+    A = problem.blocks[i]
     x_star = rng.standard_normal(4)
     # choose the context so the subproblem gradient vanishes at x_star
-    partial = rng.standard_normal(21)
-    multiplier = rng.standard_normal(21)
+    partial = rng.standard_normal(len(A))
+    multiplier = rng.standard_normal(len(A))
     linear = -(
         problem.Q_diag[i] * x_star
         + problem.q[i]
-        + problem.A[i].T @ (multiplier + rho * (problem.A[i] @ x_star + partial))
+        + A.T @ (multiplier + rho * (A @ x_star + partial))
     )
     ctx = engine.XBlockContext(
         block_index=i,
@@ -329,7 +336,7 @@ def test_x_block_update_fixed_point(rng):
         rho=rho,
         prox_weight=alpha,
     )
-    out = dcopf.x_block_update(ctx, problem.Q_diag[i], problem.q[i], problem.A[i])
+    out = block_problem.solve_x_block(i, ctx)
     assert np.allclose(out, x_star, atol=1e-10)
 
 
@@ -412,7 +419,7 @@ def test_rounding_ties_go_up():
     rounded = np.where(u >= 0.5, 1.0, 0.0)
     assert rounded.tolist() == [1.0, 0.0]
     feasible, violation, _ = dcopf.frozen_u_recheck(
-        problem, np.array([1.0, 1.0]), rho=2.0 * case.eta + 1e-10, alpha=1e-2
+        problem, np.array([1.0, 1.0]), dcopf.solver_params_for(case)
     )
     assert feasible
     assert violation <= 1e-3
@@ -423,7 +430,7 @@ def test_frozen_recheck_flags_infeasible_rounding():
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
     feasible, violation, _ = dcopf.frozen_u_recheck(
-        problem, np.zeros(2), rho=2.0 * case.eta + 1e-10, alpha=1e-2
+        problem, np.zeros(2), dcopf.solver_params_for(case)
     )
     assert not feasible
     assert violation > 1e-2
@@ -459,6 +466,13 @@ def test_parameter_gate_is_twice_eta():
                                      tol=1e-5, max_iterations=10)
     _, bound = engine.validate_parameters(params)
     assert bound == pytest.approx(2.0 * case.eta, rel=1e-14)
+
+
+@pytest.mark.parametrize("eta", [0.7, 50.0, 900.0, 1e3, 1e4, 1e5])
+def test_default_penalty_is_twice_eta_plus_1e_10(eta):
+    case = replace(dcopf.two_bus_fixture(), eta=eta)
+    assert dcopf.solver_params_for(case).rho == 2.0 * eta + 1e-10
+    assert dcopf.solver_params_for(case, rho=7.0 * eta).rho == 7.0 * eta
 
 
 def test_objective_reports_raw_and_rounded(fixture_solution):

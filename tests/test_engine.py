@@ -44,7 +44,6 @@ class ScalarToy(engine.BlockProblem):
 def toy_params(**overrides):
     defaults = dict(
         rho=3.0,
-        mu=1.0,
         strong_convexity=1.0,
         lambda_min_BtB=1.0,
         stop_tolerance=1e-9,
@@ -114,13 +113,13 @@ def test_validate_parameters_power_flow_setting():
         )
 
 
-def test_validate_parameters_mu_gate():
-    # l_P = beta = 0 makes the mu bound 0, so mu = 1 passes for any alpha > 0
-    mu_bound, _ = engine.validate_parameters(engine.SolverParams(rho=1.0, strong_convexity=0.5))
-    assert mu_bound == 0.0
-    with pytest.raises(engine.ParameterError, match="mu"):
+def test_validate_parameters_alpha_gate():
+    # l_P = beta = 0 makes the alpha bound 0, so any alpha > 0 passes
+    alpha_bound, _ = engine.validate_parameters(engine.SolverParams(rho=1.0, strong_convexity=0.5))
+    assert alpha_bound == 0.0
+    with pytest.raises(engine.ParameterError, match=r"alpha = 0.5 must strictly exceed .* 1.0"):
         engine.validate_parameters(
-            engine.SolverParams(rho=10.0, mu=0.5, lipschitz_P=1.0, strong_convexity=1.0)
+            engine.SolverParams(rho=10.0, lipschitz_P=1.0, strong_convexity=0.5)
         )
 
 
@@ -162,13 +161,14 @@ def test_z_update_exactness_in_reports():
         assert report.step_z == pytest.approx(params.rho * report.feasibility, rel=1e-12)
 
 
-def test_proximal_weight_is_mu_times_alpha():
-    # with mu = 2 an engine sweep is the closed-form sweep of alpha' = 2 alpha;
-    # a weight of mu or of alpha alone would miss it by far more than 1e-10
+def test_proximal_weight_is_strong_convexity():
+    # with strong_convexity = 2 alpha an engine sweep is the closed-form sweep
+    # of alpha' = 2 alpha; a weight taken from the config's alpha instead of
+    # the params would miss it by far more than 1e-10
     instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=17)
     config = rpca.RpcaConfig(rows=6, cols=5)
     problem = rpca.RpcaBlockProblem(instance, config)
-    params = replace(config.solver_params(), mu=2.0)
+    params = replace(config.solver_params(), strong_convexity=2.0 * config.alpha)
     L, S, Z = np.random.default_rng(3).standard_normal((3, 6, 5))
     state = engine.step(problem, params, engine.initial_state(problem, [L, S], instance.M, Z))
     reference = rpca_reference_sweep(L, S, instance.M, Z, instance.M, config.tau_value,
@@ -176,6 +176,76 @@ def test_proximal_weight_is_mu_times_alpha():
                                      spectral_norm_subgradient(S))
     for mine, closed_form in zip((state.x[0], state.x[1], state.y, state.z), reference):
         assert np.abs(mine - closed_form).max() <= 1e-10
+
+
+class SmoothCoupling(engine.BlockProblem):
+    """Two blocks in R^3 with P(x) = (l/2)||x||^2, A_0 = a_0 I, A_1 = a_1 I,
+    B = -I, b = 0 and H(y) = (1/2)||y - c||^2; f = G = 0."""
+
+    num_blocks, block_shape, y_shape = 2, (3,), (3,)
+    a = (1.0, -2.0)
+
+    def __init__(self, l):
+        self.l = l
+        self.c = np.array([0.5, -1.0, 2.0])
+        self.rhs = np.zeros(3)
+
+    def apply_A(self, i, x):
+        return self.a[i] * x
+
+    def apply_B(self, y):
+        return -y
+
+    def apply_B_transpose(self, v):
+        return -v
+
+    def eval_P(self, x):
+        return 0.5 * self.l * float(np.vdot(x, x))
+
+    def grad_P(self, x):
+        return self.l * x
+
+    def eval_H(self, y):
+        return 0.5 * float(np.vdot(y - self.c, y - self.c))
+
+    def grad_H(self, y):
+        return y - self.c
+
+    def solve_x_block(self, i, ctx):
+        a = self.a[i]
+        return (ctx.prox_weight * ctx.current_iterate - ctx.linear_term - a * ctx.multiplier
+                - ctx.rho * a * ctx.partial_residual) / (ctx.rho * a * a + ctx.prox_weight)
+
+    def solve_y_block(self, ctx):
+        return (self.c + ctx.multiplier + ctx.rho * ctx.x_residual) / (1.0 + ctx.rho)
+
+
+def test_smooth_coupling_enters_the_sweep_and_the_merit_descends():
+    l = 0.7
+    toy = SmoothCoupling(l)
+    params = toy_params(rho=2.5, lipschitz_H=1.0, lipschitz_P=l, strong_convexity=l * (1 + 1e-6),
+                        max_iterations=50, stop_tolerance=0.0)
+    rng = np.random.default_rng(12)
+    x, y, z = rng.standard_normal((2, 3)), rng.standard_normal(3), rng.standard_normal(3)
+    state = engine.step(toy, params, engine.initial_state(toy, x, y, z))
+
+    # the sweep by hand: block i's linear term is grad_i P(x_n) = l x_{i,n}
+    (a0, a1), rho, w = toy.a, params.rho, params.strong_convexity
+    x0 = (w * x[0] - l * x[0] - a0 * z - rho * a0 * (a1 * x[1] - y)) / (rho * a0 * a0 + w)
+    x1 = (w * x[1] - l * x[1] - a1 * z - rho * a1 * (a0 * x0 - y)) / (rho * a1 * a1 + w)
+    y1 = (toy.c + z + rho * (a0 * x0 + a1 * x1)) / (1.0 + rho)
+    z1 = z + rho * (a0 * x0 + a1 * x1 - y1)
+    for mine, by_hand in ((state.x[0], x0), (state.x[1], x1), (state.y, y1), (state.z, z1)):
+        assert np.allclose(mine, by_hand, rtol=1e-12, atol=1e-12)
+
+    # alpha just above l_P: the merit, which includes P, must not increase
+    result = engine.solve(toy, params, engine.initial_state(toy, x, y, z))
+    assert result.iterations == 50
+    merits = [r.merit for r in result.reports]
+    slack = 1e-8 * (1.0 + abs(merits[1]))
+    assert all(later - earlier <= slack for earlier, later in zip(merits[1:], merits[2:]))
+    assert result.merit_increase_count == 0
+    assert merits[-1] < merits[1]
 
 
 def test_solve_toy_from_stationary_point_converges_immediately():
@@ -262,7 +332,7 @@ def test_block_oracle_never_worse_than_incumbent():
             multiplier=state.z,
             partial_residual=residual - problem.apply_A(i, state.x[i]),
             rho=params.rho,
-            prox_weight=params.mu * params.strong_convexity,
+            prox_weight=params.strong_convexity,
         )
         candidate = problem.solve_x_block(i, ctx)
         assert engine.x_subproblem_value(problem, ctx, candidate) <= (
@@ -301,7 +371,7 @@ def assert_report_matches_one_shot_functions(problem, params, state, report=None
 
 def test_report_matches_one_shot_functions_on_two_bus_fixture():
     case = dcopf.two_bus_fixture()
-    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case), rho=2e5 + 1e-10, alpha=1e-2)
+    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case))
     params = dcopf.solver_params_for(case, rho=2e5 + 1e-10, alpha=1e-2, tol=1e-5,
                                      max_iterations=200)
     init = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
@@ -407,10 +477,9 @@ class NanThenRaise(InfiniteOutput):
 ])
 def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     case = dcopf.two_bus_fixture()
-    rho = 2.0 * case.eta + 1e-10
     make = NanThenRaise if block == "nan 0, then 1 raises" else InfiniteOutput
-    problem = make(dcopf.build_problem(case), rho=rho, alpha=1e-2, block=block, iteration=4)
-    params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=1e-5, max_iterations=50)
+    problem = make(dcopf.build_problem(case), block=block, iteration=4)
+    params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = engine.solve(problem, params, dcopf.lower_bound_init(problem))
@@ -439,10 +508,8 @@ def test_initial_state_rejects_blocks_of_unequal_shape():
 def eval_f_sum_problems():
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
-    rho = 2.0 * case.eta + 1e-10
-    two_bus = dcopf.DcOpfBlockProblem(problem, rho=rho, alpha=1e-2)
-    frozen = dcopf.DcOpfBlockProblem(dcopf.frozen_u_problem(problem, np.array([1.0, 0.0])),
-                                     rho=rho, alpha=1e-2)
+    two_bus = dcopf.DcOpfBlockProblem(problem)
+    frozen = dcopf.DcOpfBlockProblem(dcopf.frozen_u_problem(problem, np.array([1.0, 0.0])))
     instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=13)
     decomposition = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=6, cols=5))
     return [two_bus, frozen, decomposition]

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ def test_config_tau():
     assert config.tau_value == pytest.approx(0.1, rel=REL)
     rect = rpca.RpcaConfig(rows=200, cols=100)
     assert rect.tau_value == pytest.approx(1.0 / np.sqrt(200), rel=REL)
+
+
+def test_default_penalty_follows_gamma():
+    # bit-equal to the former fixed default 2 + 1e-10 at gamma = 1
+    assert rpca.RpcaConfig(rows=5, cols=5).rho == 2.0 + 1e-10
+    config = rpca.RpcaConfig(rows=5, cols=5, gamma=2.0)
+    assert config.rho == 4.0 + 1e-10
+    assert engine.validate_parameters(config.solver_params())[1] == pytest.approx(4.0, rel=1e-14)
+    assert rpca.RpcaConfig(rows=5, cols=5, gamma=2.0, rho=9.5).rho == 9.5
+    assert rpca.bpl_admm_rpca(small_instance(), config, init_seed=1).converged
+
+
+@pytest.mark.parametrize("entry", [partial(rpca.bpl_admm_rpca, init_seed=1),
+                                   partial(rpca.admm3_baseline, init_seed=1),
+                                   rpca.RpcaBlockProblem], ids=["bpl", "admm3", "block-problem"])
+def test_config_of_another_shape_is_rejected(entry):
+    # a 100x100 config would run a 6x5 instance with tau 0.1 instead of 1/sqrt(6)
+    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=3)
+    with pytest.raises(ValueError, match=r"shape \(6, 5\) .* shape \(100, 100\)"):
+        entry(instance, rpca.RpcaConfig(rows=100, cols=100))
 
 
 def test_solver_accepts_configured_parameters():

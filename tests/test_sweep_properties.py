@@ -39,9 +39,8 @@ def random_radial_case(num_buses, seed):
 
 def make_run(num_buses, case_seed, jitter_seed):
     case = random_radial_case(num_buses, case_seed)
-    rho = 2.0 * case.eta + 1e-10
-    block_problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case), rho=rho, alpha=1e-2)
-    params = dcopf.solver_params_for(case, rho=rho, alpha=1e-2, tol=0.0, max_iterations=SWEEPS)
+    block_problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case))
+    params = dcopf.solver_params_for(case, tol=0.0, max_iterations=SWEEPS)
     state = dcopf.lower_bound_init(block_problem, jitter=0.1, seed=jitter_seed)
     return block_problem, params, state
 
@@ -55,7 +54,8 @@ CASES = dict(num_buses=st.integers(2, 8), case_seed=st.integers(0, 2**32 - 1),
 def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed):
     block_problem, params, state = make_run(num_buses, case_seed, jitter_seed)
     new = engine.step(block_problem, params, state)
-    ref_x, ref_y, ref_z = dcopf_reference_sweep(block_problem, list(state.x), state.y, state.z)
+    ref_x, ref_y, ref_z = dcopf_reference_sweep(block_problem, params, list(state.x), state.y,
+                                                 state.z)
     for name, mine, reference in (("x", new.x, np.array(ref_x)), ("y", new.y, ref_y),
                                   ("z", new.z, ref_z)):
         assert mine.shape == reference.shape
