@@ -17,6 +17,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -51,6 +52,8 @@ RPCA_SUMMARY_FIELDS = (
     "rank_L_O",
     "sparsity_S_O",
 )
+# the fields of engine.IterationReport, in order; L_rho is augmented_lagrangian
+TRACE_FIELDS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
 DCOPF_RUN_FIELDS = (
     "seed",
     "objective_opf1_rounded",
@@ -67,6 +70,10 @@ DCOPF_RUN_FIELDS = (
 
 class UsageError(Exception):
     pass
+
+
+class TraceError(Exception):
+    """A trace that verify-trace cannot check: a column, a number or any row is missing."""
 
 
 def _fmt(value) -> str:
@@ -182,9 +189,8 @@ def _rpca_one_seed(config, rank, sparsity, out_dir, dump, seed):
     for name, solver in (("bpl-admm", rpca.bpl_admm_rpca), ("admm3", rpca.admm3_baseline)):
         solution = solver(instance, config, seed + INIT_SEED_OFFSET)
         if dump:
-            engine.write_reports_csv(
-                solution.reports, os.path.join(out_dir, f"trace_rpca_{name}_seed{seed}.csv")
-            )
+            path = os.path.join(out_dir, f"trace_rpca_{name}_seed{seed}.csv")
+            _write_csv(path, TRACE_FIELDS, map(astuple, solution.reports))
         rows.append([seed, name, solution.wall_time, solution.relative_error,
                      solution.iterations, solution.rank_L, solution.sparsity_S,
                      solution.converged])
@@ -229,9 +235,8 @@ def cmd_rpca_bench(args) -> int:
 def _dcopf_one_seed(case, settings, out_dir, dump, seed):
     solution = dcopf_app.solve_dcopf(case, seed=seed, **settings)
     if dump:
-        engine.write_reports_csv(
-            solution.reports, os.path.join(out_dir, f"trace_dcopf_seed{seed}.csv")
-        )
+        path = os.path.join(out_dir, f"trace_dcopf_seed{seed}.csv")
+        _write_csv(path, TRACE_FIELDS, map(astuple, solution.reports))
     return solution
 
 
@@ -293,11 +298,18 @@ def cmd_dcopf(args) -> int:
 def cmd_verify_trace(args) -> int:
     with open(args.trace, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(int(row["n"]), float(row["merit"])) for row in reader]
+        missing = [name for name in ("n", "merit") if name not in (reader.fieldnames or ())]
+        if missing:
+            raise TraceError(f"{args.trace} has no {' or '.join(missing)} column")
+        try:
+            rows = [(int(row["n"]), float(row["merit"])) for row in reader]
+        except (TypeError, ValueError) as exc:  # a short row reads as None
+            raise TraceError(f"{args.trace} line {reader.line_num}: {exc}") from exc
     if not rows:
-        print("trace is empty", file=sys.stderr)
-        return 1
-    merits = {n: m for n, m in rows}
+        raise TraceError(f"{args.trace} has no rows")
+    merits = dict(rows)
+    if not np.isfinite(list(merits.values())).all():
+        raise TraceError(f"{args.trace} has a merit that is not finite")
     start = 1 if 1 in merits else min(merits)
     slack = args.slack_scale * (1.0 + abs(merits[start]))
     violations = 0
@@ -327,7 +339,8 @@ def main(argv=None) -> int:
     except (UsageError, engine.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (matpower.MatpowerParseError, OSError, UnicodeDecodeError) as exc:  # reading --case
+    # reading --case or a trace
+    except (matpower.MatpowerParseError, TraceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

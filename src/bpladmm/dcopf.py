@@ -429,7 +429,8 @@ def frozen_u_recheck(
 
     Returns (feasible, worst constraint violation, refined N x 3 blocks);
     the solution is declared feasible when max(A x - b') does not exceed
-    ``RECHECK_FEASIBILITY_TOLERANCE``.
+    ``RECHECK_FEASIBILITY_TOLERANCE``.  An oracle failure raises the
+    engine's ``BlockOracleError``.
     """
     block_problem = DcOpfBlockProblem(frozen_u_problem(problem, u_rounded))
     if warm_x is not None:
@@ -455,15 +456,14 @@ def solve_dcopf(
 
     ``settings`` are the keywords of ``solver_params_for`` (rho, alpha, tol,
     max_iterations), which owns their defaults; the frozen-u recheck runs
-    with the same rho and alpha.
+    with the same rho and alpha.  An oracle failure, in the solve or in
+    the recheck, raises the engine's ``BlockOracleError``.
     """
     problem = build_problem(case)
     params = solver_params_for(case, **settings)
     block_problem = DcOpfBlockProblem(problem)
     result = engine.solve(block_problem, params,
                           lower_bound_init(block_problem, jitter=init_jitter, seed=seed))
-    if result.status == engine.STATUS_ORACLE_FAILURE:
-        raise result.oracle_error
 
     x = result.state.x
     pv, gen, theta, u = x.T.copy()  # the PV, GEN, THETA and U columns

@@ -44,14 +44,18 @@ time in Gauss-Seidel order, but the per-sweep bookkeeping around them (the
 linearization grad P(x_n) - g_n, the step and iterate norms, the objective
 through ``BlockProblem.eval_f_sum`` and the finite check of the oracle
 outputs) is one array operation per sweep instead of one per block.
+
+``solve`` owns a run: it validates the parameters, keeps the run's list of
+iteration reports, monitors the merit and applies the stop rule.  A state
+carries only the report of its own iterate.  A block oracle that raises or
+returns non-finite values ends the run with a ``BlockOracleError``.
 """
 
-import csv
 import math
 import time
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +66,6 @@ STOP_RELATIVE = "relative"  # ||delta (x, y, z)|| / ||(x, y, z)|| < tol
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
-STATUS_ORACLE_FAILURE = "oracle_failure"
 
 
 class ParameterError(ValueError):
@@ -236,8 +239,8 @@ def rho_above_gate(lipschitz_H: float) -> float:
 
 
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the stop rule and the admissibility gates; return (alpha bound,
-    rho bound) on success.
+    """Check the stop rule, the iteration cap, the stop tolerance and the
+    admissibility gates; return (alpha bound, rho bound) on success.
 
     Both bounds are strict: an alpha or rho sitting exactly at its bound is
     rejected.  They are where ``delta_x`` and ``delta_y`` change sign.
@@ -245,6 +248,10 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     rules = (STOP_SHIFTED, STOP_RELATIVE)
     if params.stop_rule not in rules:
         raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
+    if params.max_iterations < 0:
+        raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
+    if not params.stop_tolerance >= 0:  # NaN fails this too
+        raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
     if params.strong_convexity <= 0:
         raise ParameterError("strong convexity modulus alpha must be positive")
     if params.lambda_min_BtB <= 0:
@@ -269,7 +276,7 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Scalar diagnostics of one iterate, exportable as a CSV row."""
+    """Scalar diagnostics of one iterate."""
 
     n: int
     augmented_lagrangian: float
@@ -280,29 +287,17 @@ class IterationReport:
     step_y: float
     step_z: float
 
-    CSV_FIELDS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
-
-    def csv_row(self) -> list:
-        return [
-            self.n,
-            self.augmented_lagrangian,
-            self.merit,
-            self.feasibility,
-            self.objective,
-            self.step_x,
-            self.step_y,
-            self.step_z,
-        ]
-
 
 @dataclass
 class SolverState:
     """Current iterate (x, y, z), its residual A x + B y - b, and the
-    report history.
+    report of that iterate.
 
     ``x`` stacks the blocks into one array of shape (m, *block_shape).
     ``step`` updates copies of ``x`` and ``residual`` block by block instead
     of recomputing them, so neither is ever shared with another state.
+    ``report`` is set by ``step``, with the step norms measured from the
+    state it started from; ``initial_state`` leaves it None.
     """
 
     x: np.ndarray
@@ -310,7 +305,7 @@ class SolverState:
     z: np.ndarray
     residual: np.ndarray
     n: int = 0
-    history: list[IterationReport] = field(default_factory=list)
+    report: IterationReport | None = None
 
 
 @dataclass
@@ -322,7 +317,6 @@ class SolveResult:
     wall_time: float
     merit_increase_count: int = 0
     max_merit_increase: float = 0.0
-    oracle_error: BlockOracleError | None = None
 
 
 def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> float:
@@ -377,39 +371,8 @@ def _report(
     )
 
 
-def x_subproblem_value(
-    problem: BlockProblem, ctx: XBlockContext, x: np.ndarray
-) -> float:
-    """Objective of the block subproblem described by ``ctx`` at the point x,
-    with the coupling term summed over the block's rows only (the rows
-    outside add a constant).
-
-    Useful for testing oracles: an exact oracle's output never evaluates
-    worse than any other point, in particular the incumbent iterate.
-    """
-    coupling = ctx.partial_residual + problem.apply_A(ctx.block_index, x)
-    value = (
-        problem.eval_f(ctx.block_index, x)
-        + float(np.vdot(ctx.linear_term, x))
-        + float(np.vdot(ctx.multiplier, problem.apply_A(ctx.block_index, x)))
-        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
-    )
-    step = x - ctx.current_iterate
-    return value + 0.5 * ctx.prox_weight * float(np.vdot(step, step))
-
-
-def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray) -> float:
-    """Objective of the y subproblem described by ``ctx`` at the point y."""
-    coupling = ctx.x_residual + problem.apply_B(y)
-    return (
-        problem.eval_H(y)
-        + float(np.vdot(ctx.multiplier, problem.apply_B(y)))
-        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
-    )
-
-
 def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> SolverState:
-    """Package an initial iterate with its residual and an empty report history.
+    """Package an initial iterate with its residual; it has no report yet.
 
     ``x`` holds the m blocks (a sequence of arrays or an array of shape
     (m, *block_shape)); they are copied into one stacked array, which must
@@ -485,23 +448,17 @@ def _x_sweep(
 def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> SolverState:
     """One full sweep: x blocks in order, then y, then the multiplier ascent.
 
-    Appends the new iterate's report to the (shared) history list and
-    returns the advanced state.
+    Returns the advanced state, carrying its own report.
     """
     x_new, residual_xy = _x_sweep(problem, params, state)
     x_residual = residual_xy - problem.apply_B(state.y)
-    y_ctx = YBlockContext(
-        multiplier=state.z,
-        x_residual=x_residual,
-        rho=params.rho,
-    )
+    y_ctx = YBlockContext(multiplier=state.z, x_residual=x_residual, rho=params.rho)
     y_new = _oracle_output("y-block", state.n + 1, problem.solve_y_block, y_ctx)
     residual = x_residual + problem.apply_B(y_new)
     z_new = state.z + params.rho * residual
 
-    new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1,
-                            history=state.history)
-    new_state.history.append(_report(problem, params.rho, new_state, residual, state))
+    new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1)
+    new_state.report = _report(problem, params.rho, new_state, residual, state)
     return new_state
 
 
@@ -520,6 +477,10 @@ def _stopped(params: SolverParams, previous: SolverState, report: IterationRepor
 def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
     """Iterate ``step`` until the stop rule fires or max_iterations is hit.
 
+    The result's reports are a new list: the report of ``init`` (built
+    here when ``init`` has none) and then one per sweep, so two runs from
+    one ``init`` share nothing and ``init`` is left as it was.
+
     The stop rule compares the norm of the step, formed from the report's
     step norms, with the norm of the iterate the step started from: over
     (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``.
@@ -529,36 +490,28 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     user-supplied constants may be underestimates.  The count and worst
     violation are recorded on the result.
 
-    A non-finite oracle output ends the run with a ``BlockOracleError``
-    naming the first block that produced it.  The rest of that sweep
-    computes on the non-finite values before the check raises, so numpy's
-    invalid and overflow warnings are silenced for the run.
+    An oracle that raises or returns non-finite values ends the run: the
+    ``BlockOracleError`` naming the first block that failed propagates to
+    the caller.  The rest of that sweep computes on the non-finite values
+    before the check raises, so numpy's invalid and overflow warnings are
+    silenced for the run.
     """
     validate_parameters(params)
     state = init
-    if not state.history:
-        state.history.append(_report(problem, params.rho, state, state.residual))
+    reports = [init.report or _report(problem, params.rho, init, init.residual)]
     status = STATUS_MAX_ITERATIONS
-    oracle_error = None
     merit_increase_count = 0
     max_merit_increase = 0.0
     merit_slack = None
     start = time.perf_counter()
-    iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(params.max_iterations):
-            try:
-                new_state = step(problem, params, state)
-            except BlockOracleError as exc:
-                status = STATUS_ORACLE_FAILURE
-                oracle_error = exc
-                break
-            iterations += 1
-            report = new_state.history[-1]
+            new_state = step(problem, params, state)
+            report = new_state.report
             if report.n == 1:
                 merit_slack = 1e-8 * (1.0 + abs(report.merit))
             elif merit_slack is not None:
-                increase = report.merit - new_state.history[-2].merit
+                increase = report.merit - reports[-1].merit
                 if increase > merit_slack:
                     merit_increase_count += 1
                     max_merit_increase = max(max_merit_increase, increase)
@@ -569,6 +522,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
                             RuntimeWarning,
                             stacklevel=2,
                         )
+            reports.append(report)
             stopped = _stopped(params, state, report)
             state = new_state
             if stopped:
@@ -578,13 +532,12 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
 
     return SolveResult(
         state=state,
-        reports=state.history,
+        reports=reports,
         status=status,
-        iterations=iterations,
+        iterations=len(reports) - 1,
         wall_time=wall,
         merit_increase_count=merit_increase_count,
         max_merit_increase=max_merit_increase,
-        oracle_error=oracle_error,
     )
 
 
@@ -616,30 +569,3 @@ def stationarity_report(
     x_new, _ = _x_sweep(problem, params, state)
     x_fixed_point = float(np.linalg.norm(x_new - state.x))
     return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)
-
-
-def write_reports_csv(reports: list[IterationReport], path) -> None:
-    """Dump iteration reports as CSV with full double precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IterationReport.CSV_FIELDS)
-        for report in reports:
-            writer.writerow(
-                [report.n] + [f"{v:.17g}" for v in report.csv_row()[1:]]
-            )
-
-
-def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float = 1e-10) -> float:
-    """Probe <B u, v> = <u, B^T v> on random inputs; ``stationarity_report``
-    relies on B^T.
-
-    Returns the relative mismatch; raises if it exceeds ``tol``.
-    """
-    v = rng.standard_normal(problem.rhs.shape)
-    u = rng.standard_normal(problem.y_shape)
-    lhs = float(np.vdot(problem.apply_B(u), v))
-    rhs = float(np.vdot(u, problem.apply_B_transpose(v)))
-    worst = abs(lhs - rhs) / (1.0 + abs(lhs))
-    if worst > tol:
-        raise ValueError(f"adjoint identity violated: relative error {worst:.3e}")
-    return worst

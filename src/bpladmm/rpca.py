@@ -238,8 +238,6 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     init = engine.initial_state(problem, _initial_blocks(M.shape, init_seed), M,
                                 np.zeros_like(M))
     result = engine.solve(problem, config.solver_params(), init)
-    if result.oracle_error is not None:
-        raise result.oracle_error
     state = result.state
     return _solution(instance, state.x[0], state.x[1], state.y, state.z, result.iterations,
                      result.wall_time, result.status == engine.STATUS_CONVERGED, result.reports)

@@ -13,12 +13,15 @@ a reference for the adapter's cached inverses.
 ``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
 the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.
+``x_subproblem_value`` and ``y_subproblem_value`` evaluate the engine's
+block subproblems, so an oracle's output can be compared with other
+points, and ``check_adjoints`` probes a problem's B against its B^T.
 """
 
 import numpy as np
 
 from bpladmm import dcopf
-from bpladmm.engine import XBlockContext
+from bpladmm.engine import BlockProblem, XBlockContext, YBlockContext
 from bpladmm.spaces import singular_value_shrink, soft_shrink
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -293,3 +296,48 @@ def rpca_reference_sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
                         tau / (rho + alpha))
     T_new = (gamma * M + Z + rho * (L_new + S_new)) / (gamma + rho)
     return L_new, S_new, T_new, Z + rho * (L_new + S_new - T_new)
+
+
+def x_subproblem_value(problem: BlockProblem, ctx: XBlockContext, x: np.ndarray) -> float:
+    """Objective of the block subproblem described by ``ctx`` at the point x,
+    with the coupling term summed over the block's rows only (the rows
+    outside add a constant).
+
+    An exact oracle's output never evaluates worse than any other point,
+    in particular the incumbent iterate.
+    """
+    coupling = ctx.partial_residual + problem.apply_A(ctx.block_index, x)
+    value = (
+        problem.eval_f(ctx.block_index, x)
+        + float(np.vdot(ctx.linear_term, x))
+        + float(np.vdot(ctx.multiplier, problem.apply_A(ctx.block_index, x)))
+        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
+    )
+    step = x - ctx.current_iterate
+    return value + 0.5 * ctx.prox_weight * float(np.vdot(step, step))
+
+
+def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray) -> float:
+    """Objective of the y subproblem described by ``ctx`` at the point y."""
+    coupling = ctx.x_residual + problem.apply_B(y)
+    return (
+        problem.eval_H(y)
+        + float(np.vdot(ctx.multiplier, problem.apply_B(y)))
+        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
+    )
+
+
+def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float = 1e-10) -> float:
+    """Probe <B u, v> = <u, B^T v> on random inputs; ``stationarity_report``
+    relies on B^T.
+
+    Returns the relative mismatch; raises if it exceeds ``tol``.
+    """
+    v = rng.standard_normal(problem.rhs.shape)
+    u = rng.standard_normal(problem.y_shape)
+    lhs = float(np.vdot(problem.apply_B(u), v))
+    rhs = float(np.vdot(u, problem.apply_B_transpose(v)))
+    worst = abs(lhs - rhs) / (1.0 + abs(lhs))
+    if worst > tol:
+        raise ValueError(f"adjoint identity violated: relative error {worst:.3e}")
+    return worst

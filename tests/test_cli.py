@@ -1,8 +1,10 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from bpladmm import dcopf
 from bpladmm.cli import main
 
 RPCA_SMALL = ["rpca-bench", "--size", "30", "30", "--rank", "3", "--sparsity", "0.05",
@@ -84,6 +86,49 @@ def test_verify_trace_accepts_good_and_rejects_tampered(tmp_path, capsys):
     tampered.write_text("\n".join([header] + body) + "\n")
     assert main(["verify-trace", str(tampered)]) == 1
     assert "merit increased" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, message", [
+    ("n,L_rho\n0,1.0\n", "has no merit column"),
+    ("L_rho,merit\n1.0,2.0\n", "has no n column"),
+    ("n,merit\n0,1.0\n1,abc\n", "line 3"),
+    ("n,merit\n0,1.0\n1\n", "line 3"),
+    ("n,merit\n", "has no rows"),
+    ("n,merit\n0,1.0\n1,0.5\n2,nan\n", "has a merit that is not finite"),
+], ids=["no-merit", "no-n", "text-cell", "short-row", "no-rows", "nan-merit"])
+def test_malformed_trace_is_an_error_not_a_traceback(tmp_path, capsys, content, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(content)
+    assert main(["verify-trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
+    rc = main(["dcopf", "--fixture", "2bus", "--max-iter", "30", "--allow-maxiter",
+               "--jobs", "1", "--dump-trace", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "trace_dcopf_seed0.csv").read_text().splitlines()
+    assert lines[0] == "n,L_rho,merit,feasibility,objective,step_x,step_y,step_z"
+    reports = dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=30, seed=0).reports
+    assert len(lines) == len(reports) + 1 == 32
+    for line, report in zip(lines[1:], reports):
+        n, *values = line.split(",")
+        assert (int(n), *map(float, values)) == astuple(report)
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    (["dcopf", "--fixture", "2bus"], "--max-iter=-3", "max_iterations must be non-negative"),
+    (["dcopf", "--fixture", "2bus"], "--tol=-1e-6", "stop_tolerance must be non-negative"),
+    (RPCA_SMALL, "--tol=nan", "stop_tolerance must be non-negative, got nan"),
+    (RPCA_SMALL, "--max-iter=-1", "max_iterations must be non-negative"),
+], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-max-iter"])
+def test_negative_cap_or_tolerance_is_usage_error(tmp_path, capsys, command, flag, message):
+    out = tmp_path / "out"
+    rc = main(command + [flag, "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dcopf_fixture_run(tmp_path, capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bpladmm import dcopf, engine
-from oracles import dcopf_x_block_solve, finite_difference_gradient, golden_section, newton_fd
+from oracles import (
+    check_adjoints, dcopf_x_block_solve, finite_difference_gradient, golden_section, newton_fd,
+)
 
 REL = 1e-10
 TWO_PI = 2.0 * np.pi
@@ -114,7 +116,7 @@ def test_adjoint_identity_for_assembled_operators(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
     block_problem = dcopf.DcOpfBlockProblem(problem)
-    assert engine.check_adjoints(block_problem, rng, tol=1e-12) <= 1e-12
+    assert check_adjoints(block_problem, rng, tol=1e-12) <= 1e-12
 
 
 def small_radial_case():
@@ -434,6 +436,19 @@ def test_frozen_recheck_flags_infeasible_rounding():
     )
     assert not feasible
     assert violation > 1e-2
+
+
+def test_recheck_oracle_failure_raises(monkeypatch):
+    # only the frozen-u problem, whose blocks lack the u column, returns inf
+    solve_x_block = dcopf.DcOpfBlockProblem.solve_x_block
+
+    def inf_without_u(self, i, ctx):
+        out = solve_x_block(self, i, ctx)
+        return np.full_like(out, np.inf) if self.block_shape == (dcopf.U,) else out
+
+    monkeypatch.setattr(dcopf.DcOpfBlockProblem, "solve_x_block", inf_without_u)
+    with pytest.raises(engine.BlockOracleError, match="x-block 0 oracle failed at iteration 1"):
+        dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=50)
 
 
 def test_gamma_zero_leaves_fractional_placement():

@@ -6,7 +6,7 @@ import pytest
 
 from bpladmm import dcopf, engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient
-from oracles import rpca_reference_sweep
+from oracles import check_adjoints, rpca_reference_sweep, x_subproblem_value, y_subproblem_value
 
 REL = 1e-10
 
@@ -123,6 +123,15 @@ def test_validate_parameters_alpha_gate():
         )
 
 
+def test_validate_parameters_iteration_cap_and_tolerance():
+    # zero is a valid cap and a valid tolerance
+    engine.validate_parameters(toy_params(max_iterations=0, stop_tolerance=0.0))
+    for field, value in (("max_iterations", -1), ("stop_tolerance", -1e-12),
+                         ("stop_tolerance", float("nan"))):
+        with pytest.raises(engine.ParameterError, match=f"{field} must be non-negative"):
+            engine.validate_parameters(toy_params(**{field: value}))
+
+
 def test_validate_parameters_rank_deficient_B():
     with pytest.raises(engine.ParameterError, match="full column rank"):
         engine.validate_parameters(engine.SolverParams(rho=1.0, lambda_min_BtB=0.0))
@@ -157,7 +166,7 @@ def test_z_update_exactness_in_reports():
     )
     for _ in range(5):
         state = engine.step(problem, params, state)
-        report = state.history[-1]
+        report = state.report
         assert report.step_z == pytest.approx(params.rho * report.feasibility, rel=1e-12)
 
 
@@ -307,8 +316,8 @@ def test_block_rows_give_the_whole_space_iterates():
         a, b = engine.step(whole, params, a), engine.step(rows, params, b)
         for left, right in zip([a.x, a.y, a.z, a.residual], [b.x, b.y, b.z, b.residual]):
             assert np.array_equal(left, right)
-    assert [r.csv_row() for r in a.history] == [r.csv_row() for r in b.history]
-    assert engine.check_adjoints(rows, np.random.default_rng(0)) == 0.0
+        assert a.report == b.report
+    assert check_adjoints(rows, np.random.default_rng(0)) == 0.0
 
 
 def test_block_oracle_never_worse_than_incumbent():
@@ -335,8 +344,8 @@ def test_block_oracle_never_worse_than_incumbent():
             prox_weight=params.strong_convexity,
         )
         candidate = problem.solve_x_block(i, ctx)
-        assert engine.x_subproblem_value(problem, ctx, candidate) <= (
-            engine.x_subproblem_value(problem, ctx, state.x[i]) + 1e-10
+        assert x_subproblem_value(problem, ctx, candidate) <= (
+            x_subproblem_value(problem, ctx, state.x[i]) + 1e-10
         )
     y_ctx = engine.YBlockContext(
         multiplier=state.z,
@@ -344,8 +353,8 @@ def test_block_oracle_never_worse_than_incumbent():
         rho=params.rho,
     )
     y_new = problem.solve_y_block(y_ctx)
-    assert engine.y_subproblem_value(problem, y_ctx, y_new) <= (
-        engine.y_subproblem_value(problem, y_ctx, state.y) + 1e-10
+    assert y_subproblem_value(problem, y_ctx, y_new) <= (
+        y_subproblem_value(problem, y_ctx, state.y) + 1e-10
     )
 
 
@@ -359,7 +368,7 @@ def test_merit_reduces_to_augmented_lagrangian_without_displacement():
 
 
 def assert_report_matches_one_shot_functions(problem, params, state, report=None):
-    report = state.history[-1] if report is None else report
+    report = state.report if report is None else report
     assert report.n == state.n
     l_rho = engine.augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
     assert report.augmented_lagrangian == pytest.approx(l_rho, rel=1e-12)
@@ -428,9 +437,8 @@ def test_block_oracle_failure_names_the_block():
     state = engine.initial_state(toy, [np.zeros(1)], np.zeros(1), np.zeros(1))
     with pytest.raises(engine.BlockOracleError, match="x-block 0"):
         engine.step(toy, toy_params(), state)
-    result = engine.solve(toy, toy_params(), state)
-    assert result.status == engine.STATUS_ORACLE_FAILURE
-    assert "x-block 0" in str(result.oracle_error)
+    with pytest.raises(engine.BlockOracleError, match="x-block 0"):
+        engine.solve(toy, toy_params(), state)
 
 
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
@@ -482,16 +490,14 @@ def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = engine.solve(problem, params, dcopf.lower_bound_init(problem))
+        with pytest.raises(engine.BlockOracleError) as failure:
+            engine.solve(problem, params, dcopf.lower_bound_init(problem))
     # the error reports the non-finite output; numpy does not warn about it first
     assert [str(w.message) for w in caught] == []
-    assert result.status == engine.STATUS_ORACLE_FAILURE
-    assert result.iterations == 3
-    assert result.oracle_error.block == label
-    assert result.oracle_error.iteration == 4
-    assert f"{label} oracle failed at iteration 4" in str(result.oracle_error)
-    assert "not finite" in str(result.oracle_error)
-    assert all(np.isfinite(xi).all() for xi in result.state.x)
+    assert failure.value.block == label
+    assert failure.value.iteration == 4
+    assert f"{label} oracle failed at iteration 4" in str(failure.value)
+    assert "not finite" in str(failure.value)
 
 
 def test_initial_state_rejects_blocks_of_unequal_shape():
@@ -566,7 +572,7 @@ def test_stationarity_report_at_solution_and_elsewhere():
 def test_adjoint_and_gradient_consistency_helpers(rng):
     instance = rpca.generate_instance(5, 4, 2, 0.2, 1e-2, seed=21)
     problem = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=5, cols=4))
-    assert engine.check_adjoints(problem, rng) <= 1e-10
+    assert check_adjoints(problem, rng) <= 1e-10
     y = rng.standard_normal((5, 4))
     grad = problem.grad_H(y)
     step = 1e-6
@@ -585,6 +591,32 @@ def test_solve_reports_every_iterate():
         result = engine.solve(toy, toy_params(max_iterations=40), init)
     assert [r.n for r in result.reports] == list(range(41))
     assert result.reports[-1].n == result.state.n == 40
+
+
+def test_each_solve_and_step_keeps_its_own_reports():
+    toy = SmoothCoupling(0.7)  # never lands exactly, so tol 0 runs to the cap
+    rng = np.random.default_rng(14)
+    init = engine.initial_state(toy, rng.standard_normal((2, 3)), rng.standard_normal(3),
+                                rng.standard_normal(3))
+    x0 = init.x.copy()
+    params = toy_params(rho=2.5, lipschitz_H=1.0, lipschitz_P=0.7, strong_convexity=0.8,
+                        max_iterations=50, stop_tolerance=0.0)
+    a, b = engine.solve(toy, params, init), engine.solve(toy, params, init)
+    assert a.reports is not b.reports
+    for result in (a, b):
+        assert result.iterations == 50
+        assert [r.n for r in result.reports] == list(range(51))
+    assert a.reports == b.reports
+    assert init.report is None and init.n == 0 and np.array_equal(init.x, x0)
+
+    # two steps from one state: each result carries the one report of its own iterate
+    first, second = engine.step(toy, params, a.state), engine.step(toy, params, a.state)
+    assert first.report == second.report and first.report is not second.report
+    assert first.report.n == 51 and a.state.report is a.reports[-1]
+    # a run continued from a stepped state starts from that state's report
+    continued = engine.solve(toy, replace(params, max_iterations=2), first)
+    assert continued.reports[0] is first.report
+    assert [r.n for r in continued.reports] == [51, 52, 53]
 
 
 def test_stop_rule_variants():
@@ -629,18 +661,3 @@ def test_unknown_stop_rule_is_rejected_up_front(max_iterations):
         engine.validate_parameters(params)
     with pytest.raises(engine.ParameterError, match="bogus"):
         engine.solve(toy, params, engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1)))
-
-
-def test_write_reports_csv_roundtrip(tmp_path):
-    toy = ScalarToy()
-    result = engine.solve(
-        toy, toy_params(),
-        engine.initial_state(toy, [np.array([1.0])], np.zeros(1), np.zeros(1)),
-    )
-    path = tmp_path / "trace.csv"
-    engine.write_reports_csv(result.reports, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,L_rho,merit,feasibility,objective,step_x,step_y,step_z"
-    assert len(lines) == len(result.reports) + 1
-    merit_back = float(lines[1].split(",")[2])
-    assert merit_back == pytest.approx(result.reports[0].merit, rel=1e-15)

@@ -34,6 +34,7 @@ import csv
 import io
 import sys
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ CLI_MANIFESTS = (
 
 
 def report_table(reports) -> np.ndarray:
-    return np.array([r.csv_row() for r in reports], dtype=float)
+    return np.array([astuple(r) for r in reports], dtype=float)
 
 
 def collect(src: str) -> dict:
