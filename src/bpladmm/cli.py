@@ -307,6 +307,10 @@ def cmd_verify_trace(args) -> int:
             raise TraceError(f"{args.trace} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise TraceError(f"{args.trace} has no rows")
+    for (earlier, _), (later, _) in zip(rows, rows[1:]):
+        if later <= earlier:
+            raise TraceError(f"{args.trace} has n = {later} after n = {earlier}; "
+                             "n must strictly increase")
     merits = dict(rows)
     if not np.isfinite(list(merits.values())).all():
         raise TraceError(f"{args.trace} has a merit that is not finite")

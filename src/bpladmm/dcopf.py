@@ -10,16 +10,23 @@ linking, generator bounds, and the u and theta boxes) become A x + y = b
 with slack y whose negativity is penalized by (eta/2) dist^2(y, R^p_+).
 
 The resulting model is solved by the generic engine with closed-form
-oracles: each x block solves a 4x4 symmetric positive definite system whose
-matrix is iteration independent (inverted once per penalty and proximal
-weight), and the y update is a
-componentwise two-branch formula.  A bus block touches only its own rows,
-the rows of its neighbours' balance and line limits and the penetration
-floor.  ``build_problem`` writes each A_i on those rows alone (the dense
-p x 4 form is a view built on demand), so a block update costs
-O(nnz(A_i)), not O(p).  The engine stacks the bus blocks into one N x 4
-array, so the placement penalty, its gradient, the quadratic costs and the
-per-bus result columns are column operations on it.
+oracles: each x block solves a 4x4 symmetric positive definite system K_i
+whose matrix is iteration independent, and the y update is a componentwise
+two-branch formula.  A bus block touches only its own rows, the rows of its
+neighbours' balance and line limits and the penetration floor.
+``build_problem`` writes each A_i on those rows alone (the dense p x 4 form
+is a view built on demand), so a block update costs O(nnz(A_i)), not O(p).
+The engine stacks the bus blocks into one N x 4 array, so the placement
+penalty, its gradient, the quadratic costs and the per-bus result columns
+are column operations on it.
+
+The x sweep is one pass in natural bus order, written as a correction of
+the iterate (block Gauss-Seidel; Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., ch. 4).  The parts of every block update that read only
+the sweep-start iterate are computed for all buses at once, and the
+per-bus loop is left with a gather, two small products and a scatter.
+K_i^-1 and K_i^-1 A_i^T are built in the first sweep and kept while the
+penalty and proximal weight stay the same; they take O(nnz(A)) memory.
 """
 
 from dataclasses import dataclass, replace
@@ -227,22 +234,32 @@ def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float
 
 
 class DcOpfBlockProblem(BlockProblem):
-    """Engine adapter with cached per-bus inverses.
+    """Engine adapter with a cached factor of every bus's system.
 
     Each bus couples through the rows where its A_i has a nonzero entry;
     the operators and the block oracle work on the problem's compact
     blocks, taken as they are.  The x oracle is the closed-form update
 
-        x = (diag(Q_diag[i]) + rho A_i^T A_i + w I)^{-1}
-            (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
+        x = K_i^-1 (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
+        K_i = diag(Q_diag[i]) + rho A_i^T A_i + w I,
 
     with w the context's proximal weight alpha and r its partial residual.
     The system matrix does not change across iterations (the penalty
-    gradient enters only the right-hand side), so the inverses are built
-    for the first context's (rho, w) and rebuilt only when a context brings
-    another pair.  A problem without the u column (the frozen-u recheck)
-    has no placement penalty, so gamma is the case's with four columns and
-    0 with three.
+    gradient enters only the right-hand side), so its factors are built for
+    the first (rho, w) that asks for them and rebuilt only for another
+    pair.  A problem without the u column (the frozen-u recheck) has no
+    placement penalty, so gamma is the case's with four columns and 0 with
+    three.
+
+    ``x_sweep`` runs the same updates without building a context per bus.
+    With r = res[rows_i] - A_i x_i and res the residual carried through the
+    sweep, the update above is
+
+        x_i+ = x_i - K_i^-1 (Q_i x_i + q_i + linear_i + A_i^T z[rows_i])
+                   - rho G_i res[rows_i],            G_i = K_i^-1 A_i^T,
+
+    whose first two terms read only the sweep-start iterate and are formed
+    for all buses at once.
     """
 
     def __init__(self, problem: DcOpfProblem):
@@ -255,8 +272,23 @@ class DcOpfBlockProblem(BlockProblem):
         self.y_shape = (problem.p,)
         self.rhs = problem.b
         self._rows, self._A = problem.rows, problem.blocks
-        self._rho = self._prox_weight = self._inverses = None  # built by the first x oracle call
+        # the blocks end to end, for the products of all buses at once; the
+        # segment sum needs every bus's run of rows non-empty, and every bus
+        # has at least its PV linking rows
+        self._stacked_rows, self._stacked_A = np.concatenate(self._rows), np.concatenate(self._A)
+        self._row_starts = np.cumsum([0] + [len(rows) for rows in self._rows[:-1]])
+        self._factor_pair = self._inverses = self._rho_G = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
+
+    def _factors(self, rho, w):
+        """K_i^-1 of every bus, stacked, and the list of rho G_i, for (rho, w)."""
+        if self._factor_pair != (rho, w):
+            eye = np.eye(*self.block_shape)
+            self._inverses = np.linalg.inv([np.diag(Qk) + rho * (Ak.T @ Ak) + w * eye
+                                            for Qk, Ak in zip(self.problem.Q_diag, self._A)])
+            self._rho_G = [rho * (inverse @ Ak.T) for inverse, Ak in zip(self._inverses, self._A)]
+            self._factor_pair = (rho, w)
+        return self._inverses, self._rho_G
 
     def block_rows(self, i):
         return self._rows[i]
@@ -299,14 +331,24 @@ class DcOpfBlockProblem(BlockProblem):
 
     def solve_x_block(self, i, ctx: XBlockContext):
         rho, w, A = ctx.rho, ctx.prox_weight, self._A[i]
-        if rho != self._rho or w != self._prox_weight:
-            eye = np.eye(*self.block_shape)
-            self._inverses = [np.linalg.inv(np.diag(Qk) + rho * (Ak.T @ Ak) + w * eye)
-                              for Qk, Ak in zip(self.problem.Q_diag, self._A)]
-            self._rho, self._prox_weight = rho, w
+        inverses, _ = self._factors(rho, w)
         rhs = w * ctx.current_iterate - self.problem.q[i] - ctx.linear_term - A.T @ (
             ctx.multiplier + rho * ctx.partial_residual)
-        return self._inverses[i] @ rhs
+        return inverses[i] @ rhs
+
+    def x_sweep(self, state, linear, rho, prox_weight):
+        inverses, rho_G = self._factors(rho, prox_weight)
+        gradient = self.problem.Q_diag * state.x + self.problem.q + linear
+        gradient += np.add.reduceat(state.z[self._stacked_rows, None] * self._stacked_A,
+                                    self._row_starts)
+        # each bus's correction, started from its sweep-start part and
+        # finished in bus order against the residual carried so far
+        step = -(inverses @ gradient[:, :, None])[:, :, 0]
+        residual = state.residual.copy()
+        for dx, rows, rG, A in zip(step, self._rows, rho_G, self._A):
+            dx -= rG @ residual[rows]
+            residual[rows] += A @ dx
+        return state.x + step, residual
 
     def solve_y_block(self, ctx: YBlockContext):
         return y_block_update(ctx.x_residual, ctx.multiplier, self.eta, ctx.rho)
@@ -365,19 +407,12 @@ def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 
     )
 
 
-def _stacked_product(block_problem: DcOpfBlockProblem, x: np.ndarray) -> np.ndarray:
-    """sum_i A_i x_i in the full constraint space, each block added on its rows."""
-    ax = np.zeros(block_problem.problem.p)
-    for i, xi in enumerate(x):
-        ax[block_problem.block_rows(i)] += block_problem.apply_A(i, xi)
-    return ax
-
-
 def _init_from_blocks(block_problem: DcOpfBlockProblem, x: np.ndarray):
     """The x blocks with the slack absorbing b - sum_i A_i x_i, clipped at
     zero, and a zero multiplier."""
-    y = np.maximum(block_problem.rhs - _stacked_product(block_problem, x), 0.0)
-    return engine.initial_state(block_problem, x, y, np.zeros(block_problem.problem.p))
+    zeros = np.zeros(block_problem.problem.p)
+    y = np.maximum(-engine.constraint_residual(block_problem, x, zeros), 0.0)
+    return engine.initial_state(block_problem, x, y, zeros)
 
 
 def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
@@ -440,7 +475,8 @@ def frozen_u_recheck(
     params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
                      max_iterations=RECHECK_MAX_ITERATIONS)
     x = engine.solve(block_problem, params, _init_from_blocks(block_problem, x0)).state.x
-    violation = float(np.max(_stacked_product(block_problem, x) - block_problem.rhs))
+    violation = float(np.max(engine.constraint_residual(block_problem, x,
+                                                        np.zeros(problem.p))))
     return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0), x
 
 

@@ -45,6 +45,12 @@ linearization grad P(x_n) - g_n, the step and iterate norms, the objective
 through ``BlockProblem.eval_f_sum`` and the finite check of the oracle
 outputs) is one array operation per sweep instead of one per block.
 
+The Gauss-Seidel pass itself is ``BlockProblem.x_sweep``.  Its default
+calls ``solve_x_block`` once per block; a problem whose block updates have
+a closed form may override it with a pass of its own, which must give the
+same iterate up to rounding.  The engine checks the pass's output finite
+either way.
+
 ``solve`` owns a run: it validates the parameters, keeps the run's list of
 iteration reports, monitors the merit and applies the stop rule.  A state
 carries only the report of its own iterate.  A block oracle that raises or
@@ -172,6 +178,34 @@ class BlockProblem(ABC):
     @abstractmethod
     def solve_y_block(self, ctx: YBlockContext) -> np.ndarray:
         """Exact minimizer of the y subproblem described by ``ctx``."""
+
+    def x_sweep(
+        self, state: "SolverState", linear: np.ndarray, rho: float, prox_weight: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
+
+        ``linear`` is grad P(x_n) - g_n, stacked like x.  The iterate and
+        the residual start as copies of the state's, and each block
+        rewrites its own entry and its own rows, so the state is left as
+        it was.  This default calls ``solve_x_block`` once per block; when
+        an oracle raises, the blocks before it are checked finite first, so
+        the ``BlockOracleError`` names the first block that failed.
+        """
+        iteration = state.n + 1
+        residual = state.residual.copy()
+        x_new = state.x.copy()
+        for i in range(len(x_new)):
+            rows = self.block_rows(i)
+            partial = residual[rows] - self.apply_A(i, x_new[i])
+            # positional, in field order: keyword arguments double the build time
+            ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, rho, prox_weight)
+            try:
+                x_new[i] = self.solve_x_block(i, ctx)
+            except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
+                earlier = _first_non_finite_block(x_new[:i], iteration)
+                raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
+            residual[rows] = partial + self.apply_A(i, x_new[i])
+        return x_new, residual
 
     def eval_f(self, i: int, x: np.ndarray) -> float:
         return 0.0
@@ -414,32 +448,15 @@ def _first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError |
 def _x_sweep(
     problem: BlockProblem, params: SolverParams, state: SolverState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
+    """The x pass of one sweep, ``problem.x_sweep``; returns (x_new, A x_new + B y - b).
 
-    The iterate and the residual start as copies of the state's, and each
-    block rewrites its own entry and its own rows.  grad P and the G
-    subgradient are evaluated once at the sweep start, not refreshed
-    mid-sweep.  The oracle outputs are checked finite once, after the
-    sweep; when an oracle raises, the blocks before it are checked first,
-    so an error always names the first block that failed.
+    grad P and the G subgradient are evaluated once at the sweep start, not
+    refreshed mid-sweep.  The pass's output is checked finite once, after
+    the sweep, and an error names the first block that is not.
     """
     linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
-    weight = params.strong_convexity
-    iteration = state.n + 1
-    residual = state.residual.copy()
-    x_new = state.x.copy()
-    for i in range(len(x_new)):
-        rows = problem.block_rows(i)
-        partial = residual[rows] - problem.apply_A(i, x_new[i])
-        # positional, in field order: keyword arguments double the build time
-        ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, params.rho, weight)
-        try:
-            x_new[i] = problem.solve_x_block(i, ctx)
-        except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
-            earlier = _first_non_finite_block(x_new[:i], iteration)
-            raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
-        residual[rows] = partial + problem.apply_A(i, x_new[i])
-    failed = _first_non_finite_block(x_new, iteration)
+    x_new, residual = problem.x_sweep(state, linear, params.rho, params.strong_convexity)
+    failed = _first_non_finite_block(x_new, state.n + 1)
     if failed is not None:
         raise failed
     return x_new, residual

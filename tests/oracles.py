@@ -246,14 +246,16 @@ def dcopf_x_block_solve(ctx, Q_diag, q, A):
     return np.linalg.solve(matrix, rhs)
 
 
-def dcopf_reference_sweep(block_problem, params, x, y, z):
-    """One sweep of the method on a ``DcOpfBlockProblem`` of a whole (not
-    frozen-u) case, written as the plain Gauss-Seidel loop: blocks in a
-    list, updated one by one.
+def dcopf_reference_sweep(block_problem, params, x, y, z, u_frozen=None):
+    """One sweep of the method on a ``DcOpfBlockProblem``, written as the
+    plain Gauss-Seidel loop: blocks in a list, updated one by one.
 
-    Every block sees the partial residual recomputed from scratch with the
-    dense A_i of ``dense_reference_problem`` on every row, and the linear term
-    -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
+    The problem is that of a whole case, or with ``u_frozen`` given, the
+    frozen-u problem of that placement: three columns per block and the
+    right-hand side shifted by sum_i A_i[:, u] u_i.  Every block sees the
+    partial residual recomputed from scratch with the dense A_i of
+    ``dense_reference_problem`` on every row, and on a whole case the linear
+    term -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
     sweep start.  The block oracle is ``dcopf_x_block_solve`` on all rows,
     with the penalty and proximal weight of ``params``, the slack is
     ``y_block_update`` of the dense A x - b, and the multiplier ascends by
@@ -261,13 +263,17 @@ def dcopf_reference_sweep(block_problem, params, x, y, z):
     of blocks.
     """
     A, b = dense_reference_problem(block_problem.problem.case)
+    if u_frozen is not None:
+        b = b - sum(Ai[:, dcopf.U] * ui for Ai, ui in zip(A, u_frozen))
+        A = [Ai[:, :dcopf.U] for Ai in A]
     Q_diag, q = block_problem.problem.Q_diag, block_problem.problem.q
     rho, alpha, gamma = params.rho, params.strong_convexity, block_problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]
     linear = []
     for xi in x:
         term = np.zeros_like(xi)
-        term[dcopf.U] = -gamma * (2.0 * xi[dcopf.U] - 1.0)
+        if u_frozen is None:
+            term[dcopf.U] = -gamma * (2.0 * xi[dcopf.U] - 1.0)
         linear.append(term)
     for i in range(len(x)):
         partial = y - b

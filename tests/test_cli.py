@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +99,11 @@ def test_verify_trace_accepts_good_and_rejects_tampered(tmp_path, capsys):
     ("n,merit\n0,1.0\n1\n", "line 3"),
     ("n,merit\n", "has no rows"),
     ("n,merit\n0,1.0\n1,0.5\n2,nan\n", "has a merit that is not finite"),
-], ids=["no-merit", "no-n", "text-cell", "short-row", "no-rows", "nan-merit"])
+    # a repeated n would hide the rise from 3 to 9 if its rows were merged
+    ("n,merit\n0,5\n1,3\n2,9\n2,1\n", "n = 2 after n = 2; n must strictly increase"),
+    ("n,merit\n0,5\n2,3\n1,4\n", "n = 1 after n = 2; n must strictly increase"),
+], ids=["no-merit", "no-n", "text-cell", "short-row", "no-rows", "nan-merit", "repeated-n",
+        "decreasing-n"])
 def test_malformed_trace_is_an_error_not_a_traceback(tmp_path, capsys, content, message):
     path = tmp_path / "trace.csv"
     path.write_text(content)
@@ -267,3 +275,14 @@ def test_bad_seed_list_entry_is_usage_error(tmp_path, capsys, command, seed_list
     assert rc == 2
     assert f"--seed-list entry {token!r} is not a non-negative integer" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_the_cli_does_not_import_scipy():
+    # the library is numpy only; scipy would add about 0.3 s and 30 MB to every start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bpladmm.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

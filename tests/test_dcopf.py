@@ -440,13 +440,15 @@ def test_frozen_recheck_flags_infeasible_rounding():
 
 def test_recheck_oracle_failure_raises(monkeypatch):
     # only the frozen-u problem, whose blocks lack the u column, returns inf
-    solve_x_block = dcopf.DcOpfBlockProblem.solve_x_block
+    x_sweep = dcopf.DcOpfBlockProblem.x_sweep
 
-    def inf_without_u(self, i, ctx):
-        out = solve_x_block(self, i, ctx)
-        return np.full_like(out, np.inf) if self.block_shape == (dcopf.U,) else out
+    def inf_without_u(self, state, linear, rho, prox_weight):
+        x_new, residual = x_sweep(self, state, linear, rho, prox_weight)
+        if self.block_shape == (dcopf.U,):
+            x_new = np.full_like(x_new, np.inf)
+        return x_new, residual
 
-    monkeypatch.setattr(dcopf.DcOpfBlockProblem, "solve_x_block", inf_without_u)
+    monkeypatch.setattr(dcopf.DcOpfBlockProblem, "x_sweep", inf_without_u)
     with pytest.raises(engine.BlockOracleError, match="x-block 0 oracle failed at iteration 1"):
         dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=50)
 

@@ -442,7 +442,8 @@ def test_block_oracle_failure_names_the_block():
 
 
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
-    """Two-bus adapter whose chosen oracle returns inf from a chosen sweep on."""
+    """Two-bus adapter whose chosen block returns inf from a chosen sweep
+    on: an x block through the fused x sweep, or the y block."""
 
     def __init__(self, *args, block, iteration, **kwargs):
         super().__init__(*args, **kwargs)
@@ -450,13 +451,12 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
         self.iteration = iteration
         self.sweep = 0
 
-    def solve_x_block(self, i, ctx):
-        if i == 0:
-            self.sweep += 1
-        out = super().solve_x_block(i, ctx)
-        if self.block == i and self.sweep >= self.iteration:
-            out[dcopf.GEN] = np.inf
-        return out
+    def x_sweep(self, state, linear, rho, prox_weight):
+        self.sweep += 1
+        x_new, residual = super().x_sweep(state, linear, rho, prox_weight)
+        if self.block != "y" and self.sweep >= self.iteration:
+            x_new[self.block, dcopf.GEN] = np.inf
+        return x_new, residual
 
     def solve_y_block(self, ctx):
         out = super().solve_y_block(ctx)
@@ -465,39 +465,60 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
         return out
 
 
-class NanThenRaise(InfiniteOutput):
-    """Block 0 returns NaN from the chosen sweep on, and the oracle of block
-    1, fed the NaN through its partial residual, then raises."""
-
-    def solve_x_block(self, i, ctx):
-        out = super().solve_x_block(i, ctx)
-        if self.sweep >= self.iteration:
-            if i == 1:
-                raise np.linalg.LinAlgError("block 1 cannot solve with a NaN residual")
-            out[dcopf.GEN] = np.nan
-        return out
-
-
-@pytest.mark.parametrize("block, label", [
-    (1, "x-block 1"),
-    ("y", "y-block"),
-    pytest.param("nan 0, then 1 raises", "x-block 0", id="nan-0-then-1-raises"),
-])
-def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
-    case = dcopf.two_bus_fixture()
-    make = NanThenRaise if block == "nan 0, then 1 raises" else InfiniteOutput
-    problem = make(dcopf.build_problem(case), block=block, iteration=4)
-    params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
+def assert_fails_with_block_and_iteration(problem, params, init, label):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(engine.BlockOracleError) as failure:
-            engine.solve(problem, params, dcopf.lower_bound_init(problem))
+            engine.solve(problem, params, init)
     # the error reports the non-finite output; numpy does not warn about it first
     assert [str(w.message) for w in caught] == []
     assert failure.value.block == label
     assert failure.value.iteration == 4
     assert f"{label} oracle failed at iteration 4" in str(failure.value)
     assert "not finite" in str(failure.value)
+
+
+@pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block")])
+def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
+    case = dcopf.two_bus_fixture()
+    problem = InfiniteOutput(dcopf.build_problem(case), block=block, iteration=4)
+    params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
+    assert_fails_with_block_and_iteration(problem, params, dcopf.lower_bound_init(problem), label)
+
+
+class NanThenRaise(RecordingProblem):
+    """Three scalar blocks with f_i(x_i) = x_i and exact oracles on the
+    default per-block sweep; f is unbounded below, so the iterate moves
+    every sweep.  From the fourth sweep on, block 0 returns NaN, and the
+    oracle of block 1, fed the NaN through its partial residual, raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.sweep = 0
+
+    def solve_x_block(self, i, ctx):
+        if i == 0:
+            self.sweep += 1
+            if self.sweep >= 4:
+                return np.full(1, np.nan)
+        if not np.isfinite(ctx.partial_residual).all():
+            raise np.linalg.LinAlgError(f"block {i} cannot solve with a NaN residual")
+        w = ctx.prox_weight
+        return (w * ctx.current_iterate - 1.0 - ctx.linear_term - ctx.multiplier[i]
+                - ctx.rho * ctx.partial_residual[i]) / (ctx.rho + w)
+
+    def eval_f(self, i, x):
+        return float(x[0])
+
+    def solve_y_block(self, ctx):
+        return ctx.x_residual + ctx.multiplier / ctx.rho
+
+
+def test_oracle_raising_mid_sweep_names_the_first_non_finite_block():
+    problem = NanThenRaise()
+    init = engine.initial_state(problem, [[1.0], [2.0], [3.0]], np.zeros(3), np.zeros(3))
+    assert_fails_with_block_and_iteration(problem, toy_params(max_iterations=50), init,
+                                          "x-block 0")
 
 
 def test_initial_state_rejects_blocks_of_unequal_shape():

@@ -37,9 +37,23 @@ def random_radial_case(num_buses, seed):
     )
 
 
-def make_run(num_buses, case_seed, jitter_seed):
+def with_cancelled_line(case):
+    """``case`` plus a parallel line of opposite susceptance to its last
+    one, which leaves the two buses' line rows all zero."""
+    i, j, susceptance = case.lines[-1]
+    return replace(case, lines=case.lines + ((j, i, -susceptance),))
+
+
+def make_run(num_buses, case_seed, jitter_seed, cancelled_line=False, u_frozen=None):
+    """A block problem, its parameters and a jittered start; with
+    ``u_frozen`` the problem is the frozen-u one of that placement."""
     case = random_radial_case(num_buses, case_seed)
-    block_problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case))
+    if cancelled_line:
+        case = with_cancelled_line(case)
+    problem = dcopf.build_problem(case)
+    if u_frozen is not None:
+        problem = dcopf.frozen_u_problem(problem, u_frozen)
+    block_problem = dcopf.DcOpfBlockProblem(problem)
     params = dcopf.solver_params_for(case, tol=0.0, max_iterations=SWEEPS)
     state = dcopf.lower_bound_init(block_problem, jitter=0.1, seed=jitter_seed)
     return block_problem, params, state
@@ -50,12 +64,17 @@ CASES = dict(num_buses=st.integers(2, 8), case_seed=st.integers(0, 2**32 - 1),
 
 
 @PROPERTY_SETTINGS
-@given(**CASES)
-def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed):
-    block_problem, params, state = make_run(num_buses, case_seed, jitter_seed)
+@given(**CASES, cancelled_line=st.booleans(), u_seed=st.none() | st.integers(0, 2**32 - 1))
+def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
+                                              cancelled_line, u_seed):
+    # u_seed None runs the whole problem, an integer the frozen-u one of a random placement
+    u_frozen = (None if u_seed is None else
+                np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float))
+    block_problem, params, state = make_run(num_buses, case_seed, jitter_seed, cancelled_line,
+                                            u_frozen)
     new = engine.step(block_problem, params, state)
     ref_x, ref_y, ref_z = dcopf_reference_sweep(block_problem, params, list(state.x), state.y,
-                                                 state.z)
+                                                 state.z, u_frozen)
     for name, mine, reference in (("x", new.x, np.array(ref_x)), ("y", new.y, ref_y),
                                   ("z", new.z, ref_z)):
         assert mine.shape == reference.shape
@@ -92,9 +111,7 @@ def test_assembly_matches_the_dense_row_by_row_oracle(num_buses, case_seed, u_se
                                                       cancelled_line):
     case = random_radial_case(num_buses, case_seed)
     if cancelled_line:
-        # a parallel line of opposite susceptance leaves its buses' line rows all zero
-        i, j, susceptance = case.lines[-1]
-        case = replace(case, lines=case.lines + ((j, i, -susceptance),))
+        case = with_cancelled_line(case)
     problem = dcopf.build_problem(case)
     A, b = dense_reference_problem(case)
     assert_blocks_match(problem, A, b)
