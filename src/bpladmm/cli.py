@@ -311,13 +311,12 @@ def cmd_verify_trace(args) -> int:
         if later <= earlier:
             raise TraceError(f"{args.trace} has n = {later} after n = {earlier}; "
                              "n must strictly increase")
-    merits = dict(rows)
-    if not np.isfinite(list(merits.values())).all():
+    if not np.isfinite([merit for _, merit in rows]).all():
         raise TraceError(f"{args.trace} has a merit that is not finite")
-    start = 1 if 1 in merits else min(merits)
-    slack = args.slack_scale * (1.0 + abs(merits[start]))
+    start = 1 if any(n == 1 for n, _ in rows) else rows[0][0]
+    ordered = [merit for n, merit in rows if n >= start]
+    slack = args.slack_scale * (1.0 + abs(ordered[0]))
     violations = 0
-    ordered = [m for n, m in sorted(merits.items()) if n >= start]
     for k in range(1, len(ordered)):
         increase = ordered[k] - ordered[k - 1]
         if increase > slack:

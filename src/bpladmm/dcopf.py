@@ -20,13 +20,9 @@ The engine stacks the bus blocks into one N x 4 array, so the placement
 penalty, its gradient, the quadratic costs and the per-bus result columns
 are column operations on it.
 
-The x sweep is one pass in natural bus order, written as a correction of
-the iterate (block Gauss-Seidel; Saad, Iterative Methods for Sparse Linear
-Systems, 2nd ed., ch. 4).  The parts of every block update that read only
-the sweep-start iterate are computed for all buses at once, and the
-per-bus loop is left with a gather, two small products and a scatter.
-K_i^-1 and K_i^-1 A_i^T are built in the first sweep and kept while the
-penalty and proximal weight stay the same; they take O(nnz(A)) memory.
+The x sweep is one block Gauss-Seidel pass in natural bus order (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4), written as
+the correction of the iterate that ``DcOpfBlockProblem`` derives.
 """
 
 from dataclasses import dataclass, replace
@@ -259,7 +255,9 @@ class DcOpfBlockProblem(BlockProblem):
                    - rho G_i res[rows_i],            G_i = K_i^-1 A_i^T,
 
     whose first two terms read only the sweep-start iterate and are formed
-    for all buses at once.
+    for all buses at once; the per-bus loop is left with a gather, two
+    small products and a scatter.  K_i^-1 and rho G_i are one cache, of
+    O(nnz(A)) memory, shared by ``x_sweep`` and ``solve_x_block``.
     """
 
     def __init__(self, problem: DcOpfProblem):

@@ -189,7 +189,9 @@ class BlockProblem(ABC):
         rewrites its own entry and its own rows, so the state is left as
         it was.  This default calls ``solve_x_block`` once per block; when
         an oracle raises, the blocks before it are checked finite first, so
-        the ``BlockOracleError`` names the first block that failed.
+        the ``BlockOracleError`` names the first block that failed.  An
+        override is checked finite after it returns, and any other error it
+        raises is reported as the block "x-sweep".
         """
         iteration = state.n + 1
         residual = state.residual.copy()
@@ -452,10 +454,17 @@ def _x_sweep(
 
     grad P and the G subgradient are evaluated once at the sweep start, not
     refreshed mid-sweep.  The pass's output is checked finite once, after
-    the sweep, and an error names the first block that is not.
+    the sweep, and an error names the first block that is not.  An
+    override of ``x_sweep`` that raises anything but a ``BlockOracleError``
+    fails as the block "x-sweep".
     """
     linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
-    x_new, residual = problem.x_sweep(state, linear, params.rho, params.strong_convexity)
+    try:
+        x_new, residual = problem.x_sweep(state, linear, params.rho, params.strong_convexity)
+    except BlockOracleError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - an override's raise names the pass
+        raise BlockOracleError("x-sweep", state.n + 1, exc) from exc
     failed = _first_non_finite_block(x_new, state.n + 1)
     if failed is not None:
         raise failed

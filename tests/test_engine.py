@@ -442,8 +442,9 @@ def test_block_oracle_failure_names_the_block():
 
 
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
-    """Two-bus adapter whose chosen block returns inf from a chosen sweep
-    on: an x block through the fused x sweep, or the y block."""
+    """Two-bus adapter whose chosen block goes infinite from a chosen sweep
+    on.  An x block gets an infinite linear term, which the fused x sweep
+    carries through its per-bus products; the y block returns inf."""
 
     def __init__(self, *args, block, iteration, **kwargs):
         super().__init__(*args, **kwargs)
@@ -453,10 +454,10 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
 
     def x_sweep(self, state, linear, rho, prox_weight):
         self.sweep += 1
-        x_new, residual = super().x_sweep(state, linear, rho, prox_weight)
         if self.block != "y" and self.sweep >= self.iteration:
-            x_new[self.block, dcopf.GEN] = np.inf
-        return x_new, residual
+            linear = linear.copy()
+            linear[self.block, dcopf.GEN] = np.inf
+        return super().x_sweep(state, linear, rho, prox_weight)
 
     def solve_y_block(self, ctx):
         out = super().solve_y_block(ctx)
@@ -519,6 +520,19 @@ def test_oracle_raising_mid_sweep_names_the_first_non_finite_block():
     init = engine.initial_state(problem, [[1.0], [2.0], [3.0]], np.zeros(3), np.zeros(3))
     assert_fails_with_block_and_iteration(problem, toy_params(max_iterations=50), init,
                                           "x-block 0")
+
+
+def test_x_sweep_override_that_raises_fails_as_the_x_sweep():
+    class Broken(ScalarToy):
+        def x_sweep(self, state, linear, rho, prox_weight):
+            raise np.linalg.LinAlgError("singular system")
+
+    toy = Broken()
+    state = engine.initial_state(toy, [np.zeros(1)], np.zeros(1), np.zeros(1))
+    with pytest.raises(engine.BlockOracleError, match="x-sweep oracle failed at iteration 1: "
+                                                     "singular system") as failure:
+        engine.solve(toy, toy_params(), state)
+    assert isinstance(failure.value.cause, np.linalg.LinAlgError)
 
 
 def test_initial_state_rejects_blocks_of_unequal_shape():
