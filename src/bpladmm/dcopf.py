@@ -25,7 +25,7 @@ Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4), written as
 the correction of the iterate that ``DcOpfBlockProblem`` derives.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -95,8 +95,11 @@ class DcOpfCase:
         for i, j, b in self.lines:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"line ({i}, {j}) has an invalid endpoint")
-            if b == 0.0:
-                raise ValueError(f"line ({i}, {j}) has zero susceptance")
+            if not np.isfinite(b) or b == 0.0:
+                raise ValueError(f"line ({i}, {j}) susceptance {b} must be finite and nonzero")
+        for field in fields(self):
+            if field.name != "lines" and not np.isfinite(getattr(self, field.name)).all():
+                raise ValueError(f"{field.name} must be finite")
         for name, arr in (
             ("gen_capacity", self.gen_capacity),
             ("demand", self.demand),
@@ -297,9 +300,6 @@ class DcOpfBlockProblem(BlockProblem):
     def apply_B(self, y):
         return y
 
-    def apply_B_transpose(self, v):
-        return v
-
     def eval_f(self, i, x):
         quadratic = 0.5 * float(np.vdot(self.problem.Q_diag[i] * x, x))
         return quadratic + float(self.problem.q[i] @ x) + float(self.problem.case.gen_cost_c[i])
@@ -311,10 +311,6 @@ class DcOpfBlockProblem(BlockProblem):
     def eval_H(self, y):
         value, _ = dist_sq_nonneg_orthant(y)
         return 0.5 * self.eta * value
-
-    def grad_H(self, y):
-        _, grad = dist_sq_nonneg_orthant(y)
-        return 0.5 * self.eta * grad
 
     def eval_G(self, x):
         if self.gamma == 0.0:
@@ -455,13 +451,13 @@ def frozen_u_recheck(
     u_rounded: np.ndarray,
     params: SolverParams,
     warm_x: np.ndarray | None = None,
-) -> tuple[bool, float, np.ndarray]:
+) -> tuple[bool, float]:
     """Re-solve ``frozen_u_problem(problem, u_rounded)``, from the first
     three columns of ``warm_x`` when given, with the penalty and proximal
     weight of ``params`` and the ``RECHECK_*`` tolerance and sweep cap.
 
-    Returns (feasible, worst constraint violation, refined N x 3 blocks);
-    the solution is declared feasible when max(A x - b') does not exceed
+    Returns (feasible, worst constraint violation); the solution is
+    declared feasible when max(A x - b') does not exceed
     ``RECHECK_FEASIBILITY_TOLERANCE``.  An oracle failure raises the
     engine's ``BlockOracleError``.
     """
@@ -475,7 +471,7 @@ def frozen_u_recheck(
     x = engine.solve(block_problem, params, _init_from_blocks(block_problem, x0)).state.x
     violation = float(np.max(engine.constraint_residual(block_problem, x,
                                                         np.zeros(problem.p))))
-    return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0), x
+    return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0)
 
 
 def solve_dcopf(
@@ -506,8 +502,8 @@ def solve_dcopf(
     rounded_feasible = None
     rounded_violation = None
     if recheck:
-        rounded_feasible, rounded_violation, _ = frozen_u_recheck(problem, u_rounded, params,
-                                                                  warm_x=x)
+        rounded_feasible, rounded_violation = frozen_u_recheck(problem, u_rounded, params,
+                                                               warm_x=x)
     return DcOpfSolution(
         pv=pv,
         gen=gen,

@@ -29,7 +29,8 @@ augmented Lagrangian itself,
     merit_n = L_rho(x_n, y_n, z_n),
 
 downhill by at least delta_x ||x_{n+1}-x_n||^2 + delta_y ||y_{n+1}-y_n||^2
-per sweep, which the engine monitors at runtime.
+per sweep.  ``merit_increases`` checks this, in ``solve`` on the run's
+sweeps and in ``verify-trace`` on a dumped trace.
 
 Each block couples only through the rows of the constraint space where
 A_i is nonzero.  ``BlockProblem.block_rows(i)`` names them (every row by
@@ -52,7 +53,7 @@ same iterate up to rounding.  The engine checks the pass's output finite
 either way.
 
 ``solve`` owns a run: it validates the parameters, keeps the run's list of
-iteration reports, monitors the merit and applies the stop rule.  A state
+iteration reports, applies the stop rule and then the merit rule.  A state
 carries only the report of its own iterate.  A block oracle that raises or
 returns non-finite values ends the run with a ``BlockOracleError``.
 """
@@ -131,10 +132,10 @@ class BlockProblem(ABC):
     """A problem instance: block spaces, operators, and subproblem oracles.
 
     Subclasses must set ``num_blocks`` and ``block_shape`` (the one shape
-    of every x block), ``y_shape`` and ``rhs``, implement A and B and the
-    adjoint of B, and supply exact argmin oracles for the block
-    subproblems.  The smooth / coupling pieces H, P, G default to zero so
-    simple problems only override what they use.
+    of every x block), ``y_shape`` and ``rhs``, implement A and B, and
+    supply exact argmin oracles for the block subproblems.  The smooth /
+    coupling pieces H, P, G default to zero so simple problems only
+    override what they use.
 
     The engine hands the x iterate to ``eval_f_sum``, ``eval_P``,
     ``grad_P``, ``eval_G`` and ``subgrad_G`` as one array of shape
@@ -166,10 +167,6 @@ class BlockProblem(ABC):
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
         """B y, living in the constraint space."""
-
-    @abstractmethod
-    def apply_B_transpose(self, v: np.ndarray) -> np.ndarray:
-        """B^T v, living in the y space."""
 
     @abstractmethod
     def solve_x_block(self, i: int, ctx: XBlockContext) -> np.ndarray:
@@ -218,9 +215,6 @@ class BlockProblem(ABC):
 
     def eval_H(self, y: np.ndarray) -> float:
         return 0.0
-
-    def grad_H(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros_like(y)
 
     def eval_P(self, x: np.ndarray) -> float:
         return 0.0
@@ -412,15 +406,19 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
 
     ``x`` holds the m blocks (a sequence of arrays or an array of shape
     (m, *block_shape)); they are copied into one stacked array, which must
-    have the problem's shape (num_blocks, *block_shape).
+    have the problem's shape (num_blocks, *block_shape).  y must have the
+    shape ``y_shape`` and z the shape of ``rhs``.
     """
     shape = (problem.num_blocks, *problem.block_shape)
     given = [np.shape(xi) for xi in x]
     if given != [shape[1:]] * shape[0]:
         raise ValueError(f"x blocks of shapes {given} do not stack to {shape}")
     x = np.array(x, dtype=float)
-    y = np.asarray(y, dtype=float).copy()
-    z = np.asarray(z, dtype=float).copy()
+    y = np.array(y, dtype=float)
+    z = np.array(z, dtype=float)
+    for name, value, expected in (("y", y, problem.y_shape), ("z", z, problem.rhs.shape)):
+        if value.shape != expected:
+            raise ValueError(f"{name} of shape {value.shape} is not of shape {expected}")
     return SolverState(x=x, y=y, z=z, residual=constraint_residual(problem, x, y), n=0)
 
 
@@ -500,6 +498,20 @@ def _stopped(params: SolverParams, previous: SolverState, report: IterationRepor
     return delta / base < params.stop_tolerance
 
 
+def merit_increases(merits, slack_scale: float = 1e-8) -> list[tuple[int, float]]:
+    """Each (k, merits[k] - merits[k-1]) above slack_scale * (1 + |merits[0]|).
+
+    The merit rule of ``solve`` and of ``verify-trace``: a valid run with
+    exact oracles has none.
+    """
+    if len(merits) < 2:
+        return []
+    slack = slack_scale * (1.0 + abs(merits[0]))
+    return [(k, later - earlier)
+            for k, (earlier, later) in enumerate(zip(merits, merits[1:]), start=1)
+            if later - earlier > slack]
+
+
 def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
     """Iterate ``step`` until the stop rule fires or max_iterations is hit.
 
@@ -511,50 +523,45 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     step norms, with the norm of the iterate the step started from: over
     (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``.
 
-    A merit increase beyond 1e-8*(1 + |merit_1|) is a warning, not an error:
-    the descent guarantee assumes exact oracles and honest constants, and
-    user-supplied constants may be underestimates.  The count and worst
-    violation are recorded on the result.
+    ``merit_increases`` checks the merits of the run's own sweeps, whatever
+    ``init.n`` is.  An increase is a warning (the first one only), not an
+    error: the descent guarantee assumes exact oracles and honest
+    constants, and user-supplied constants may be underestimates.  The
+    count and worst increase are recorded on the result.
 
     An oracle that raises or returns non-finite values ends the run: the
     ``BlockOracleError`` naming the first block that failed propagates to
-    the caller.  The rest of that sweep computes on the non-finite values
-    before the check raises, so numpy's invalid and overflow warnings are
-    silenced for the run.
+    the caller, after the sweeps before it are checked for increases.  The
+    rest of that sweep computes on the non-finite values before the check
+    raises, so numpy's invalid and overflow warnings are silenced for the
+    run.
     """
     validate_parameters(params)
     state = init
     reports = [init.report or _report(problem, params.rho, init, init.residual)]
     status = STATUS_MAX_ITERATIONS
-    merit_increase_count = 0
-    max_merit_increase = 0.0
-    merit_slack = None
     start = time.perf_counter()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(params.max_iterations):
-            new_state = step(problem, params, state)
-            report = new_state.report
-            if report.n == 1:
-                merit_slack = 1e-8 * (1.0 + abs(report.merit))
-            elif merit_slack is not None:
-                increase = report.merit - reports[-1].merit
-                if increase > merit_slack:
-                    merit_increase_count += 1
-                    max_merit_increase = max(max_merit_increase, increase)
-                    if merit_increase_count == 1:
-                        warnings.warn(
-                            f"merit increased by {increase:.3e} at iteration {report.n}; "
-                            "supplied constants may underestimate the true ones",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-            reports.append(report)
-            stopped = _stopped(params, state, report)
-            state = new_state
-            if stopped:
-                status = STATUS_CONVERGED
-                break
-    wall = time.perf_counter() - start
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(params.max_iterations):
+                new_state = step(problem, params, state)
+                reports.append(new_state.report)
+                stopped = _stopped(params, state, new_state.report)
+                state = new_state
+                if stopped:
+                    status = STATUS_CONVERGED
+                    break
+    finally:
+        wall = time.perf_counter() - start
+        increases = merit_increases([report.merit for report in reports[1:]])
+        if increases:
+            k, increase = increases[0]
+            warnings.warn(
+                f"merit increased by {increase:.3e} at iteration {reports[k + 1].n}; "
+                "supplied constants may underestimate the true ones",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     return SolveResult(
         state=state,
@@ -562,36 +569,6 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
         status=status,
         iterations=len(reports) - 1,
         wall_time=wall,
-        merit_increase_count=merit_increase_count,
-        max_merit_increase=max_merit_increase,
+        merit_increase_count=len(increases),
+        max_merit_increase=max((increase for _, increase in increases), default=0.0),
     )
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """Computable first-order residuals at a point.
-
-    ``dual_y`` and ``feasibility`` are the two equation residuals of the
-    stationarity system; ``x_fixed_point`` is the displacement of one more
-    x sweep, a proxy for the subdifferential inclusion in x (which involves
-    a limiting subdifferential and is not directly computable).
-    """
-
-    dual_y: float
-    feasibility: float
-    x_fixed_point: float
-
-
-def stationarity_report(
-    problem: BlockProblem, params: SolverParams, state: SolverState
-) -> StationarityReport:
-    dual_y = float(
-        np.linalg.norm(problem.grad_H(state.y) + problem.apply_B_transpose(state.z))
-    )
-    feasibility = float(
-        np.linalg.norm(constraint_residual(problem, state.x, state.y))
-    )
-    # the sweep starts from the state's carried residual, not a fresh one
-    x_new, _ = _x_sweep(problem, params, state)
-    x_fixed_point = float(np.linalg.norm(x_new - state.x))
-    return StationarityReport(dual_y=dual_y, feasibility=feasibility, x_fixed_point=x_fixed_point)

@@ -339,9 +339,6 @@ class RpcaBlockProblem(BlockProblem):
     def apply_B(self, y):
         return -y
 
-    def apply_B_transpose(self, v):
-        return -v
-
     def eval_f(self, i, x):
         if i == 1:
             return self.tau * float(np.abs(x).sum())
@@ -353,9 +350,6 @@ class RpcaBlockProblem(BlockProblem):
     def eval_H(self, y):
         diff = y - self.instance.M
         return 0.5 * self.config.gamma * float(np.vdot(diff, diff))
-
-    def grad_H(self, y):
-        return self.config.gamma * (y - self.instance.M)
 
     def _leading_pair(self, S):
         block, pair = self._pair

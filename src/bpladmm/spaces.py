@@ -63,7 +63,9 @@ def squared_norm() -> BregmanGenerator:
 def scaled_squared_norm(alpha: float) -> BregmanGenerator:
     """Generator phi(x) = (alpha/2)||x||^2, whose distance is (alpha/2)||u - v||^2.
 
-    This is the generator both applications use for their proximal terms.
+    The engine's x proximal term has this kernel, but the engine and both
+    applications carry it as the number alpha (``strong_convexity``) and
+    never build the generator.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")

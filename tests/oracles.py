@@ -15,7 +15,7 @@ the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.
 ``x_subproblem_value`` and ``y_subproblem_value`` evaluate the engine's
 block subproblems, so an oracle's output can be compared with other
-points, and ``check_adjoints`` probes a problem's B against its B^T.
+points.
 """
 
 import numpy as np
@@ -332,18 +332,3 @@ def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray)
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
     )
 
-
-def check_adjoints(problem: BlockProblem, rng: np.random.Generator, tol: float = 1e-10) -> float:
-    """Probe <B u, v> = <u, B^T v> on random inputs; ``stationarity_report``
-    relies on B^T.
-
-    Returns the relative mismatch; raises if it exceeds ``tol``.
-    """
-    v = rng.standard_normal(problem.rhs.shape)
-    u = rng.standard_normal(problem.y_shape)
-    lhs = float(np.vdot(problem.apply_B(u), v))
-    rhs = float(np.vdot(u, problem.apply_B_transpose(v)))
-    worst = abs(lhs - rhs) / (1.0 + abs(lhs))
-    if worst > tol:
-        raise ValueError(f"adjoint identity violated: relative error {worst:.3e}")
-    return worst

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpladmm import dcopf
-from bpladmm.cli import main
+from bpladmm import dcopf, engine
+from bpladmm.cli import TRACE_FIELDS, _write_csv, main
 
 RPCA_SMALL = ["rpca-bench", "--size", "30", "30", "--rank", "3", "--sparsity", "0.05",
               "--noise", "0.01", "--jobs", "1"]
@@ -92,6 +92,30 @@ def test_verify_trace_accepts_good_and_rejects_tampered(tmp_path, capsys):
     assert "merit increased" in capsys.readouterr().out
 
 
+def test_verify_trace_counts_the_increases_the_engine_counts(tmp_path, capsys):
+    from test_engine import Walker, toy_params
+
+    toy = Walker()
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    with pytest.warns(RuntimeWarning, match="merit increased"):
+        result = engine.solve(toy, toy_params(max_iterations=12), init)
+    path = tmp_path / "trace.csv"
+    _write_csv(path, TRACE_FIELDS, map(astuple, result.reports))
+    assert main(["verify-trace", str(path)]) == 1
+    assert f"FAIL: {result.merit_increase_count} merit increases" in capsys.readouterr().out
+    assert result.merit_increase_count == 11
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1e-8"])
+def test_verify_trace_slack_scale_must_be_finite_and_non_negative(tmp_path, capsys, scale):
+    path = tmp_path / "trace.csv"
+    path.write_text("n,merit\n0,5\n1,3\n2,9\n")
+    assert main(["verify-trace", str(path)]) == 1
+    assert "merit increased by 6.000000e+00 at n = 2" in capsys.readouterr().out
+    assert main(["verify-trace", str(path), f"--slack-scale={scale}"]) == 2
+    assert "--slack-scale must be finite and non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content, message", [
     ("n,L_rho\n0,1.0\n", "has no merit column"),
     ("L_rho,merit\n1.0,2.0\n", "has no n column"),
@@ -162,7 +186,9 @@ def test_dcopf_rho_gate_names_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, message", [("--eta=0", "eta must be positive"),
-                                           ("--gamma=-1", "gamma must be nonnegative")])
+                                           ("--gamma=-1", "gamma must be nonnegative"),
+                                           ("--eta=nan", "eta must be finite"),
+                                           ("--gamma=inf", "gamma must be finite")])
 def test_dcopf_case_setting_out_of_range_is_usage_error(tmp_path, capsys, flag, message):
     out = tmp_path / "out"
     rc = main(["dcopf", "--fixture", "2bus", flag, "--seeds", "1", "--out", str(out)])
@@ -195,6 +221,25 @@ def test_dcopf_ragged_case_file_fails_with_line_number(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "line" in err and "ragged" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1  3  50  10", "1  3  Inf  10", "demand must be finite"),
+    ("1  3  50  10", "1  3  NaN  10", "demand must be finite"),
+    ("1  80  0;", "1  Inf  0;", "gen_capacity must be finite"),
+    ("0.02  2.0  10;", "NaN  2.0  10;", "gen_cost_a must be finite"),
+], ids=["demand-inf", "demand-nan", "pmax-inf", "cost-nan"])
+def test_non_finite_case_data_is_usage_error(tmp_path, capsys, old, new, message):
+    from test_matpower import CASE3
+
+    assert old in CASE3
+    path = tmp_path / "case.m"
+    path.write_text(CASE3.replace(old, new))
+    out = tmp_path / "out"
+    rc = main(["dcopf", "--case", str(path), "--seeds", "1", "--jobs", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_missing_case_file_is_reported(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from bpladmm import dcopf, engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient
-from oracles import check_adjoints, rpca_reference_sweep, x_subproblem_value, y_subproblem_value
+from oracles import rpca_reference_sweep, x_subproblem_value, y_subproblem_value
 
 REL = 1e-10
 
@@ -25,9 +26,6 @@ class ScalarToy(engine.BlockProblem):
 
     def apply_B(self, y):
         return -y
-
-    def apply_B_transpose(self, v):
-        return -v
 
     def solve_x_block(self, i, ctx):
         return (
@@ -70,9 +68,6 @@ class RecordingProblem(engine.BlockProblem):
 
     def apply_B(self, y):
         return -y
-
-    def apply_B_transpose(self, v):
-        return -v
 
     def solve_x_block(self, i, ctx):
         self.seen.append((i, ctx.partial_residual.copy()))
@@ -205,9 +200,6 @@ class SmoothCoupling(engine.BlockProblem):
     def apply_B(self, y):
         return -y
 
-    def apply_B_transpose(self, v):
-        return -v
-
     def eval_P(self, x):
         return 0.5 * self.l * float(np.vdot(x, x))
 
@@ -216,9 +208,6 @@ class SmoothCoupling(engine.BlockProblem):
 
     def eval_H(self, y):
         return 0.5 * float(np.vdot(y - self.c, y - self.c))
-
-    def grad_H(self, y):
-        return y - self.c
 
     def solve_x_block(self, i, ctx):
         a = self.a[i]
@@ -317,7 +306,6 @@ def test_block_rows_give_the_whole_space_iterates():
         for left, right in zip([a.x, a.y, a.z, a.residual], [b.x, b.y, b.z, b.residual]):
             assert np.array_equal(left, right)
         assert a.report == b.report
-    assert check_adjoints(rows, np.random.default_rng(0)) == 0.0
 
 
 def test_block_oracle_never_worse_than_incumbent():
@@ -546,6 +534,15 @@ def test_initial_state_rejects_blocks_of_unequal_shape():
             engine.initial_state(toy, x, np.zeros(3), np.zeros(3))
 
 
+def test_initial_state_rejects_a_y_or_z_of_the_wrong_shape():
+    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(dcopf.two_bus_fixture()))
+    x, p = np.zeros((2, dcopf.BLOCK_DIM)), problem.rhs.size
+    with pytest.raises(ValueError, match=re.escape(f"y of shape (1,) is not of shape ({p},)")):
+        engine.initial_state(problem, x, np.zeros(1), np.zeros(p))
+    with pytest.raises(ValueError, match=re.escape(f"z of shape ({p}, 1) is not of shape ({p},)")):
+        engine.initial_state(problem, x, np.zeros(p), np.zeros((p, 1)))
+
+
 def eval_f_sum_problems():
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
@@ -587,36 +584,48 @@ def test_nonmonotone_merit_raises_warning():
     assert result.max_merit_increase > 0
 
 
-def test_stationarity_report_at_solution_and_elsewhere():
-    toy = ScalarToy()
-    params = toy_params()
-    zero = engine.initial_state(toy, [np.zeros(1)], np.zeros(1), np.zeros(1))
-    report = engine.stationarity_report(toy, params, zero)
-    assert report.dual_y <= 1e-10
-    assert report.feasibility <= 1e-10
-    assert report.x_fixed_point <= 1e-10
-
-    rng = np.random.default_rng(8)
-    x = [rng.standard_normal(1)]
-    y = rng.standard_normal(1)
-    state = engine.initial_state(toy, x, y, rng.standard_normal(1))
-    report = engine.stationarity_report(toy, params, state)
-    assert report.feasibility == pytest.approx(float(np.linalg.norm(x[0] - y)), rel=REL)
+def test_merit_increases_counts_rises_above_the_slack_of_the_first_merit():
+    # slack 0.25 * (1 + |-3|) = 1: the rise of 0.5 is within it, the rises of 2 and 6 are not
+    merits = [-3.0, -3.5, -3.0, -1.0, -1.0, 5.0]
+    assert engine.merit_increases(merits, slack_scale=0.25) == [(3, 2.0), (5, 6.0)]
+    assert engine.merit_increases(merits, slack_scale=0.0) == [(2, 0.5), (3, 2.0), (5, 6.0)]
+    assert engine.merit_increases([5.0]) == engine.merit_increases([]) == []
 
 
-def test_adjoint_and_gradient_consistency_helpers(rng):
-    instance = rpca.generate_instance(5, 4, 2, 0.2, 1e-2, seed=21)
-    problem = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=5, cols=4))
-    assert check_adjoints(problem, rng) <= 1e-10
-    y = rng.standard_normal((5, 4))
-    grad = problem.grad_H(y)
-    step = 1e-6
-    for _ in range(5):
-        direction = rng.standard_normal((5, 4))
-        numeric = (problem.eval_H(y + step * direction) - problem.eval_H(y - step * direction)) / (
-            2 * step
-        )
-        assert numeric == pytest.approx(float(np.vdot(grad, direction)), abs=1e-5)
+def test_a_warm_started_run_checks_its_own_sweeps():
+    toy = Walker()
+    params = toy_params(max_iterations=10)
+    with pytest.warns(RuntimeWarning, match="merit increased"):
+        first = engine.solve(toy, params, engine.initial_state(toy, [np.ones(1)], np.zeros(1),
+                                                               np.zeros(1)))
+    assert first.state.n == 10
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        continued = engine.solve(toy, params, first.state)
+    # the sweeps n = 11..20 rise 9 times; the step from the starting state is not checked
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        f"merit increased by {continued.reports[2].merit - continued.reports[1].merit:.3e} "
+        "at iteration 12"]
+    rises = [b.merit - a.merit for a, b in zip(continued.reports[1:], continued.reports[2:])]
+    assert continued.merit_increase_count == 9
+    assert continued.max_merit_increase == max(rises)
+
+
+def test_a_run_that_fails_still_warns_of_its_merit_increases():
+    class WalkerThenRaise(Walker):
+        sweeps = 0
+
+        def solve_x_block(self, i, ctx):
+            self.sweeps += 1
+            if self.sweeps == 5:
+                raise np.linalg.LinAlgError("singular subproblem")
+            return super().solve_x_block(i, ctx)
+
+    toy = WalkerThenRaise()
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    with pytest.warns(RuntimeWarning, match="at iteration 2"):
+        with pytest.raises(engine.BlockOracleError, match="iteration 5"):
+            engine.solve(toy, toy_params(max_iterations=10), init)
 
 
 def test_solve_reports_every_iterate():
