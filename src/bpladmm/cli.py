@@ -17,7 +17,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from functools import partial
 
 import numpy as np
@@ -52,8 +52,7 @@ RPCA_SUMMARY_FIELDS = (
     "rank_L_O",
     "sparsity_S_O",
 )
-# the fields of engine.IterationReport, in order; L_rho is augmented_lagrangian
-TRACE_FIELDS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
+TRACE_FIELDS = tuple(field.name for field in fields(engine.IterationReport))
 DCOPF_RUN_FIELDS = (
     "seed",
     "objective_opf1_rounded",
@@ -315,16 +314,15 @@ def cmd_verify_trace(args) -> int:
                              "n must strictly increase")
     if not np.isfinite([merit for _, merit in rows]).all():
         raise TraceError(f"{args.trace} has a merit that is not finite")
-    # the sweeps of a run from n = 0 start at n = 1, as engine.solve checks them
-    start = 1 if any(n == 1 for n, _ in rows) else rows[0][0]
-    rows = [row for row in rows if row[0] >= start]
+    # the first row is the run's starting report: engine.solve checks the sweeps after it
+    rows = rows[1:]
     increases = engine.merit_increases([merit for _, merit in rows], args.slack_scale)
     for k, increase in increases:
         print(f"merit increased by {increase:.6e} at n = {rows[k][0]}")
     if increases:
         print(f"FAIL: {len(increases)} merit increases beyond slack scale {args.slack_scale:g}")
         return 1
-    print(f"OK: merit nonincreasing over {len(rows)} rows (slack scale {args.slack_scale:g})")
+    print(f"OK: merit nonincreasing over {len(rows)} sweeps (slack scale {args.slack_scale:g})")
     return 0
 
 

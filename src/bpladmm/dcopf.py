@@ -9,13 +9,15 @@ balance, a 50 percent PV penetration floor, thermal line limits, PV
 linking, generator bounds, and the u and theta boxes) become A x + y = b
 with slack y whose negativity is penalized by (eta/2) dist^2(y, R^p_+).
 
-The resulting model is solved by the generic engine with closed-form
-oracles: each x block solves a 4x4 symmetric positive definite system K_i
-whose matrix is iteration independent, and the y update is a componentwise
-two-branch formula.  A bus block touches only its own rows, the rows of its
-neighbours' balance and line limits and the penetration floor.
-``build_problem`` writes each A_i on those rows alone (the dense p x 4 form
-is a view built on demand), so a block update costs O(nnz(A_i)), not O(p).
+The resulting model is one object, the ``DcOpfBlockProblem`` that
+``build_problem`` returns: the case, A, b and the costs, with the
+closed-form oracles the generic engine calls.  Each x block solves a 4x4
+symmetric positive definite system K_i whose matrix is iteration
+independent, and the y update is a componentwise two-branch formula.  A
+bus block touches only its own rows, the rows of its neighbours' balance
+and line limits and the penetration floor.  ``build_problem`` writes each
+A_i on those rows alone (the dense p x 4 form is a view built on demand),
+so a block update costs O(nnz(A_i)), not O(p).
 The engine stacks the bus blocks into one N x 4 array, so the placement
 penalty, its gradient, the quadratic costs and the per-bus result columns
 are column operations on it.
@@ -100,42 +102,16 @@ class DcOpfCase:
         for field in fields(self):
             if field.name != "lines" and not np.isfinite(getattr(self, field.name)).all():
                 raise ValueError(f"{field.name} must be finite")
-        for name, arr in (
-            ("gen_capacity", self.gen_capacity),
-            ("demand", self.demand),
-        ):
-            if len(arr) != n:
-                raise ValueError(f"{name} length {len(arr)} != bus count {n}")
+        for name in ("demand", "gen_capacity", "gen_cost_a", "gen_cost_b", "gen_cost_c"):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
+                raise ValueError(f"{name} of shape {shape} does not hold one entry per bus ({n})")
         if self.pv_capacity < 0 or self.line_limit < 0 or np.any(self.gen_capacity < 0):
             raise ValueError("capacities must be nonnegative")
         if self.eta <= 0:
             raise ValueError("slack penalty eta must be positive")
         if self.gamma < 0:
             raise ValueError("relaxation weight gamma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DcOpfProblem:
-    """A x <= b with each A_i kept on ``rows[i]``, the sorted rows where it
-    has a nonzero entry, as ``blocks[i]`` (len(rows[i]) x k); the dense
-    p x k blocks ``A`` are built on first access.  Q_diag, q: N x k arrays
-    of the per-bus cost diagonals and linear terms."""
-
-    case: DcOpfCase
-    rows: list
-    blocks: list
-    b: np.ndarray
-    Q_diag: np.ndarray
-    q: np.ndarray
-    p: int
-
-    @cached_property
-    def A(self) -> list:
-        """The dense blocks A_i (p x k), scattered from the compact ones."""
-        dense = [np.zeros((self.p, block.shape[1])) for block in self.blocks]
-        for full, rows, block in zip(dense, self.rows, self.blocks):
-            full[rows] = block
-        return dense
 
 
 def expected_row_count(case: DcOpfCase) -> int:
@@ -161,8 +137,8 @@ def _compact_blocks(n: int, entries: list) -> tuple[list, list]:
     return np.split(row, starts), np.split(compact, starts)
 
 
-def build_problem(case: DcOpfCase) -> DcOpfProblem:
-    """Assemble A x <= b as compact per-bus blocks.
+def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
+    """Assemble A x <= b as compact per-bus blocks, as the engine problem.
 
     Row order: power balance per bus, the penetration floor, thermal limits
     per directed line (grouped by source bus), then per bus the PV linking
@@ -205,7 +181,7 @@ def build_problem(case: DcOpfCase) -> DcOpfProblem:
     Q_diag, q = np.zeros((n, BLOCK_DIM)), np.zeros((n, BLOCK_DIM))
     Q_diag[:, GEN] = 2.0 * case.gen_cost_a
     q[:, GEN], q[:, U] = case.gen_cost_b, case.pv_cost
-    return DcOpfProblem(case=case, rows=rows, blocks=blocks, b=b, Q_diag=Q_diag, q=q, p=p)
+    return DcOpfBlockProblem(case, rows, blocks, b, Q_diag, q)
 
 
 def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -233,11 +209,18 @@ def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float
 
 
 class DcOpfBlockProblem(BlockProblem):
-    """Engine adapter with a cached factor of every bus's system.
+    """The model A x + y = b for the engine, with a cached factor of every
+    bus's system.
 
-    Each bus couples through the rows where its A_i has a nonzero entry;
-    the operators and the block oracle work on the problem's compact
-    blocks, taken as they are.  The x oracle is the closed-form update
+    Each A_i is kept on ``rows[i]``, the sorted rows where it has a nonzero
+    entry, as ``blocks[i]`` (len(rows[i]) x k); the dense p x k blocks
+    ``A`` are built on first access.  ``Q_diag`` and ``q`` are N x k
+    arrays of the per-bus cost diagonals and linear terms.  The operators
+    and the block oracle work on the compact blocks, taken as they are.
+    ``build_problem`` builds the whole model (k = 4) and
+    ``frozen_u_problem`` the model of a frozen placement (k = 3).
+
+    The x oracle is the closed-form update
 
         x = K_i^-1 (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
         K_i = diag(Q_diag[i]) + rho A_i^T A_i + w I,
@@ -263,54 +246,58 @@ class DcOpfBlockProblem(BlockProblem):
     O(nnz(A)) memory, shared by ``x_sweep`` and ``solve_x_block``.
     """
 
-    def __init__(self, problem: DcOpfProblem):
-        case = problem.case
-        self.problem = problem
-        self.num_blocks, width = problem.q.shape
+    def __init__(self, case: DcOpfCase, rows: list, blocks: list, b: np.ndarray,
+                 Q_diag: np.ndarray, q: np.ndarray):
+        self.case, self.rows, self.blocks, self.b, self.Q_diag, self.q = (
+            case, rows, blocks, b, Q_diag, q)
+        self.p = len(b)
+        self.num_blocks, width = q.shape
         self.gamma = case.gamma if width > U else 0.0
         self.eta = case.eta
         self.block_shape = (width,)
-        self.y_shape = (problem.p,)
-        self.rhs = problem.b
-        self._rows, self._A = problem.rows, problem.blocks
+        self.y_shape = (self.p,)
         # the blocks end to end, for the products of all buses at once; the
         # segment sum needs every bus's run of rows non-empty, and every bus
         # has at least its PV linking rows
-        self._stacked_rows, self._stacked_A = np.concatenate(self._rows), np.concatenate(self._A)
-        self._row_starts = np.cumsum([0] + [len(rows) for rows in self._rows[:-1]])
+        self._stacked_rows, self._stacked_A = np.concatenate(rows), np.concatenate(blocks)
+        self._row_starts = np.cumsum([0] + [len(bus_rows) for bus_rows in rows[:-1]])
         self._factor_pair = self._inverses = self._rho_G = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
+
+    @cached_property
+    def A(self) -> list:
+        """The dense blocks A_i (p x k), scattered from the compact ones."""
+        dense = [np.zeros((self.p, block.shape[1])) for block in self.blocks]
+        for full, rows, block in zip(dense, self.rows, self.blocks):
+            full[rows] = block
+        return dense
 
     def _factors(self, rho, w):
         """K_i^-1 of every bus, stacked, and the list of rho G_i, for (rho, w)."""
         if self._factor_pair != (rho, w):
             eye = np.eye(*self.block_shape)
             self._inverses = np.linalg.inv([np.diag(Qk) + rho * (Ak.T @ Ak) + w * eye
-                                            for Qk, Ak in zip(self.problem.Q_diag, self._A)])
-            self._rho_G = [rho * (inverse @ Ak.T) for inverse, Ak in zip(self._inverses, self._A)]
+                                            for Qk, Ak in zip(self.Q_diag, self.blocks)])
+            self._rho_G = [rho * (inverse @ Ak.T)
+                           for inverse, Ak in zip(self._inverses, self.blocks)]
             self._factor_pair = (rho, w)
         return self._inverses, self._rho_G
 
     def block_rows(self, i):
-        return self._rows[i]
+        return self.rows[i]
 
     def apply_A(self, i, x):
-        return self._A[i] @ x
+        return self.blocks[i] @ x
 
     def apply_B(self, y):
         return y
 
-    def eval_f(self, i, x):
-        quadratic = 0.5 * float(np.vdot(self.problem.Q_diag[i] * x, x))
-        return quadratic + float(self.problem.q[i] @ x) + float(self.problem.case.gen_cost_c[i])
-
-    def eval_f_sum(self, x):
-        quadratic = 0.5 * float(np.vdot(self.problem.Q_diag * x, x))
-        return quadratic + float(np.vdot(self.problem.q, x)) + self._cost_const_total
+    def eval_f(self, x):
+        quadratic = 0.5 * float(np.vdot(self.Q_diag * x, x))
+        return quadratic + float(np.vdot(self.q, x)) + self._cost_const_total
 
     def eval_H(self, y):
-        value, _ = dist_sq_nonneg_orthant(y)
-        return 0.5 * self.eta * value
+        return 0.5 * self.eta * dist_sq_nonneg_orthant(y)
 
     def eval_G(self, x):
         if self.gamma == 0.0:
@@ -324,22 +311,22 @@ class DcOpfBlockProblem(BlockProblem):
         return g_gradient(x, self.gamma)
 
     def solve_x_block(self, i, ctx: XBlockContext):
-        rho, w, A = ctx.rho, ctx.prox_weight, self._A[i]
+        rho, w, A = ctx.rho, ctx.prox_weight, self.blocks[i]
         inverses, _ = self._factors(rho, w)
-        rhs = w * ctx.current_iterate - self.problem.q[i] - ctx.linear_term - A.T @ (
+        rhs = w * ctx.current_iterate - self.q[i] - ctx.linear_term - A.T @ (
             ctx.multiplier + rho * ctx.partial_residual)
         return inverses[i] @ rhs
 
     def x_sweep(self, state, linear, rho, prox_weight):
         inverses, rho_G = self._factors(rho, prox_weight)
-        gradient = self.problem.Q_diag * state.x + self.problem.q + linear
+        gradient = self.Q_diag * state.x + self.q + linear
         gradient += np.add.reduceat(state.z[self._stacked_rows, None] * self._stacked_A,
                                     self._row_starts)
         # each bus's correction, started from its sweep-start part and
         # finished in bus order against the residual carried so far
         step = -(inverses @ gradient[:, :, None])[:, :, 0]
         residual = state.residual.copy()
-        for dx, rows, rG, A in zip(step, self._rows, rho_G, self._A):
+        for dx, rows, rG, A in zip(step, self.rows, rho_G, self.blocks):
             dx -= rG @ residual[rows]
             residual[rows] += A @ dx
         return state.x + step, residual
@@ -401,30 +388,30 @@ def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 
     )
 
 
-def _init_from_blocks(block_problem: DcOpfBlockProblem, x: np.ndarray):
+def _init_from_blocks(problem: DcOpfBlockProblem, x: np.ndarray):
     """The x blocks with the slack absorbing b - sum_i A_i x_i, clipped at
     zero, and a zero multiplier."""
-    zeros = np.zeros(block_problem.problem.p)
-    y = np.maximum(-engine.constraint_residual(block_problem, x, zeros), 0.0)
-    return engine.initial_state(block_problem, x, y, zeros)
+    zeros = np.zeros(problem.p)
+    y = np.maximum(-engine.constraint_residual(problem, x, zeros), 0.0)
+    return engine.initial_state(problem, x, y, zeros)
 
 
-def lower_bound_init(block_problem: DcOpfBlockProblem, jitter: float = 0.0,
+def lower_bound_init(problem: DcOpfBlockProblem, jitter: float = 0.0,
                      seed: int | None = None):
     """All variables at their lower bound (zero), slack absorbing b.
 
     A positive ``jitter`` adds uniform [0, jitter) noise to the x blocks so
     seeded repetitions explore different basins.
     """
-    shape = (block_problem.num_blocks, *block_problem.block_shape)
+    shape = (problem.num_blocks, *problem.block_shape)
     if jitter > 0.0:
         x = jitter * np.random.default_rng(seed).random(shape)
     else:
         x = np.zeros(shape)
-    return _init_from_blocks(block_problem, x)
+    return _init_from_blocks(problem, x)
 
 
-def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProblem:
+def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpfBlockProblem:
     """The model with the placement frozen at ``u_rounded``.
 
     The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
@@ -435,19 +422,18 @@ def frozen_u_problem(problem: DcOpfProblem, u_rounded: np.ndarray) -> DcOpfProbl
     for rows, block, u_i in zip(problem.rows, problem.blocks, u_rounded):
         b[rows] -= block[:, U] * u_i
     keep = [np.any(block[:, :U] != 0.0, axis=1) for block in problem.blocks]
-    return DcOpfProblem(
-        case=problem.case,
-        rows=[rows[k] for rows, k in zip(problem.rows, keep)],
-        blocks=[block[k, :U] for block, k in zip(problem.blocks, keep)],
-        b=b,
-        Q_diag=problem.Q_diag[:, :U],
-        q=problem.q[:, :U],
-        p=problem.p,
+    return DcOpfBlockProblem(
+        problem.case,
+        [rows[k] for rows, k in zip(problem.rows, keep)],
+        [block[k, :U] for block, k in zip(problem.blocks, keep)],
+        b,
+        problem.Q_diag[:, :U],
+        problem.q[:, :U],
     )
 
 
 def frozen_u_recheck(
-    problem: DcOpfProblem,
+    problem: DcOpfBlockProblem,
     u_rounded: np.ndarray,
     params: SolverParams,
     warm_x: np.ndarray | None = None,
@@ -461,16 +447,15 @@ def frozen_u_recheck(
     ``RECHECK_FEASIBILITY_TOLERANCE``.  An oracle failure raises the
     engine's ``BlockOracleError``.
     """
-    block_problem = DcOpfBlockProblem(frozen_u_problem(problem, u_rounded))
+    frozen = frozen_u_problem(problem, u_rounded)
     if warm_x is not None:
         x0 = np.asarray(warm_x, dtype=float)[:, :U]
     else:
-        x0 = np.zeros((problem.case.num_buses, U))
+        x0 = np.zeros((problem.num_blocks, U))
     params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
                      max_iterations=RECHECK_MAX_ITERATIONS)
-    x = engine.solve(block_problem, params, _init_from_blocks(block_problem, x0)).state.x
-    violation = float(np.max(engine.constraint_residual(block_problem, x,
-                                                        np.zeros(problem.p))))
+    x = engine.solve(frozen, params, _init_from_blocks(frozen, x0)).state.x
+    violation = float(np.max(engine.constraint_residual(frozen, x, np.zeros(problem.p))))
     return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0)
 
 
@@ -491,9 +476,7 @@ def solve_dcopf(
     """
     problem = build_problem(case)
     params = solver_params_for(case, **settings)
-    block_problem = DcOpfBlockProblem(problem)
-    result = engine.solve(block_problem, params,
-                          lower_bound_init(block_problem, jitter=init_jitter, seed=seed))
+    result = engine.solve(problem, params, lower_bound_init(problem, jitter=init_jitter, seed=seed))
 
     x = result.state.x
     pv, gen, theta, u = x.T.copy()  # the PV, GEN, THETA and U columns
@@ -514,7 +497,7 @@ def solve_dcopf(
         z=result.state.z,
         objective_opf1_rounded=opf1_objective(case, u_rounded, gen),
         objective_opf1_raw=opf1_objective(case, u, gen),
-        objective_relaxed=engine.objective_value(block_problem, x, result.state.y),
+        objective_relaxed=engine.objective_value(problem, x, result.state.y),
         binary_violation=float(np.sum(u - u * u)),
         feasibility_residual=result.reports[-1].feasibility,
         iterations=result.iterations,

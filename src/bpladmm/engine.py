@@ -43,7 +43,7 @@ The x iterate is one array of shape (m, *block_shape): every block has the
 same shape, and block i is ``x[i]``.  The blocks are still updated one at a
 time in Gauss-Seidel order, but the per-sweep bookkeeping around them (the
 linearization grad P(x_n) - g_n, the step and iterate norms, the objective
-through ``BlockProblem.eval_f_sum`` and the finite check of the oracle
+through ``BlockProblem.eval_f`` and the finite check of the oracle
 outputs) is one array operation per sweep instead of one per block.
 
 The Gauss-Seidel pass itself is ``BlockProblem.x_sweep``.  Its default
@@ -132,16 +132,15 @@ class BlockProblem(ABC):
     """A problem instance: block spaces, operators, and subproblem oracles.
 
     Subclasses must set ``num_blocks`` and ``block_shape`` (the one shape
-    of every x block), ``y_shape`` and ``rhs``, implement A and B, and
-    supply exact argmin oracles for the block subproblems.  The smooth /
-    coupling pieces H, P, G default to zero so simple problems only
-    override what they use.
+    of every x block), ``y_shape`` and the right-hand side ``b``, implement
+    A and B, and supply exact argmin oracles for the block subproblems.
+    The pieces f, H, P, G default to zero so simple problems only override
+    what they use.
 
-    The engine hands the x iterate to ``eval_f_sum``, ``eval_P``,
-    ``grad_P``, ``eval_G`` and ``subgrad_G`` as one array of shape
-    (m, *block_shape); the gradients return an array of that shape.
-    ``eval_f_sum`` is sum_i f_i(x_i); it defaults to a loop over ``eval_f``
-    and is the place to vectorize the objective across blocks.
+    The engine hands the x iterate to ``eval_f``, ``eval_P``, ``grad_P``,
+    ``eval_G`` and ``subgrad_G`` as one array of shape (m, *block_shape);
+    the gradients return an array of that shape.  ``eval_f`` is the
+    separable sum_i f_i(x_i).
 
     ``block_rows(i)`` indexes the constraint-space rows that A_i can make
     nonzero, as a slice or an integer index array without repeats; it
@@ -154,7 +153,7 @@ class BlockProblem(ABC):
     num_blocks: int
     block_shape: tuple
     y_shape: tuple
-    rhs: np.ndarray
+    b: np.ndarray
 
     def block_rows(self, i: int):
         """Index of the constraint-space rows block i couples through."""
@@ -206,12 +205,9 @@ class BlockProblem(ABC):
             residual[rows] = partial + self.apply_A(i, x_new[i])
         return x_new, residual
 
-    def eval_f(self, i: int, x: np.ndarray) -> float:
-        return 0.0
-
-    def eval_f_sum(self, x: np.ndarray) -> float:
+    def eval_f(self, x: np.ndarray) -> float:
         """sum_i f_i(x_i) over the stacked blocks."""
-        return sum(self.eval_f(i, xi) for i, xi in enumerate(x))
+        return 0.0
 
     def eval_H(self, y: np.ndarray) -> float:
         return 0.0
@@ -306,10 +302,9 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Scalar diagnostics of one iterate."""
+    """Scalar diagnostics of one iterate; ``merit`` is L_rho there."""
 
     n: int
-    augmented_lagrangian: float
     merit: float
     feasibility: float
     objective: float
@@ -351,12 +346,12 @@ class SolveResult:
 
 def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> float:
     """F(x, y) = sum_i f_i(x_i) + H(y) + P(x) - G(x)."""
-    return float(problem.eval_f_sum(x) + problem.eval_H(y) + problem.eval_P(x) - problem.eval_G(x))
+    return float(problem.eval_f(x) + problem.eval_H(y) + problem.eval_P(x) - problem.eval_G(x))
 
 
 def constraint_residual(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A x + B y - b, each block's product added on its own rows."""
-    r = problem.apply_B(y) - problem.rhs
+    r = problem.apply_B(y) - problem.b
     for i, xi in enumerate(x):
         r[problem.block_rows(i)] += problem.apply_A(i, xi)
     return r
@@ -384,7 +379,7 @@ def _report(
 ) -> IterationReport:
     """Report of ``state`` given its residual A x + B y - b, with steps
     measured from ``previous`` (zero without one).  The objective is
-    evaluated once and L_rho, which is also the merit, is formed from it.
+    evaluated once and the merit L_rho is formed from it.
     """
     objective = objective_value(problem, state.x, state.y)
     l_rho = (objective + float(np.vdot(state.z, residual))
@@ -395,7 +390,7 @@ def _report(
         step_y = float(np.linalg.norm(state.y - previous.y))
         step_z = float(np.linalg.norm(state.z - previous.z))
     return IterationReport(
-        n=state.n, augmented_lagrangian=l_rho, merit=l_rho,
+        n=state.n, merit=l_rho,
         feasibility=float(np.linalg.norm(residual)), objective=objective,
         step_x=step_x, step_y=step_y, step_z=step_z,
     )
@@ -407,7 +402,7 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     ``x`` holds the m blocks (a sequence of arrays or an array of shape
     (m, *block_shape)); they are copied into one stacked array, which must
     have the problem's shape (num_blocks, *block_shape).  y must have the
-    shape ``y_shape`` and z the shape of ``rhs``.
+    shape ``y_shape`` and z the shape of ``b``.
     """
     shape = (problem.num_blocks, *problem.block_shape)
     given = [np.shape(xi) for xi in x]
@@ -416,7 +411,7 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     z = np.array(z, dtype=float)
-    for name, value, expected in (("y", y, problem.y_shape), ("z", z, problem.rhs.shape)):
+    for name, value, expected in (("y", y, problem.y_shape), ("z", z, problem.b.shape)):
         if value.shape != expected:
             raise ValueError(f"{name} of shape {value.shape} is not of shape {expected}")
     return SolverState(x=x, y=y, z=z, residual=constraint_residual(problem, x, y), n=0)

@@ -276,7 +276,7 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
                      + 0.5 * rho * float(np.vdot(residual, residual)))
             # the merit is recorded, not checked: no descent guarantee applies
             reports.append(IterationReport(
-                n=n, augmented_lagrangian=l_rho, merit=l_rho,
+                n=n, merit=l_rho,
                 feasibility=float(np.linalg.norm(residual)), objective=objective,
                 step_x=float(np.sqrt(step_l**2 + step_s**2)), step_y=step_t, step_z=step_z,
             ))
@@ -328,7 +328,7 @@ class RpcaBlockProblem(BlockProblem):
         self.config = config
         self.num_blocks = 2
         self.block_shape = self.y_shape = instance.M.shape
-        self.rhs = np.zeros(instance.M.shape)
+        self.b = np.zeros(instance.M.shape)
         self._gamma_M = config.gamma * instance.M
         self._nuclear = (None, 0.0)  # (L, ||L||_*)
         self._pair = (None, None)  # (S, leading_singular_pair(S))
@@ -339,13 +339,11 @@ class RpcaBlockProblem(BlockProblem):
     def apply_B(self, y):
         return -y
 
-    def eval_f(self, i, x):
-        if i == 1:
-            return self.tau * float(np.abs(x).sum())
-        block, nuclear = self._nuclear
-        if not np.array_equal(x, block):
-            nuclear = float(np.linalg.svd(x, compute_uv=False).sum())
-        return nuclear
+    def eval_f(self, x):
+        L, nuclear = self._nuclear
+        if not np.array_equal(x[0], L):
+            nuclear = float(np.linalg.svd(x[0], compute_uv=False).sum())
+        return nuclear + self.tau * float(np.abs(x[1]).sum())
 
     def eval_H(self, y):
         diff = y - self.instance.M

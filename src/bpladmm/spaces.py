@@ -195,13 +195,12 @@ def spectral_norm_subgradient(S: np.ndarray) -> np.ndarray:
     return np.outer(u, v)
 
 
-def dist_sq_nonneg_orthant(y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared distance of y to the nonnegative orthant and its gradient.
-
-    Returns (sum_j min(y_j, 0)^2, 2*min(y, 0)); the gradient is 2-Lipschitz.
+def dist_sq_nonneg_orthant(y: np.ndarray) -> float:
+    """Squared distance sum_j min(y_j, 0)^2 of y to the nonnegative orthant;
+    its gradient 2 min(y, 0) is 2-Lipschitz.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("input must be finite")
     negative_part = np.minimum(y, 0.0)
-    return float(np.vdot(negative_part, negative_part)), 2.0 * negative_part
+    return float(np.vdot(negative_part, negative_part))

@@ -9,7 +9,7 @@ the sqrt(eps) accuracy floor of plain value-comparison searches.
 ``dense_reference_problem`` assembles the DC-OPF constraints row by row
 into dense blocks, a reference for ``dcopf.build_problem``, and
 ``dcopf_x_block_solve`` is the DC-OPF block update as a fresh linear solve,
-a reference for the adapter's cached inverses.
+a reference for ``DcOpfBlockProblem``'s cached inverses.
 ``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
 the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.
@@ -246,7 +246,7 @@ def dcopf_x_block_solve(ctx, Q_diag, q, A):
     return np.linalg.solve(matrix, rhs)
 
 
-def dcopf_reference_sweep(block_problem, params, x, y, z, u_frozen=None):
+def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
     """One sweep of the method on a ``DcOpfBlockProblem``, written as the
     plain Gauss-Seidel loop: blocks in a list, updated one by one.
 
@@ -262,12 +262,12 @@ def dcopf_reference_sweep(block_problem, params, x, y, z, u_frozen=None):
     rho times the dense residual.  Returns the new (x, y, z), with x a list
     of blocks.
     """
-    A, b = dense_reference_problem(block_problem.problem.case)
+    A, b = dense_reference_problem(problem.case)
     if u_frozen is not None:
         b = b - sum(Ai[:, dcopf.U] * ui for Ai, ui in zip(A, u_frozen))
         A = [Ai[:, :dcopf.U] for Ai in A]
-    Q_diag, q = block_problem.problem.Q_diag, block_problem.problem.q
-    rho, alpha, gamma = params.rho, params.strong_convexity, block_problem.gamma
+    Q_diag, q = problem.Q_diag, problem.q
+    rho, alpha, gamma = params.rho, params.strong_convexity, problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]
     linear = []
     for xi in x:
@@ -284,7 +284,7 @@ def dcopf_reference_sweep(block_problem, params, x, y, z, u_frozen=None):
                             multiplier=z, partial_residual=partial, rho=rho, prox_weight=alpha)
         x[i] = dcopf_x_block_solve(ctx, Q_diag[i], q[i], A[i])
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
-    y = dcopf.y_block_update(ax_minus_b, z, block_problem.eta, rho)
+    y = dcopf.y_block_update(ax_minus_b, z, problem.eta, rho)
     return x, y, z + rho * (ax_minus_b + y)
 
 
@@ -306,15 +306,18 @@ def rpca_reference_sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
 
 def x_subproblem_value(problem: BlockProblem, ctx: XBlockContext, x: np.ndarray) -> float:
     """Objective of the block subproblem described by ``ctx`` at the point x,
-    with the coupling term summed over the block's rows only (the rows
-    outside add a constant).
+    up to a constant: the coupling term is summed over the block's rows
+    only, and f_i(x) is ``eval_f`` of a stack that is zero outside block i,
+    which adds sum_{k != i} f_k(0) (f is separable).
 
     An exact oracle's output never evaluates worse than any other point,
     in particular the incumbent iterate.
     """
+    stack = np.zeros((problem.num_blocks, *problem.block_shape))
+    stack[ctx.block_index] = x
     coupling = ctx.partial_residual + problem.apply_A(ctx.block_index, x)
     value = (
-        problem.eval_f(ctx.block_index, x)
+        problem.eval_f(stack)
         + float(np.vdot(ctx.linear_term, x))
         + float(np.vdot(ctx.multiplier, problem.apply_A(ctx.block_index, x)))
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))

@@ -83,8 +83,9 @@ def test_verify_trace_accepts_good_and_rejects_tampered(tmp_path, capsys):
 
     rows = trace_path.read_text().splitlines()
     header, body = rows[0], rows[1:]
+    merit = header.split(",").index("merit")
     fields = body[3].split(",")
-    fields[2] = repr(float(body[2].split(",")[2]) + 100.0)  # bump one merit value
+    fields[merit] = repr(float(body[2].split(",")[merit]) + 100.0)  # bump one merit value
     body[3] = ",".join(fields)
     tampered = tmp_path / "tampered.csv"
     tampered.write_text("\n".join([header] + body) + "\n")
@@ -104,6 +105,26 @@ def test_verify_trace_counts_the_increases_the_engine_counts(tmp_path, capsys):
     assert main(["verify-trace", str(path)]) == 1
     assert f"FAIL: {result.merit_increase_count} merit increases" in capsys.readouterr().out
     assert result.merit_increase_count == 11
+
+
+def test_verify_trace_of_a_warm_started_run_counts_what_the_engine_counts(tmp_path, capsys):
+    # the trace starts at n = 10, the state the run continued from, and its
+    # first step is not a sweep of the run: 9 rises, not 10
+    from test_engine import Walker, toy_params
+
+    toy = Walker()
+    with pytest.warns(RuntimeWarning, match="merit increased"):
+        first = engine.solve(toy, toy_params(max_iterations=10),
+                             engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1)))
+    with pytest.warns(RuntimeWarning, match="merit increased"):
+        continued = engine.solve(toy, toy_params(max_iterations=10), first.state)
+    assert continued.reports[0].n == 10 and continued.merit_increase_count == 9
+    path = tmp_path / "trace.csv"
+    _write_csv(path, TRACE_FIELDS, map(astuple, continued.reports))
+    assert main(["verify-trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: 9 merit increases" in out
+    assert "at n = 11" not in out and "at n = 12" in out
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-1e-8"])
@@ -141,7 +162,7 @@ def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
                "--jobs", "1", "--dump-trace", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "trace_dcopf_seed0.csv").read_text().splitlines()
-    assert lines[0] == "n,L_rho,merit,feasibility,objective,step_x,step_y,step_z"
+    assert lines[0] == "n,merit,feasibility,objective,step_x,step_y,step_z"
     reports = dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=30, seed=0).reports
     assert len(lines) == len(reports) + 1 == 32
     for line, report in zip(lines[1:], reports):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,14 @@ def test_validate_names_a_field_that_is_not_finite(name):
             replace(case, **{name: bad}).validate()
 
 
+@pytest.mark.parametrize("name", ["gen_capacity", "gen_cost_a", "gen_cost_b", "gen_cost_c"])
+def test_validate_names_a_per_bus_field_of_another_length(name):
+    case = dcopf.two_bus_fixture()
+    with pytest.raises(ValueError, match=re.escape(f"{name} of shape (1,) does not hold one "
+                                                   "entry per bus (2)")):
+        replace(case, **{name: getattr(case, name)[:1]}).validate()
+
+
 def small_radial_case():
     """A six-bus radial feeder: bus 0 is the substation, buses 2, 4 and 5 leaves."""
     return dcopf.DcOpfCase(
@@ -141,10 +150,10 @@ def small_radial_case():
     )
 
 
-def block_problem_for(case):
+def problem_for(case):
     problem = dcopf.build_problem(case)
     params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=300)
-    return problem, dcopf.DcOpfBlockProblem(problem), params
+    return problem, params
 
 
 CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
@@ -153,11 +162,11 @@ CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
 
 @pytest.mark.parametrize("make_case", CASES)
 def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
-    problem, block_problem, params = block_problem_for(make_case())
+    problem, params = problem_for(make_case())
     for i, A in enumerate(problem.A):
-        rows = block_problem.block_rows(i)
+        rows = problem.block_rows(i)
         assert np.array_equal(rows, np.unique(rows))
-        compact = np.column_stack([block_problem.apply_A(i, e) for e in np.eye(4)])
+        compact = np.column_stack([problem.apply_A(i, e) for e in np.eye(4)])
         full = np.zeros_like(A)
         full[rows] = compact
         assert np.array_equal(full, A)
@@ -169,7 +178,7 @@ def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
         dense = dcopf_x_block_solve(
             replace(ctx, block_index=i, multiplier=multiplier, partial_residual=partial),
             problem.Q_diag[i], problem.q[i], A)
-        on_rows = block_problem.solve_x_block(
+        on_rows = problem.solve_x_block(
             i, replace(ctx, block_index=i, multiplier=multiplier[rows],
                        partial_residual=partial[rows]))
         assert np.allclose(on_rows, dense, rtol=1e-9, atol=1e-12)
@@ -185,8 +194,8 @@ def test_the_solve_path_never_builds_the_dense_blocks(make_case, monkeypatch):
         return frozen[-1]
 
     monkeypatch.setattr(dcopf, "frozen_u_problem", recorded_frozen_u_problem)
-    problem, block_problem, params = block_problem_for(make_case())
-    result = engine.solve(block_problem, params, dcopf.lower_bound_init(block_problem))
+    problem, params = problem_for(make_case())
+    result = engine.solve(problem, params, dcopf.lower_bound_init(problem))
     x = result.state.x
     dcopf.frozen_u_recheck(problem, np.where(x[:, dcopf.U] >= 0.5, 1.0, 0.0), params, warm_x=x)
     assert len(frozen) == 1
@@ -199,14 +208,14 @@ def test_carried_residual_matches_a_fresh_one(make_case):
     # The residual is a difference of O(1) terms (b, B y, A x), so each
     # entry carries rounding of the terms' size: gaps are scaled by
     # max(1, max|fresh|).
-    _, block_problem, params = block_problem_for(make_case())
-    state = dcopf.lower_bound_init(block_problem, jitter=0.1, seed=3)
+    problem, params = problem_for(make_case())
+    state = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
     for _ in range(50):
         previous = state.residual.copy()
-        new_state = engine.step(block_problem, params, state)
+        new_state = engine.step(problem, params, state)
         assert np.array_equal(state.residual, previous)  # the old state's is left alone
         state = new_state
-        fresh = engine.constraint_residual(block_problem, state.x, state.y)
+        fresh = engine.constraint_residual(problem, state.x, state.y)
         scale = max(1.0, float(np.max(np.abs(fresh))))
         assert np.max(np.abs(state.residual - fresh)) <= 1e-12 * scale
 
@@ -253,25 +262,24 @@ def compact_context(rng, problem, i, rho=2.0, prox_weight=1.0):
 def test_x_oracle_rebuilds_its_inverses_for_another_pair(make_case, changed, rng):
     # the inverses are built for the first context's (rho, w) and rebuilt
     # whenever a context brings another pair, back and forth
-    problem, block_problem, params = block_problem_for(make_case())
+    problem, params = problem_for(make_case())
     first = dict(rho=params.rho, prox_weight=params.strong_convexity)
     other = {**first, changed: 3.0 * first[changed]}
     for pair in (first, other, first):
         for i, A in enumerate(problem.blocks):
             ctx = compact_context(rng, problem, i, **pair)
             reference = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
-            out = block_problem.solve_x_block(i, ctx)
+            out = problem.solve_x_block(i, ctx)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
 def test_x_oracle_matches_newton_oracle(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
-    block_problem = dcopf.DcOpfBlockProblem(problem)
     alpha = 0.5
     for i, A in enumerate(problem.blocks):
         ctx = compact_context(rng, problem, i, prox_weight=alpha)
-        out = block_problem.solve_x_block(i, ctx)
+        out = problem.solve_x_block(i, ctx)
 
         def objective(x, A=A, i=i, ctx=ctx):
             coupling = A @ x + ctx.partial_residual
@@ -293,12 +301,11 @@ def test_x_oracle_decoupled_case(rng):
     # system (diag(Q_diag) + alpha I) x = alpha x_n - q
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
-    block_problem = dcopf.DcOpfBlockProblem(problem)
     alpha = 0.25
     for i in range(case.num_buses):
         ctx = replace(compact_context(rng, problem, i, rho=0.0, prox_weight=alpha),
                       linear_term=np.zeros(4), multiplier=np.zeros(len(problem.rows[i])))
-        out = block_problem.solve_x_block(i, ctx)
+        out = problem.solve_x_block(i, ctx)
         expected = (alpha * ctx.current_iterate - problem.q[i]) / (problem.Q_diag[i] + alpha)
         assert np.allclose(out, expected, rtol=REL)
 
@@ -306,7 +313,6 @@ def test_x_oracle_decoupled_case(rng):
 def test_x_oracle_fixed_point(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
-    block_problem = dcopf.DcOpfBlockProblem(problem)
     alpha = 0.3
     rho = 2.0
     i = 0
@@ -329,7 +335,7 @@ def test_x_oracle_fixed_point(rng):
         rho=rho,
         prox_weight=alpha,
     )
-    out = block_problem.solve_x_block(i, ctx)
+    out = problem.solve_x_block(i, ctx)
     assert np.allclose(out, x_star, atol=1e-10)
 
 
@@ -481,6 +487,20 @@ def test_default_penalty_is_twice_eta_plus_1e_10(eta):
     case = replace(dcopf.two_bus_fixture(), eta=eta)
     assert dcopf.solver_params_for(case).rho == 2.0 * eta + 1e-10
     assert dcopf.solver_params_for(case, rho=7.0 * eta).rho == 7.0 * eta
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["two-bus", "frozen-u"])
+def test_eval_f_is_the_opf1_objective(frozen, rng):
+    # f prices u (PV installation) and the generation; the frozen-u problem has no u column
+    case = dcopf.two_bus_fixture()
+    problem = dcopf.build_problem(case)
+    if frozen:
+        problem = dcopf.frozen_u_problem(problem, np.array([1.0, 0.0]))
+    for _ in range(10):
+        x = rng.standard_normal((problem.num_blocks, *problem.block_shape)) * rng.uniform(0.1, 10)
+        u = np.zeros(2) if frozen else x[:, dcopf.U]
+        expected = dcopf.opf1_objective(case, u, x[:, dcopf.GEN])
+        assert problem.eval_f(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_reports_raw_and_rounded(fixture_solution):

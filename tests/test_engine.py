@@ -19,7 +19,7 @@ class ScalarToy(engine.BlockProblem):
 
     def __init__(self, dim=1):
         self.block_shape = self.y_shape = (dim,)
-        self.rhs = np.zeros(dim)
+        self.b = np.zeros(dim)
 
     def apply_A(self, i, x):
         return x
@@ -58,7 +58,7 @@ class RecordingProblem(engine.BlockProblem):
 
     def __init__(self):
         self.y_shape = (3,)
-        self.rhs = np.zeros(3)
+        self.b = np.zeros(3)
         self.seen = []
 
     def apply_A(self, i, x):
@@ -192,7 +192,7 @@ class SmoothCoupling(engine.BlockProblem):
     def __init__(self, l):
         self.l = l
         self.c = np.array([0.5, -1.0, 2.0])
-        self.rhs = np.zeros(3)
+        self.b = np.zeros(3)
 
     def apply_A(self, i, x):
         return self.a[i] * x
@@ -359,7 +359,7 @@ def assert_report_matches_one_shot_functions(problem, params, state, report=None
     report = state.report if report is None else report
     assert report.n == state.n
     l_rho = engine.augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
-    assert report.augmented_lagrangian == pytest.approx(l_rho, rel=1e-12)
+    assert report.merit == pytest.approx(l_rho, rel=1e-12)
     assert report.merit == pytest.approx(engine.merit(problem, params, state), rel=1e-12)
     assert report.objective == pytest.approx(
         engine.objective_value(problem, state.x, state.y), rel=1e-12
@@ -368,7 +368,7 @@ def assert_report_matches_one_shot_functions(problem, params, state, report=None
 
 def test_report_matches_one_shot_functions_on_two_bus_fixture():
     case = dcopf.two_bus_fixture()
-    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(case))
+    problem = dcopf.build_problem(case)
     params = dcopf.solver_params_for(case, rho=2e5 + 1e-10, alpha=1e-2, tol=1e-5,
                                      max_iterations=200)
     init = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
@@ -430,12 +430,14 @@ def test_block_oracle_failure_names_the_block():
 
 
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
-    """Two-bus adapter whose chosen block goes infinite from a chosen sweep
-    on.  An x block gets an infinite linear term, which the fused x sweep
-    carries through its per-bus products; the y block returns inf."""
+    """A copy of a DC-OPF problem whose chosen block goes infinite from a
+    chosen sweep on.  An x block gets an infinite linear term, which the
+    fused x sweep carries through its per-bus products; the y block returns
+    inf."""
 
-    def __init__(self, *args, block, iteration, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, problem, block, iteration):
+        super().__init__(problem.case, problem.rows, problem.blocks, problem.b, problem.Q_diag,
+                         problem.q)
         self.block = block
         self.iteration = iteration
         self.sweep = 0
@@ -470,7 +472,7 @@ def assert_fails_with_block_and_iteration(problem, params, init, label):
 @pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block")])
 def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     case = dcopf.two_bus_fixture()
-    problem = InfiniteOutput(dcopf.build_problem(case), block=block, iteration=4)
+    problem = InfiniteOutput(dcopf.build_problem(case), block, iteration=4)
     params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
     assert_fails_with_block_and_iteration(problem, params, dcopf.lower_bound_init(problem), label)
 
@@ -496,8 +498,8 @@ class NanThenRaise(RecordingProblem):
         return (w * ctx.current_iterate - 1.0 - ctx.linear_term - ctx.multiplier[i]
                 - ctx.rho * ctx.partial_residual[i]) / (ctx.rho + w)
 
-    def eval_f(self, i, x):
-        return float(x[0])
+    def eval_f(self, x):
+        return float(np.sum(x))
 
     def solve_y_block(self, ctx):
         return ctx.x_residual + ctx.multiplier / ctx.rho
@@ -535,32 +537,12 @@ def test_initial_state_rejects_blocks_of_unequal_shape():
 
 
 def test_initial_state_rejects_a_y_or_z_of_the_wrong_shape():
-    problem = dcopf.DcOpfBlockProblem(dcopf.build_problem(dcopf.two_bus_fixture()))
-    x, p = np.zeros((2, dcopf.BLOCK_DIM)), problem.rhs.size
+    problem = dcopf.build_problem(dcopf.two_bus_fixture())
+    x, p = np.zeros((2, dcopf.BLOCK_DIM)), problem.b.size
     with pytest.raises(ValueError, match=re.escape(f"y of shape (1,) is not of shape ({p},)")):
         engine.initial_state(problem, x, np.zeros(1), np.zeros(p))
     with pytest.raises(ValueError, match=re.escape(f"z of shape ({p}, 1) is not of shape ({p},)")):
         engine.initial_state(problem, x, np.zeros(p), np.zeros((p, 1)))
-
-
-def eval_f_sum_problems():
-    case = dcopf.two_bus_fixture()
-    problem = dcopf.build_problem(case)
-    two_bus = dcopf.DcOpfBlockProblem(problem)
-    frozen = dcopf.DcOpfBlockProblem(dcopf.frozen_u_problem(problem, np.array([1.0, 0.0])))
-    instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=13)
-    decomposition = rpca.RpcaBlockProblem(instance, rpca.RpcaConfig(rows=6, cols=5))
-    return [two_bus, frozen, decomposition]
-
-
-@pytest.mark.parametrize("index", range(3), ids=["two-bus", "frozen-u", "rpca"])
-def test_eval_f_sum_equals_the_sum_of_eval_f(index, rng):
-    problem = eval_f_sum_problems()[index]
-    shape = (problem.num_blocks, *problem.block_shape)
-    for _ in range(10):
-        x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
-        expected = sum(problem.eval_f(i, xi) for i, xi in enumerate(x))
-        assert problem.eval_f_sum(x) == pytest.approx(expected, rel=1e-12)
 
 
 class Walker(ScalarToy):

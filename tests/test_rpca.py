@@ -268,11 +268,12 @@ def test_by_products_are_reused_only_for_the_block_they_came_from():
         state = engine.step(problem, config.solver_params(), state)
     x, tau = state.x, config.tau_value
     # at the iterate they came from, the kept norms are the true ones ...
-    assert problem.eval_f(0, x[0]) == pytest.approx(nuclear_norm(x[0]), rel=1e-12)
+    f = nuclear_norm(x[0]) + tau * float(np.abs(x[1]).sum())
+    assert problem.eval_f(x) == pytest.approx(f, rel=1e-12)
     assert problem.eval_G(x) == pytest.approx(tau * spectral_norm_eig(x[1]), rel=1e-12)
     # ... and once the blocks change, even in place, they are computed afresh
     x *= 2.0
-    assert problem.eval_f(0, x[0]) == pytest.approx(nuclear_norm(x[0]), rel=1e-12)
+    assert problem.eval_f(x) == pytest.approx(2.0 * f, rel=1e-12)
     assert problem.eval_G(x) == pytest.approx(tau * spectral_norm_eig(x[1]), rel=1e-12)
     assert np.allclose(problem.subgrad_G(x)[1], tau * spectral_norm_subgradient(x[1]),
                        rtol=0.0, atol=1e-12)

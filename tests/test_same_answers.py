@@ -1,8 +1,9 @@
-"""The CSV comparison of ``tools/same_answers.py``: float columns within
+"""The comparison of ``tools/same_answers.py``: CSV float columns within
 ``--rtol``, integer and text columns exact, and byte-identical files at
-``--rtol 0``."""
+``--rtol 0``; report columns keyed by field name and held to ``--rtol``."""
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,38 @@ def test_float_columns_are_held_to_rtol_and_byte_equal_at_zero():
 ])
 def test_integer_text_and_shape_differences_fail_at_any_rtol(new, message):
     assert compare(new, 1e-3) == [f"{KEY}: {message}"]
+
+
+@dataclass
+class Report:
+    n: int
+    merit: float
+
+
+@dataclass
+class OldReport(Report):  # a report of a checkout that still carried L_rho twice
+    augmented_lagrangian: float = 0.0
+
+
+def test_report_columns_are_held_to_rtol_like_every_other_number():
+    merits = [-637.25, -637.5]
+    old = same_answers.report_columns("run", [Report(n, m) for n, m in enumerate(merits)])
+    # the last merit one ulp nearer zero, about 1.8e-16 relative
+    moved = same_answers.report_columns("run", [Report(0, merits[0]),
+                                                Report(1, np.nextafter(merits[1], 0.0))])
+    gap = (np.nextafter(merits[1], 0.0) - merits[1]) / 637.5
+    assert same_answers.compare(old, moved, 0.0)[0] == [
+        f"run report.merit: gap {gap:.2e} exceeds 0e+00"]
+    assert same_answers.compare(old, moved, 1e-15)[0] == []
+    renumbered = same_answers.report_columns("run", [Report(0, m) for m in merits])
+    assert same_answers.compare(old, renumbered, 1.0)[0] == ["run/report.n: [0. 1.] vs [0. 0.]"]
+
+
+def test_a_report_column_that_one_file_holds_is_listed_not_compared():
+    old = same_answers.report_columns("run", [OldReport(0, -1.0, -1.0)])
+    new = same_answers.report_columns("run", [Report(0, -1.0)])
+    assert same_answers.compare(old, new) == (
+        [], {"report.merit": (0.0, "run")}, ["report.augmented_lagrangian only in the old file"])
+    # any other value that one file lacks is a difference
+    old["run/x"] = np.zeros(2)
+    assert same_answers.compare(old, new)[0] == ["run/x is only in the old file"]

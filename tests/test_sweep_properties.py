@@ -45,7 +45,7 @@ def with_cancelled_line(case):
 
 
 def make_run(num_buses, case_seed, jitter_seed, cancelled_line=False, u_frozen=None):
-    """A block problem, its parameters and a jittered start; with
+    """A problem, its parameters and a jittered start; with
     ``u_frozen`` the problem is the frozen-u one of that placement."""
     case = random_radial_case(num_buses, case_seed)
     if cancelled_line:
@@ -53,10 +53,9 @@ def make_run(num_buses, case_seed, jitter_seed, cancelled_line=False, u_frozen=N
     problem = dcopf.build_problem(case)
     if u_frozen is not None:
         problem = dcopf.frozen_u_problem(problem, u_frozen)
-    block_problem = dcopf.DcOpfBlockProblem(problem)
     params = dcopf.solver_params_for(case, tol=0.0, max_iterations=SWEEPS)
-    state = dcopf.lower_bound_init(block_problem, jitter=0.1, seed=jitter_seed)
-    return block_problem, params, state
+    state = dcopf.lower_bound_init(problem, jitter=0.1, seed=jitter_seed)
+    return problem, params, state
 
 
 CASES = dict(num_buses=st.integers(2, 8), case_seed=st.integers(0, 2**32 - 1),
@@ -70,10 +69,10 @@ def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
     # u_seed None runs the whole problem, an integer the frozen-u one of a random placement
     u_frozen = (None if u_seed is None else
                 np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float))
-    block_problem, params, state = make_run(num_buses, case_seed, jitter_seed, cancelled_line,
+    problem, params, state = make_run(num_buses, case_seed, jitter_seed, cancelled_line,
                                             u_frozen)
-    new = engine.step(block_problem, params, state)
-    ref_x, ref_y, ref_z = dcopf_reference_sweep(block_problem, params, list(state.x), state.y,
+    new = engine.step(problem, params, state)
+    ref_x, ref_y, ref_z = dcopf_reference_sweep(problem, params, list(state.x), state.y,
                                                  state.z, u_frozen)
     for name, mine, reference in (("x", new.x, np.array(ref_x)), ("y", new.y, ref_y),
                                   ("z", new.z, ref_z)):
@@ -85,8 +84,8 @@ def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
 @PROPERTY_SETTINGS
 @given(**CASES)
 def test_merit_is_nonincreasing_over_twenty_sweeps(num_buses, case_seed, jitter_seed):
-    block_problem, params, state = make_run(num_buses, case_seed, jitter_seed)
-    result = engine.solve(block_problem, params, state)
+    problem, params, state = make_run(num_buses, case_seed, jitter_seed)
+    result = engine.solve(problem, params, state)
     assert result.iterations == SWEEPS
     merits = [r.merit for r in result.reports]
     slack = 1e-8 * (1.0 + abs(merits[1]))  # acceptance criterion 5's slack

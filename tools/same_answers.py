@@ -17,15 +17,17 @@ It also runs the two command line manifests of acceptance criterion 10
 (``rpca-bench`` with ``--dump-trace`` and ``dcopf`` on the two-bus fixture,
 both with ``--no-timing``) and saves every CSV they write.
 
-``--compare`` requires equal iteration counts and report numbers n.  The
-L_rho, merit and objective columns must agree to 1e-12 relative, entry by
-entry.  Every other array (final iterates, recheck violation) and report
-column (feasibility, steps) must satisfy max|a - b| <= R * max(1, max|a|),
-with a the old values and R from ``--rtol`` (default 0: bit-equal).  The
-CLI CSVs are compared cell by cell: the header and every text or integer
-column must match exactly, and each float column is held to R like an
-array; at R = 0 the files must be byte-identical.  It prints the worst gap
-of each kind of value over all runs and exits nonzero if any check fails.
+Each report column is saved under its ``IterationReport`` field name.
+``--compare`` requires the same runs, equal iteration counts and equal
+report numbers n.  Every other number (final iterates, recheck violation
+and each report column) must satisfy max|a - b| <= R * max(1, max|a|),
+with a the old values and R from ``--rtol`` (default 0: bit-equal).  A
+report column that only one file holds, a field added or dropped between
+the two checkouts, is listed and not compared.  The CLI CSVs are compared
+cell by cell: the header and every text or integer column must match
+exactly, and each float column is held to R like an array; at R = 0 the
+files must be byte-identical.  It prints the worst gap of each kind of
+value over all runs and exits nonzero if any check fails.
 """
 
 import argparse
@@ -34,14 +36,12 @@ import csv
 import io
 import sys
 import tempfile
-from dataclasses import astuple
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-REPORT_COLUMNS = ("n", "L_rho", "merit", "feasibility", "objective", "step_x", "step_y", "step_z")
-RELATIVE_COLUMNS = ("L_rho", "merit", "objective")
-RTOL = 1e-12
+REPORT = "report."  # the kind of a report column: this prefix and its field name
 # the manifests of acceptance criterion 10, as (label, argv)
 CLI_MANIFESTS = (
     ("rpca", ["rpca-bench", "--size", "30", "30", "--rank", "3", "--sparsity", "0.05",
@@ -51,8 +51,11 @@ CLI_MANIFESTS = (
 )
 
 
-def report_table(reports) -> np.ndarray:
-    return np.array([astuple(r) for r in reports], dtype=float)
+def report_columns(label: str, reports) -> dict:
+    """One array per report field, keyed ``<label>/report.<field name>``."""
+    return {f"{label}/{REPORT}{field.name}":
+            np.array([getattr(r, field.name) for r in reports], dtype=float)
+            for field in fields(reports[0])}
 
 
 def collect(src: str) -> dict:
@@ -68,7 +71,7 @@ def collect(src: str) -> dict:
         out[f"{label}/y"] = np.asarray(y)
         out[f"{label}/z"] = np.asarray(z)
         out[f"{label}/iterations"] = np.array(iterations)
-        out[f"{label}/reports"] = report_table(reports)
+        out.update(report_columns(label, reports))
 
     def keep_dcopf(label, sol):
         keep(label, [sol.pv, sol.gen, sol.theta, sol.u], sol.y, sol.z, sol.iterations, sol.reports)
@@ -111,12 +114,6 @@ def collect(src: str) -> dict:
             for path in sorted(Path(tmp).iterdir()):
                 out[f"cli/{label}/{path.name}"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     return out
-
-
-def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst entrywise |a - b| / max(|a|, |b|), 0 where both are 0."""
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
 def scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -162,13 +159,21 @@ def csv_gap(a: bytes, b: bytes) -> tuple[str | None, float]:
     return None, worst
 
 
-def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
-    """Differences beyond the tolerances, and the worst gap of each kind of
-    value as kind -> (gap, run)."""
+def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, list[str]]:
+    """Differences beyond ``rtol``, the worst gap of each kind of value as
+    kind -> (gap, run), and the report columns only one file holds."""
     problems = []
     worst = {}
-    if sorted(old) != sorted(new):
-        return [f"different runs: {sorted(set(old) ^ set(new))}"], worst
+    runs = [{key.rsplit("/", 1)[0] for key in saved} for saved in (old, new)]
+    if runs[0] != runs[1]:
+        return [f"different runs: {sorted(runs[0] ^ runs[1])}"], worst, []
+    only = []
+    for key in sorted(set(old) ^ set(new)):
+        kind, side = key.rsplit("/", 1)[1], "old" if key in old else "new"
+        if not kind.startswith(REPORT):
+            problems.append(f"{key} is only in the {side} file")
+        elif f"{kind} only in the {side} file" not in only:
+            only.append(f"{kind} only in the {side} file")
 
     def check(run, kind, gap, limit):
         if gap > worst.get(kind, (-1.0,))[0]:
@@ -176,7 +181,7 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
         if not gap <= limit:
             problems.append(f"{run} {kind}: gap {gap:.2e} exceeds {limit:.0e}")
 
-    for key in sorted(old):
+    for key in sorted(set(old) & set(new)):
         run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
         if run.startswith("cli/"):
@@ -192,20 +197,12 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict]:
                     problems.append(f"{key}: {mismatch}")
         elif a.shape != b.shape:
             problems.append(f"{key}: shape {a.shape} vs {b.shape}")
-        elif kind == "iterations":
+        elif kind in ("iterations", f"{REPORT}n"):
             if not np.array_equal(a, b):
-                problems.append(f"{key}: {a} vs {b} iterations")
-        elif kind != "reports":
-            check(run, kind, scaled_gap(a, b), rtol)
+                problems.append(f"{key}: {a} vs {b}")
         else:
-            for k, column in enumerate(REPORT_COLUMNS):
-                if column == "n":
-                    check(run, column, scaled_gap(a[:, k], b[:, k]), 0.0)
-                elif column in RELATIVE_COLUMNS:
-                    check(run, column, relative_gap(a[:, k], b[:, k]), RTOL)
-                else:
-                    check(run, column, scaled_gap(a[:, k], b[:, k]), rtol)
-    return problems, worst
+            check(run, kind, scaled_gap(a, b), rtol)
+    return problems, worst, only
 
 
 def main(argv=None) -> int:
@@ -213,16 +210,18 @@ def main(argv=None) -> int:
     parser.add_argument("--src", help="directory holding the bpladmm package to run")
     parser.add_argument("--compare", action="store_true", help="compare two saved answer files")
     parser.add_argument("--rtol", type=float, default=0.0, metavar="R",
-                        help="allowed max|a - b| / max(1, max|a|) of iterates, feasibility, "
-                             "steps and CSV float columns (default 0: bit-equal)")
+                        help="allowed max|a - b| / max(1, max|a|) of iterates, report "
+                             "columns and CSV float columns (default 0: bit-equal)")
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (dict(np.load(f)) for f in args.files)
-        problems, worst = compare(old, new, args.rtol)
+        problems, worst, only = compare(old, new, args.rtol)
         runs = len({k.rsplit("/", 1)[0] for k in old})
         for kind, (gap, run) in sorted(worst.items()):
             print(f"{kind}: worst gap {gap:.2e} ({run})")
+        for line in only:
+            print("NOT COMPARED", line)
         for line in problems:
             print("DIFF", line)
         print(f"{runs} runs compared: {'same answers' if not problems else 'DIFFERENT'}")
