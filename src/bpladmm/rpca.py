@@ -19,12 +19,18 @@ by its shifted rule, which leaves the multiplier out.  A failure raises
 the engine's ``BlockOracleError`` naming x-block 0 (L), x-block 1 (S) or
 the y-block (T), and the iteration.
 
-The two spectral kernels come from ``spaces``: the shrinkage and the
-leading singular pair of S each take one eigendecomposition of the
-smaller Gram matrix, not a full SVD; the shrinkage falls back to the SVD
-when its error certificate fails.  The shrinkage also returns the nuclear
-norm of L for the objective, and one leading pair per iterate gives both
-the spectral term of its objective and the subgradient of the next sweep.
+The two spectral kernels come from ``spaces``, and neither takes a full
+SVD per sweep.  The shrinkage of L starts from the kept right singular
+vectors of the previous sweep's shrinkage, which each solve keeps for
+itself (``RpcaBlockProblem`` beside its other by-products, admm3 in a
+local), and certifies two subspace steps from them; where that fails, as
+while the kept rank still falls, it takes one eigendecomposition of the
+smaller Gram matrix, and the SVD where its error certificate fails.  The
+leading singular pair of S takes one ``eigvalsh`` of the Gram matrix and
+one linear solve.  The shrinkage also returns the nuclear norm of L for
+the objective, and one leading pair per iterate gives both the spectral
+term of its objective and the subgradient of the next sweep.  Both
+solvers call the shrinkage as ``rpca.singular_value_shrink_with_norm``.
 Full SVDs remain only once per solve: the nuclear norm of the random
 starting L and the numerical rank of the result, where the Gram matrix
 would square the condition number and lose the small singular values.
@@ -260,6 +266,7 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
     T = M.copy()
     Z = np.zeros_like(M)
     nuclear_l = float(np.linalg.svd(L, compute_uv=False).sum())
+    basis = None  # the kept right singular vectors of the last L shrinkage
 
     reports: list[IterationReport] = []
     step_l = step_s = step_t = step_z = 0.0
@@ -285,8 +292,8 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
 
             n += 1
             try:
-                L_new, nuclear_l = singular_value_shrink_with_norm(
-                    (-Z - rho * S + rho * T) / rho, 1.0 / rho)
+                L_new, nuclear_l, basis = singular_value_shrink_with_norm(
+                    (-Z - rho * S + rho * T) / rho, 1.0 / rho, basis)
             except ValueError as exc:  # the shrinkage rejects non-finite input
                 raise engine.BlockOracleError("x-block 0", n, exc) from exc
             s_input = (-Z - rho * L_new + rho * T) / rho
@@ -319,7 +326,10 @@ class RpcaBlockProblem(BlockProblem):
     L oracle's output, for ``eval_f``, and the leading singular pair of S,
     for both ``eval_G`` (the report of an iterate) and ``subgrad_G`` (the
     sweep that starts from it).  A solve of n sweeps thus computes n + 1
-    leading pairs and one SVD, of the starting L.
+    leading pairs and one SVD, of the starting L.  The kept right singular
+    vectors of the last L shrinkage start the next one; the shrinkage
+    certifies its output whatever the start, so the start affects its cost,
+    not its answer beyond 1e-12 relative.
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
@@ -332,6 +342,7 @@ class RpcaBlockProblem(BlockProblem):
         self._gamma_M = config.gamma * instance.M
         self._nuclear = (None, 0.0)  # (L, ||L||_*)
         self._pair = (None, None)  # (S, leading_singular_pair(S))
+        self._basis = None  # the start of the next L shrinkage
 
     def apply_A(self, i, x):
         return x
@@ -374,7 +385,8 @@ class RpcaBlockProblem(BlockProblem):
         target -= ctx.rho * ctx.partial_residual
         target /= weight
         if i == 0:
-            L, nuclear = singular_value_shrink_with_norm(target, 1.0 / weight)
+            L, nuclear, self._basis = singular_value_shrink_with_norm(
+                target, 1.0 / weight, self._basis)
             self._nuclear = (L.copy(), nuclear)
             return L
         # through spaces: the benchmark's sweep clock stamps every call of

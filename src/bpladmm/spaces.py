@@ -7,10 +7,15 @@ serves both the matrix-decomposition and the power-flow applications.
 The module also provides Bregman distances and the three proximal /
 subgradient operators the applications need: entrywise soft shrinkage,
 singular value shrinkage, and the leading singular pair subgradient of the
-spectral norm.  The last two work from one symmetric eigendecomposition of
-the smaller Gram matrix instead of a full SVD; the shrinkage certifies that
-route by a bound on the eigenvalue error and falls back to the SVD where the
-bound fails.
+spectral norm.  Neither takes a full SVD where it can certify a cheaper
+route.  The shrinkage refines a start basis, the kept right singular
+vectors its previous call returned, by two subspace steps, and certifies
+the result by a cross-term bound and a Cholesky test; failing that, it
+takes one symmetric eigendecomposition of the smaller Gram matrix, under a
+bound on the eigenvalue error, and failing that, the SVD.  The leading pair
+takes the top Gram eigenvalue from ``eigvalsh`` and its vector from one
+inverse-iteration solve, checked by its residual, with a full
+eigendecomposition as the fallback.
 """
 
 from dataclasses import dataclass
@@ -112,38 +117,114 @@ def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
     return (M.T, True) if M.shape[0] < M.shape[1] else (M, False)
 
 
-def singular_value_shrink_with_norm(M: np.ndarray, c: float) -> tuple[np.ndarray, float]:
-    """Soft shrinkage of the singular values, the proximal map of c*||.||_*,
-    together with the nuclear norm of its output (free from the shrinkage).
+# the widest start basis the shrinkage refines, as a fraction of the Gram
+# size.  A start fails while the kept count still falls, in a solve's first
+# sweeps, and a failed start of width w costs the subspace steps at w; on
+# the 100x100 and 400x400 RPCA solves, fractions of 0.1 to 0.25 saved the most
+_WARM_WIDTH_CAP = 0.2
 
-    For c > 0 it works from one symmetric eigendecomposition of the smaller
-    Gram matrix N^T N (N = M or M^T, whichever is tall), whose eigenvalues
-    lam are the squared singular values: with V_k the eigenvectors of the
-    sigma = sqrt(lam) above c, the output is
-    N V_k diag((sigma_k - c)/sigma_k) V_k^T.  The map lam -> (1 - c/sqrt(lam))_+
-    is Lipschitz with constant 1/(2c^2), and the eigenvalues carry an
-    absolute error of about eps * lam_max, so this route is taken only when
-    eps * lam_max <= 1e-8 * c^2, which keeps the output's relative error at
-    about 1e-8 or below.  Otherwise (c = 0, a threshold tiny against
-    sigma_1, or a Gram matrix that overflows) it shrinks the values of a
-    full SVD.
+
+def _certified(lam_max: float, c: float) -> bool:
+    """The shrinkage's certificate on a Gram spectrum, whose eigenvalues
+    carry an absolute error of about eps * lam_max: eps * lam_max <= 1e-8 c^2."""
+    return bool(np.finfo(float).eps * lam_max <= 1e-8 * c * c)
+
+
+def _gram_shrink(N: np.ndarray, c: float):
+    """(output, kept singular values, kept right singular vectors) of the
+    shrinkage of N by c from one eigendecomposition of N^T N, or None
+    outside the certificate."""
+    lam, V = np.linalg.eigh(N.T @ N)
+    if not _certified(lam[-1], c):
+        return None
+    keep = lam > c * c
+    sigma, V_k = np.sqrt(lam[keep]), V[:, keep]
+    return (N @ (V_k * ((sigma - c) / sigma))) @ V_k.T, sigma, V_k
+
+
+def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray):
+    """What ``_gram_shrink`` returns, refined from a start basis of the kept
+    right singular vectors, or None when the start cannot certify it.
+
+    Two subspace steps Q <- qr(N^T (N Q)) refine the start.  The Ritz pairs
+    of N on range(Q) come from the k x k Gram matrix of Y = N Q: with
+    Y^T Y = W diag(sigma^2) W^T, V = Q W and U = Y W / sigma, N is
+    U Sigma V^T + E with E = N (I - Q Q^T) and E V = 0.  Without the cross
+    term U U^T E, N is the direct sum of U Sigma V^T and (I - U U^T) E.  If
+    every sigma exceeds c and every singular value of E lies below c (a
+    Cholesky factorization of c^2 I - E^T E succeeds), the shrinkage of
+    that sum is U (Sigma - c) V^T.  The shrinkage is nonexpansive, so this
+    differs from the shrinkage of N by at most ||U^T E||_F, which must be
+    at most 1e-12 ||Sigma - c||_F.  The Ritz values carry the Gram
+    certificate.
+    """
+    if start.shape[0] != N.shape[1] or not 0 < start.shape[1] <= _WARM_WIDTH_CAP * N.shape[1]:
+        return None
+    Q = start
+    for _ in range(2):
+        Q = np.linalg.qr(N.T @ (N @ Q))[0]
+    Y = N @ Q
+    lam, W = np.linalg.eigh(Y.T @ Y)
+    if not (_certified(lam[-1], c) and lam[0] > c * c):
+        return None
+    sigma = np.sqrt(lam)
+    U = (Y @ W) / sigma
+    E = N - Y @ Q.T
+    if not np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c):
+        return None
+    E = E.T @ E  # c^2 I - E^T E, built in place
+    E *= -1.0
+    E.flat[:: len(E) + 1] += c * c
+    try:
+        np.linalg.cholesky(E)
+    except np.linalg.LinAlgError:
+        return None
+    V = Q @ W
+    return (U * (sigma - c)) @ V.T, sigma, V
+
+
+def singular_value_shrink_with_norm(
+    M: np.ndarray, c: float, start: np.ndarray | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Soft shrinkage of the singular values, the proximal map of c*||.||_*,
+    with the nuclear norm of its output and the kept right singular vectors
+    V_k of N (N = M or M^T, whichever is tall), both free from the
+    shrinkage.  V_k is the ``start`` of a next call on a nearby matrix.
+
+    For c > 0 and a ``start`` of at most ``_WARM_WIDTH_CAP`` times the
+    columns of N, it first tries ``_warm_shrink``, which certifies its
+    output to 1e-12 relative or gives up.  Otherwise it works from one
+    symmetric eigendecomposition of the Gram matrix N^T N, whose
+    eigenvalues lam are the squared singular values: with V_k the
+    eigenvectors of the sigma = sqrt(lam) above c, the output is
+    N V_k diag((sigma_k - c)/sigma_k) V_k^T.  The map
+    lam -> (1 - c/sqrt(lam))_+ is Lipschitz with constant 1/(2c^2), and the
+    eigenvalues carry an absolute error of about eps * lam_max, so this
+    route is taken only when eps * lam_max <= 1e-8 * c^2, which keeps the
+    output's relative error at about 1e-8 or below.  Otherwise (c = 0, a
+    threshold tiny against sigma_1, or a Gram product that overflows) it
+    shrinks the values of a full SVD.
     """
     if c < 0:
         raise ValueError("shrinkage threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("input matrix must be finite")
+    N, transposed = _tall(M)
     if c > 0:
-        N, transposed = _tall(M)
-        lam, V = np.linalg.eigh(N.T @ N)
-        if np.finfo(float).eps * lam[-1] <= 1e-8 * c * c:  # the certificate
-            keep = lam > c * c
-            sigma, V_k = np.sqrt(lam[keep]), V[:, keep]
-            out = (N @ (V_k * ((sigma - c) / sigma))) @ V_k.T
-            return (out.T if transposed else out), float((sigma - c).sum())
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                shrunk = None if start is None else _warm_shrink(N, c, start)
+                if shrunk is None:
+                    shrunk = _gram_shrink(N, c)
+        except np.linalg.LinAlgError:  # an eigh of an overflowed Gram product
+            shrunk = None
+        if shrunk is not None:
+            out, sigma, V_k = shrunk
+            return (out.T if transposed else out), float((sigma - c).sum()), V_k
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     shrunk = np.maximum(s - c, 0.0)
-    return (U * shrunk) @ Vt, float(shrunk.sum())
+    return (U * shrunk) @ Vt, float(shrunk.sum()), (U if transposed else Vt.T)[:, s > c]
 
 
 def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
@@ -151,17 +232,42 @@ def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
     return singular_value_shrink_with_norm(M, c)[0]
 
 
+def _top_eigenvector(G: np.ndarray, lam_max: float) -> np.ndarray:
+    """A unit eigenvector of the symmetric G for its largest eigenvalue
+    lam_max: one inverse-iteration solve (G - lam_max I) w = 1, kept when
+    its residual ||G v - lam_max v|| is at most 1e-12 lam_max, else the top
+    eigenvector of a full eigendecomposition (an exactly singular shift, as
+    on an exactly degenerate top, or a start orthogonal to the top
+    eigenvector)."""
+    shifted = G.copy()
+    shifted.flat[:: len(G) + 1] -= lam_max
+    try:
+        w = np.linalg.solve(shifted, np.ones(len(G)))
+    except np.linalg.LinAlgError:
+        w = None
+    if w is not None:
+        peak = np.max(np.abs(w))
+        if np.isfinite(peak):
+            w /= peak  # first, so that its norm cannot overflow
+            v = w / np.linalg.norm(w)
+            if np.linalg.norm(G @ v - lam_max * v) <= 1e-12 * lam_max:
+                return v
+    return np.linalg.eigh(G)[1][:, -1]
+
+
 def leading_singular_pair(S: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Unit vectors u, v and sigma = ||S||_2 with S v = sigma u.
 
-    v is the top eigenvector of the smaller Gram matrix (of S or S^T),
-    sigma = ||S v|| and u = S v / sigma.  Since sigma^2 is the Rayleigh
-    quotient of v, it matches sigma_1 to rounding even where the top
-    singular value is degenerate and v is one of many valid choices; then
-    u^T S v = sigma_1 and u v^T is still a spectral-norm subgradient.  S is
-    first divided, exactly, by a power of two that brings its largest entry
-    into [1, 2), so the Gram product can neither overflow nor underflow the
-    leading pair.  For S = 0 it returns sigma = 0 and the unit vectors e_1.
+    v is a top eigenvector of the smaller Gram matrix G (of S or S^T):
+    ``np.linalg.eigvalsh`` gives its largest eigenvalue and
+    ``_top_eigenvector`` the vector.  Then sigma = ||S v|| and
+    u = S v / sigma.  Since sigma^2 is the Rayleigh quotient of v, it
+    matches sigma_1 to rounding even where the top singular value is
+    degenerate and v is one of many valid choices; then u^T S v = sigma_1
+    and u v^T is still a spectral-norm subgradient.  S is first divided,
+    exactly, by a power of two that brings its largest entry into [1, 2),
+    so the Gram product can neither overflow nor underflow the leading
+    pair.  For S = 0 it returns sigma = 0 and the unit vectors e_1.
     """
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
@@ -173,7 +279,8 @@ def leading_singular_pair(S: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]
         return u, 0.0, v
     scale = np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)  # a power of two <= peak: exact
     N, transposed = _tall(S / scale)
-    v = np.linalg.eigh(N.T @ N)[1][:, -1]
+    G = N.T @ N
+    v = _top_eigenvector(G, float(np.linalg.eigvalsh(G)[-1]))
     Nv = N @ v
     norm = float(np.linalg.norm(Nv))
     u = Nv / norm

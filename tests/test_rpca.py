@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bpladmm import engine, rpca
+from bpladmm import engine, rpca, spaces
 from bpladmm.spaces import spectral_norm_subgradient, stacked_norm
 from oracles import nuclear_norm, rpca_reference_sweep, spectral_norm_eig
 
@@ -140,8 +140,8 @@ def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
 def test_non_finite_soft_shrinkage_input_names_the_s_block(solver, monkeypatch):
     # an L shrinkage returning huge finite values overflows the S
     # shrinkage's input: admm3 checks that input, the engine BPL's output
-    def huge(M, c):
-        return np.full(M.shape, -1e308), 0.0
+    def huge(M, c, start):
+        return np.full(M.shape, -1e308), 0.0, None
 
     monkeypatch.setattr(rpca, "singular_value_shrink_with_norm", huge)
     with warnings.catch_warnings():
@@ -238,6 +238,30 @@ def test_solver_runs_are_bit_deterministic():
     assert first.iterations == second.iterations
 
 
+def test_warm_starts_last_one_solve(monkeypatch):
+    # A, then B, then A again in one process: both A runs give the same
+    # bits, so no shrinkage start outlives the solve that made it
+    config = rpca.RpcaConfig(rows=20, cols=20)
+    a, b = (rpca.generate_instance(20, 20, 2, 0.05, 1e-2, seed=seed) for seed in (1, 2))
+    warm = []
+    warm_shrink = spaces._warm_shrink
+
+    def counted(*args):
+        out = warm_shrink(*args)
+        warm.append(out is not None)
+        return out
+
+    monkeypatch.setattr(spaces, "_warm_shrink", counted)
+    runs = [solver(instance, config, init_seed=3)
+            for instance in (a, b, a) for solver in (rpca.bpl_admm_rpca, rpca.admm3_baseline)]
+    assert sum(warm) >= len(warm) // 4  # a good part of the shrinkages start warm
+    for first, again in zip(runs[:2], runs[4:]):
+        assert first.iterations == again.iterations
+        for name in ("L", "S", "T", "Z"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
+        assert [r.merit for r in first.reports] == [r.merit for r in again.reports]
+
+
 def test_sparsity_counts_exact_zeros():
     instance = rpca.generate_instance(25, 25, 3, 0.08, 1e-2, seed=17)
     config = rpca.RpcaConfig(rows=25, cols=25)
@@ -286,6 +310,7 @@ def test_fifty_engine_sweeps_take_one_leading_pair_per_iterate_and_one_svd(monke
     x0 = np.random.default_rng(2).standard_normal((2, 12, 10))
     init = engine.initial_state(problem, x0, instance.M, np.zeros((12, 10)))
     calls = {"pair": 0, "svd": 0}
+    eighs = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -294,11 +319,21 @@ def test_fifty_engine_sweeps_take_one_leading_pair_per_iterate_and_one_svd(monke
 
         return wrapper
 
+    def counted_eigh(a, *args, **kwargs):
+        if a.shape == (10, 10):
+            eighs.append(1)
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
     monkeypatch.setattr(rpca, "leading_singular_pair",
                         counted("pair", rpca.leading_singular_pair))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     result = engine.solve(problem, config.solver_params(), init)
     assert result.iterations == 50
     # one pair per iterate serves its report and the sweep from it; the one
     # SVD is the nuclear norm of the starting L
     assert calls == {"pair": 51, "svd": 1}
+    # Gram eigendecompositions (10 x 10): at most the shrinkage's one per
+    # sweep, where each sweep took two before; the leading pairs take none
+    assert len(eighs) <= result.iterations

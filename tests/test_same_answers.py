@@ -1,6 +1,7 @@
-"""The comparison of ``tools/same_answers.py``: CSV float columns within
-``--rtol``, integer and text columns exact, and byte-identical files at
-``--rtol 0``; report columns keyed by field name and held to ``--rtol``."""
+"""The comparison of ``tools/same_answers.py``: CSV columns matched by
+header name, float columns within ``--rtol`` and integer and text columns
+exact; report columns keyed by field name and held to ``--rtol``; a CSV or
+report column that one file holds listed and not compared."""
 
 import importlib.util
 from dataclasses import dataclass
@@ -18,30 +19,47 @@ OLD = b"seed,algorithm,RE,iterations\r\n0,bpl-admm,0.0125,83\r\n1,admm3,2,90\r\n
 KEY = "cli/rpca/rpca_runs.csv"
 
 
-def compare(new: bytes, rtol: float) -> list[str]:
+def compare_csv(new: bytes, rtol: float) -> tuple[list[str], list[str]]:
+    """The differences and the columns not compared, OLD against ``new``."""
     as_array = lambda text: {KEY: np.frombuffer(text, dtype=np.uint8)}  # noqa: E731
-    return same_answers.compare(as_array(OLD), as_array(new), rtol)[0]
+    problems, _, only = same_answers.compare(as_array(OLD), as_array(new), rtol)
+    return problems, only
 
 
-def test_float_columns_are_held_to_rtol_and_byte_equal_at_zero():
+def compare(new: bytes, rtol: float) -> list[str]:
+    return compare_csv(new, rtol)[0]
+
+
+def test_float_columns_are_held_to_rtol_and_equal_at_zero():
     # the RE column holds "2", an integer-looking float cell
     near = OLD.replace(b"0.0125", b"0.012500000000001").replace(b",2,", b",2.0000000000000004,")
-    mismatch, gap = same_answers.csv_gap(OLD, near)
-    assert mismatch is None and 0.0 < gap <= 1e-15
+    mismatch, gap, only = same_answers.csv_gap(OLD, near)
+    assert mismatch is None and 0.0 < gap <= 1e-15 and only == []
     assert compare(near, 1e-10) == []
     assert compare(near, 1e-16) == [f"{KEY} csv: gap {gap:.2e} exceeds 1e-16"]
-    assert compare(near, 0.0) == [f"{KEY}: the CSV files differ"]
+    assert compare(near, 0.0) == [f"{KEY} csv: gap {gap:.2e} exceeds 0e+00"]
     assert compare(OLD, 0.0) == []
 
 
 @pytest.mark.parametrize("new, message", [
     (OLD.replace(b",83", b",84"), "column iterations differs"),
     (OLD.replace(b"bpl-admm", b"bpl"), "column algorithm differs"),
-    (OLD.replace(b"RE", b"re"), "the CSV headers differ"),
-    (OLD + b"2,admm3,2,90\r\n", "the CSV files differ in shape"),
+    (OLD + b"2,admm3,2,90\r\n", "the CSV files differ in row count"),
 ])
-def test_integer_text_and_shape_differences_fail_at_any_rtol(new, message):
+def test_integer_text_and_row_count_differences_fail_at_any_rtol(new, message):
     assert compare(new, 1e-3) == [f"{KEY}: {message}"]
+
+
+def test_csv_columns_are_matched_by_name():
+    reordered = b"iterations,seed,RE,algorithm\r\n83,0,0.0125,bpl-admm\r\n90,1,2,admm3\r\n"
+    assert compare_csv(reordered, 0.0) == ([], [])
+    # a dropped or renamed column is listed, and the others are still compared
+    dropped = b"seed,algorithm,RE\r\n0,bpl-admm,0.0125\r\n1,admm3,2\r\n"
+    assert compare_csv(dropped, 0.0) == ([], [f"{KEY}: column iterations only in the old file"])
+    assert compare_csv(dropped.replace(b"0.0125", b"0.5"), 1e-3)[0] == [
+        f"{KEY} csv: gap 2.44e-01 exceeds 1e-03"]
+    assert compare_csv(OLD.replace(b"RE", b"re"), 0.0) == (
+        [], [f"{KEY}: column RE only in the old file", f"{KEY}: column re only in the new file"])
 
 
 @dataclass

@@ -99,7 +99,7 @@ def test_singular_value_shrink_examples(rng):
     m = rng.standard_normal((4, 6))
     assert np.allclose(spaces.singular_value_shrink(m, 0.0), m, atol=SVD_REL)
     # the paired form also returns the output's nuclear norm
-    shrunk, nuclear = spaces.singular_value_shrink_with_norm(m, 0.5)
+    shrunk, nuclear, _ = spaces.singular_value_shrink_with_norm(m, 0.5)
     assert np.array_equal(shrunk, spaces.singular_value_shrink(m, 0.5))
     assert nuclear == pytest.approx(nuclear_norm(shrunk), rel=SVD_REL)
 
@@ -159,16 +159,18 @@ def svd_shrink(M, c):
     return (U * shrunk) @ Vt, float(shrunk.sum())
 
 
-def counting_svd(monkeypatch):
-    """Count the full SVDs ``spaces`` runs from here on."""
+def counting(monkeypatch, name, size=None):
+    """Count the calls of ``np.linalg.<name>`` that ``spaces`` makes from here
+    on: all of them, or those on a size x size matrix."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        if size is None or a.shape == (size, size):
+            calls.append(1)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(spaces.np.linalg, "svd", counted)
+    monkeypatch.setattr(spaces.np.linalg, name, counted)
     return calls
 
 
@@ -189,8 +191,8 @@ def test_gram_shrinkage_matches_the_svd(case, shape, rng, monkeypatch):
     M = 2.0 * rng.standard_normal(shape) if values is None else with_singular_values(
         rng, *shape, values)
     expected, expected_nuclear = svd_shrink(M, c)
-    calls = counting_svd(monkeypatch)
-    out, nuclear = spaces.singular_value_shrink_with_norm(M, c)
+    calls = counting(monkeypatch, "svd")
+    out, nuclear, _ = spaces.singular_value_shrink_with_norm(M, c)
     assert not calls  # the Gram route, no SVD
     assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
     assert nuclear == pytest.approx(expected_nuclear, rel=REL)
@@ -201,12 +203,102 @@ def test_shrinkage_falls_back_to_the_svd_outside_the_certificate(shape, rng, mon
     M = with_singular_values(rng, *shape, [1e4, 3.0, 0.5])
     c = 0.1  # eps * sigma_1^2 = 2.2e-8 > 1e-8 * c^2
     cases = [(M, c, svd_shrink(M, c)), (M, 0.0, svd_shrink(M, 0.0))]
-    calls = counting_svd(monkeypatch)
+    calls = counting(monkeypatch, "svd")
     for k, (matrix, threshold, (expected, expected_nuclear)) in enumerate(cases, start=1):
-        out, nuclear = spaces.singular_value_shrink_with_norm(matrix, threshold)
+        out, nuclear, _ = spaces.singular_value_shrink_with_norm(matrix, threshold)
         assert len(calls) == k
         assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
         assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+
+
+def kept_basis(M, k):
+    """The top k right singular vectors of N, M or M^T whichever is tall."""
+    N = M.T if M.shape[0] < M.shape[1] else M
+    return np.linalg.svd(N)[2][:k].T
+
+
+def projector(V):
+    return V @ V.T
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)], ids=["tall", "wide"])
+@pytest.mark.parametrize("c, values, kept", [
+    (1.0, [3.0, 2.0, 0.5, 0.2], 2),
+    (0.1, [1e4, 3.0, 0.5, 0.05], 3),  # outside the Gram certificate, as above
+    (0.0, [3.0, 2.0, 0.5, 0.2], 4),
+], ids=["gram", "svd", "zero"])
+def test_every_route_returns_the_kept_right_singular_vectors(c, values, kept, shape, rng):
+    M = with_singular_values(rng, *shape, values)
+    V_k = spaces.singular_value_shrink_with_norm(M, c)[2]
+    assert V_k.shape == (4, kept)
+    assert np.allclose(projector(V_k), projector(kept_basis(M, kept)), rtol=0.0, atol=1e-10)
+
+
+def test_shrinkage_of_an_overflowing_gram_product_falls_back_to_the_svd(rng, monkeypatch):
+    M = 1e200 * rng.standard_normal((8, 6))
+    expected, expected_nuclear = svd_shrink(M, 1.0)
+    starts = (None, kept_basis(M, 1))
+    calls = counting(monkeypatch, "svd")
+    for start in starts:  # no warning either way
+        out, nuclear, _ = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+        assert np.abs(out - expected).max() <= REL * np.abs(expected).max()
+        assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_warm_shrinkage_from_a_good_start_takes_no_gram_eigendecomposition(shape, rng,
+                                                                           monkeypatch):
+    M = with_singular_values(rng, *shape, [100.0, 50.0, 30.0, 0.3, 0.2, 0.1])
+    # the kept vectors of a nearby matrix, as the previous sweep leaves them
+    start = kept_basis(M + 1e-6 * rng.standard_normal(shape), 3)
+    expected, expected_nuclear = svd_shrink(M, 1.0)
+    kept = projector(kept_basis(M, 3))
+    eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
+    out, nuclear, V_k = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+    again = spaces.singular_value_shrink_with_norm(M, 1.0, V_k)[0]  # V_k starts the next call
+    assert not eighs and not svds
+    assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
+    assert np.linalg.norm(again - expected) <= REL * np.linalg.norm(expected)
+    assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+    assert np.allclose(projector(V_k), kept, rtol=0.0, atol=1e-10)
+
+
+VALUES = [8.0, 5.0, 3.0, 0.9, 0.5, 0.2]  # three above c = 1, a tail close below it
+
+
+def third_value_below_c(M):
+    """M with its third singular value lowered from 3 to 0.7."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    s[2] = 0.7
+    return (U * s) @ Vt
+
+
+# (input, start) from M and its right singular vectors V
+BAD_STARTS = {
+    "orthogonal_to_a_kept_direction": lambda M, V, rng: (M, V[:, :2]),
+    "wider_than_the_kept_set": lambda M, V, rng: (M, V[:, :4]),
+    "rank_deficient": lambda M, V, rng: (M, V[:, [0, 1, 1]]),
+    "from_a_different_matrix": lambda M, V, rng: (
+        M, kept_basis(with_singular_values(rng, *M.shape, VALUES), 3)),
+    "kept_count_falls_below_its_width": lambda M, V, rng: (third_value_below_c(M), V[:, :3]),
+}
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+@pytest.mark.parametrize("kind", sorted(BAD_STARTS))
+def test_shrinkage_from_a_start_that_cannot_certify_takes_the_gram_route(kind, shape, rng,
+                                                                         monkeypatch):
+    M = with_singular_values(rng, *shape, VALUES)
+    matrix, start = BAD_STARTS[kind](M, kept_basis(M, 6), rng)
+    expected, expected_nuclear = svd_shrink(matrix, 1.0)
+    kept = int(np.sum(np.linalg.svd(matrix, compute_uv=False) > 1.0))
+    eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
+    out, nuclear, V_k = spaces.singular_value_shrink_with_norm(matrix, 1.0, start)
+    assert (len(eighs), len(svds)) == (1, 0)
+    assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
+    assert nuclear == pytest.approx(expected_nuclear, rel=REL)
+    assert V_k.shape == (20, kept)
 
 
 @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
@@ -233,6 +325,37 @@ def test_leading_singular_pair_on_a_degenerate_top(rng):
     for _ in range(100):
         T = 2.0 * rng.standard_normal((3, 3))
         assert np.linalg.norm(T, 2) >= 2.0 + np.vdot(g, T - S) - 1e-12
+
+
+def top_orthogonal_to_ones(rng):
+    """A 6 x 5 matrix whose top right singular vector is (1, -1, 0, 0, 0)/sqrt(2),
+    orthogonal to the all-ones vector, with random other singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((6, 5)))[0]
+    V = np.linalg.qr(np.column_stack([[1.0, -1.0, 0.0, 0.0, 0.0],
+                                      rng.standard_normal((5, 4))]))[0]
+    return (U * [3.0, 2.0, 1.0, 0.5, 0.2]) @ V.T
+
+
+@pytest.mark.parametrize("S", [
+    np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.5]]),
+    np.array([[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.1]]),
+    top_orthogonal_to_ones(np.random.default_rng(0)),
+    np.diag([2.0, 2.0, 1.0]),
+], ids=["top_orthogonal_to_ones", "wide_top_orthogonal_to_ones", "rotated_top_orthogonal_to_ones",
+        "degenerate_top"])
+def test_leading_singular_pair_falls_back_to_the_eigendecomposition(S, monkeypatch):
+    # the all-ones right-hand side has no part along the top eigenvector of
+    # the Gram matrix: the shifted Gram matrix is exactly singular (the two
+    # block matrices), or the solve misses the top eigenvector and fails the
+    # residual check (the rotated one); a degenerate top makes the shifted
+    # Gram matrix exactly singular
+    size = min(S.shape)
+    eighs = counting(monkeypatch, "eigh", size)
+    u, sigma, v = spaces.leading_singular_pair(S)
+    assert len(eighs) == 1
+    sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
+    assert sigma == pytest.approx(sigma_1, rel=1e-12)
+    assert u @ S @ v == pytest.approx(sigma_1, rel=1e-12)
 
 
 def test_leading_singular_pair_of_zero_and_of_nonfinite_input():

@@ -24,10 +24,11 @@ and each report column) must satisfy max|a - b| <= R * max(1, max|a|),
 with a the old values and R from ``--rtol`` (default 0: bit-equal).  A
 report column that only one file holds, a field added or dropped between
 the two checkouts, is listed and not compared.  The CLI CSVs are compared
-cell by cell: the header and every text or integer column must match
-exactly, and each float column is held to R like an array; at R = 0 the
-files must be byte-identical.  It prints the worst gap of each kind of
-value over all runs and exits nonzero if any check fails.
+column by column, matched by header name: they must have the same number
+of rows, every text or integer column must match exactly, and each float
+column is held to R like an array; a column that only one file holds is
+listed and not compared, like a report column.  It prints the worst gap of
+each kind of value over all runs and exits nonzero if any check fails.
 """
 
 import argparse
@@ -135,33 +136,39 @@ def _all_parse(kind, cells) -> bool:
     return True
 
 
-def csv_gap(a: bytes, b: bytes) -> tuple[str | None, float]:
-    """Compare two CSV files with a header row cell by cell: the first
-    difference in their shape, header, integer or text cells (None if there
-    is none), and the worst ``scaled_gap`` of their float columns.
+def csv_gap(a: bytes, b: bytes) -> tuple[str | None, float, list[str]]:
+    """Compare two CSV files with a header row column by column, matching
+    columns by header name: the first difference in their row count or in
+    an integer or text column (None if there is none), the worst
+    ``scaled_gap`` of their float columns, and the columns only one file
+    holds.
 
     A column whose cells all parse as integers in both files is an integer
     column, one whose cells all parse as floats a float column, and any
     other column a text column.
     """
     old, new = (list(csv.reader(io.StringIO(f.decode()))) for f in (a, b))
-    if [len(row) for row in old] != [len(row) for row in new]:
-        return "the CSV files differ in shape", 0.0
-    if old[0] != new[0]:
-        return "the CSV headers differ", 0.0
+    if len(old) != len(new):
+        return "the CSV files differ in row count", 0.0, []
+    columns = [{name: tuple(row[j] for row in rows[1:]) for j, name in enumerate(rows[0])}
+               for rows in (old, new)]
+    only = [f"column {name} only in the {side} file"
+            for side, mine, other in (("old", *columns), ("new", *columns[::-1]))
+            for name in mine if name not in other]
     worst = 0.0
-    for name, col_a, col_b in zip(old[0], zip(*old[1:]), zip(*new[1:])):
+    for name in (name for name in columns[0] if name in columns[1]):
+        col_a, col_b = columns[0][name], columns[1][name]
         if _all_parse(float, col_a + col_b) and not _all_parse(int, col_a + col_b):
             worst = max(worst, scaled_gap(np.array(col_a, dtype=float),
                                           np.array(col_b, dtype=float)))
         elif col_a != col_b:
-            return f"column {name} differs", 0.0
-    return None, worst
+            return f"column {name} differs", 0.0, only
+    return None, worst, only
 
 
 def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, list[str]]:
     """Differences beyond ``rtol``, the worst gap of each kind of value as
-    kind -> (gap, run), and the report columns only one file holds."""
+    kind -> (gap, run), and the report and CSV columns only one file holds."""
     problems = []
     worst = {}
     runs = [{key.rsplit("/", 1)[0] for key in saved} for saved in (old, new)]
@@ -185,16 +192,12 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, l
         run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
         if run.startswith("cli/"):
-            if np.array_equal(a, b):
-                check(key, "csv", 0.0, rtol)
-            elif rtol == 0.0:
-                problems.append(f"{key}: the CSV files differ")
+            mismatch, gap, columns_only = csv_gap(a.tobytes(), b.tobytes())
+            only += [f"{key}: {line}" for line in columns_only]
+            if mismatch is None:
+                check(key, "csv", gap, rtol)
             else:
-                mismatch, gap = csv_gap(a.tobytes(), b.tobytes())
-                if mismatch is None:
-                    check(key, "csv", gap, rtol)
-                else:
-                    problems.append(f"{key}: {mismatch}")
+                problems.append(f"{key}: {mismatch}")
         elif a.shape != b.shape:
             problems.append(f"{key}: shape {a.shape} vs {b.shape}")
         elif kind in ("iterations", f"{REPORT}n"):
