@@ -113,6 +113,12 @@ def _resolve_seeds(args, default=()) -> list[int]:
     return seeds
 
 
+def _check_finite_non_negative(flag: str, value) -> None:
+    """Reject a flag value that is negative or not finite (NaN included)."""
+    if value is not None and not 0.0 <= value < np.inf:
+        raise UsageError(f"{flag} must be finite and non-negative, got {value}")
+
+
 def _map_seeds(worker, seeds, jobs) -> list:
     """``worker(seed)`` for each seed, in the order of ``seeds``; in a pool
     of ``jobs`` processes when there is more than one seed to run."""
@@ -203,6 +209,7 @@ def cmd_rpca_bench(args) -> int:
         raise UsageError(f"rank {r} out of range for a {m}x{d} matrix")
     if not 0.0 < s < 1.0:
         raise UsageError(f"sparsity ratio {s} must lie in (0, 1)")
+    _check_finite_non_negative("--noise", args.noise)
     config = rpca.RpcaConfig(rows=m, cols=d, **_given(
         args, noise="noise", gamma="gamma", alpha="alpha", rho="rho", tolerance="tol",
         max_iterations="max_iter"))
@@ -252,6 +259,7 @@ def cmd_dcopf(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     seeds = _resolve_seeds(args, default=[0])  # one canonical run unless seeds are requested
+    _check_finite_non_negative("--jitter", args.jitter)
     solver_settings = _given(args, rho="rho", alpha="alpha", tol="tol",
                              max_iterations="max_iter")
     engine.validate_parameters(dcopf_app.solver_params_for(case, **solver_settings))
@@ -295,8 +303,7 @@ def cmd_dcopf(args) -> int:
 
 
 def cmd_verify_trace(args) -> int:
-    if not 0.0 <= args.slack_scale < np.inf:  # NaN fails this too
-        raise UsageError(f"--slack-scale must be finite and non-negative, got {args.slack_scale}")
+    _check_finite_non_negative("--slack-scale", args.slack_scale)
     with open(args.trace, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in ("n", "merit") if name not in (reader.fieldnames or ())]

@@ -400,15 +400,14 @@ def lower_bound_init(problem: DcOpfBlockProblem, jitter: float = 0.0,
                      seed: int | None = None):
     """All variables at their lower bound (zero), slack absorbing b.
 
-    A positive ``jitter`` adds uniform [0, jitter) noise to the x blocks so
-    seeded repetitions explore different basins.
+    Uniform [0, jitter) noise on the x blocks lets seeded repetitions
+    explore different basins; jitter 0 starts at exactly zero, and a
+    negative or non-finite jitter raises a ``ValueError``.
     """
+    if not 0.0 <= jitter < np.inf:  # NaN fails this too
+        raise ValueError(f"jitter must be finite and non-negative, got {jitter}")
     shape = (problem.num_blocks, *problem.block_shape)
-    if jitter > 0.0:
-        x = jitter * np.random.default_rng(seed).random(shape)
-    else:
-        x = np.zeros(shape)
-    return _init_from_blocks(problem, x)
+    return _init_from_blocks(problem, jitter * np.random.default_rng(seed).random(shape))
 
 
 def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpfBlockProblem:

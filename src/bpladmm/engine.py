@@ -55,7 +55,9 @@ either way.
 ``solve`` owns a run: it validates the parameters, keeps the run's list of
 iteration reports, applies the stop rule and then the merit rule.  A state
 carries only the report of its own iterate.  A block oracle that raises or
-returns non-finite values ends the run with a ``BlockOracleError``.
+returns non-finite values ends the run with a ``BlockOracleError``.  A run
+outside the gates, such as the RPCA admm3 baseline, loops over ``step``
+itself, with ``iteration_report`` for its start and ``stopped`` as its stop.
 """
 
 import math
@@ -370,7 +372,7 @@ def merit(problem: BlockProblem, params: SolverParams, state: SolverState) -> fl
     return augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
 
 
-def _report(
+def iteration_report(
     problem: BlockProblem,
     rho: float,
     state: SolverState,
@@ -477,11 +479,11 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     z_new = state.z + params.rho * residual
 
     new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1)
-    new_state.report = _report(problem, params.rho, new_state, residual, state)
+    new_state.report = iteration_report(problem, params.rho, new_state, residual, state)
     return new_state
 
 
-def _stopped(params: SolverParams, previous: SolverState, report: IterationReport) -> bool:
+def stopped(params: SolverParams, previous: SolverState, report: IterationReport) -> bool:
     """The stop rule on the step from ``previous`` to the iterate of ``report``."""
     if params.stop_rule == STOP_SHIFTED:
         delta = math.sqrt(report.step_x**2 + report.step_y**2)
@@ -533,7 +535,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     """
     validate_parameters(params)
     state = init
-    reports = [init.report or _report(problem, params.rho, init, init.residual)]
+    reports = [init.report or iteration_report(problem, params.rho, init, init.residual)]
     status = STATUS_MAX_ITERATIONS
     start = time.perf_counter()
     try:
@@ -541,9 +543,9 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
             for _ in range(params.max_iterations):
                 new_state = step(problem, params, state)
                 reports.append(new_state.report)
-                stopped = _stopped(params, state, new_state.report)
+                done = stopped(params, state, new_state.report)
                 state = new_state
-                if stopped:
+                if done:
                     status = STATUS_CONVERGED
                     break
     finally:

@@ -18,8 +18,8 @@ from .dcopf import DcOpfCase
 
 # column indices of the standard MATPOWER tables
 BUS_ID, BUS_PD = 0, 2
-BRANCH_FROM, BRANCH_TO, BRANCH_X = 0, 1, 3
-GEN_BUS, GEN_PMAX = 0, 8
+BRANCH_FROM, BRANCH_TO, BRANCH_X, BRANCH_STATUS = 0, 1, 3, 10
+GEN_BUS, GEN_STATUS, GEN_PMAX = 0, 7, 8
 COST_MODEL, COST_NCOEF = 0, 3
 
 # the PV unit cost, and the PV capacity and line limit in kW, of every case
@@ -200,14 +200,15 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     pu with parallel branches summed; generator cost coefficients are
     rescaled so the cost of pu power matches the cost of MW power (a =
     c2*base^2, b = c1*base, c = c0); the PV capacity ``PV_CAPACITY_KW`` and
-    line limit ``LINE_LIMIT_KW`` are converted at the case base.  A table
-    too narrow for a column read here, a branch from a bus to itself, or a
-    gencost row holding fewer coefficients than it declares raises
-    MatpowerParseError naming the table or row.
+    line limit ``LINE_LIMIT_KW`` are converted at the case base; branch
+    and generator rows out of service (status not positive) are skipped.
+    A table too narrow for a column read here, a branch from a bus to
+    itself, or a gencost row holding fewer coefficients than it declares
+    raises MatpowerParseError naming the table or row.
     """
     if mp.base_mva <= 0:
         raise MatpowerParseError(f"baseMVA must be positive, got {mp.base_mva}")
-    for name, table, column in (("bus", mp.bus, BUS_PD), ("branch", mp.branch, BRANCH_X),
+    for name, table, column in (("bus", mp.bus, BUS_PD), ("branch", mp.branch, BRANCH_STATUS),
                                 ("gen", mp.gen, GEN_PMAX), ("gencost", mp.gencost, COST_NCOEF)):
         if table is not None and table.shape[1] <= column:
             raise MatpowerParseError(f"mpc.{name} has {table.shape[1]} columns, too few for "
@@ -220,6 +221,8 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
 
     line_map: dict = {}
     for row_index, row in enumerate(mp.branch):
+        if not row[BRANCH_STATUS] > 0:
+            continue
         i_id, j_id = int(row[BRANCH_FROM]), int(row[BRANCH_TO])
         if i_id not in index or j_id not in index:
             raise MatpowerParseError(
@@ -243,6 +246,8 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     seen: set = set()
     if mp.gen is not None:
         for row_index, row in enumerate(mp.gen):
+            if not row[GEN_STATUS] > 0:
+                continue
             bus_id = int(row[GEN_BUS])
             if bus_id not in index:
                 raise MatpowerParseError(

@@ -22,8 +22,8 @@ the y-block (T), and the iteration.
 The two spectral kernels come from ``spaces``, and neither takes a full
 SVD per sweep.  The shrinkage of L starts from the kept right singular
 vectors of the previous sweep's shrinkage, which each solve keeps for
-itself (``RpcaBlockProblem`` beside its other by-products, admm3 in a
-local), and certifies two subspace steps from them; where that fails, as
+itself in its problem object, beside the other by-products, and
+certifies two subspace steps from them; where that fails, as
 while the kept rank still falls, it takes one eigendecomposition of the
 smaller Gram matrix, and the SVD where its error certificate fails.  The
 leading singular pair of S takes one ``eigvalsh`` of the Gram matrix and
@@ -37,9 +37,11 @@ would square the condition number and lose the small singular values.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
-side-by-side comparison, in a closed-form loop of its own.  Its alpha = 0
-lies outside the parameter gates, so no descent guarantee applies and the
-loop records its merit without checking it.
+side-by-side comparison: ``engine.step`` on ``PlainRpcaBlockProblem``,
+with the engine's reports, stop rule and oracle errors.  Its alpha = 0 and
+rho = 2 lie outside the parameter gates that ``engine.solve`` applies, so
+it runs the steps in a loop of its own, where no descent guarantee applies
+and the merit is recorded without a check.
 """
 
 import time
@@ -58,7 +60,7 @@ from .engine import (
 from .spaces import (
     leading_singular_pair,
     singular_value_shrink_with_norm,
-    soft_shrink,
+    soft_shrink,  # noqa: F401 - its only reader is the benchmark's patch point
     stacked_norm,
 )
 
@@ -115,10 +117,6 @@ class RpcaInstance:
     noise: float
     seed: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.M.shape
-
 
 @dataclass
 class RpcaSolution:
@@ -148,6 +146,8 @@ def generate_instance(
         raise ValueError(f"rank r must lie in [1, {min(m, d)}], got {r}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"sparsity ratio s must lie in (0, 1), got {s}")
+    if not 0.0 <= noise < np.inf:  # NaN fails this too
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     low_rank = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
     sparse = np.zeros((m, d))
@@ -204,23 +204,19 @@ def recovery_metrics(
     return re, numerical_rank(solution.L), int(np.count_nonzero(solution.S))
 
 
-def _tau(instance: RpcaInstance, config: RpcaConfig) -> float:
-    """The config's sparsity weight, once its shape is checked against the instance's."""
-    if instance.M.shape != (config.rows, config.cols):
-        raise ValueError(f"instance of shape {instance.M.shape} does not match the config "
-                         f"shape {(config.rows, config.cols)}")
-    return config.tau_value
-
-
-def _initial_blocks(shape, init_seed) -> tuple[np.ndarray, np.ndarray]:
-    """L and S, in that order, drawn i.i.d. standard normal from ``init_seed``."""
+def _initial_state(problem: "RpcaBlockProblem", init_seed: int) -> engine.SolverState:
+    """L and S drawn i.i.d. standard normal from ``init_seed``, in that
+    order, T at the observation and the multiplier at zero."""
+    M = problem.instance.M
     rng = np.random.default_rng(init_seed)
-    return rng.standard_normal(shape), rng.standard_normal(shape)
+    blocks = [rng.standard_normal(M.shape), rng.standard_normal(M.shape)]
+    return engine.initial_state(problem, blocks, M, np.zeros_like(M))
 
 
-def _solution(instance, L, S, T, Z, iterations, wall_time, converged, reports) -> RpcaSolution:
+def _solution(instance, state, wall_time, converged, reports) -> RpcaSolution:
     solution = RpcaSolution(
-        L=L, S=S, T=T, Z=Z, iterations=iterations, wall_time=wall_time, converged=converged,
+        L=state.x[0], S=state.x[1], T=state.y, Z=state.z, iterations=state.n,
+        wall_time=wall_time, converged=converged,
         relative_error=0.0, rank_L=0, sparsity_S=0, reports=reports,
     )
     metrics = recovery_metrics(solution, instance)
@@ -240,82 +236,42 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     another shape than the instance a ``ValueError``.
     """
     problem = RpcaBlockProblem(instance, config)
-    M = instance.M
-    init = engine.initial_state(problem, _initial_blocks(M.shape, init_seed), M,
-                                np.zeros_like(M))
-    result = engine.solve(problem, config.solver_params(), init)
-    state = result.state
-    return _solution(instance, state.x[0], state.x[1], state.y, state.z, result.iterations,
-                     result.wall_time, result.status == engine.STATUS_CONVERGED, result.reports)
+    result = engine.solve(problem, config.solver_params(), _initial_state(problem, init_seed))
+    return _solution(instance, result.state, result.wall_time,
+                     result.status == engine.STATUS_CONVERGED, result.reports)
 
 
 def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -> RpcaSolution:
-    """Three-block ADMM on the plain l1 model: no spectral shift, no
-    proximal terms, shrinkage thresholds 1/rho and tau/rho with rho = 2.
+    """Three-block ADMM on the plain l1 model: ``engine.step`` on
+    ``PlainRpcaBlockProblem`` with alpha = 0 and rho = 2, so no spectral
+    shift, no proximal terms, and shrinkage thresholds 1/rho and tau/rho.
 
-    A closed-form loop of its own, started and stopped as ``bpl_admm_rpca``
-    is.  Its alpha = 0 lies outside the parameter gates (they require
-    alpha > 0), so no descent guarantee applies: each report records the
-    merit L_rho, and nothing checks it.  Non-finite input to a shrinkage
-    raises ``engine.BlockOracleError`` naming x-block 0 (L) or x-block 1
-    (S) and the iteration, the names BPL's engine run uses; as in
-    ``engine.solve``, numpy's invalid and overflow warnings are silenced.
+    Started, stopped and reported as ``bpl_admm_rpca`` is, with the same
+    errors and the same silenced numpy warnings.  Its alpha = 0 and rho = 2
+    lie outside the parameter gates (alpha > 0, rho > 2 gamma), so it loops
+    by itself instead of calling ``engine.solve``: no descent guarantee
+    applies, and the reports record the merit L_rho without a check.
     """
-    M, tau, gamma, rho = instance.M, _tau(instance, config), config.gamma, 2.0
-    L, S = _initial_blocks(M.shape, init_seed)
-    T = M.copy()
-    Z = np.zeros_like(M)
-    nuclear_l = float(np.linalg.svd(L, compute_uv=False).sum())
-    basis = None  # the kept right singular vectors of the last L shrinkage
-
-    reports: list[IterationReport] = []
-    step_l = step_s = step_t = step_z = 0.0
-    rel_change = np.inf
-    n = 0
+    problem = PlainRpcaBlockProblem(instance, config)
+    params = SolverParams(rho=2.0, lipschitz_H=config.gamma, strong_convexity=0.0,
+                          max_iterations=config.max_iterations, stop_tolerance=config.tolerance)
+    state = _initial_state(problem, init_seed)
+    reports = [engine.iteration_report(problem, params.rho, state, state.residual)]
+    converged = False
     start = time.perf_counter()
     with np.errstate(invalid="ignore", over="ignore"):
-        while True:
-            residual = L + S - T
-            diff = T - M
-            objective = (nuclear_l + tau * float(np.abs(S).sum())
-                         + 0.5 * gamma * float(np.vdot(diff, diff)))
-            l_rho = (objective + float(np.vdot(Z, residual))
-                     + 0.5 * rho * float(np.vdot(residual, residual)))
-            # the merit is recorded, not checked: no descent guarantee applies
-            reports.append(IterationReport(
-                n=n, merit=l_rho,
-                feasibility=float(np.linalg.norm(residual)), objective=objective,
-                step_x=float(np.sqrt(step_l**2 + step_s**2)), step_y=step_t, step_z=step_z,
-            ))
-            if rel_change <= config.tolerance or n >= config.max_iterations:
-                break
-
-            n += 1
-            try:
-                L_new, nuclear_l, basis = singular_value_shrink_with_norm(
-                    (-Z - rho * S + rho * T) / rho, 1.0 / rho, basis)
-            except ValueError as exc:  # the shrinkage rejects non-finite input
-                raise engine.BlockOracleError("x-block 0", n, exc) from exc
-            s_input = (-Z - rho * L_new + rho * T) / rho
-            if not np.isfinite(s_input).all():
-                raise engine.BlockOracleError(
-                    "x-block 1", n, FloatingPointError("shrinkage input is not finite"))
-            S_new = soft_shrink(s_input, tau / rho)
-            T_new = (gamma * M + Z + rho * (L_new + S_new)) / (gamma + rho)
-            Z_new = Z + rho * (L_new + S_new - T_new)
-            base = stacked_norm([L, S, T])
-            step_l = float(np.linalg.norm(L_new - L))
-            step_s = float(np.linalg.norm(S_new - S))
-            step_t = float(np.linalg.norm(T_new - T))
-            step_z = float(np.linalg.norm(Z_new - Z))
-            rel_change = np.sqrt(step_l**2 + step_s**2 + step_t**2) / (base + 1.0)
-            L, S, T, Z = L_new, S_new, T_new, Z_new
-    wall = time.perf_counter() - start
-    return _solution(instance, L, S, T, Z, n, wall, bool(rel_change <= config.tolerance), reports)
+        while not converged and state.n < params.max_iterations:
+            new_state = engine.step(problem, params, state)
+            reports.append(new_state.report)
+            converged = engine.stopped(params, state, new_state.report)
+            state = new_state
+    return _solution(instance, state, time.perf_counter() - start, converged, reports)
 
 
 class RpcaBlockProblem(BlockProblem):
-    """The model for the generic engine, as ``bpl_admm_rpca`` runs it.
+    """The modified-regularizer model for the generic engine, as
+    ``bpl_admm_rpca`` runs it; ``PlainRpcaBlockProblem`` drops its
+    spectral term.
 
     Blocks are x = (L, S) with identity couplings, stacked by the engine
     into one 2 x m x d array, y = T with B = -I and b = 0.  The oracles are
@@ -333,7 +289,10 @@ class RpcaBlockProblem(BlockProblem):
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
-        self.tau = _tau(instance, config)
+        if instance.M.shape != (config.rows, config.cols):
+            raise ValueError(f"instance of shape {instance.M.shape} does not match the config "
+                             f"shape {(config.rows, config.cols)}")
+        self.tau = config.tau_value
         self.instance = instance
         self.config = config
         self.num_blocks = 2
@@ -390,7 +349,7 @@ class RpcaBlockProblem(BlockProblem):
             self._nuclear = (L.copy(), nuclear)
             return L
         # through spaces: the benchmark's sweep clock stamps every call of
-        # rpca.soft_shrink (admm3's one per sweep) as well as engine.step
+        # rpca.soft_shrink as a sweep, and it stamps each engine.step already
         return spaces.soft_shrink(target, self.tau / weight)
 
     def solve_y_block(self, ctx: YBlockContext):
@@ -398,3 +357,11 @@ class RpcaBlockProblem(BlockProblem):
         out += ctx.rho * ctx.x_residual
         out /= self.config.gamma + ctx.rho
         return out
+
+
+class PlainRpcaBlockProblem(RpcaBlockProblem):
+    """``RpcaBlockProblem`` without the spectral term: the plain l1 model
+    of ``admm3_baseline``, with ``BlockProblem``'s zero G."""
+
+    eval_G = BlockProblem.eval_G
+    subgrad_G = BlockProblem.subgrad_G

@@ -175,7 +175,15 @@ def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
     (["dcopf", "--fixture", "2bus"], "--tol=-1e-6", "stop_tolerance must be non-negative"),
     (RPCA_SMALL, "--tol=nan", "stop_tolerance must be non-negative, got nan"),
     (RPCA_SMALL, "--max-iter=-1", "max_iterations must be non-negative"),
-], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-max-iter"])
+    *[(["dcopf", "--fixture", "2bus"], f"--jitter={value}",
+       f"--jitter must be finite and non-negative, got {float(value)}")
+      for value in ("-1", "nan", "inf")],
+    *[(RPCA_SMALL, f"--noise={value}",
+       f"--noise must be finite and non-negative, got {float(value)}")
+      for value in ("-1", "nan", "inf")],
+], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-max-iter",
+        "dcopf-jitter-negative", "dcopf-jitter-nan", "dcopf-jitter-inf",
+        "rpca-noise-negative", "rpca-noise-nan", "rpca-noise-inf"])
 def test_negative_cap_or_tolerance_is_usage_error(tmp_path, capsys, command, flag, message):
     out = tmp_path / "out"
     rc = main(command + [flag, "--seeds", "1", "--out", str(out)])

@@ -113,6 +113,13 @@ def test_build_problem_rejects_bad_cases():
         dcopf.build_problem(replace(case, lines=((0, 1, np.nan),)))
 
 
+@pytest.mark.parametrize("jitter", [-0.1, np.nan, np.inf])
+def test_lower_bound_init_rejects_a_negative_or_non_finite_jitter(jitter):
+    problem = dcopf.build_problem(dcopf.two_bus_fixture())
+    with pytest.raises(ValueError, match=f"jitter must be finite and non-negative, got {jitter}"):
+        dcopf.lower_bound_init(problem, jitter=jitter, seed=0)
+
+
 @pytest.mark.parametrize("name", ["demand", "pv_cost", "gen_cost_a", "gen_cost_b", "gen_cost_c",
                                   "pv_capacity", "gen_capacity", "line_limit", "gamma", "eta"])
 def test_validate_names_a_field_that_is_not_finite(name):

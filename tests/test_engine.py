@@ -384,16 +384,18 @@ def test_report_matches_one_shot_functions_on_two_bus_fixture():
 def test_report_matches_one_shot_functions_on_rpca_engine_run():
     instance = rpca.generate_instance(6, 5, 2, 0.2, 1e-2, seed=7)
     config = rpca.RpcaConfig(rows=6, cols=5)
-    problem = rpca.RpcaBlockProblem(instance, config)
-    params = config.solver_params()
-    rng = np.random.default_rng(6)
-    state = engine.initial_state(
-        problem, [rng.standard_normal((6, 5)), rng.standard_normal((6, 5))],
-        instance.M.copy(), np.zeros((6, 5)),
-    )
-    for _ in range(20):
-        state = engine.step(problem, params, state)
-        assert_report_matches_one_shot_functions(problem, params, state)
+    # BPL-ADMM's model, and admm3's: no spectral term, alpha = 0, rho = 2
+    admm3 = engine.SolverParams(rho=2.0, lipschitz_H=config.gamma, strong_convexity=0.0)
+    for problem, params in ((rpca.RpcaBlockProblem(instance, config), config.solver_params()),
+                            (rpca.PlainRpcaBlockProblem(instance, config), admm3)):
+        rng = np.random.default_rng(6)
+        state = engine.initial_state(
+            problem, [rng.standard_normal((6, 5)), rng.standard_normal((6, 5))],
+            instance.M.copy(), np.zeros((6, 5)),
+        )
+        for _ in range(20):
+            state = engine.step(problem, params, state)
+            assert_report_matches_one_shot_functions(problem, params, state)
 
 
 def test_quantified_merit_descent_on_rpca_engine_run():

@@ -47,6 +47,8 @@ MALFORMED = {
                   "branch row 1: bus 2 connects to itself"),
     "narrow-bus": (with_table("bus", "mpc.bus = [1 3; 2 1; 3 1];"), "mpc.bus has 2 columns"),
     "narrow-gen": (with_table("gen", "mpc.gen = [1 40 0];"), "mpc.gen has 3 columns"),
+    "narrow-branch": (with_table("branch", "mpc.branch = [1 2 0.01 0.5 0 250 250 250 0 0;];"),
+                      "mpc.branch has 10 columns, too few for column 11"),
     "short-gencost": (CASE3.replace("2  0  0  3  0.02  2.0  10;", "2  0  0  3  0.02  2.0;"),
                       "gencost row 0: 3 cost coefficients declared, 2 given"),
 }
@@ -184,6 +186,41 @@ def test_multiple_generators_on_one_bus_warns_and_keeps_first():
         case = matpower.to_dcopf_case(matpower.parse_case(doubled))
     assert case.gen_capacity[0] == pytest.approx(0.8)
     assert case.gen_cost_a[0] == pytest.approx(0.02 * 100 * 100)
+
+
+def test_out_of_service_branches_are_not_lines():
+    offline = "2  3  0.02  0.25  0  250  250  250  0  0  0  -360  360;"
+    case = matpower.to_dcopf_case(matpower.parse_case(CASE3.replace(
+        "2  3  0.02  0.25  0  250  250  250  0  0  1  -360  360;", offline)))
+    assert case.lines == ((0, 1, 1.0 / 0.5),)
+    # an offline parallel branch adds no susceptance
+    doubled = CASE3.replace("1  2  0.01  0.5   0  250  250  250  0  0  1  -360  360;",
+                            "1  2  0.01  0.5   0  250  250  250  0  0  1  -360  360;\n"
+                            "    2  1  0.01  0.5   0  250  250  250  0  0  0  -360  360;")
+    case = matpower.to_dcopf_case(matpower.parse_case(doubled))
+    assert case.lines == ((0, 1, 1.0 / 0.5), (1, 2, 1.0 / 0.25))
+
+
+def test_out_of_service_generators_get_no_capacity_and_shadow_nothing():
+    offline = CASE3.replace("1  40  0  30  -30  1.0  100  1  80  0;",
+                            "1  40  0  30  -30  1.0  100  0  80  0;")
+    case = matpower.to_dcopf_case(matpower.parse_case(offline))
+    assert np.all(case.gen_capacity == 0.0)
+    assert np.all(case.gen_cost_a == 0.0) and np.all(case.gen_cost_b == 0.0)
+    # an offline first generator at bus 1 leaves the bus to the in-service
+    # second one, with its own gencost row, and no warning
+    second = offline.replace(
+        "mpc.gen = [\n    1  40  0  30  -30  1.0  100  0  80  0;\n];",
+        "mpc.gen = [\n    1  40  0  30  -30  1.0  100  0  80  0;\n"
+        "    1  10  0  30  -30  1.0  100  1  20  0;\n];",
+    ).replace(
+        "mpc.gencost = [\n    2  0  0  3  0.02  2.0  10;\n];",
+        "mpc.gencost = [\n    2  0  0  3  0.02  2.0  10;\n    2  0  0  3  0.5  1.0  1;\n];",
+    )
+    case = matpower.to_dcopf_case(matpower.parse_case(second))
+    assert case.gen_capacity[0] == pytest.approx(0.2)
+    assert case.gen_cost_a[0] == pytest.approx(0.5 * 100 * 100)
+    assert case.gen_cost_b[0] == pytest.approx(1.0 * 100)
 
 
 @pytest.mark.parametrize("name", MALFORMED)

@@ -45,6 +45,9 @@ def test_generate_instance_rejects_bad_arguments():
         rpca.generate_instance(5, 5, 6, 0.1, 0.0, seed=0)
     with pytest.raises(ValueError, match="sparsity"):
         rpca.generate_instance(5, 5, 2, 1.5, 0.0, seed=0)
+    for noise in (-1e-2, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"noise must be finite and non-negative, got {noise}"):
+            rpca.generate_instance(5, 5, 2, 0.1, noise, seed=0)
 
 
 def test_config_tau():
@@ -139,7 +142,7 @@ def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
                          ids=["bpl", "admm3"])
 def test_non_finite_soft_shrinkage_input_names_the_s_block(solver, monkeypatch):
     # an L shrinkage returning huge finite values overflows the S
-    # shrinkage's input: admm3 checks that input, the engine BPL's output
+    # shrinkage's input, and the engine finds the S shrinkage's output not finite
     def huge(M, c, start):
         return np.full(M.shape, -1e308), 0.0, None
 
