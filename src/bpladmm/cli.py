@@ -121,9 +121,9 @@ def _check_finite_non_negative(flag: str, value) -> None:
 
 def _map_seeds(worker, seeds, jobs) -> list:
     """``worker(seed)`` for each seed, in the order of ``seeds``; in a pool
-    of ``jobs`` processes when there is more than one seed to run."""
+    of ``min(jobs, len(seeds))`` processes when that is more than one."""
     if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             return list(pool.map(worker, seeds))
     return [worker(seed) for seed in seeds]
 

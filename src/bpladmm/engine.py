@@ -267,8 +267,10 @@ def rho_above_gate(lipschitz_H: float) -> float:
 
 
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the stop rule, the iteration cap, the stop tolerance and the
-    admissibility gates; return (alpha bound, rho bound) on success.
+    """Check the stop rule, the iteration cap, the stop tolerance, that every
+    constant is finite and every Lipschitz or weak convexity constant
+    non-negative, and the admissibility gates; return (alpha bound, rho
+    bound) on success.
 
     Both bounds are strict: an alpha or rho sitting exactly at its bound is
     rejected.  They are where ``delta_x`` and ``delta_y`` change sign.
@@ -280,6 +282,14 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
         raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
     if not params.stop_tolerance >= 0:  # NaN fails this too
         raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
+    for name in ("lipschitz_H", "lipschitz_P", "weak_convexity_G"):
+        value = getattr(params, name)
+        if not 0.0 <= value < math.inf:
+            raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+    for name in ("rho", "strong_convexity", "lambda_min_BtB"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if params.strong_convexity <= 0:
         raise ParameterError("strong convexity modulus alpha must be positive")
     if params.lambda_min_BtB <= 0:

@@ -2,11 +2,12 @@
 
 MATPOWER cases are MATLAB data scripts with a rigid shape: scalar
 assignments like ``mpc.baseMVA = 100;`` and bracketed numeric matrices like
-``mpc.bus = [ ... ];`` with ``%`` comments and semicolon- or
-newline-separated rows.  The parser here is a line-oriented tokenizer for
-exactly that idiom, not a MATLAB interpreter; unknown ``mpc`` fields are
-consumed and dropped, and anything that is not an ``mpc`` assignment is
-ignored.
+``mpc.bus = [ ... ];`` with semicolon- or newline-separated rows.  The
+parser here is a line-oriented reader for exactly that idiom, not a MATLAB
+interpreter.  It reads only numeric scalars and bracketed numeric tables;
+``%`` always starts a comment, even inside quotes; quoted strings, cell
+arrays and other ``mpc`` fields it does not use are skipped, and anything
+that is not an ``mpc`` assignment is ignored.
 """
 
 import warnings
@@ -47,18 +48,6 @@ class MatpowerCase:
     branch: np.ndarray
     gen: np.ndarray | None = None
     gencost: np.ndarray | None = None
-    version: str | None = None
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a % comment, respecting single-quoted strings."""
-    in_quote = False
-    for k, ch in enumerate(line):
-        if ch == "'":
-            in_quote = not in_quote
-        elif ch == "%" and not in_quote:
-            return line[:k]
-    return line
 
 
 def _parse_number(token: str, line_no: int) -> float:
@@ -68,7 +57,7 @@ def _parse_number(token: str, line_no: int) -> float:
         raise MatpowerParseError(f"non-numeric token {token!r}", line_no) from None
 
 
-def _finish_matrix(name: str, rows: list, row_lines: list, start_line: int) -> np.ndarray:
+def _finish_matrix(name: str, start_line: int, rows: list, row_lines: list) -> np.ndarray:
     if not rows:
         raise MatpowerParseError(f"matrix {name} is empty", start_line)
     width = len(rows[0])
@@ -87,86 +76,47 @@ def parse_case(text: str) -> MatpowerCase:
     non-numeric tokens, and a named error when a required field is missing
     or of the wrong kind (baseMVA a scalar, bus and branch matrices).
     """
-    scalars: dict = {}
-    strings: dict = {}
+    base_mva = None
     matrices: dict = {}
-
-    matrix_name = None
-    matrix_rows: list = []
-    matrix_row_lines: list = []
-    matrix_start = 0
-
-    def consume_rows(body: str, line_no: int):
-        # rows end at each ';'; the line break also ends a row
+    table = None  # the open table: name, first line, rows, each row's line
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if table is None:
+            name, eq, rest = line.partition("=")
+            if not (name.startswith("mpc.") and eq):
+                continue  # function header, unrelated code or a blank line
+            name, rest = name[4:].strip(), rest.strip()
+            if not rest.startswith("["):
+                if name == "baseMVA" and not rest.startswith("'"):
+                    base_mva = _parse_number(rest.rstrip(";").strip(), line_no)
+                continue  # other scalars, quoted strings and cell arrays
+            table = (name, line_no, [], [])
+            line = rest[1:]
+        # rows end at each ';' and at the line break; ']' closes the table
+        name, _, rows, row_lines = table
+        body, closing, _ = line.partition("]")
         for segment in body.split(";"):
             tokens = segment.replace(",", " ").split()
             if tokens:
-                matrix_rows.append([_parse_number(t, line_no) for t in tokens])
-                matrix_row_lines.append(line_no)
+                rows.append([_parse_number(t, line_no) for t in tokens])
+                row_lines.append(line_no)
+        if closing:
+            matrices[name] = _finish_matrix(*table)
+            table = None
 
-    def close_matrix():
-        nonlocal matrix_name, matrix_rows, matrix_row_lines
-        matrices[matrix_name] = _finish_matrix(
-            matrix_name, matrix_rows, matrix_row_lines, matrix_start
-        )
-        matrix_name = None
-        matrix_rows = []
-        matrix_row_lines = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if matrix_name is not None:
-            closing = line.find("]")
-            consume_rows(line[:closing] if closing >= 0 else line, line_no)
-            if closing >= 0:
-                close_matrix()
-            continue
-
-        if not line.startswith("mpc."):
-            continue  # function header or unrelated code
-        eq = line.find("=")
-        if eq < 0:
-            continue
-        name = line[4:eq].strip()
-        rest = line[eq + 1 :].strip()
-        if rest.startswith("["):
-            matrix_name = name
-            matrix_rows = []
-            matrix_row_lines = []
-            matrix_start = line_no
-            remainder = rest[1:]
-            closing = remainder.find("]")
-            consume_rows(remainder[:closing] if closing >= 0 else remainder, line_no)
-            if closing >= 0:
-                close_matrix()
-        elif rest.startswith("'"):
-            end = rest.find("'", 1)
-            strings[name] = rest[1:end] if end > 0 else rest[1:]
-        else:
-            token = rest.rstrip(";").strip()
-            if name == "baseMVA":
-                scalars[name] = _parse_number(token, line_no)
-            else:
-                try:
-                    scalars[name] = float(token)
-                except ValueError:
-                    pass  # unknown non-numeric field, skip it
-
-    if matrix_name is not None:
-        raise MatpowerParseError(f"matrix {matrix_name} is not terminated", matrix_start)
-    for required, table, kind in (("baseMVA", scalars, "scalar"), ("bus", matrices, "matrix"),
-                                  ("branch", matrices, "matrix")):
-        if required not in table:
-            raise MatpowerParseError(f"required field mpc.{required} is missing or not a {kind}")
+    if table is not None:
+        raise MatpowerParseError(f"matrix {table[0]} is not terminated", table[1])
+    if base_mva is None:
+        raise MatpowerParseError("required field mpc.baseMVA is missing or not a scalar")
+    for required in ("bus", "branch"):
+        if required not in matrices:
+            raise MatpowerParseError(f"required field mpc.{required} is missing or not a matrix")
     return MatpowerCase(
-        base_mva=float(scalars["baseMVA"]),
+        base_mva=base_mva,
         bus=matrices["bus"],
         branch=matrices["branch"],
         gen=matrices.get("gen"),
         gencost=matrices.get("gencost"),
-        version=strings.get("version"),
     )
 
 
@@ -202,12 +152,13 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     c2*base^2, b = c1*base, c = c0); the PV capacity ``PV_CAPACITY_KW`` and
     line limit ``LINE_LIMIT_KW`` are converted at the case base; branch
     and generator rows out of service (status not positive) are skipped.
-    A table too narrow for a column read here, a branch from a bus to
-    itself, or a gencost row holding fewer coefficients than it declares
-    raises MatpowerParseError naming the table or row.
+    A baseMVA that is not finite and positive, a table too narrow for a
+    column read here, a branch from a bus to itself, or a gencost row
+    holding fewer coefficients than it declares raises MatpowerParseError
+    naming the field, table or row.
     """
-    if mp.base_mva <= 0:
-        raise MatpowerParseError(f"baseMVA must be positive, got {mp.base_mva}")
+    if not 0.0 < mp.base_mva < np.inf:  # NaN fails this too
+        raise MatpowerParseError(f"baseMVA must be finite and positive, got {mp.base_mva}")
     for name, table, column in (("bus", mp.bus, BUS_PD), ("branch", mp.branch, BRANCH_STATUS),
                                 ("gen", mp.gen, GEN_PMAX), ("gencost", mp.gencost, COST_NCOEF)):
         if table is not None and table.shape[1] <= column:

@@ -247,9 +247,7 @@ def test_criterion_09_parser():
     assert case.branch.shape[0] == 2
     assert case.gen.shape[0] == 1
 
-    no_comments = "\n".join(
-        line if "version" in line else line.split("%")[0] for line in CASE3.splitlines()
-    )
+    no_comments = "\n".join(line.split("%")[0] for line in CASE3.splitlines())
     again = matpower.parse_case(no_comments)
     assert np.array_equal(case.bus, again.bus)
     assert np.array_equal(case.branch, again.branch)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bpladmm import dcopf, engine
+from bpladmm import cli
 from bpladmm.cli import TRACE_FIELDS, _write_csv, main
 
 RPCA_SMALL = ["rpca-bench", "--size", "30", "30", "--rank", "3", "--sparsity", "0.05",
@@ -181,15 +182,45 @@ def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
     *[(RPCA_SMALL, f"--noise={value}",
        f"--noise must be finite and non-negative, got {float(value)}")
       for value in ("-1", "nan", "inf")],
+    (RPCA_SMALL, "--alpha=inf", "strong_convexity must be finite, got inf"),
+    (RPCA_SMALL, "--rho=inf", "rho must be finite, got inf"),
+    (["dcopf", "--fixture", "2bus"], "--rho=inf", "rho must be finite, got inf"),
+    (RPCA_SMALL + ["--rho=5"], "--gamma=-1", "lipschitz_H must be finite and non-negative"),
 ], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-max-iter",
         "dcopf-jitter-negative", "dcopf-jitter-nan", "dcopf-jitter-inf",
-        "rpca-noise-negative", "rpca-noise-nan", "rpca-noise-inf"])
+        "rpca-noise-negative", "rpca-noise-nan", "rpca-noise-inf",
+        "rpca-alpha-inf", "rpca-rho-inf", "dcopf-rho-inf", "rpca-gamma-negative"])
 def test_negative_cap_or_tolerance_is_usage_error(tmp_path, capsys, command, flag, message):
     out = tmp_path / "out"
     rc = main(command + [flag, "--seeds", "1", "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_pool_is_no_larger_than_the_seed_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs in-process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli._map_seeds(str, [3, 1], jobs=64) == ["3", "1"]
+    assert cli._map_seeds(str, [0, 1, 2], jobs=2) == ["0", "1", "2"]
+    assert cli._map_seeds(str, [5], jobs=64) == ["5"]  # one seed runs in-process
+    assert sizes == [2, 2]
 
 
 def test_dcopf_fixture_run(tmp_path, capsys):

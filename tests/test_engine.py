@@ -127,6 +127,19 @@ def test_validate_parameters_iteration_cap_and_tolerance():
             engine.validate_parameters(toy_params(**{field: value}))
 
 
+def test_validate_parameters_rejects_non_finite_and_negative_constants():
+    inf, nan = float("inf"), float("nan")
+    for field, value in (("rho", inf), ("strong_convexity", inf), ("lambda_min_BtB", inf),
+                         ("rho", nan)):
+        with pytest.raises(engine.ParameterError, match=f"{field} must be finite, got {value}"):
+            engine.validate_parameters(toy_params(**{field: value}))
+    for field in ("lipschitz_H", "lipschitz_P", "weak_convexity_G"):
+        for value in (-1.0, inf, nan):
+            with pytest.raises(engine.ParameterError,
+                               match=f"{field} must be finite and non-negative, got {value}"):
+                engine.validate_parameters(toy_params(**{field: value}))
+
+
 def test_validate_parameters_rank_deficient_B():
     with pytest.raises(engine.ParameterError, match="full column rank"):
         engine.validate_parameters(engine.SolverParams(rho=1.0, lambda_min_BtB=0.0))

@@ -51,13 +51,30 @@ MALFORMED = {
                       "mpc.branch has 10 columns, too few for column 11"),
     "short-gencost": (CASE3.replace("2  0  0  3  0.02  2.0  10;", "2  0  0  3  0.02  2.0;"),
                       "gencost row 0: 3 cost coefficients declared, 2 given"),
+    "empty-gen": (with_table("gen", "mpc.gen = [];"), "line 14: matrix gen is empty"),
+    "unknown-branch-bus": (CASE3.replace("2  3  0.02  0.25", "2  9  0.02  0.25"),
+                           "branch row 1: endpoint 2-9 references an unknown bus"),
+    "unknown-gen-bus": (CASE3.replace("1  40  0  30", "7  40  0  30"),
+                        "gen row 0: bus 7 does not exist"),
+    "infinite-base": (CASE3.replace("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;"),
+                      "baseMVA must be finite and positive, got inf"),
+    "nan-base": (CASE3.replace("mpc.baseMVA = 100;", "mpc.baseMVA = NaN;"),
+                 "baseMVA must be finite and positive, got nan"),
+}
+
+# CASE3 in the other layouts the reader accepts; each gives CASE3's tables
+LAYOUTS = {
+    "close-on-last-row": CASE3.replace(";\n];", "];"),
+    "comma-separated": re.sub(r"(?<=[\d.]) +(?=[-\d])", ", ", CASE3),
+    "rows-without-semicolons": "\n".join(line.replace(";", "") for line in CASE3.splitlines()),
+    "first-row-on-opening-line": re.sub(r"= \[\n\s*", "= [", CASE3),
+    "bare-base-mva": CASE3.replace("mpc.baseMVA = 100;", "mpc.baseMVA=100"),
 }
 
 
 def test_parse_counts_match_the_fixture():
     case = matpower.parse_case(CASE3)
     assert case.base_mva == 100.0
-    assert case.version == "2"
     assert case.bus.shape == (3, 13)
     assert case.branch.shape == (2, 13)
     assert case.gen.shape == (1, 10)
@@ -66,17 +83,20 @@ def test_parse_counts_match_the_fixture():
 
 def test_parse_is_comment_invariant():
     reference = matpower.parse_case(CASE3)
-    stripped_lines = []
-    for line in CASE3.splitlines():
-        if "version" in line:
-            stripped_lines.append(line)  # keep the quoted string intact
-        else:
-            stripped_lines.append(line.split("%")[0])
-    bare = matpower.parse_case("\n".join(stripped_lines))
+    bare = matpower.parse_case("\n".join(line.split("%")[0] for line in CASE3.splitlines()))
     assert np.array_equal(reference.bus, bare.bus)
     assert np.array_equal(reference.branch, bare.branch)
     assert np.array_equal(reference.gen, bare.gen)
     assert np.array_equal(reference.gencost, bare.gencost)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_every_layout_gives_the_fixture_tables(name):
+    reference = matpower.parse_case(CASE3)
+    case = matpower.parse_case(LAYOUTS[name])
+    assert case.base_mva == reference.base_mva
+    for table in ("bus", "branch", "gen", "gencost"):
+        assert np.array_equal(getattr(case, table), getattr(reference, table)), table
 
 
 def test_parse_is_whitespace_insensitive():
