@@ -17,7 +17,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from functools import partial
 
 import numpy as np
@@ -247,15 +247,19 @@ def _dcopf_one_seed(case, settings, out_dir, dump, seed):
 
 
 def cmd_dcopf(args) -> int:
-    case_settings = _given(args, gamma="gamma", eta="eta")
     if args.fixture == "2bus":
-        case = dcopf_app.two_bus_fixture(**case_settings)
+        case = dcopf_app.two_bus_fixture()
     else:
         with open(args.case, encoding="utf-8") as fh:
             text = fh.read()
-        case = matpower.to_dcopf_case(matpower.parse_case(text), **case_settings)
+        case = matpower.to_dcopf_case(matpower.parse_case(text))
+        try:
+            case.validate()
+        except ValueError as exc:  # bad case content exits 1, like a parse error
+            raise matpower.MatpowerParseError(str(exc)) from exc
+    case = replace(case, **_given(args, gamma="gamma", eta="eta"))
     try:
-        case.validate()  # --eta and --gamma among the case data
+        case.validate()  # only --eta and --gamma can fail here
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     seeds = _resolve_seeds(args, default=[0])  # one canonical run unless seeds are requested

@@ -17,7 +17,8 @@ independent, and the y update is a componentwise two-branch formula.  A
 bus block touches only its own rows, the rows of its neighbours' balance
 and line limits and the penetration floor.  ``build_problem`` writes each
 A_i on those rows alone (the dense p x 4 form is a view built on demand),
-so a block update costs O(nnz(A_i)), not O(p).
+so the x sweep costs O(nnz(A)), not O(N p); the engine sees the blocks
+in the whole constraint space.
 The engine stacks the bus blocks into one N x 4 array, so the placement
 penalty, its gradient, the quadratic costs and the per-bus result columns
 are column operations on it.
@@ -184,20 +185,6 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     return DcOpfBlockProblem(case, rows, blocks, b, Q_diag, q)
 
 
-def g_gradient(x: np.ndarray, gamma: float) -> np.ndarray:
-    """Gradient of the placement penalty gamma * sum_i (u_i^2 - u_i) at the
-    stacked bus blocks x (N x 4, or a sequence of N 4-vectors).
-
-    Zero except the u column, which is gamma*(2 u_i - 1).  The penalty is
-    convex, so this gradient is also the (unique) subgradient and the weak
-    convexity modulus is zero.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[:, U] = gamma * (2.0 * x[:, U] - 1.0)
-    return out
-
-
 def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float) -> np.ndarray:
     """Closed-form slack update, componentwise
 
@@ -215,8 +202,9 @@ class DcOpfBlockProblem(BlockProblem):
     Each A_i is kept on ``rows[i]``, the sorted rows where it has a nonzero
     entry, as ``blocks[i]`` (len(rows[i]) x k); the dense p x k blocks
     ``A`` are built on first access.  ``Q_diag`` and ``q`` are N x k
-    arrays of the per-bus cost diagonals and linear terms.  The operators
-    and the block oracle work on the compact blocks, taken as they are.
+    arrays of the per-bus cost diagonals and linear terms.  ``apply_A``
+    scatters a compact product into the whole constraint space, and
+    ``solve_x_block`` gathers its context's vectors on ``rows[i]``.
     ``build_problem`` builds the whole model (k = 4) and
     ``frozen_u_problem`` the model of a frozen placement (k = 3).
 
@@ -283,11 +271,10 @@ class DcOpfBlockProblem(BlockProblem):
             self._factor_pair = (rho, w)
         return self._inverses, self._rho_G
 
-    def block_rows(self, i):
-        return self.rows[i]
-
     def apply_A(self, i, x):
-        return self.blocks[i] @ x
+        out = np.zeros(self.p)
+        out[self.rows[i]] = self.blocks[i] @ x
+        return out
 
     def apply_B(self, y):
         return y
@@ -306,15 +293,19 @@ class DcOpfBlockProblem(BlockProblem):
         return self.gamma * float(np.sum(u * u - u))
 
     def subgrad_G(self, x):
-        if self.gamma == 0.0:
-            return np.zeros_like(x)
-        return g_gradient(x, self.gamma)
+        """Gradient of the placement penalty gamma * sum_i (u_i^2 - u_i): zero
+        except the u column, gamma (2 u_i - 1).  The penalty is convex, so
+        this is its unique subgradient and the weak convexity modulus is 0."""
+        out = np.zeros_like(x)
+        if self.gamma != 0.0:
+            out[:, U] = self.gamma * (2.0 * x[:, U] - 1.0)
+        return out
 
     def solve_x_block(self, i, ctx: XBlockContext):
-        rho, w, A = ctx.rho, ctx.prox_weight, self.blocks[i]
+        rho, w, rows, A = ctx.rho, ctx.prox_weight, self.rows[i], self.blocks[i]
         inverses, _ = self._factors(rho, w)
         rhs = w * ctx.current_iterate - self.q[i] - ctx.linear_term - A.T @ (
-            ctx.multiplier + rho * ctx.partial_residual)
+            ctx.multiplier[rows] + rho * ctx.partial_residual[rows])
         return inverses[i] @ rhs
 
     def x_sweep(self, state, linear, rho, prox_weight):

@@ -32,12 +32,10 @@ downhill by at least delta_x ||x_{n+1}-x_n||^2 + delta_y ||y_{n+1}-y_n||^2
 per sweep.  ``merit_increases`` checks this, in ``solve`` on the run's
 sweeps and in ``verify-trace`` on a dumped trace.
 
-Each block couples only through the rows of the constraint space where
-A_i is nonzero.  ``BlockProblem.block_rows(i)`` names them (every row by
-default), and ``apply_A(i, .)`` returns A_i x on those rows only.  The
-state carries its residual A x + B y - b from sweep to sweep; a block update
-reads and rewrites it on the block's rows alone, so it costs the size of
-the block's support rather than the size of the constraint space.
+The state carries its residual A x + B y - b from sweep to sweep, and a
+block update swaps its own product A_i x_i in that residual instead of
+recomputing the sum.  ``apply_A(i, .)`` and every vector of the contract
+live in the whole constraint space.
 
 The x iterate is one array of shape (m, *block_shape): every block has the
 same shape, and block i is ``x[i]``.  The blocks are still updated one at a
@@ -99,9 +97,7 @@ class XBlockContext:
     ``partial_residual`` is sum_{k<i} A_k x_{k,n+1} + sum_{k>i} A_k x_{k,n}
     + B y_n - b; it excludes exactly block i's own contribution, so the
     subproblem's coupling term is (rho/2)||A_i x_i + partial_residual||^2.
-    ``partial_residual`` and ``multiplier`` (z_n) hold only the rows
-    ``block_rows(block_index)``, the rows ``apply_A`` returns; the rows
-    outside add a constant the minimizer does not depend on.
+    It and ``multiplier`` (z_n) hold every row of the constraint space.
     ``linear_term`` is grad_i P(x_n) - g_{i,n}.  With phi = (alpha/2)||.||^2
     the proximal term D_phi(x_i, x_{i,n}) is (alpha/2)||x_i - x_{i,n}||^2,
     and ``prox_weight`` is alpha.
@@ -111,7 +107,6 @@ class XBlockContext:
     must treat it as read-only.
     """
 
-    block_index: int
     current_iterate: np.ndarray
     linear_term: np.ndarray
     multiplier: np.ndarray
@@ -143,13 +138,6 @@ class BlockProblem(ABC):
     ``eval_G`` and ``subgrad_G`` as one array of shape (m, *block_shape);
     the gradients return an array of that shape.  ``eval_f`` is the
     separable sum_i f_i(x_i).
-
-    ``block_rows(i)`` indexes the constraint-space rows that A_i can make
-    nonzero, as a slice or an integer index array without repeats; it
-    defaults to every row.  ``apply_A(i, x)`` returns A_i x on those rows
-    only, and an x-block oracle receives the partial residual and the
-    multiplier on those rows.  The engine adds block products into full
-    constraint-space vectors.
     """
 
     num_blocks: int
@@ -157,13 +145,9 @@ class BlockProblem(ABC):
     y_shape: tuple
     b: np.ndarray
 
-    def block_rows(self, i: int):
-        """Index of the constraint-space rows block i couples through."""
-        return slice(None)
-
     @abstractmethod
     def apply_A(self, i: int, x: np.ndarray) -> np.ndarray:
-        """A_i x on the rows ``block_rows(i)`` of the constraint space."""
+        """A_i x, living in the constraint space."""
 
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
@@ -182,29 +166,28 @@ class BlockProblem(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
 
-        ``linear`` is grad P(x_n) - g_n, stacked like x.  The iterate and
-        the residual start as copies of the state's, and each block
-        rewrites its own entry and its own rows, so the state is left as
-        it was.  This default calls ``solve_x_block`` once per block; when
-        an oracle raises, the blocks before it are checked finite first, so
-        the ``BlockOracleError`` names the first block that failed.  An
-        override is checked finite after it returns, and any other error it
-        raises is reported as the block "x-sweep".
+        ``linear`` is grad P(x_n) - g_n, stacked like x.  The iterate
+        starts as a copy of the state's and each block rewrites its own
+        entry; the residual is rebound, never written into, so the state
+        is left as it was.  This default calls ``solve_x_block`` once per
+        block; when an oracle raises, the blocks before it are checked
+        finite first, so the ``BlockOracleError`` names the first block that
+        failed.  An override is checked finite after it returns, and any
+        other error it raises is reported as the block "x-sweep".
         """
         iteration = state.n + 1
-        residual = state.residual.copy()
+        residual = state.residual
         x_new = state.x.copy()
         for i in range(len(x_new)):
-            rows = self.block_rows(i)
-            partial = residual[rows] - self.apply_A(i, x_new[i])
+            partial = residual - self.apply_A(i, x_new[i])
             # positional, in field order: keyword arguments double the build time
-            ctx = XBlockContext(i, x_new[i], linear[i], state.z[rows], partial, rho, prox_weight)
+            ctx = XBlockContext(x_new[i], linear[i], state.z, partial, rho, prox_weight)
             try:
                 x_new[i] = self.solve_x_block(i, ctx)
             except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
                 earlier = _first_non_finite_block(x_new[:i], iteration)
                 raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
-            residual[rows] = partial + self.apply_A(i, x_new[i])
+            residual = partial + self.apply_A(i, x_new[i])
         return x_new, residual
 
     def eval_f(self, x: np.ndarray) -> float:
@@ -352,8 +335,7 @@ class SolveResult:
     status: str
     iterations: int
     wall_time: float
-    merit_increase_count: int = 0
-    max_merit_increase: float = 0.0
+    merit_increases: list[tuple[int, float]]
 
 
 def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> float:
@@ -362,10 +344,10 @@ def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> floa
 
 
 def constraint_residual(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A x + B y - b, each block's product added on its own rows."""
+    """A x + B y - b."""
     r = problem.apply_B(y) - problem.b
     for i, xi in enumerate(x):
-        r[problem.block_rows(i)] += problem.apply_A(i, xi)
+        r += problem.apply_A(i, xi)
     return r
 
 
@@ -383,16 +365,13 @@ def merit(problem: BlockProblem, params: SolverParams, state: SolverState) -> fl
 
 
 def iteration_report(
-    problem: BlockProblem,
-    rho: float,
-    state: SolverState,
-    residual: np.ndarray,
-    previous: SolverState | None = None,
+    problem: BlockProblem, rho: float, state: SolverState, previous: SolverState | None = None
 ) -> IterationReport:
-    """Report of ``state`` given its residual A x + B y - b, with steps
-    measured from ``previous`` (zero without one).  The objective is
+    """Report of ``state``, from its carried residual A x + B y - b, with
+    steps measured from ``previous`` (zero without one).  The objective is
     evaluated once and the merit L_rho is formed from it.
     """
+    residual = state.residual
     objective = objective_value(problem, state.x, state.y)
     l_rho = (objective + float(np.vdot(state.z, residual))
              + 0.5 * rho * float(np.vdot(residual, residual)))
@@ -489,7 +468,7 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     z_new = state.z + params.rho * residual
 
     new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1)
-    new_state.report = iteration_report(problem, params.rho, new_state, residual, state)
+    new_state.report = iteration_report(problem, params.rho, new_state, state)
     return new_state
 
 
@@ -533,8 +512,8 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     ``merit_increases`` checks the merits of the run's own sweeps, whatever
     ``init.n`` is.  An increase is a warning (the first one only), not an
     error: the descent guarantee assumes exact oracles and honest
-    constants, and user-supplied constants may be underestimates.  The
-    count and worst increase are recorded on the result.
+    constants, and user-supplied constants may be underestimates.  Each
+    increase is recorded on the result as (report n, rise).
 
     An oracle that raises or returns non-finite values ends the run: the
     ``BlockOracleError`` naming the first block that failed propagates to
@@ -545,7 +524,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     """
     validate_parameters(params)
     state = init
-    reports = [init.report or iteration_report(problem, params.rho, init, init.residual)]
+    reports = [init.report or iteration_report(problem, params.rho, init)]
     status = STATUS_MAX_ITERATIONS
     start = time.perf_counter()
     try:
@@ -560,11 +539,12 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
                     break
     finally:
         wall = time.perf_counter() - start
-        increases = merit_increases([report.merit for report in reports[1:]])
+        increases = [(reports[k + 1].n, rise)
+                     for k, rise in merit_increases([report.merit for report in reports[1:]])]
         if increases:
-            k, increase = increases[0]
+            n, increase = increases[0]
             warnings.warn(
-                f"merit increased by {increase:.3e} at iteration {reports[k + 1].n}; "
+                f"merit increased by {increase:.3e} at iteration {n}; "
                 "supplied constants may underestimate the true ones",
                 RuntimeWarning,
                 stacklevel=2,
@@ -576,6 +556,5 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
         status=status,
         iterations=len(reports) - 1,
         wall_time=wall,
-        merit_increase_count=len(increases),
-        max_merit_increase=max((increase for _, increase in increases), default=0.0),
+        merit_increases=increases,
     )

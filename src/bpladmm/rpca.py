@@ -256,7 +256,7 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
     params = SolverParams(rho=2.0, lipschitz_H=config.gamma, strong_convexity=0.0,
                           max_iterations=config.max_iterations, stop_tolerance=config.tolerance)
     state = _initial_state(problem, init_seed)
-    reports = [engine.iteration_report(problem, params.rho, state, state.residual)]
+    reports = [engine.iteration_report(problem, params.rho, state)]
     converged = False
     start = time.perf_counter()
     with np.errstate(invalid="ignore", over="ignore"):

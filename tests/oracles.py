@@ -235,9 +235,8 @@ def dcopf_x_block_solve(ctx, Q_diag, q, A):
 
         (diag(Q_diag) + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
 
-    with w the context's proximal weight and r its partial residual.  ``A``
-    may hold only some rows of A_i (all its nonzero ones) when the
-    context's multiplier and partial residual hold the same rows.
+    with w the context's proximal weight, z its multiplier and r its partial
+    residual, both on every row, and A the dense block A_i.
     """
     w = ctx.prox_weight
     matrix = np.diag(Q_diag) + ctx.rho * (A.T @ A) + w * np.eye(len(q))
@@ -280,8 +279,8 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
         for k in range(len(x)):
             if k != i:
                 partial = partial + A[k] @ x[k]
-        ctx = XBlockContext(block_index=i, current_iterate=x[i], linear_term=linear[i],
-                            multiplier=z, partial_residual=partial, rho=rho, prox_weight=alpha)
+        ctx = XBlockContext(current_iterate=x[i], linear_term=linear[i], multiplier=z,
+                            partial_residual=partial, rho=rho, prox_weight=alpha)
         x[i] = dcopf_x_block_solve(ctx, Q_diag[i], q[i], A[i])
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
     y = dcopf.y_block_update(ax_minus_b, z, problem.eta, rho)
@@ -304,22 +303,22 @@ def rpca_reference_sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
     return L_new, S_new, T_new, Z + rho * (L_new + S_new - T_new)
 
 
-def x_subproblem_value(problem: BlockProblem, ctx: XBlockContext, x: np.ndarray) -> float:
-    """Objective of the block subproblem described by ``ctx`` at the point x,
-    up to a constant: the coupling term is summed over the block's rows
-    only, and f_i(x) is ``eval_f`` of a stack that is zero outside block i,
-    which adds sum_{k != i} f_k(0) (f is separable).
+def x_subproblem_value(problem: BlockProblem, i: int, ctx: XBlockContext,
+                       x: np.ndarray) -> float:
+    """Objective of the block-i subproblem described by ``ctx`` at the point
+    x, up to a constant: f_i(x) is ``eval_f`` of a stack that is zero
+    outside block i, which adds sum_{k != i} f_k(0) (f is separable).
 
     An exact oracle's output never evaluates worse than any other point,
     in particular the incumbent iterate.
     """
     stack = np.zeros((problem.num_blocks, *problem.block_shape))
-    stack[ctx.block_index] = x
-    coupling = ctx.partial_residual + problem.apply_A(ctx.block_index, x)
+    stack[i] = x
+    coupling = ctx.partial_residual + problem.apply_A(i, x)
     value = (
         problem.eval_f(stack)
         + float(np.vdot(ctx.linear_term, x))
-        + float(np.vdot(ctx.multiplier, problem.apply_A(ctx.block_index, x)))
+        + float(np.vdot(ctx.multiplier, problem.apply_A(i, x)))
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
     )
     step = x - ctx.current_iterate

@@ -104,8 +104,8 @@ def test_verify_trace_counts_the_increases_the_engine_counts(tmp_path, capsys):
     path = tmp_path / "trace.csv"
     _write_csv(path, TRACE_FIELDS, map(astuple, result.reports))
     assert main(["verify-trace", str(path)]) == 1
-    assert f"FAIL: {result.merit_increase_count} merit increases" in capsys.readouterr().out
-    assert result.merit_increase_count == 11
+    assert f"FAIL: {len(result.merit_increases)} merit increases" in capsys.readouterr().out
+    assert len(result.merit_increases) == 11
 
 
 def test_verify_trace_of_a_warm_started_run_counts_what_the_engine_counts(tmp_path, capsys):
@@ -119,7 +119,7 @@ def test_verify_trace_of_a_warm_started_run_counts_what_the_engine_counts(tmp_pa
                              engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1)))
     with pytest.warns(RuntimeWarning, match="merit increased"):
         continued = engine.solve(toy, toy_params(max_iterations=10), first.state)
-    assert continued.reports[0].n == 10 and continued.merit_increase_count == 9
+    assert continued.reports[0].n == 10 and len(continued.merit_increases) == 9
     path = tmp_path / "trace.csv"
     _write_csv(path, TRACE_FIELDS, map(astuple, continued.reports))
     assert main(["verify-trace", str(path)]) == 1
@@ -245,13 +245,29 @@ def test_dcopf_rho_gate_names_bound(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag, message", [("--eta=0", "eta must be positive"),
-                                           ("--gamma=-1", "gamma must be nonnegative"),
-                                           ("--eta=nan", "eta must be finite"),
-                                           ("--gamma=inf", "gamma must be finite")])
+CASE_SETTINGS_OUT_OF_RANGE = pytest.mark.parametrize("flag, message", [
+    ("--eta=0", "eta must be positive"), ("--gamma=-1", "gamma must be nonnegative"),
+    ("--eta=nan", "eta must be finite"), ("--gamma=inf", "gamma must be finite")])
+
+
+@CASE_SETTINGS_OUT_OF_RANGE
 def test_dcopf_case_setting_out_of_range_is_usage_error(tmp_path, capsys, flag, message):
     out = tmp_path / "out"
     rc = main(["dcopf", "--fixture", "2bus", flag, "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@CASE_SETTINGS_OUT_OF_RANGE
+def test_case_file_setting_out_of_range_is_usage_error(tmp_path, capsys, flag, message):
+    # a bad flag exits 2 with a case file too, which itself is valid
+    from test_matpower import CASE3
+
+    path = tmp_path / "case.m"
+    path.write_text(CASE3)
+    out = tmp_path / "out"
+    rc = main(["dcopf", "--case", str(path), flag, "--seeds", "1", "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -289,7 +305,7 @@ def test_dcopf_ragged_case_file_fails_with_line_number(tmp_path, capsys):
     ("1  80  0;", "1  Inf  0;", "gen_capacity must be finite"),
     ("0.02  2.0  10;", "NaN  2.0  10;", "gen_cost_a must be finite"),
 ], ids=["demand-inf", "demand-nan", "pmax-inf", "cost-nan"])
-def test_non_finite_case_data_is_usage_error(tmp_path, capsys, old, new, message):
+def test_non_finite_case_data_is_a_case_error(tmp_path, capsys, old, new, message):
     from test_matpower import CASE3
 
     assert old in CASE3
@@ -297,7 +313,7 @@ def test_non_finite_case_data_is_usage_error(tmp_path, capsys, old, new, message
     path.write_text(CASE3.replace(old, new))
     out = tmp_path / "out"
     rc = main(["dcopf", "--case", str(path), "--seeds", "1", "--jobs", "1", "--out", str(out)])
-    assert rc == 2
+    assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

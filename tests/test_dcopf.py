@@ -171,24 +171,18 @@ CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
 def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
     problem, params = problem_for(make_case())
     for i, A in enumerate(problem.A):
-        rows = problem.block_rows(i)
+        rows = problem.rows[i]
         assert np.array_equal(rows, np.unique(rows))
-        compact = np.column_stack([problem.apply_A(i, e) for e in np.eye(4)])
         full = np.zeros_like(A)
-        full[rows] = compact
+        full[rows] = problem.blocks[i]
         assert np.array_equal(full, A)
         assert not np.delete(A, rows, axis=0).any()
-        # the oracle on the block's rows matches the dense update on every row
-        partial = rng.standard_normal(problem.p)
-        multiplier = rng.standard_normal(problem.p)
-        ctx = tame_block_context(rng, rho=params.rho, prox_weight=params.strong_convexity)
-        dense = dcopf_x_block_solve(
-            replace(ctx, block_index=i, multiplier=multiplier, partial_residual=partial),
-            problem.Q_diag[i], problem.q[i], A)
-        on_rows = problem.solve_x_block(
-            i, replace(ctx, block_index=i, multiplier=multiplier[rows],
-                       partial_residual=partial[rows]))
-        assert np.allclose(on_rows, dense, rtol=1e-9, atol=1e-12)
+        # apply_A scatters the compact product into the whole constraint space
+        assert np.array_equal(np.column_stack([problem.apply_A(i, e) for e in np.eye(4)]), A)
+        # the oracle, which gathers the block's rows, matches the dense update
+        ctx = block_context(rng, problem, rho=params.rho, prox_weight=params.strong_convexity)
+        dense = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
+        assert np.allclose(problem.solve_x_block(i, ctx), dense, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("make_case", CASES)
@@ -229,8 +223,9 @@ def test_carried_residual_matches_a_fresh_one(make_case):
 
 def test_placement_gradient_values_and_finite_differences(rng):
     gamma = 80.0
-    x = [np.array([0.0, 0.0, 0.0, 0.5]), np.array([0.0, 0.0, 0.0, 1.0])]
-    grads = dcopf.g_gradient(x, gamma)
+    problem = dcopf.build_problem(dcopf.two_bus_fixture(gamma=gamma))
+    x = np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    grads = problem.subgrad_G(x)
     assert grads[0][dcopf.U] == 0.0
     assert grads[1][dcopf.U] == pytest.approx(gamma, rel=REL)
     assert all(g[: dcopf.U].sum() == 0.0 for g in grads)
@@ -238,30 +233,22 @@ def test_placement_gradient_values_and_finite_differences(rng):
     def penalty(u):
         return gamma * float(np.sum(u * u - u))
 
-    x = [rng.standard_normal(4) for _ in range(3)]
-    u = np.array([xi[dcopf.U] for xi in x])
-    numeric = finite_difference_gradient(penalty, u)
-    grads = dcopf.g_gradient(x, gamma)
-    assert np.allclose([g[dcopf.U] for g in grads], numeric, atol=1e-6)
+    x = rng.standard_normal((2, 4))
+    numeric = finite_difference_gradient(penalty, x[:, dcopf.U])
+    grads = problem.subgrad_G(x)
+    assert np.allclose(grads[:, dcopf.U], numeric, atol=1e-6)
 
 
-def tame_block_context(rng, rho=2.0, prox_weight=1.0):
+def block_context(rng, problem, rho=2.0, prox_weight=1.0):
+    """A random context for a bus block of ``problem``, on every row."""
     return engine.XBlockContext(
-        block_index=0,
         current_iterate=rng.standard_normal(4),
         linear_term=rng.standard_normal(4),
-        multiplier=rng.standard_normal(21),
-        partial_residual=rng.standard_normal(21),
+        multiplier=rng.standard_normal(problem.p),
+        partial_residual=rng.standard_normal(problem.p),
         rho=rho,
         prox_weight=prox_weight,
     )
-
-
-def compact_context(rng, problem, i, rho=2.0, prox_weight=1.0):
-    """A random context for bus i on the rows of its compact block."""
-    rows = len(problem.rows[i])
-    return replace(tame_block_context(rng, rho=rho, prox_weight=prox_weight), block_index=i,
-                   multiplier=rng.standard_normal(rows), partial_residual=rng.standard_normal(rows))
 
 
 @pytest.mark.parametrize("make_case", CASES)
@@ -273,8 +260,8 @@ def test_x_oracle_rebuilds_its_inverses_for_another_pair(make_case, changed, rng
     first = dict(rho=params.rho, prox_weight=params.strong_convexity)
     other = {**first, changed: 3.0 * first[changed]}
     for pair in (first, other, first):
-        for i, A in enumerate(problem.blocks):
-            ctx = compact_context(rng, problem, i, **pair)
+        for i, A in enumerate(problem.A):
+            ctx = block_context(rng, problem, **pair)
             reference = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
             out = problem.solve_x_block(i, ctx)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
@@ -284,8 +271,8 @@ def test_x_oracle_matches_newton_oracle(rng):
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
     alpha = 0.5
-    for i, A in enumerate(problem.blocks):
-        ctx = compact_context(rng, problem, i, prox_weight=alpha)
+    for i, A in enumerate(problem.A):
+        ctx = block_context(rng, problem, prox_weight=alpha)
         out = problem.solve_x_block(i, ctx)
 
         def objective(x, A=A, i=i, ctx=ctx):
@@ -310,8 +297,8 @@ def test_x_oracle_decoupled_case(rng):
     problem = dcopf.build_problem(case)
     alpha = 0.25
     for i in range(case.num_buses):
-        ctx = replace(compact_context(rng, problem, i, rho=0.0, prox_weight=alpha),
-                      linear_term=np.zeros(4), multiplier=np.zeros(len(problem.rows[i])))
+        ctx = replace(block_context(rng, problem, rho=0.0, prox_weight=alpha),
+                      linear_term=np.zeros(4), multiplier=np.zeros(problem.p))
         out = problem.solve_x_block(i, ctx)
         expected = (alpha * ctx.current_iterate - problem.q[i]) / (problem.Q_diag[i] + alpha)
         assert np.allclose(out, expected, rtol=REL)
@@ -323,18 +310,17 @@ def test_x_oracle_fixed_point(rng):
     alpha = 0.3
     rho = 2.0
     i = 0
-    A = problem.blocks[i]
+    A = problem.A[i]
     x_star = rng.standard_normal(4)
     # choose the context so the subproblem gradient vanishes at x_star
-    partial = rng.standard_normal(len(A))
-    multiplier = rng.standard_normal(len(A))
+    partial = rng.standard_normal(problem.p)
+    multiplier = rng.standard_normal(problem.p)
     linear = -(
         problem.Q_diag[i] * x_star
         + problem.q[i]
         + A.T @ (multiplier + rho * (A @ x_star + partial))
     )
     ctx = engine.XBlockContext(
-        block_index=i,
         current_iterate=x_star,
         linear_term=linear,
         multiplier=multiplier,

@@ -77,16 +77,6 @@ class RecordingProblem(engine.BlockProblem):
         return np.zeros(3)
 
 
-class RowRecordingProblem(RecordingProblem):
-    """RecordingProblem with block i declared to touch row i only."""
-
-    def block_rows(self, i):
-        return [i]
-
-    def apply_A(self, i, x):
-        return x.copy()
-
-
 def test_validate_parameters_rpca_setting():
     params = engine.SolverParams(rho=2.0 + 1e-10, lipschitz_H=1.0, strong_convexity=0.01)
     mu_bound, rho_bound = engine.validate_parameters(params)
@@ -255,7 +245,7 @@ def test_smooth_coupling_enters_the_sweep_and_the_merit_descends():
     merits = [r.merit for r in result.reports]
     slack = 1e-8 * (1.0 + abs(merits[1]))
     assert all(later - earlier <= slack for earlier, later in zip(merits[1:], merits[2:]))
-    assert result.merit_increase_count == 0
+    assert len(result.merit_increases) == 0
     assert merits[-1] < merits[1]
 
 
@@ -278,17 +268,18 @@ def test_solve_toy_converges_and_merit_descends():
     merits = [r.merit for r in result.reports]
     slack = 1e-8 * (1.0 + abs(merits[1]))
     assert all(b - a <= slack for a, b in zip(merits[1:], merits[2:]))
-    assert result.merit_increase_count == 0
+    assert len(result.merit_increases) == 0
 
 
-def assert_gauss_seidel_splice(problem):
+def test_gauss_seidel_ordering():
+    problem = RecordingProblem()
     x = [np.array([10.0]), np.array([20.0]), np.array([30.0])]
     y = np.array([1.0, 2.0, 3.0])
     state = engine.initial_state(problem, x, y, np.zeros(3))
     engine.step(problem, toy_params(rho=2.0), state)
     assert [i for i, _ in problem.seen] == [0, 1, 2]
     # block i sees blocks < i at the new value (old + 1) and blocks > i old,
-    # and never its own contribution, on the rows it touches
+    # and never its own contribution
     by = -y
     expected = {
         0: np.array([0.0, 20.0, 30.0]) + by,
@@ -296,29 +287,7 @@ def assert_gauss_seidel_splice(problem):
         2: np.array([11.0, 21.0, 0.0]) + by,
     }
     for i, partial in problem.seen:
-        assert np.allclose(partial, expected[i][problem.block_rows(i)], rtol=REL, atol=1e-12)
-
-
-def test_gauss_seidel_ordering():
-    assert_gauss_seidel_splice(RecordingProblem())
-
-
-def test_gauss_seidel_ordering_on_block_rows():
-    assert_gauss_seidel_splice(RowRecordingProblem())
-
-
-def test_block_rows_give_the_whole_space_iterates():
-    whole, rows = RecordingProblem(), RowRecordingProblem()
-    params = toy_params(rho=2.0)
-    start = ([np.array([10.0]), np.array([20.0]), np.array([30.0])],
-             np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.25]))
-    a, b = engine.initial_state(whole, *start), engine.initial_state(rows, *start)
-    assert np.array_equal(a.residual, b.residual)
-    for _ in range(5):
-        a, b = engine.step(whole, params, a), engine.step(rows, params, b)
-        for left, right in zip([a.x, a.y, a.z, a.residual], [b.x, b.y, b.z, b.residual]):
-            assert np.array_equal(left, right)
-        assert a.report == b.report
+        assert np.allclose(partial, expected[i], rtol=REL, atol=1e-12)
 
 
 def test_block_oracle_never_worse_than_incumbent():
@@ -336,7 +305,6 @@ def test_block_oracle_never_worse_than_incumbent():
     residual = engine.constraint_residual(problem, state.x, state.y)
     for i in range(2):
         ctx = engine.XBlockContext(
-            block_index=i,
             current_iterate=state.x[i],
             linear_term=problem.subgrad_G(state.x)[i] * -1.0,
             multiplier=state.z,
@@ -345,8 +313,8 @@ def test_block_oracle_never_worse_than_incumbent():
             prox_weight=params.strong_convexity,
         )
         candidate = problem.solve_x_block(i, ctx)
-        assert x_subproblem_value(problem, ctx, candidate) <= (
-            x_subproblem_value(problem, ctx, state.x[i]) + 1e-10
+        assert x_subproblem_value(problem, i, ctx, candidate) <= (
+            x_subproblem_value(problem, i, ctx, state.x[i]) + 1e-10
         )
     y_ctx = engine.YBlockContext(
         multiplier=state.z,
@@ -577,8 +545,8 @@ def test_nonmonotone_merit_raises_warning():
     params = toy_params(max_iterations=6)
     with pytest.warns(RuntimeWarning, match="merit increased"):
         result = engine.solve(toy, params, init)
-    assert result.merit_increase_count > 0
-    assert result.max_merit_increase > 0
+    assert len(result.merit_increases) > 0
+    assert max(rise for _, rise in result.merit_increases) > 0
 
 
 def test_merit_increases_counts_rises_above_the_slack_of_the_first_merit():
@@ -604,8 +572,9 @@ def test_a_warm_started_run_checks_its_own_sweeps():
         f"merit increased by {continued.reports[2].merit - continued.reports[1].merit:.3e} "
         "at iteration 12"]
     rises = [b.merit - a.merit for a, b in zip(continued.reports[1:], continued.reports[2:])]
-    assert continued.merit_increase_count == 9
-    assert continued.max_merit_increase == max(rises)
+    assert len(continued.merit_increases) == 9
+    assert [n for n, _ in continued.merit_increases] == list(range(12, 21))
+    assert max(rise for _, rise in continued.merit_increases) == max(rises)
 
 
 def test_a_run_that_fails_still_warns_of_its_merit_increases():

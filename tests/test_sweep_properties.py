@@ -92,15 +92,27 @@ def test_merit_is_nonincreasing_over_twenty_sweeps(num_buses, case_seed, jitter_
     assert all(later - earlier <= slack for earlier, later in zip(merits[1:], merits[2:]))
 
 
-def assert_blocks_match(problem, A, b):
+def within_rounding(mine, reference):
+    """Entrywise agreement to 1e-12 of the reference's largest entry (or 1)."""
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    return np.max(np.abs(mine - reference)) <= 1e-12 * scale
+
+
+def assert_blocks_match(problem, A, b, rng):
     """``problem`` holds the dense blocks ``A`` and right-hand side ``b``,
-    each block exactly on its nonzero rows."""
+    each block exactly on its nonzero rows, and at a random (x, y) drawn
+    from ``rng`` its A_i x_i and A x + y - b are the dense ones on every row."""
     assert np.array_equal(problem.b, b)
+    x = rng.standard_normal((len(A), A[0].shape[1]))
+    y = rng.standard_normal(len(b))
     for i, dense in enumerate(A):
         rows = np.flatnonzero(np.any(dense != 0.0, axis=1))
         assert np.array_equal(problem.rows[i], rows), i
         assert np.array_equal(problem.blocks[i], dense[rows]), i
         assert np.array_equal(problem.A[i], dense), i
+        assert within_rounding(problem.apply_A(i, x[i]), dense @ x[i]), i
+    dense_residual = sum(Ai @ xi for Ai, xi in zip(A, x)) + y - b
+    assert within_rounding(engine.constraint_residual(problem, x, y), dense_residual)
 
 
 @PROPERTY_SETTINGS
@@ -113,8 +125,9 @@ def test_assembly_matches_the_dense_row_by_row_oracle(num_buses, case_seed, u_se
         case = with_cancelled_line(case)
     problem = dcopf.build_problem(case)
     A, b = dense_reference_problem(case)
-    assert_blocks_match(problem, A, b)
-    u = np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float)
+    rng = np.random.default_rng(u_seed)
+    u = rng.integers(0, 2, num_buses).astype(float)
+    assert_blocks_match(problem, A, b, rng)
     U = dcopf.U
     assert_blocks_match(dcopf.frozen_u_problem(problem, u), [Ai[:, :U] for Ai in A],
-                        b - sum(Ai[:, U] * ui for Ai, ui in zip(A, u)))
+                        b - sum(Ai[:, U] * ui for Ai, ui in zip(A, u)), rng)
