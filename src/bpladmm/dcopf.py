@@ -16,8 +16,8 @@ symmetric positive definite system K_i whose matrix is iteration
 independent, and the y update is a componentwise two-branch formula.  A
 bus block touches only its own rows, the rows of its neighbours' balance
 and line limits and the penetration floor.  ``build_problem`` writes each
-A_i on those rows alone (the dense p x 4 form is a view built on demand),
-so the x sweep costs O(nnz(A)), not O(N p); the engine sees the blocks
+A_i on those rows alone (the dense p x 4 blocks are built one by one when
+read), so the x sweep costs O(nnz(A)), not O(N p); the engine sees the blocks
 in the whole constraint space.
 The engine stacks the bus blocks into one N x 4 array, so the placement
 penalty, its gradient, the quadratic costs and the per-bus result columns
@@ -28,8 +28,8 @@ Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4), written as
 the correction of the iterate that ``DcOpfBlockProblem`` derives.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -195,13 +195,29 @@ def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float
     return np.maximum(v, 0.0) + (rho / (eta + rho)) * np.minimum(v, 0.0)
 
 
+@dataclass
+class DenseBlocks(Sequence):
+    """The dense blocks A_i (p x k), each scattered from its compact one when read:
+    a pass holds one, not all N, whose freed heap stays resident by chance."""
+
+    problem: "DcOpfBlockProblem"
+
+    def __len__(self):
+        return self.problem.num_blocks
+
+    def __getitem__(self, i):
+        dense = np.zeros((self.problem.p, *self.problem.block_shape))
+        dense[self.problem.rows[i]] = self.problem.blocks[i]
+        return dense
+
+
 class DcOpfBlockProblem(BlockProblem):
     """The model A x + y = b for the engine, with a cached factor of every
     bus's system.
 
     Each A_i is kept on ``rows[i]``, the sorted rows where it has a nonzero
     entry, as ``blocks[i]`` (len(rows[i]) x k); the dense p x k blocks
-    ``A`` are built on first access.  ``Q_diag`` and ``q`` are N x k
+    ``A`` are built one by one when read.  ``Q_diag`` and ``q`` are N x k
     arrays of the per-bus cost diagonals and linear terms.  ``apply_A``
     scatters a compact product into the whole constraint space, and
     ``solve_x_block`` gathers its context's vectors on ``rows[i]``.
@@ -252,13 +268,7 @@ class DcOpfBlockProblem(BlockProblem):
         self._factor_pair = self._inverses = self._rho_G = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
-    @cached_property
-    def A(self) -> list:
-        """The dense blocks A_i (p x k), scattered from the compact ones."""
-        dense = [np.zeros((self.p, block.shape[1])) for block in self.blocks]
-        for full, rows, block in zip(dense, self.rows, self.blocks):
-            full[rows] = block
-        return dense
+    A = property(DenseBlocks)
 
     def _factors(self, rho, w):
         """K_i^-1 of every bus, stacked, and the list of rho G_i, for (rho, w)."""
