@@ -253,13 +253,8 @@ def cmd_dcopf(args) -> int:
         with open(args.case, encoding="utf-8") as fh:
             text = fh.read()
         case = matpower.to_dcopf_case(matpower.parse_case(text))
-        try:
-            case.validate()
-        except ValueError as exc:  # bad case content exits 1, like a parse error
-            raise matpower.MatpowerParseError(str(exc)) from exc
-    case = replace(case, **_given(args, gamma="gamma", eta="eta"))
-    try:
-        case.validate()  # only --eta and --gamma can fail here
+    try:  # the case is valid, so only --eta and --gamma can fail here
+        case = replace(case, **_given(args, gamma="gamma", eta="eta"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     seeds = _resolve_seeds(args, default=[0])  # one canonical run unless seeds are requested

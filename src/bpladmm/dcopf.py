@@ -59,6 +59,8 @@ class DcOpfCase:
 
     ``lines`` holds undirected edges (i, j, susceptance) with 0-based bus
     indices; susceptance is stored once per edge and used symmetrically.
+    A case checks itself when built, also by ``dataclasses.replace``, and
+    raises a ``ValueError`` naming the bad line or field.
     """
 
     demand: np.ndarray
@@ -93,7 +95,7 @@ class DcOpfCase:
             table[(j, i)] = table.get((j, i), 0.0) + b
         return table
 
-    def validate(self) -> None:
+    def __post_init__(self):
         n = self.num_buses
         for i, j, b in self.lines:
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -146,7 +148,6 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     pair, generator bound pair, u box pair, and theta box pair (upper row
     before lower row in each pair).
     """
-    case.validate()
     n = case.num_buses
     b_table = case.susceptance()
     p = expected_row_count(case)
@@ -432,15 +433,11 @@ def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpf
     )
 
 
-def frozen_u_recheck(
-    problem: DcOpfBlockProblem,
-    u_rounded: np.ndarray,
-    params: SolverParams,
-    warm_x: np.ndarray | None = None,
-) -> tuple[bool, float]:
+def frozen_u_recheck(problem: DcOpfBlockProblem, u_rounded: np.ndarray, params: SolverParams,
+                     warm_x: np.ndarray) -> tuple[bool, float]:
     """Re-solve ``frozen_u_problem(problem, u_rounded)``, from the first
-    three columns of ``warm_x`` when given, with the penalty and proximal
-    weight of ``params`` and the ``RECHECK_*`` tolerance and sweep cap.
+    three columns of ``warm_x``, with the penalty and proximal weight of
+    ``params`` and the ``RECHECK_*`` tolerance and sweep cap.
 
     Returns (feasible, worst constraint violation); the solution is
     declared feasible when max(A x - b') does not exceed
@@ -448,10 +445,7 @@ def frozen_u_recheck(
     engine's ``BlockOracleError``.
     """
     frozen = frozen_u_problem(problem, u_rounded)
-    if warm_x is not None:
-        x0 = np.asarray(warm_x, dtype=float)[:, :U]
-    else:
-        x0 = np.zeros((problem.num_blocks, U))
+    x0 = np.asarray(warm_x, dtype=float)[:, :U]
     params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
                      max_iterations=RECHECK_MAX_ITERATIONS)
     x = engine.solve(frozen, params, _init_from_blocks(frozen, x0)).state.x
@@ -485,8 +479,7 @@ def solve_dcopf(
     rounded_feasible = None
     rounded_violation = None
     if recheck:
-        rounded_feasible, rounded_violation = frozen_u_recheck(problem, u_rounded, params,
-                                                               warm_x=x)
+        rounded_feasible, rounded_violation = frozen_u_recheck(problem, u_rounded, params, x)
     return DcOpfSolution(
         pv=pv,
         gen=gen,
@@ -497,20 +490,21 @@ def solve_dcopf(
         z=result.state.z,
         objective_opf1_rounded=opf1_objective(case, u_rounded, gen),
         objective_opf1_raw=opf1_objective(case, u, gen),
-        objective_relaxed=engine.objective_value(problem, x, result.state.y),
+        objective_relaxed=result.reports[-1].objective,
         binary_violation=float(np.sum(u - u * u)),
         feasibility_residual=result.reports[-1].feasibility,
         iterations=result.iterations,
         wall_time=result.wall_time,
-        converged=result.status == engine.STATUS_CONVERGED,
+        converged=result.converged,
         rounded_feasible=rounded_feasible,
         rounded_violation=rounded_violation,
         reports=result.reports,
     )
 
 
-def two_bus_fixture(gamma: float = 80.0, eta: float = 1e5) -> DcOpfCase:
-    """A two-bus case whose sensible placements are all binary.
+def two_bus_fixture() -> DcOpfCase:
+    """A two-bus case whose sensible placements are all binary, with
+    gamma = 80 and eta = 1e5 (``dataclasses.replace`` sets others).
 
     The penetration floor (half of 1.6 pu total demand) equals exactly one
     full PV unit, and each bus can absorb a full unit without curtailment
@@ -533,6 +527,6 @@ def two_bus_fixture(gamma: float = 80.0, eta: float = 1e5) -> DcOpfCase:
         pv_capacity=0.8,
         gen_capacity=np.array([5.0, 5.0]),
         line_limit=0.3,
-        gamma=gamma,
-        eta=eta,
+        gamma=80.0,
+        eta=1e5,
     )

@@ -51,11 +51,12 @@ same iterate up to rounding.  The engine checks the pass's output finite
 either way.
 
 ``solve`` owns a run: it validates the parameters, keeps the run's list of
-iteration reports, applies the stop rule and then the merit rule.  A state
-carries only the report of its own iterate.  A block oracle that raises or
-returns non-finite values ends the run with a ``BlockOracleError``.  A run
-outside the gates, such as the RPCA admm3 baseline, loops over ``step``
-itself, with ``iteration_report`` for its start and ``stopped`` as its stop.
+iteration reports, applies the stop rule (``converged`` on its result) and
+then the merit rule.  A state carries only the report of its own iterate.
+A block oracle that raises or returns non-finite values ends the run with
+a ``BlockOracleError``.  A run outside the gates, such as the RPCA admm3
+baseline, loops over ``step`` itself, with ``iteration_report`` for its
+start and ``stopped`` as its stop.
 """
 
 import math
@@ -70,9 +71,6 @@ from .spaces import stacked_norm
 
 STOP_SHIFTED = "shifted"  # ||delta (x, y)|| / (||(x, y)|| + 1) <= tol, z left out
 STOP_RELATIVE = "relative"  # ||delta (x, y, z)|| / ||(x, y, z)|| < tol
-
-STATUS_CONVERGED = "converged"
-STATUS_MAX_ITERATIONS = "max_iterations"
 
 
 class ParameterError(ValueError):
@@ -332,7 +330,7 @@ class SolverState:
 class SolveResult:
     state: SolverState
     reports: list[IterationReport]
-    status: str
+    converged: bool  # the stop rule fired; False at the iteration cap
     iterations: int
     wall_time: float
     merit_increases: list[tuple[int, float]]
@@ -507,7 +505,8 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
 
     The stop rule compares the norm of the step, formed from the report's
     step norms, with the norm of the iterate the step started from: over
-    (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``.
+    (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``;
+    the result's ``converged`` says whether it fired before max_iterations.
 
     ``merit_increases`` checks the merits of the run's own sweeps, whatever
     ``init.n`` is.  An increase is a warning (the first one only), not an
@@ -525,17 +524,16 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     validate_parameters(params)
     state = init
     reports = [init.report or iteration_report(problem, params.rho, init)]
-    status = STATUS_MAX_ITERATIONS
+    converged = False
     start = time.perf_counter()
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(params.max_iterations):
                 new_state = step(problem, params, state)
                 reports.append(new_state.report)
-                done = stopped(params, state, new_state.report)
+                converged = stopped(params, state, new_state.report)
                 state = new_state
-                if done:
-                    status = STATUS_CONVERGED
+                if converged:
                     break
     finally:
         wall = time.perf_counter() - start
@@ -553,7 +551,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     return SolveResult(
         state=state,
         reports=reports,
-        status=status,
+        converged=converged,
         iterations=len(reports) - 1,
         wall_time=wall,
         merit_increases=increases,

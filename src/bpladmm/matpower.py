@@ -23,10 +23,13 @@ BRANCH_FROM, BRANCH_TO, BRANCH_X, BRANCH_STATUS = 0, 1, 3, 10
 GEN_BUS, GEN_STATUS, GEN_PMAX = 0, 7, 8
 COST_MODEL, COST_NCOEF = 0, 3
 
-# the PV unit cost, and the PV capacity and line limit in kW, of every case
+# the PV unit cost, the PV capacity and line limit in kW, and the placement
+# penalty gamma and slack penalty eta of every case
 PV_COST = 1.0
 PV_CAPACITY_KW = 800.0
 LINE_LIMIT_KW = 3000.0
+GAMMA = 80.0
+ETA = 900.0
 
 
 class MatpowerParseError(ValueError):
@@ -122,12 +125,16 @@ def parse_case(text: str) -> MatpowerCase:
 
 def _gencost_coefficients(row: np.ndarray, row_index: int) -> tuple[float, float, float]:
     """Quadratic (c2, c1, c0) from one polynomial gencost row."""
-    model = int(row[COST_MODEL])
-    if model != 2:
+    if row[COST_MODEL] != 2:
         raise MatpowerParseError(
-            f"gencost row {row_index}: model {model} is not polynomial (model 2)"
+            f"gencost row {row_index}: model {row[COST_MODEL]:g} is not polynomial (model 2)"
         )
-    ncoef = int(row[COST_NCOEF])
+    ncoef = float(row[COST_NCOEF])
+    if not (ncoef >= 0 and ncoef.is_integer()):
+        raise MatpowerParseError(
+            f"gencost row {row_index}: NCOST {ncoef:g} is not a whole number of coefficients"
+        )
+    ncoef = int(ncoef)
     if ncoef > 3:
         raise MatpowerParseError(
             f"gencost row {row_index}: degree {ncoef - 1} cost is not quadratic"
@@ -143,8 +150,9 @@ def _gencost_coefficients(row: np.ndarray, row_index: int) -> tuple[float, float
     return coeffs[0], coeffs[1], coeffs[2]
 
 
-def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> DcOpfCase:
-    """Normalize a parsed case into per-unit model data.
+def to_dcopf_case(mp: MatpowerCase) -> DcOpfCase:
+    """Normalize a parsed case into per-unit model data, with the penalties
+    ``GAMMA`` and ``ETA``.
 
     Conventions: demand D_i = Pd / baseMVA; line susceptance b_ij = 1/x in
     pu with parallel branches summed; generator cost coefficients are
@@ -153,9 +161,11 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     line limit ``LINE_LIMIT_KW`` are converted at the case base; branch
     and generator rows out of service (status not positive) are skipped.
     A baseMVA that is not finite and positive, a table too narrow for a
-    column read here, a branch from a bus to itself, or a gencost row
-    holding fewer coefficients than it declares raises MatpowerParseError
-    naming the field, table or row.
+    column read here, a repeated bus number, a branch from a bus to itself,
+    a generator without a gencost row (when there is a gencost table), a
+    gencost row whose NCOST is not a whole number or that holds fewer
+    coefficients than it declares, or data the ``DcOpfCase`` rejects raises
+    MatpowerParseError naming the field, table or row.
     """
     if not 0.0 < mp.base_mva < np.inf:  # NaN fails this too
         raise MatpowerParseError(f"baseMVA must be finite and positive, got {mp.base_mva}")
@@ -165,9 +175,13 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
             raise MatpowerParseError(f"mpc.{name} has {table.shape[1]} columns, too few for "
                                      f"column {column + 1}")
     base = mp.base_mva
-    bus_ids = [int(v) for v in mp.bus[:, BUS_ID]]
-    index = {bus_id: k for k, bus_id in enumerate(bus_ids)}
-    n = len(bus_ids)
+    index: dict = {}
+    for k, bus_id in enumerate(int(v) for v in mp.bus[:, BUS_ID]):
+        if bus_id in index:
+            raise MatpowerParseError(f"bus row {k}: bus number {bus_id} repeats bus row "
+                                     f"{index[bus_id]}")
+        index[bus_id] = k
+    n = len(mp.bus)
     demand = np.asarray(mp.bus[:, BUS_PD], dtype=float) / base
 
     line_map: dict = {}
@@ -196,6 +210,8 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
     gen_capacity = np.zeros(n)
     seen: set = set()
     if mp.gen is not None:
+        if mp.gencost is not None and len(mp.gencost) < len(mp.gen):
+            raise MatpowerParseError(f"gen row {len(mp.gencost)} has no gencost row")
         for row_index, row in enumerate(mp.gen):
             if not row[GEN_STATUS] > 0:
                 continue
@@ -213,22 +229,25 @@ def to_dcopf_case(mp: MatpowerCase, gamma: float = 80.0, eta: float = 900.0) -> 
                 continue
             seen.add(k)
             gen_capacity[k] = float(row[GEN_PMAX]) / base
-            if mp.gencost is not None and row_index < len(mp.gencost):
+            if mp.gencost is not None:
                 c2, c1, c0 = _gencost_coefficients(mp.gencost[row_index], row_index)
                 cost_a[k] = c2 * base * base
                 cost_b[k] = c1 * base
                 cost_c[k] = c0
 
-    return DcOpfCase(
-        demand=demand,
-        lines=lines,
-        pv_cost=PV_COST,
-        gen_cost_a=cost_a,
-        gen_cost_b=cost_b,
-        gen_cost_c=cost_c,
-        pv_capacity=PV_CAPACITY_KW / 1000.0 / base,
-        gen_capacity=gen_capacity,
-        line_limit=LINE_LIMIT_KW / 1000.0 / base,
-        gamma=gamma,
-        eta=eta,
-    )
+    try:
+        return DcOpfCase(
+            demand=demand,
+            lines=lines,
+            pv_cost=PV_COST,
+            gen_cost_a=cost_a,
+            gen_cost_b=cost_b,
+            gen_cost_c=cost_c,
+            pv_capacity=PV_CAPACITY_KW / 1000.0 / base,
+            gen_capacity=gen_capacity,
+            line_limit=LINE_LIMIT_KW / 1000.0 / base,
+            gamma=GAMMA,
+            eta=ETA,
+        )
+    except ValueError as exc:  # bad case content, like a parse error
+        raise MatpowerParseError(str(exc)) from exc

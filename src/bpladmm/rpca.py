@@ -112,10 +112,6 @@ class RpcaInstance:
     L_O: np.ndarray
     S_O: np.ndarray
     T_O: np.ndarray
-    rank: int
-    sparsity_count: int
-    noise: float
-    seed: int
 
 
 @dataclass
@@ -156,16 +152,7 @@ def generate_instance(
     sparse.flat[support] = rng.standard_normal(count)
     noise_matrix = rng.standard_normal((m, d)) * noise
     clean = low_rank + sparse
-    return RpcaInstance(
-        M=clean + noise_matrix,
-        L_O=low_rank,
-        S_O=sparse,
-        T_O=clean,
-        rank=r,
-        sparsity_count=count,
-        noise=noise,
-        seed=seed,
-    )
+    return RpcaInstance(M=clean + noise_matrix, L_O=low_rank, S_O=sparse, T_O=clean)
 
 
 def relative_error(
@@ -237,8 +224,7 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     """
     problem = RpcaBlockProblem(instance, config)
     result = engine.solve(problem, config.solver_params(), _initial_state(problem, init_seed))
-    return _solution(instance, result.state, result.wall_time,
-                     result.status == engine.STATUS_CONVERGED, result.reports)
+    return _solution(instance, result.state, result.wall_time, result.converged, result.reports)
 
 
 def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -> RpcaSolution:

@@ -65,23 +65,6 @@ def squared_norm() -> BregmanGenerator:
     )
 
 
-def scaled_squared_norm(alpha: float) -> BregmanGenerator:
-    """Generator phi(x) = (alpha/2)||x||^2, whose distance is (alpha/2)||u - v||^2.
-
-    The engine's x proximal term has this kernel, but the engine and both
-    applications carry it as the number alpha (``strong_convexity``) and
-    never build the generator.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return BregmanGenerator(
-        value=lambda x: 0.5 * alpha * float(np.vdot(x, x)),
-        grad=lambda x: alpha * x,
-        strong_convexity=alpha,
-        grad_lipschitz=alpha,
-    )
-
-
 def quadratic_form(M: np.ndarray) -> BregmanGenerator:
     """Generator phi(x) = x^T M x for symmetric positive semidefinite M.
 

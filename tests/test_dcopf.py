@@ -98,19 +98,14 @@ def test_constraint_blocks_have_full_column_rank():
 
 
 def test_build_problem_rejects_bad_cases():
+    # a case checks itself when built, so no bad case reaches build_problem
     case = dcopf.two_bus_fixture()
-    bad_line = dcopf.DcOpfCase(
-        **{**case.__dict__, "lines": ((0, 5, 1.0),)}
-    )
     with pytest.raises(ValueError, match="endpoint"):
-        dcopf.build_problem(bad_line)
-    bad_cap = dcopf.DcOpfCase(
-        **{**case.__dict__, "gen_capacity": np.array([-1.0, 0.0])}
-    )
+        dcopf.DcOpfCase(**{**case.__dict__, "lines": ((0, 5, 1.0),)})
     with pytest.raises(ValueError, match="nonnegative"):
-        dcopf.build_problem(bad_cap)
+        dcopf.DcOpfCase(**{**case.__dict__, "gen_capacity": np.array([-1.0, 0.0])})
     with pytest.raises(ValueError, match=r"line \(0, 1\) susceptance nan must be finite"):
-        dcopf.build_problem(replace(case, lines=((0, 1, np.nan),)))
+        replace(case, lines=((0, 1, np.nan),))
 
 
 @pytest.mark.parametrize("jitter", [-0.1, np.nan, np.inf])
@@ -129,7 +124,7 @@ def test_validate_names_a_field_that_is_not_finite(name):
         if np.ndim(value):
             bad = np.array([value[0], bad])
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            replace(case, **{name: bad}).validate()
+            replace(case, **{name: bad})
 
 
 @pytest.mark.parametrize("name", ["gen_capacity", "gen_cost_a", "gen_cost_b", "gen_cost_c"])
@@ -137,7 +132,7 @@ def test_validate_names_a_per_bus_field_of_another_length(name):
     case = dcopf.two_bus_fixture()
     with pytest.raises(ValueError, match=re.escape(f"{name} of shape (1,) does not hold one "
                                                    "entry per bus (2)")):
-        replace(case, **{name: getattr(case, name)[:1]}).validate()
+        replace(case, **{name: getattr(case, name)[:1]})
 
 
 def small_radial_case():
@@ -223,7 +218,7 @@ def test_carried_residual_matches_a_fresh_one(make_case):
 
 def test_placement_gradient_values_and_finite_differences(rng):
     gamma = 80.0
-    problem = dcopf.build_problem(dcopf.two_bus_fixture(gamma=gamma))
+    problem = dcopf.build_problem(replace(dcopf.two_bus_fixture(), gamma=gamma))
     x = np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
     grads = problem.subgrad_G(x)
     assert grads[0][dcopf.U] == 0.0
@@ -411,7 +406,7 @@ def test_rounding_ties_go_up():
     rounded = np.where(u >= 0.5, 1.0, 0.0)
     assert rounded.tolist() == [1.0, 0.0]
     feasible, violation = dcopf.frozen_u_recheck(
-        problem, np.array([1.0, 1.0]), dcopf.solver_params_for(case)
+        problem, np.array([1.0, 1.0]), dcopf.solver_params_for(case), np.zeros((2, 4))
     )
     assert feasible
     assert violation <= 1e-3
@@ -422,7 +417,7 @@ def test_frozen_recheck_flags_infeasible_rounding():
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
     feasible, violation = dcopf.frozen_u_recheck(
-        problem, np.zeros(2), dcopf.solver_params_for(case)
+        problem, np.zeros(2), dcopf.solver_params_for(case), np.zeros((2, 4))
     )
     assert not feasible
     assert violation > 1e-2

@@ -253,7 +253,7 @@ def test_solve_toy_from_stationary_point_converges_immediately():
     toy = ScalarToy()
     init = engine.initial_state(toy, [np.zeros(1)], np.zeros(1), np.zeros(1))
     result = engine.solve(toy, toy_params(), init)
-    assert result.status == engine.STATUS_CONVERGED
+    assert result.converged
     assert result.iterations <= 2
 
 
@@ -264,7 +264,7 @@ def test_solve_toy_converges_and_merit_descends():
         toy, [rng.standard_normal(3)], rng.standard_normal(3), rng.standard_normal(3)
     )
     result = engine.solve(toy, toy_params(stop_tolerance=1e-10), init)
-    assert result.status == engine.STATUS_CONVERGED
+    assert result.converged
     merits = [r.merit for r in result.reports]
     slack = 1e-8 * (1.0 + abs(merits[1]))
     assert all(b - a <= slack for a, b in zip(merits[1:], merits[2:]))
@@ -639,8 +639,8 @@ def test_stop_rule_variants():
         toy, toy_params(stop_tolerance=1e-7, stop_rule=engine.STOP_RELATIVE),
         engine.initial_state(toy, [np.array([1.0])], np.zeros(1), np.zeros(1)),
     )
-    assert shifted.status == engine.STATUS_CONVERGED
-    assert relative.status == engine.STATUS_CONVERGED
+    assert shifted.converged
+    assert relative.converged
     # the unshifted denominator is smaller, so it can only stop later
     assert relative.iterations >= shifted.iterations
 
@@ -660,7 +660,7 @@ def test_shifted_stop_rule_leaves_the_multiplier_out():
     init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
     result = engine.solve(toy, toy_params(stop_rule=engine.STOP_SHIFTED, max_iterations=5), init)
     assert result.reports[-1].step_z == 3.0  # rho times the residual 1
-    assert (result.status, result.iterations) == (engine.STATUS_CONVERGED, 1)
+    assert (result.converged, result.iterations) == (True, 1)
 
 
 @pytest.mark.parametrize("max_iterations", [0, 5])

@@ -60,6 +60,19 @@ MALFORMED = {
                       "baseMVA must be finite and positive, got inf"),
     "nan-base": (CASE3.replace("mpc.baseMVA = 100;", "mpc.baseMVA = NaN;"),
                  "baseMVA must be finite and positive, got nan"),
+    # bus 3 renumbered 2 and its branch moved to 1-2: one bus 2 would have no line
+    "repeated-bus": (CASE3.replace("    3  1  20", "    2  1  20").replace(
+        "2  3  0.02  0.25", "1  2  0.02  0.25"), "bus row 2: bus number 2 repeats bus row 1"),
+    "gen-without-gencost": (CASE3.replace("1  40  0  30  -30  1.0  100  1  80  0;",
+                                          "1  40  0  30  -30  1.0  100  1  80  0;\n"
+                                          "    2  10  0  30  -30  1.0  100  1  20  0;"),
+                            "gen row 1 has no gencost row"),
+    "negative-ncost": (CASE3.replace("2  0  0  3  0.02", "2  0  0  -1  0.02"),
+                       "gencost row 0: NCOST -1 is not a whole number of coefficients"),
+    "fractional-ncost": (CASE3.replace("2  0  0  3  0.02", "2  0  0  2.5  0.02"),
+                         "gencost row 0: NCOST 2.5 is not a whole number of coefficients"),
+    "fractional-model": (CASE3.replace("2  0  0  3  0.02", "2.5  0  0  3  0.02"),
+                         r"gencost row 0: model 2\.5 is not polynomial \(model 2\)"),
 }
 
 # CASE3 in the other layouts the reader accepts; each gives CASE3's tables
@@ -147,7 +160,8 @@ def test_numeric_tokens_roundtrip_at_full_precision():
 
 
 def test_to_dcopf_case_conversions():
-    case = matpower.to_dcopf_case(matpower.parse_case(CASE3), gamma=80.0, eta=900.0)
+    case = matpower.to_dcopf_case(matpower.parse_case(CASE3))
+    assert (case.gamma, case.eta) == (matpower.GAMMA, matpower.ETA) == (80.0, 900.0)
     assert np.allclose(case.demand, [0.5, 0.3, 0.2])
     assert case.lines == ((0, 1, 1.0 / 0.5), (1, 2, 1.0 / 0.25))
     # cost in pu-power units: a = c2 * base^2, b = c1 * base, c = c0

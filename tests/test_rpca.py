@@ -17,7 +17,6 @@ def small_instance(seed=7):
 
 def test_generate_instance_sparsity_count_is_exact():
     instance = rpca.generate_instance(100, 100, 10, 0.05, 1e-2, seed=0)
-    assert instance.sparsity_count == 500
     assert np.count_nonzero(instance.S_O) == 500
 
 
@@ -85,9 +84,7 @@ def test_solver_accepts_configured_parameters():
 
 def test_zero_observation_converges_to_zero():
     zero = np.zeros((8, 8))
-    instance = rpca.RpcaInstance(
-        M=zero, L_O=zero, S_O=zero, T_O=zero, rank=0, sparsity_count=0, noise=0.0, seed=0
-    )
+    instance = rpca.RpcaInstance(M=zero, L_O=zero, S_O=zero, T_O=zero)
     config = rpca.RpcaConfig(rows=8, cols=8)
     solution = rpca.bpl_admm_rpca(instance, config, init_seed=5)
     assert solution.converged
@@ -127,9 +124,7 @@ def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
     instance = small_instance(seed=4)
     M = instance.M.copy()
     M[2, 3] = np.nan
-    broken = rpca.RpcaInstance(M=M, L_O=instance.L_O, S_O=instance.S_O, T_O=instance.T_O,
-                               rank=instance.rank, sparsity_count=instance.sparsity_count,
-                               noise=instance.noise, seed=instance.seed)
+    broken = rpca.RpcaInstance(M=M, L_O=instance.L_O, S_O=instance.S_O, T_O=instance.T_O)
     # T starts at M, so the first sweep's L shrinkage is the first to see the NaN
     with pytest.raises(engine.BlockOracleError,
                        match="x-block 0 oracle failed at iteration 1") as info:
@@ -183,8 +178,8 @@ def test_solution_metrics_at_ground_truth():
     )
     re, rank_l, sparsity = rpca.recovery_metrics(solution, instance)
     assert re == 0.0
-    assert rank_l == instance.rank
-    assert sparsity == instance.sparsity_count
+    assert rank_l == 2  # small_instance: rank 2, round(0.2 * 25) nonzeros
+    assert sparsity == 5
 
 
 def test_relative_error_perturbation_example(rng):

@@ -40,9 +40,8 @@ def test_bregman_distance_rejects_mismatched_shapes():
 
 @pytest.mark.parametrize(
     "gen",
-    [spaces.squared_norm(), spaces.scaled_squared_norm(0.01),
-     spaces.quadratic_form(np.array([[2.0, 0.5], [0.5, 3.0]]))],
-    ids=["squared", "scaled", "quadratic_form"],
+    [spaces.squared_norm(), spaces.quadratic_form(np.array([[2.0, 0.5], [0.5, 3.0]]))],
+    ids=["squared", "quadratic_form"],
 )
 def test_bregman_property_suite(gen, rng):
     # nonnegativity, two-sided quadratic bounds, convexity in the first slot
