@@ -123,6 +123,15 @@ def parse_case(text: str) -> MatpowerCase:
     )
 
 
+def _bus_number(value: float, table: str, row_index: int) -> int:
+    """A bus number as an int; a value that is not finite or not whole
+    raises MatpowerParseError naming the table row."""
+    if not float(value).is_integer():  # False for NaN and the infinities too
+        raise MatpowerParseError(f"{table} row {row_index}: bus number {value:g} is not a "
+                                 "whole number")
+    return int(value)
+
+
 def _gencost_coefficients(row: np.ndarray, row_index: int) -> tuple[float, float, float]:
     """Quadratic (c2, c1, c0) from one polynomial gencost row."""
     if row[COST_MODEL] != 2:
@@ -161,11 +170,13 @@ def to_dcopf_case(mp: MatpowerCase) -> DcOpfCase:
     line limit ``LINE_LIMIT_KW`` are converted at the case base; branch
     and generator rows out of service (status not positive) are skipped.
     A baseMVA that is not finite and positive, a table too narrow for a
-    column read here, a repeated bus number, a branch from a bus to itself,
-    a generator without a gencost row (when there is a gencost table), a
-    gencost row whose NCOST is not a whole number or that holds fewer
-    coefficients than it declares, or data the ``DcOpfCase`` rejects raises
-    MatpowerParseError naming the field, table or row.
+    column read here, a bus number (of a bus, a branch endpoint or a
+    generator) that is not finite or not whole, a repeated bus number, a
+    branch from a bus to itself, a generator without a gencost row (when
+    there is a gencost table), a gencost row whose NCOST is not a whole
+    number or that holds fewer coefficients than it declares, or data the
+    ``DcOpfCase`` rejects raises MatpowerParseError naming the field, table
+    or row.
     """
     if not 0.0 < mp.base_mva < np.inf:  # NaN fails this too
         raise MatpowerParseError(f"baseMVA must be finite and positive, got {mp.base_mva}")
@@ -176,7 +187,8 @@ def to_dcopf_case(mp: MatpowerCase) -> DcOpfCase:
                                      f"column {column + 1}")
     base = mp.base_mva
     index: dict = {}
-    for k, bus_id in enumerate(int(v) for v in mp.bus[:, BUS_ID]):
+    for k, value in enumerate(mp.bus[:, BUS_ID]):
+        bus_id = _bus_number(value, "bus", k)
         if bus_id in index:
             raise MatpowerParseError(f"bus row {k}: bus number {bus_id} repeats bus row "
                                      f"{index[bus_id]}")
@@ -188,7 +200,7 @@ def to_dcopf_case(mp: MatpowerCase) -> DcOpfCase:
     for row_index, row in enumerate(mp.branch):
         if not row[BRANCH_STATUS] > 0:
             continue
-        i_id, j_id = int(row[BRANCH_FROM]), int(row[BRANCH_TO])
+        i_id, j_id = (_bus_number(row[c], "branch", row_index) for c in (BRANCH_FROM, BRANCH_TO))
         if i_id not in index or j_id not in index:
             raise MatpowerParseError(
                 f"branch row {row_index}: endpoint {i_id}-{j_id} references an unknown bus"
@@ -215,7 +227,7 @@ def to_dcopf_case(mp: MatpowerCase) -> DcOpfCase:
         for row_index, row in enumerate(mp.gen):
             if not row[GEN_STATUS] > 0:
                 continue
-            bus_id = int(row[GEN_BUS])
+            bus_id = _bus_number(row[GEN_BUS], "gen", row_index)
             if bus_id not in index:
                 raise MatpowerParseError(
                     f"gen row {row_index}: bus {bus_id} does not exist"

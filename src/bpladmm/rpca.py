@@ -26,14 +26,19 @@ itself in its problem object, beside the other by-products, and
 certifies two subspace steps from them; where that fails, as
 while the kept rank still falls, it takes one eigendecomposition of the
 smaller Gram matrix, and the SVD where its error certificate fails.  The
-leading singular pair of S takes one ``eigvalsh`` of the Gram matrix and
-one linear solve.  The shrinkage also returns the nuclear norm of L for
-the objective, and one leading pair per iterate gives both the spectral
-term of its objective and the subgradient of the next sweep.  Both
-solvers call the shrinkage as ``rpca.singular_value_shrink_with_norm``.
-Full SVDs remain only once per solve: the nuclear norm of the random
-starting L and the numerical rank of the result, where the Gram matrix
-would square the condition number and lose the small singular values.
+leading singular pair of S starts from the previous pair's right vector:
+Rayleigh quotient iteration refines it, and a residual test and a
+Cholesky test that it is the top pair certify it; once the iterates
+settle, one linear solve does.  Where either test fails, as in the first
+sweeps, it takes one ``eigvalsh`` of the Gram matrix and one checked
+linear solve, and a full eigendecomposition where that check fails.  The
+shrinkage also returns the nuclear norm of L for the objective, and one
+leading pair per iterate gives both the spectral term of its objective
+and the subgradient of the next sweep.  Both solvers call the shrinkage
+as ``rpca.singular_value_shrink_with_norm``.  Full SVDs remain only once
+per solve: the nuclear norm of the random starting L and the numerical
+rank of the result, where the Gram matrix would square the condition
+number and lose the small singular values.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
@@ -269,9 +274,10 @@ class RpcaBlockProblem(BlockProblem):
     for both ``eval_G`` (the report of an iterate) and ``subgrad_G`` (the
     sweep that starts from it).  A solve of n sweeps thus computes n + 1
     leading pairs and one SVD, of the starting L.  The kept right singular
-    vectors of the last L shrinkage start the next one; the shrinkage
-    certifies its output whatever the start, so the start affects its cost,
-    not its answer beyond 1e-12 relative.
+    vectors of the last L shrinkage start the next one, and the right
+    vector of the last leading pair starts the next pair, unless its sigma
+    was 0.  Both kernels certify their output whatever the start, so the
+    start affects their cost, not their answer beyond 1e-12 relative.
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
@@ -308,7 +314,7 @@ class RpcaBlockProblem(BlockProblem):
     def _leading_pair(self, S):
         block, pair = self._pair
         if not np.array_equal(S, block):
-            pair = leading_singular_pair(S)
+            pair = leading_singular_pair(S, pair[2] if pair and pair[1] > 0.0 else None)
             self._pair = (S.copy(), pair)
         return pair
 

@@ -13,9 +13,12 @@ vectors its previous call returned, by two subspace steps, and certifies
 the result by a cross-term bound and a Cholesky test; failing that, it
 takes one symmetric eigendecomposition of the smaller Gram matrix, under a
 bound on the eigenvalue error, and failing that, the SVD.  The leading pair
-takes the top Gram eigenvalue from ``eigvalsh`` and its vector from one
-inverse-iteration solve, checked by its residual, with a full
-eigendecomposition as the fallback.
+likewise refines a start vector, the one its previous call returned, by
+at most three Rayleigh quotient iteration solves, and accepts it only
+under a residual test and a Cholesky test that its eigenvalue is the top
+one.  Failing that, it takes the top Gram eigenvalue from ``eigvalsh`` and
+its vector from one inverse-iteration solve, checked by its residual, with
+a full eigendecomposition as the last fallback.
 """
 
 from dataclasses import dataclass
@@ -107,6 +110,18 @@ def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
 _WARM_WIDTH_CAP = 0.2
 
 
+def _eigenvalues_below(A: np.ndarray, bound: float) -> bool:
+    """Whether a Cholesky factorization of bound * I - A succeeds, which
+    shows that every eigenvalue of the symmetric A lies below ``bound``."""
+    shifted = -A
+    shifted.flat[:: len(A) + 1] += bound
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _certified(lam_max: float, c: float) -> bool:
     """The shrinkage's certificate on a Gram spectrum, whose eigenvalues
     carry an absolute error of about eps * lam_max: eps * lam_max <= 1e-8 c^2."""
@@ -153,14 +168,8 @@ def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray):
     sigma = np.sqrt(lam)
     U = (Y @ W) / sigma
     E = N - Y @ Q.T
-    if not np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c):
-        return None
-    E = E.T @ E  # c^2 I - E^T E, built in place
-    E *= -1.0
-    E.flat[:: len(E) + 1] += c * c
-    try:
-        np.linalg.cholesky(E)
-    except np.linalg.LinAlgError:
+    if not (np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c)
+            and _eigenvalues_below(E.T @ E, c * c)):
         return None
     V = Q @ W
     return (U * (sigma - c)) @ V.T, sigma, V
@@ -215,6 +224,53 @@ def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:
     return singular_value_shrink_with_norm(M, c)[0]
 
 
+# the most Rayleigh quotient iteration solves a warm leading pair takes, and
+# the relative margin of every pair's residual test and a warm pair's top test
+_RQI_STEPS = 3
+_PAIR_MARGIN = 1e-12
+
+
+def _unit(w: np.ndarray) -> np.ndarray | None:
+    """w / ||w||, or None for a w that is zero or not finite."""
+    peak = np.max(np.abs(w))
+    if not 0.0 < peak < np.inf:  # NaN fails this too
+        return None
+    w = w / peak  # first, so that its norm cannot overflow
+    return w / np.linalg.norm(w)
+
+
+def _inverse_iteration(G: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray | None:
+    """The unit vector along the solution of (G - shift I) w = rhs, or None
+    where the solve is singular or not finite."""
+    shifted = G.copy()
+    shifted.flat[:: len(G) + 1] -= shift
+    try:
+        return _unit(np.linalg.solve(shifted, rhs))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _warm_top_eigenvector(G: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+    """A unit top eigenvector of the symmetric positive semidefinite G by
+    Rayleigh quotient iteration from ``start``, or None where it cannot be
+    certified.  After testing the start, up to ``_RQI_STEPS`` solves
+    (G - mu I) w = v at mu = v^T G v follow.  A v is accepted once
+    ||G v - lam v|| <= 1e-12 lam at its quotient lam, and only if a
+    Cholesky test shows every eigenvalue of G below lam (1 + 1e-12): an
+    eigenpair below the top, where the iteration may also converge, fails
+    it."""
+    v = _unit(start)
+    for solves in range(_RQI_STEPS + 1):
+        if v is None:  # a zero or non-finite start, or a failed solve
+            return None
+        Gv = G @ v
+        lam = float(v @ Gv)
+        if np.linalg.norm(Gv - lam * v) <= _PAIR_MARGIN * lam:
+            return v if _eigenvalues_below(G, lam * (1.0 + _PAIR_MARGIN)) else None
+        v = _inverse_iteration(G, lam, v) if solves < _RQI_STEPS else None
+    return None
+
+
 def _top_eigenvector(G: np.ndarray, lam_max: float) -> np.ndarray:
     """A unit eigenvector of the symmetric G for its largest eigenvalue
     lam_max: one inverse-iteration solve (G - lam_max I) w = 1, kept when
@@ -222,28 +278,25 @@ def _top_eigenvector(G: np.ndarray, lam_max: float) -> np.ndarray:
     eigenvector of a full eigendecomposition (an exactly singular shift, as
     on an exactly degenerate top, or a start orthogonal to the top
     eigenvector)."""
-    shifted = G.copy()
-    shifted.flat[:: len(G) + 1] -= lam_max
-    try:
-        w = np.linalg.solve(shifted, np.ones(len(G)))
-    except np.linalg.LinAlgError:
-        w = None
-    if w is not None:
-        peak = np.max(np.abs(w))
-        if np.isfinite(peak):
-            w /= peak  # first, so that its norm cannot overflow
-            v = w / np.linalg.norm(w)
-            if np.linalg.norm(G @ v - lam_max * v) <= 1e-12 * lam_max:
-                return v
+    v = _inverse_iteration(G, lam_max, np.ones(len(G)))
+    if v is not None and np.linalg.norm(G @ v - lam_max * v) <= _PAIR_MARGIN * lam_max:
+        return v
     return np.linalg.eigh(G)[1][:, -1]
 
 
-def leading_singular_pair(S: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def leading_singular_pair(
+    S: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Unit vectors u, v and sigma = ||S||_2 with S v = sigma u.
 
-    v is a top eigenvector of the smaller Gram matrix G (of S or S^T):
-    ``np.linalg.eigvalsh`` gives its largest eigenvalue and
-    ``_top_eigenvector`` the vector.  Then sigma = ||S v|| and
+    v comes from a top eigenvector of the smaller Gram matrix G (of S or
+    S^T).  With a ``start``, a guess of v such as the v of a call on a
+    nearby matrix, ``_warm_top_eigenvector`` first refines it by Rayleigh
+    quotient iteration and certifies it by its residual and a Cholesky test
+    that its eigenvalue is the top one.  Without a start, or where that
+    fails, ``np.linalg.eigvalsh`` gives the largest eigenvalue of G and
+    ``_top_eigenvector`` the vector: one solve, checked by its residual,
+    else a full eigendecomposition.  Then sigma = ||S v|| and
     u = S v / sigma.  Since sigma^2 is the Rayleigh quotient of v, it
     matches sigma_1 to rounding even where the top singular value is
     degenerate and v is one of many valid choices; then u^T S v = sigma_1
@@ -263,7 +316,11 @@ def leading_singular_pair(S: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]
     scale = np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)  # a power of two <= peak: exact
     N, transposed = _tall(S / scale)
     G = N.T @ N
-    v = _top_eigenvector(G, float(np.linalg.eigvalsh(G)[-1]))
+    v = None
+    if start is not None:  # for a wide S, S start guesses the vector of G
+        v = _warm_top_eigenvector(G, N.T @ start if transposed else start)
+    if v is None:
+        v = _top_eigenvector(G, float(np.linalg.eigvalsh(G)[-1]))
     Nv = N @ v
     norm = float(np.linalg.norm(Nv))
     u = Nv / norm

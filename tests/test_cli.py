@@ -327,7 +327,8 @@ def test_missing_case_file_is_reported(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["scalar-bus", "self-loop", "narrow-bus", "narrow-gen",
                                   "repeated-bus", "gen-without-gencost", "negative-ncost",
-                                  "fractional-ncost", "directory", "not-utf-8"])
+                                  "fractional-ncost", "nan-bus-number", "fractional-bus-number",
+                                  "infinite-gen-bus", "directory", "not-utf-8"])
 def test_malformed_case_input_is_an_error_not_a_traceback(tmp_path, capsys, name):
     from test_matpower import MALFORMED
 

@@ -71,6 +71,16 @@ MALFORMED = {
                        "gencost row 0: NCOST -1 is not a whole number of coefficients"),
     "fractional-ncost": (CASE3.replace("2  0  0  3  0.02", "2  0  0  2.5  0.02"),
                          "gencost row 0: NCOST 2.5 is not a whole number of coefficients"),
+    "nan-bus-number": (CASE3.replace("    1  3  50", "    NaN  3  50"),
+                       "bus row 0: bus number nan is not a whole number"),
+    "fractional-bus-number": (CASE3.replace("    2  1  30", "    2.5  1  30"),
+                              r"bus row 1: bus number 2\.5 is not a whole number"),
+    "nan-branch-end": (CASE3.replace("1  2  0.01  0.5", "1  NaN  0.01  0.5"),
+                       "branch row 0: bus number nan is not a whole number"),
+    "fractional-branch-end": (CASE3.replace("2  3  0.02  0.25", "2  3.5  0.02  0.25"),
+                              r"branch row 1: bus number 3\.5 is not a whole number"),
+    "infinite-gen-bus": (CASE3.replace("1  40  0  30", "Inf  40  0  30"),
+                         "gen row 0: bus number inf is not a whole number"),
     "fractional-model": (CASE3.replace("2  0  0  3  0.02", "2.5  0  0  3  0.02"),
                          r"gencost row 0: model 2\.5 is not polynomial \(model 2\)"),
 }

@@ -335,3 +335,29 @@ def test_fifty_engine_sweeps_take_one_leading_pair_per_iterate_and_one_svd(monke
     # Gram eigendecompositions (10 x 10): at most the shrinkage's one per
     # sweep, where each sweep took two before; the leading pairs take none
     assert len(eighs) <= result.iterations
+
+
+def test_steady_bpl_sweeps_take_the_leading_pair_warm(monkeypatch):
+    # each leading pair starts from the previous one; once the iterates
+    # settle, the warm route certifies it and no eigvalsh is taken
+    instance = rpca.generate_instance(100, 100, 10, 0.05, 1e-2, seed=0)
+    config = rpca.RpcaConfig(rows=100, cols=100)
+    eigvalsh, pair = np.linalg.eigvalsh, rpca.leading_singular_pair
+    eigvalshs, per_pair = [], []
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        eigvalshs.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_pair(*args, **kwargs):
+        before = len(eigvalshs)
+        out = pair(*args, **kwargs)
+        per_pair.append(len(eigvalshs) - before)
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(rpca, "leading_singular_pair", counted_pair)
+    solution = rpca.bpl_admm_rpca(instance, config, init_seed=1)
+    assert solution.converged and len(per_pair) == solution.iterations + 1
+    # the pair of iterate n serves its report and the sweep from it
+    assert sum(per_pair[-10:]) == 0

@@ -300,23 +300,33 @@ def test_shrinkage_from_a_start_that_cannot_certify_takes_the_gram_route(kind, s
     assert V_k.shape == (20, kept)
 
 
+def assert_top_pair(S, pair):
+    u, sigma, v = pair
+    assert u.shape == (S.shape[0],) and v.shape == (S.shape[1],)
+    sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert sigma == pytest.approx(sigma_1, rel=1e-12)
+    assert u @ S @ v == pytest.approx(sigma_1, rel=1e-12)
+
+
 @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
 @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
 def test_leading_singular_pair_matches_the_svd(shape, magnitude, rng):
     for _ in range(10):
         S = magnitude * rng.standard_normal(shape)
-        sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
-        u, sigma, v = spaces.leading_singular_pair(S)
-        assert u.shape == (shape[0],) and v.shape == (shape[1],)
-        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
-        assert sigma == pytest.approx(sigma_1, rel=1e-12)
-        assert u @ S @ v == pytest.approx(sigma_1, rel=1e-12)
+        assert_top_pair(S, spaces.leading_singular_pair(S))
 
 
-def test_leading_singular_pair_on_a_degenerate_top(rng):
+# a warm start changes none of the answers on a zero, degenerate or non-finite S
+STARTS = pytest.mark.parametrize("start", [None, np.ones(3) / np.sqrt(3.0)],
+                                 ids=["cold", "warm"])
+
+
+@STARTS
+def test_leading_singular_pair_on_a_degenerate_top(start, rng):
     S = np.diag([2.0, 2.0, 1.0])
-    u, sigma, v = spaces.leading_singular_pair(S)
+    u, sigma, v = spaces.leading_singular_pair(S, start)
     assert sigma == pytest.approx(2.0, rel=1e-12)
     assert u @ S @ v == pytest.approx(2.0, rel=1e-12)
     g = spaces.spectral_norm_subgradient(S)
@@ -350,22 +360,61 @@ def test_leading_singular_pair_falls_back_to_the_eigendecomposition(S, monkeypat
     # Gram matrix exactly singular
     size = min(S.shape)
     eighs = counting(monkeypatch, "eigh", size)
-    u, sigma, v = spaces.leading_singular_pair(S)
+    pair = spaces.leading_singular_pair(S)
     assert len(eighs) == 1
-    sigma_1 = np.linalg.svd(S, compute_uv=False)[0]
-    assert sigma == pytest.approx(sigma_1, rel=1e-12)
-    assert u @ S @ v == pytest.approx(sigma_1, rel=1e-12)
+    assert_top_pair(S, pair)
 
 
-def test_leading_singular_pair_of_zero_and_of_nonfinite_input():
-    u, sigma, v = spaces.leading_singular_pair(np.zeros((3, 2)))
+@STARTS
+def test_leading_singular_pair_of_zero_and_of_nonfinite_input(start):
+    u, sigma, v = spaces.leading_singular_pair(np.zeros((2, 3)), start)
     assert sigma == 0.0
     assert np.linalg.norm(u) == 1.0 and np.linalg.norm(v) == 1.0
     for bad in (np.nan, np.inf, -np.inf):
         S = np.eye(3)
         S[1, 2] = bad
         with pytest.raises(ValueError):
-            spaces.leading_singular_pair(S)
+            spaces.leading_singular_pair(S, start)
+
+
+PAIR_SHAPES = pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)],
+                                      ids=["tall", "wide", "square"])
+
+
+@PAIR_SHAPES
+@pytest.mark.parametrize("step", [0.0, 1e-6, 1e-3])
+def test_leading_pair_from_the_previous_pair_takes_the_warm_route(shape, step, rng,
+                                                                   monkeypatch):
+    for _ in range(5):
+        S = rng.standard_normal(shape)
+        previous = spaces.leading_singular_pair(S)
+        S = S + step * np.linalg.norm(S) * rng.standard_normal(shape)
+        eigvalshs, eighs = counting(monkeypatch, "eigvalsh"), counting(monkeypatch, "eigh")
+        pair = spaces.leading_singular_pair(S, previous[2])
+        assert (len(eigvalshs), len(eighs)) == (0, 0)  # the Cholesky test passed
+        assert_top_pair(S, pair)
+
+
+@PAIR_SHAPES
+def test_a_start_at_the_second_singular_vector_fails_the_top_test(shape, rng, monkeypatch):
+    # Rayleigh quotient iteration from v_2 stays at sigma_2, whose residual
+    # passes; only the Cholesky test sends it to the cold route
+    U = np.linalg.qr(rng.standard_normal((shape[0], 4)))[0]
+    V = np.linalg.qr(rng.standard_normal((shape[1], 4)))[0]
+    S = (U * [4.0, 2.0, 1.0, 0.5]) @ V.T
+    eigvalshs = counting(monkeypatch, "eigvalsh")
+    pair = spaces.leading_singular_pair(S, V[:, 1])
+    assert len(eigvalshs) == 1
+    assert_top_pair(S, pair)
+
+
+@pytest.mark.parametrize("start", [np.zeros(3), np.full(3, np.nan), np.full(3, np.inf)],
+                         ids=["zero", "nan", "inf"])
+def test_a_start_that_is_not_a_direction_takes_the_cold_route(start, monkeypatch):
+    S = np.diag([3.0, 2.0, 1.0])
+    eigvalshs = counting(monkeypatch, "eigvalsh")
+    assert_top_pair(S, spaces.leading_singular_pair(S, start))
+    assert len(eigvalshs) == 1
 
 
 def test_spectral_subgradient_diagonal_example():
