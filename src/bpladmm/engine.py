@@ -113,10 +113,12 @@ class XBlockContext:
     prox_weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class YBlockContext:
     """Inputs of the y subproblem; ``x_residual`` is A x_{n+1} - b.  The y
-    step has no proximal term, so the current y is not among them."""
+    step has no proximal term, so the current y is not among them.  One is
+    built per sweep, so it is a plain slotted dataclass like
+    ``XBlockContext``; the oracle must treat it as read-only."""
 
     multiplier: np.ndarray
     x_residual: np.ndarray
@@ -371,16 +373,15 @@ def iteration_report(
     """
     residual = state.residual
     objective = objective_value(problem, state.x, state.y)
-    l_rho = (objective + float(np.vdot(state.z, residual))
-             + 0.5 * rho * float(np.vdot(residual, residual)))
+    squared = float(np.vdot(residual, residual))
+    l_rho = objective + float(np.vdot(state.z, residual)) + 0.5 * rho * squared
     step_x = step_y = step_z = 0.0
-    if previous is not None:
-        step_x = float(np.linalg.norm(state.x - previous.x))
-        step_y = float(np.linalg.norm(state.y - previous.y))
-        step_z = float(np.linalg.norm(state.z - previous.z))
+    if previous is not None:  # np.linalg.norm's own sqrt(d . d), without its dispatch
+        step_x, step_y, step_z = (math.sqrt(np.vdot(d, d)) for d in (
+            state.x - previous.x, state.y - previous.y, state.z - previous.z))
     return IterationReport(
         n=state.n, merit=l_rho,
-        feasibility=float(np.linalg.norm(residual)), objective=objective,
+        feasibility=math.sqrt(squared), objective=objective,
         step_x=step_x, step_y=step_y, step_z=step_z,
     )
 
@@ -460,7 +461,7 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     """
     x_new, residual_xy = _x_sweep(problem, params, state)
     x_residual = residual_xy - problem.apply_B(state.y)
-    y_ctx = YBlockContext(multiplier=state.z, x_residual=x_residual, rho=params.rho)
+    y_ctx = YBlockContext(state.z, x_residual, params.rho)  # positional, as in x_sweep
     y_new = _oracle_output("y-block", state.n + 1, problem.solve_y_block, y_ctx)
     residual = x_residual + problem.apply_B(y_new)
     z_new = state.z + params.rho * residual

@@ -343,6 +343,32 @@ def test_y_block_update_branches_and_oracle():
         formula = dcopf.y_block_update(np.array([-v]), np.zeros(1), eta, rho)[0]
         assert formula == pytest.approx(numeric, abs=1e-6)
 
+    # the one-call form max(v, k v) equals the two-branch formula exactly,
+    # also at signed zeros, subnormals and the ends of the float range
+    def assert_two_branch_value(x_residual, z, eta, rho):
+        v = -x_residual - z / rho
+        k = rho / (eta + rho)
+        expected = np.maximum(v, 0.0) + k * np.minimum(v, 0.0)
+        assert (dcopf.y_block_update(x_residual, z, eta, rho) == expected).all()
+
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 3.0, -2.0])
+    assert_two_branch_value(edges, np.zeros_like(edges), eta, rho)
+    assert_two_branch_value(edges, edges[::-1].copy(), 1e-3, 1e6)
+
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    values = st.floats(-1e300, 1e300) | st.sampled_from(list(edges))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.tuples(values, values), min_size=1, max_size=30),
+                      st.floats(1e-6, 1e6), st.floats(1.0, 1e6))
+    def check(pairs, eta, rho):
+        x_residual, z = np.array(pairs).T
+        assert_two_branch_value(x_residual, z, eta, rho)
+
+    check()
+
 
 def test_y_block_update_local_minimality_probe(rng):
     eta, rho = 9.0, 20.0

@@ -336,9 +336,18 @@ def test_merit_reduces_to_augmented_lagrangian_without_displacement():
     )
 
 
-def assert_report_matches_one_shot_functions(problem, params, state, report=None):
+def assert_report_matches_one_shot_functions(problem, params, state, report=None,
+                                             previous=None):
+    """The report's merit and objective match the one-shot functions, and
+    its feasibility and, given ``previous``, its step norms equal
+    ``np.linalg.norm`` of the same arrays exactly."""
     report = state.report if report is None else report
     assert report.n == state.n
+    assert report.feasibility == np.linalg.norm(state.residual)
+    if previous is not None:
+        assert (report.step_x, report.step_y, report.step_z) == tuple(
+            np.linalg.norm(getattr(state, name) - getattr(previous, name))
+            for name in ("x", "y", "z"))
     l_rho = engine.augmented_lagrangian(problem, params.rho, state.x, state.y, state.z)
     assert report.merit == pytest.approx(l_rho, rel=1e-12)
     assert report.merit == pytest.approx(engine.merit(problem, params, state), rel=1e-12)
@@ -354,12 +363,13 @@ def test_report_matches_one_shot_functions_on_two_bus_fixture():
                                      max_iterations=200)
     init = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
     result = engine.solve(problem, params, init)
-    assert_report_matches_one_shot_functions(problem, params, init, result.reports[0])
+    # the report of a start has zero steps, the norms of zero differences
+    assert_report_matches_one_shot_functions(problem, params, init, result.reports[0], init)
     assert_report_matches_one_shot_functions(problem, params, result.state)
     state = result.state
     for _ in range(20):
-        state = engine.step(problem, params, state)
-        assert_report_matches_one_shot_functions(problem, params, state)
+        previous, state = state, engine.step(problem, params, state)
+        assert_report_matches_one_shot_functions(problem, params, state, previous=previous)
 
 
 def test_report_matches_one_shot_functions_on_rpca_engine_run():
@@ -375,8 +385,8 @@ def test_report_matches_one_shot_functions_on_rpca_engine_run():
             instance.M.copy(), np.zeros((6, 5)),
         )
         for _ in range(20):
-            state = engine.step(problem, params, state)
-            assert_report_matches_one_shot_functions(problem, params, state)
+            previous, state = state, engine.step(problem, params, state)
+            assert_report_matches_one_shot_functions(problem, params, state, previous=previous)
 
 
 def test_quantified_merit_descent_on_rpca_engine_run():
