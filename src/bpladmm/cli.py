@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-trace", help="check a trace's merit column")
     p_verify.add_argument("trace", help="trace CSV written with --dump-trace")
-    p_verify.add_argument("--slack-scale", type=float, default=1e-8)
+    p_verify.add_argument("--slack-scale", type=float, default=engine.MERIT_SLACK_SCALE)
     return parser
 
 

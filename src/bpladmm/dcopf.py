@@ -126,10 +126,10 @@ def expected_row_count(case: DcOpfCase) -> int:
     return 9 * case.num_buses + degree_sum + 1
 
 
-def _compact_blocks(n: int, entries: list) -> tuple[list, list]:
+def _compact_blocks(n: int, entries: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group (bus array, row, column, value) entries, scalars filled out to
-    the bus length, into per-bus sorted rows and the blocks A_i on them,
-    without all-zero rows; the sort is stable, so repeats sum in order."""
+    the bus length, into all blocks A_i end to end in bus order (each on its
+    sorted nonzero rows) and each bus's first index; repeats sum in order."""
     bus, row, col, value = (np.concatenate(part) for part in zip(
         *([np.full(len(entry[0]), field) for field in entry] for entry in entries)))
     order = np.lexsort((row, bus))
@@ -139,8 +139,7 @@ def _compact_blocks(n: int, entries: list) -> tuple[list, list]:
     np.add.at(compact, (np.cumsum(first) - 1, col), value)
     keep = np.any(compact != 0.0, axis=1)
     bus, row, compact = bus[first][keep], row[first][keep], compact[keep]
-    starts = np.searchsorted(bus, np.arange(1, n))
-    return np.split(row, starts), np.split(compact, starts)
+    return row, compact, np.searchsorted(bus, np.arange(n))
 
 
 def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
@@ -153,15 +152,15 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     """
     n = case.num_buses
     b_table = case.susceptance()
-    p = expected_row_count(case)
     buses = np.arange(n)
     edges = [(i, j) for i, adjacent in enumerate(case.neighbors()) for j in adjacent]
     source, target = np.array(edges, dtype=int).reshape(-1, 2).T
     weight = np.array([b_table[e] for e in edges])
     line_rows = n + 1 + np.arange(len(edges))
+    p = line_rows.size + n + 1 + 8 * n  # line, balance and floor rows, four pairs per bus
     # upper rows of the per-bus pairs; each lower row follows its upper row
     link, gen, u_box, theta_box = line_rows.size + n + 1 + 2 * (n * np.arange(4)[:, None] + buses)
-    rows, blocks = _compact_blocks(n, [
+    stacked = _compact_blocks(n, [
         # demand coverage: -P_pv - P_gen + sum_j b_ij (theta_i - theta_j) <= -D_i
         (buses, buses, PV, -1.0), (buses, buses, GEN, -1.0),
         (source, source, THETA, weight), (target, source, THETA, -weight),
@@ -186,7 +185,7 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     Q_diag, q = np.zeros((n, BLOCK_DIM)), np.zeros((n, BLOCK_DIM))
     Q_diag[:, GEN] = 2.0 * case.gen_cost_a
     q[:, GEN], q[:, U] = case.gen_cost_b, case.pv_cost
-    return DcOpfBlockProblem(case, rows, blocks, b, Q_diag, q)
+    return DcOpfBlockProblem(case, *stacked, b, Q_diag, q)
 
 
 def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float) -> np.ndarray:
@@ -220,11 +219,12 @@ class DcOpfBlockProblem(BlockProblem):
     bus's system.
 
     Each A_i is kept on ``rows[i]``, the sorted rows where it has a nonzero
-    entry, as ``blocks[i]`` (len(rows[i]) x k); the dense p x k blocks
-    ``A`` are built one by one when read.  ``Q_diag`` and ``q`` are N x k
-    arrays of the per-bus cost diagonals and linear terms.  ``apply_A``
-    scatters a compact product into the whole constraint space, and
-    ``solve_x_block`` gathers its context's vectors on ``rows[i]``.
+    entry, as ``blocks[i]`` (len(rows[i]) x k), both views of one copy of
+    all blocks end to end in bus order; the dense p x k blocks ``A`` are
+    built one by one when read.  ``Q_diag`` and ``q`` are N x k arrays of
+    the per-bus cost diagonals and linear terms.  ``apply_A`` scatters a
+    compact product into the whole constraint space, and ``solve_x_block``
+    gathers its context's vectors on ``rows[i]``.
     ``build_problem`` builds the whole model (k = 4) and
     ``frozen_u_problem`` the model of a frozen placement (k = 3).
 
@@ -256,10 +256,9 @@ class DcOpfBlockProblem(BlockProblem):
     ``solve_x_block``.
     """
 
-    def __init__(self, case: DcOpfCase, rows: list, blocks: list, b: np.ndarray,
-                 Q_diag: np.ndarray, q: np.ndarray):
-        self.case, self.rows, self.blocks, self.b, self.Q_diag, self.q = (
-            case, rows, blocks, b, Q_diag, q)
+    def __init__(self, case: DcOpfCase, stacked_rows: np.ndarray, stacked_A: np.ndarray,
+                 row_starts: np.ndarray, b: np.ndarray, Q_diag: np.ndarray, q: np.ndarray):
+        self.case, self.b, self.Q_diag, self.q = case, b, Q_diag, q
         self.p = len(b)
         self.num_blocks, width = q.shape
         self.gamma = case.gamma if width > U else 0.0
@@ -269,8 +268,9 @@ class DcOpfBlockProblem(BlockProblem):
         # the blocks end to end, for the products of all buses at once; the
         # segment sum needs every bus's run of rows non-empty, and every bus
         # has at least its PV linking rows
-        self._stacked_rows, self._stacked_A = np.concatenate(rows), np.concatenate(blocks)
-        self._row_starts = np.cumsum([0] + [len(bus_rows) for bus_rows in rows[:-1]])
+        self._stacked_rows, self._stacked_A, self._row_starts = stacked_rows, stacked_A, row_starts
+        self.rows = np.split(stacked_rows, row_starts[1:])
+        self.blocks = np.split(stacked_A, row_starts[1:])
         self._factor_pair = self._inverses = self._rho_G = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
@@ -398,10 +398,12 @@ def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 
 
 def _init_from_blocks(problem: DcOpfBlockProblem, x: np.ndarray):
     """The x blocks with the slack absorbing b - sum_i A_i x_i, clipped at
-    zero, and a zero multiplier."""
+    zero, and a zero multiplier.  From r = A x - b, formed once, y = max(-r,
+    0) and the residual is r + y = max(r, 0), exactly in floating point."""
     zeros = np.zeros(problem.p)
-    y = np.maximum(-engine.constraint_residual(problem, x, zeros), 0.0)
-    return engine.initial_state(problem, x, y, zeros)
+    state = engine.initial_state(problem, x, zeros, zeros)  # its residual is r
+    state.y, state.residual = np.maximum(-state.residual, 0.0), np.maximum(state.residual, 0.0)
+    return state
 
 
 def lower_bound_init(problem: DcOpfBlockProblem, jitter: float = 0.0,
@@ -422,21 +424,16 @@ def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpf
     """The model with the placement frozen at ``u_rounded``.
 
     The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
-    u_i), leaving a convex three-variable-per-bus power flow; each block
-    keeps the rows where its first three columns are nonzero.
+    u_i), leaving a convex three-variable-per-bus power flow; one mask keeps
+    the stacked rows where the first three columns are nonzero.
     """
+    rows, A, starts = problem._stacked_rows, problem._stacked_A, problem._row_starts
     b = problem.b.copy()
-    for rows, block, u_i in zip(problem.rows, problem.blocks, u_rounded):
-        b[rows] -= block[:, U] * u_i
-    keep = [np.any(block[:, :U] != 0.0, axis=1) for block in problem.blocks]
-    return DcOpfBlockProblem(
-        problem.case,
-        [rows[k] for rows, k in zip(problem.rows, keep)],
-        [block[k, :U] for block, k in zip(problem.blocks, keep)],
-        b,
-        problem.Q_diag[:, :U],
-        problem.q[:, :U],
-    )
+    np.subtract.at(b, rows, A[:, U] * np.repeat(u_rounded, np.diff(starts, append=len(rows))))
+    keep = np.any(A[:, :U] != 0.0, axis=1)
+    return DcOpfBlockProblem(problem.case, rows[keep], A[keep, :U],
+                             np.searchsorted(np.flatnonzero(keep), starts), b,
+                             problem.Q_diag[:, :U], problem.q[:, :U])
 
 
 def frozen_u_recheck(problem: DcOpfBlockProblem, u_rounded: np.ndarray, params: SolverParams,

@@ -71,6 +71,7 @@ from .spaces import stacked_norm
 
 STOP_SHIFTED = "shifted"  # ||delta (x, y)|| / (||(x, y)|| + 1) <= tol, z left out
 STOP_RELATIVE = "relative"  # ||delta (x, y, z)|| / ||(x, y, z)|| < tol
+MERIT_SLACK_SCALE = 1e-8  # the merit rule's slack scale, for solve and verify-trace alike
 
 
 class ParameterError(ValueError):
@@ -483,7 +484,7 @@ def stopped(params: SolverParams, previous: SolverState, report: IterationReport
     return delta / base < params.stop_tolerance
 
 
-def merit_increases(merits, slack_scale: float = 1e-8) -> list[tuple[int, float]]:
+def merit_increases(merits, slack_scale: float = MERIT_SLACK_SCALE) -> list[tuple[int, float]]:
     """Each (k, merits[k] - merits[k-1]) above slack_scale * (1 + |merits[0]|).
 
     The merit rule of ``solve`` and of ``verify-trace``: a valid run with

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -136,6 +137,12 @@ def test_verify_trace_slack_scale_must_be_finite_and_non_negative(tmp_path, caps
     assert "merit increased by 6.000000e+00 at n = 2" in capsys.readouterr().out
     assert main(["verify-trace", str(path), f"--slack-scale={scale}"]) == 2
     assert "--slack-scale must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_verify_trace_default_slack_scale_is_the_engines():
+    args = cli.build_parser().parse_args(["verify-trace", "trace.csv"])
+    engine_default = inspect.signature(engine.merit_increases).parameters["slack_scale"].default
+    assert args.slack_scale == engine_default == engine.MERIT_SLACK_SCALE
 
 
 @pytest.mark.parametrize("content, message", [

@@ -88,6 +88,9 @@ def test_two_bus_constraint_matrices_entry_for_entry():
 def test_row_count_formula():
     case = dcopf.two_bus_fixture()
     assert dcopf.expected_row_count(case) == 9 * 2 + 2 + 1 == 21
+    # build_problem lays its rows out without the formula
+    radial = small_radial_case()
+    assert dcopf.build_problem(radial).p == dcopf.expected_row_count(radial) == 9 * 6 + 10 + 1
 
 
 def test_constraint_blocks_have_full_column_rank():
@@ -214,6 +217,35 @@ def test_carried_residual_matches_a_fresh_one(make_case):
         fresh = engine.constraint_residual(problem, state.x, state.y)
         scale = max(1.0, float(np.max(np.abs(fresh))))
         assert np.max(np.abs(state.residual - fresh)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make_case", CASES)
+def test_per_bus_blocks_are_views_of_one_stacked_copy(make_case):
+    problem = dcopf.build_problem(make_case())
+    frozen = dcopf.frozen_u_problem(problem, np.arange(problem.num_blocks) % 2.0)
+    for model in (problem, frozen):
+        for rows, block in zip(model.rows, model.blocks, strict=True):
+            assert np.shares_memory(rows, model._stacked_rows)
+            assert np.shares_memory(block, model._stacked_A)
+
+
+@pytest.mark.parametrize("make_case", CASES)
+def test_lower_bound_init_forms_the_residual_once(make_case, monkeypatch):
+    calls, constraint_residual = [], engine.constraint_residual
+
+    def counted(*args):
+        calls.append(args)
+        return constraint_residual(*args)
+
+    problem = dcopf.build_problem(make_case())
+    monkeypatch.setattr(engine, "constraint_residual", counted)
+    state = dcopf.lower_bound_init(problem, jitter=0.1, seed=3)
+    assert len(calls) == 1
+    assert (state.y >= 0.0).all() and (state.residual >= 0.0).all()
+    # the tolerance of test_carried_residual_matches_a_fresh_one
+    fresh = constraint_residual(problem, state.x, state.y)
+    scale = max(1.0, float(np.max(np.abs(fresh))))
+    assert np.max(np.abs(state.residual - fresh)) <= 1e-12 * scale
 
 
 def test_placement_gradient_values_and_finite_differences(rng):

@@ -429,8 +429,8 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
     inf."""
 
     def __init__(self, problem, block, iteration):
-        super().__init__(problem.case, problem.rows, problem.blocks, problem.b, problem.Q_diag,
-                         problem.q)
+        super().__init__(problem.case, problem._stacked_rows, problem._stacked_A,
+                         problem._row_starts, problem.b, problem.Q_diag, problem.q)
         self.block = block
         self.iteration = iteration
         self.sweep = 0
