@@ -136,8 +136,9 @@ def _given(args, **flags) -> dict:
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--seeds", type=int, default=None, help="use seeds 0..K-1")
-    parser.add_argument("--seed-list", default=None, help="comma separated explicit seeds")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=int, default=None, help="use seeds 0..K-1")
+    seeds.add_argument("--seed-list", default=None, help="comma separated explicit seeds")
     parser.add_argument("--tol", type=float, help="stop tolerance")
     parser.add_argument("--max-iter", type=int, help="iteration cap")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

@@ -347,9 +347,11 @@ class DcOpfBlockProblem(BlockProblem):
 class DcOpfSolution:
     """Per-bus decisions plus objective and feasibility diagnostics.
 
-    ``objective_opf1_rounded`` evaluates the original binary-placement cost
-    at u rounded to the nearest vertex (ties round up); the raw-u value is
-    reported alongside since either reading of the model is defensible.
+    The cost of the original placement model, PV installation plus
+    generation, is f (``DcOpfBlockProblem.eval_f``): ``objective_opf1_raw``
+    is f at the solved u and ``objective_opf1_rounded`` at u rounded to the
+    nearest vertex (ties round up), since either reading of the model is
+    defensible.
     """
 
     pv: np.ndarray
@@ -370,14 +372,6 @@ class DcOpfSolution:
     rounded_feasible: bool | None
     rounded_violation: float | None
     reports: list[IterationReport]
-
-
-def opf1_objective(case: DcOpfCase, u: np.ndarray, gen: np.ndarray) -> float:
-    """Installation plus generation cost of the original placement model."""
-    return float(
-        case.pv_cost * np.sum(u)
-        + np.sum(case.gen_cost_a * gen**2 + case.gen_cost_b * gen + case.gen_cost_c)
-    )
 
 
 def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 1e-2,
@@ -442,17 +436,17 @@ def frozen_u_recheck(problem: DcOpfBlockProblem, u_rounded: np.ndarray, params: 
     three columns of ``warm_x``, with the penalty and proximal weight of
     ``params`` and the ``RECHECK_*`` tolerance and sweep cap.
 
-    Returns (feasible, worst constraint violation); the solution is
-    declared feasible when max(A x - b') does not exceed
-    ``RECHECK_FEASIBILITY_TOLERANCE``.  An oracle failure raises the
-    engine's ``BlockOracleError``.
+    Returns (feasible, worst constraint violation): max(A x - b'), read
+    from the final state's carried residual A x + y - b' less its slack y,
+    is feasible when it does not exceed ``RECHECK_FEASIBILITY_TOLERANCE``.
+    An oracle failure raises the engine's ``BlockOracleError``.
     """
     frozen = frozen_u_problem(problem, u_rounded)
     x0 = np.asarray(warm_x, dtype=float)[:, :U]
     params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
                      max_iterations=RECHECK_MAX_ITERATIONS)
-    x = engine.solve(frozen, params, _init_from_blocks(frozen, x0)).state.x
-    violation = float(np.max(engine.constraint_residual(frozen, x, np.zeros(problem.p))))
+    state = engine.solve(frozen, params, _init_from_blocks(frozen, x0)).state
+    violation = float(np.max(state.residual - state.y))
     return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0)
 
 
@@ -491,8 +485,8 @@ def solve_dcopf(
         u_rounded=u_rounded,
         y=result.state.y,
         z=result.state.z,
-        objective_opf1_rounded=opf1_objective(case, u_rounded, gen),
-        objective_opf1_raw=opf1_objective(case, u, gen),
+        objective_opf1_rounded=problem.eval_f(np.column_stack((x[:, :U], u_rounded))),
+        objective_opf1_raw=problem.eval_f(x),
         objective_relaxed=result.reports[-1].objective,
         binary_violation=float(np.sum(u - u * u)),
         feasibility_residual=result.reports[-1].feasibility,

@@ -20,25 +20,20 @@ the engine's ``BlockOracleError`` naming x-block 0 (L), x-block 1 (S) or
 the y-block (T), and the iteration.
 
 The two spectral kernels come from ``spaces``, and neither takes a full
-SVD per sweep.  The shrinkage of L starts from the kept right singular
-vectors of the previous sweep's shrinkage, which each solve keeps for
-itself in its problem object, beside the other by-products, and
-certifies two subspace steps from them; where that fails, as
-while the kept rank still falls, it takes one eigendecomposition of the
-smaller Gram matrix, and the SVD where its error certificate fails.  The
-leading singular pair of S starts from the previous pair's right vector:
-Rayleigh quotient iteration refines it, and a residual test and a
-Cholesky test that it is the top pair certify it; once the iterates
-settle, one linear solve does.  Where either test fails, as in the first
-sweeps, it takes one ``eigvalsh`` of the Gram matrix and one checked
-linear solve, and a full eigendecomposition where that check fails.  The
-shrinkage also returns the nuclear norm of L for the objective, and one
-leading pair per iterate gives both the spectral term of its objective
-and the subgradient of the next sweep.  Both solvers call the shrinkage
-as ``rpca.singular_value_shrink_with_norm``.  Full SVDs remain only once
-per solve: the nuclear norm of the random starting L and the numerical
-rank of the result, where the Gram matrix would square the condition
-number and lose the small singular values.
+SVD per sweep; their docstrings give the routes.  Both solvers call
+``rpca.singular_value_shrink_with_norm``, which shrinks L to about 1e-8
+relative or better and also returns the nuclear norm of L for the
+objective and the kept right singular vectors that start the next
+sweep's shrinkage.  ``leading_singular_pair`` gives the top singular pair
+of S to rounding, started from the previous pair's right vector; one pair
+per iterate gives both the spectral term of its objective and the
+subgradient of the next sweep.  Each solve keeps these starts for itself
+in its problem object, beside the other by-products.  The warm starts
+fail in the first sweeps, while the kept rank still falls, and the
+kernels take their cold routes.  Full SVDs remain only once per solve:
+the nuclear norm of the random starting L and the numerical rank of the
+result, where the Gram matrix would square the condition number and lose
+the small singular values.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
@@ -50,7 +45,7 @@ and the merit is recorded without a check.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,8 +239,7 @@ def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -
     applies, and the reports record the merit L_rho without a check.
     """
     problem = PlainRpcaBlockProblem(instance, config)
-    params = SolverParams(rho=2.0, lipschitz_H=config.gamma, strong_convexity=0.0,
-                          max_iterations=config.max_iterations, stop_tolerance=config.tolerance)
+    params = replace(config.solver_params(), rho=2.0, strong_convexity=0.0)
     state = _initial_state(problem, init_seed)
     reports = [engine.iteration_report(problem, params.rho, state)]
     converged = False

@@ -6,19 +6,13 @@ serves both the matrix-decomposition and the power-flow applications.
 
 The module also provides Bregman distances and the three proximal /
 subgradient operators the applications need: entrywise soft shrinkage,
-singular value shrinkage, and the leading singular pair subgradient of the
-spectral norm.  Neither takes a full SVD where it can certify a cheaper
-route.  The shrinkage refines a start basis, the kept right singular
-vectors its previous call returned, by two subspace steps, and certifies
-the result by a cross-term bound and a Cholesky test; failing that, it
-takes one symmetric eigendecomposition of the smaller Gram matrix, under a
-bound on the eigenvalue error, and failing that, the SVD.  The leading pair
-likewise refines a start vector, the one its previous call returned, by
-at most three Rayleigh quotient iteration solves, and accepts it only
-under a residual test and a Cholesky test that its eigenvalue is the top
-one.  Failing that, it takes the top Gram eigenvalue from ``eigvalsh`` and
-its vector from one inverse-iteration solve, checked by its residual, with
-a full eigendecomposition as the last fallback.
+singular value shrinkage and the leading singular pair behind the
+spectral-norm subgradient.  ``singular_value_shrink_with_norm`` returns
+the shrinkage to about 1e-8 relative or better, and
+``leading_singular_pair`` the top singular value to rounding.  Neither
+takes a full SVD where it can certify a cheaper route, and each starts
+from what its previous call returned; their docstrings give the routes
+and the tests that certify them.
 """
 
 from dataclasses import dataclass

@@ -6,8 +6,11 @@ pieces the package minimizes are piecewise quadratic, for which central
 finite differences are truncation-free; that pushes the oracles well past
 the sqrt(eps) accuracy floor of plain value-comparison searches.
 
-``dense_reference_problem`` assembles the DC-OPF constraints row by row
-into dense blocks, a reference for ``dcopf.build_problem``, and
+``opf1_cost`` is the cost of the original placement model, a reference
+for ``DcOpfBlockProblem.eval_f`` and the costs ``dcopf.solve_dcopf``
+reports.  ``dense_reference_problem`` assembles the DC-OPF constraints row
+by row into dense blocks, a reference for ``dcopf.build_problem``, and
+``dense_frozen_problem`` shifts them to a frozen placement.
 ``dcopf_x_block_solve`` is the DC-OPF block update as a fresh linear solve,
 a reference for ``DcOpfBlockProblem``'s cached inverses.
 ``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
@@ -152,6 +155,15 @@ def nuclear_norm(M):
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def opf1_cost(case, u, gen):
+    """Installation plus generation cost of the original placement model:
+    pv_cost sum_i u_i + sum_i (a_i gen_i^2 + b_i gen_i + c_i)."""
+    return float(
+        case.pv_cost * np.sum(u)
+        + np.sum(case.gen_cost_a * gen**2 + case.gen_cost_b * gen + case.gen_cost_c)
+    )
+
+
 def dense_reference_problem(case):
     """The constraints A x <= b of a ``DcOpfCase`` as dense p x 4 blocks,
     written row by row with a running row counter; returns (A, b).
@@ -230,6 +242,14 @@ def dense_reference_problem(case):
     return A, b
 
 
+def dense_frozen_problem(case, u_frozen):
+    """``dense_reference_problem`` with the placement frozen at ``u_frozen``:
+    three columns per block and b' = b - sum_i A_i[:, u] u_i; returns (A', b')."""
+    A, b = dense_reference_problem(case)
+    b = b - sum(Ai[:, dcopf.U] * ui for Ai, ui in zip(A, u_frozen))
+    return [Ai[:, :dcopf.U] for Ai in A], b
+
+
 def dcopf_x_block_solve(ctx, Q_diag, q, A):
     """The DC-OPF block update as one fresh solve of the SPD system
 
@@ -250,10 +270,10 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
     plain Gauss-Seidel loop: blocks in a list, updated one by one.
 
     The problem is that of a whole case, or with ``u_frozen`` given, the
-    frozen-u problem of that placement: three columns per block and the
-    right-hand side shifted by sum_i A_i[:, u] u_i.  Every block sees the
-    partial residual recomputed from scratch with the dense A_i of
-    ``dense_reference_problem`` on every row, and on a whole case the linear
+    frozen-u problem of that placement.  Every block sees the partial
+    residual recomputed from scratch with the dense A_i of
+    ``dense_reference_problem`` (``dense_frozen_problem`` for a frozen
+    placement) on every row, and on a whole case the linear
     term -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
     sweep start.  The block oracle is ``dcopf_x_block_solve`` on all rows,
     with the penalty and proximal weight of ``params``, the slack is
@@ -261,10 +281,10 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
     rho times the dense residual.  Returns the new (x, y, z), with x a list
     of blocks.
     """
-    A, b = dense_reference_problem(problem.case)
-    if u_frozen is not None:
-        b = b - sum(Ai[:, dcopf.U] * ui for Ai, ui in zip(A, u_frozen))
-        A = [Ai[:, :dcopf.U] for Ai in A]
+    if u_frozen is None:
+        A, b = dense_reference_problem(problem.case)
+    else:
+        A, b = dense_frozen_problem(problem.case, u_frozen)
     Q_diag, q = problem.Q_diag, problem.q
     rho, alpha, gamma = params.rho, params.strong_convexity, problem.gamma
     x = [np.array(xi, dtype=float) for xi in x]

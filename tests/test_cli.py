@@ -407,6 +407,18 @@ def test_bad_seed_list_entry_is_usage_error(tmp_path, capsys, command, seed_list
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [RPCA_SMALL[:-2], ["dcopf", "--fixture", "2bus"]],
+                         ids=["rpca-bench", "dcopf"])
+def test_seeds_and_seed_list_together_is_usage_error(tmp_path, capsys, command):
+    # neither flag silently wins: argparse rejects the pair before any run
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--seeds", "3", "--seed-list", "7", "--max-iter", "5", "--jobs", "1",
+                        "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--seed-list: not allowed with argument --seeds" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_the_cli_does_not_import_scipy():
     # the library is numpy only; scipy would add about 0.3 s and 30 MB to every start
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from bpladmm import dcopf, engine
-from oracles import dcopf_x_block_solve, finite_difference_gradient, golden_section, newton_fd
+from oracles import (
+    dcopf_x_block_solve,
+    dense_frozen_problem,
+    finite_difference_gradient,
+    golden_section,
+    newton_fd,
+    opf1_cost,
+)
 
 REL = 1e-10
 TWO_PI = 2.0 * np.pi
@@ -481,6 +488,41 @@ def test_frozen_recheck_flags_infeasible_rounding():
     assert violation > 1e-2
 
 
+def test_recheck_forms_the_whole_residual_once(monkeypatch):
+    # the start's A x + y - b'; the closing violation reads the carried residual
+    calls, constraint_residual = [], engine.constraint_residual
+
+    def counted(*args):
+        calls.append(args)
+        return constraint_residual(*args)
+
+    case = dcopf.two_bus_fixture()
+    monkeypatch.setattr(engine, "constraint_residual", counted)
+    dcopf.frozen_u_recheck(dcopf.build_problem(case), np.array([1.0, 0.0]),
+                           dcopf.solver_params_for(case), np.zeros((2, 4)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("placement", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+def test_recheck_violation_is_the_dense_frozen_residual(placement, monkeypatch):
+    # the largest entry of a fresh dense A' x - b' at the recheck's final iterate
+    results, solve = [], engine.solve
+
+    def recorded_solve(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    case = dcopf.two_bus_fixture()
+    u = np.array(placement)
+    monkeypatch.setattr(engine, "solve", recorded_solve)
+    _, violation = dcopf.frozen_u_recheck(dcopf.build_problem(case), u,
+                                          dcopf.solver_params_for(case), np.zeros((2, 4)))
+    (result,) = results
+    A, b = dense_frozen_problem(case, u)
+    dense = sum(Ai @ xi for Ai, xi in zip(A, result.state.x)) - b
+    assert violation == pytest.approx(max(float(np.max(dense)), 0.0), rel=0.0, abs=1e-12)
+
+
 def test_recheck_oracle_failure_raises(monkeypatch):
     # only the frozen-u problem, whose blocks lack the u column, returns inf
     x_sweep = dcopf.DcOpfBlockProblem.x_sweep
@@ -545,14 +587,14 @@ def test_eval_f_is_the_opf1_objective(frozen, rng):
     for _ in range(10):
         x = rng.standard_normal((problem.num_blocks, *problem.block_shape)) * rng.uniform(0.1, 10)
         u = np.zeros(2) if frozen else x[:, dcopf.U]
-        expected = dcopf.opf1_objective(case, u, x[:, dcopf.GEN])
+        expected = opf1_cost(case, u, x[:, dcopf.GEN])
         assert problem.eval_f(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_reports_raw_and_rounded(fixture_solution):
     case, sol = fixture_solution
-    expected_rounded = dcopf.opf1_objective(case, sol.u_rounded, sol.gen)
-    expected_raw = dcopf.opf1_objective(case, sol.u, sol.gen)
+    expected_rounded = opf1_cost(case, sol.u_rounded, sol.gen)
+    expected_raw = opf1_cost(case, sol.u, sol.gen)
     assert sol.objective_opf1_rounded == pytest.approx(expected_rounded, rel=REL)
     assert sol.objective_opf1_raw == pytest.approx(expected_raw, rel=REL)
     assert sol.binary_violation == pytest.approx(float(np.sum(sol.u - sol.u**2)), rel=1e-8)
