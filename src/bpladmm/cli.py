@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-trace", help="check a trace's merit column")
     p_verify.add_argument("trace", help="trace CSV written with --dump-trace")
-    p_verify.add_argument("--slack-scale", type=float, default=engine.MERIT_SLACK_SCALE)
     return parser
 
 
@@ -303,7 +302,6 @@ def cmd_dcopf(args) -> int:
 
 
 def cmd_verify_trace(args) -> int:
-    _check_finite_non_negative("--slack-scale", args.slack_scale)
     with open(args.trace, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in ("n", "merit") if name not in (reader.fieldnames or ())]
@@ -323,13 +321,15 @@ def cmd_verify_trace(args) -> int:
         raise TraceError(f"{args.trace} has a merit that is not finite")
     # the first row is the run's starting report: engine.solve checks the sweeps after it
     rows = rows[1:]
-    increases = engine.merit_increases([merit for _, merit in rows], args.slack_scale)
+    increases = engine.merit_increases([merit for _, merit in rows])
     for k, increase in increases:
         print(f"merit increased by {increase:.6e} at n = {rows[k][0]}")
     if increases:
-        print(f"FAIL: {len(increases)} merit increases beyond slack scale {args.slack_scale:g}")
+        print(f"FAIL: {len(increases)} merit increases beyond slack scale "
+              f"{engine.MERIT_SLACK_SCALE:g}")
         return 1
-    print(f"OK: merit nonincreasing over {len(rows)} sweeps (slack scale {args.slack_scale:g})")
+    print(f"OK: merit nonincreasing over {len(rows)} sweeps "
+          f"(slack scale {engine.MERIT_SLACK_SCALE:g})")
     return 0
 
 

@@ -50,13 +50,13 @@ a closed form may override it with a pass of its own, which must give the
 same iterate up to rounding.  The engine checks the pass's output finite
 either way.
 
-``solve`` owns a run: it validates the parameters, keeps the run's list of
-iteration reports, applies the stop rule (``converged`` on its result) and
-then the merit rule.  A state carries only the report of its own iterate.
-A block oracle that raises or returns non-finite values ends the run with
-a ``BlockOracleError``.  A run outside the gates, such as the RPCA admm3
-baseline, loops over ``step`` itself, with ``iteration_report`` for its
-start and ``stopped`` as its stop.
+``run`` is the one sweep loop of every run: it iterates ``step`` until
+the stop rule fires (``converged`` on its result) or the iteration cap,
+and checks no gate and no merit.  ``solve`` is ``validate_parameters``,
+``run`` and then the merit rule; a run outside the gates, such as the RPCA
+admm3 baseline, calls ``run`` itself.  A state carries only the report of
+its own iterate.  A block oracle that raises or returns non-finite values
+ends the run with a ``BlockOracleError``.
 """
 
 import math
@@ -257,7 +257,8 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     bound) on success.
 
     Both bounds are strict: an alpha or rho sitting exactly at its bound is
-    rejected.  They are where ``delta_x`` and ``delta_y`` change sign.
+    rejected.  They are where ``delta_x`` and ``delta_y`` change sign: the
+    rho bound 2 l_H / lambda is the positive root of ``delta_y``.
     """
     rules = (STOP_SHIFTED, STOP_RELATIVE)
     if params.stop_rule not in rules:
@@ -274,24 +275,20 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
         value = getattr(params, name)
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
-    if params.strong_convexity <= 0:
-        raise ParameterError("strong convexity modulus alpha must be positive")
     if params.lambda_min_BtB <= 0:
         raise ParameterError(
             "B lacks full column rank: lambda_min(B^T B) must be positive, "
             f"got {params.lambda_min_BtB}"
         )
     alpha_bound = params.lipschitz_P + params.weak_convexity_G
-    l_h = params.lipschitz_H
-    rho_bound = (l_h + math.sqrt(l_h * l_h + 8.0 * l_h * l_h)) / (2.0 * params.lambda_min_BtB)
+    rho_bound = 2.0 * params.lipschitz_H / params.lambda_min_BtB
     if not params.strong_convexity > alpha_bound:
         raise ParameterError(
             f"alpha = {params.strong_convexity} must strictly exceed l_P + beta = {alpha_bound}"
         )
     if not params.rho > rho_bound:
         raise ParameterError(
-            f"rho = {params.rho} must strictly exceed "
-            f"(l_H + sqrt(l_H^2 + 8*l_H^2))/(2*lambda) = {rho_bound}"
+            f"rho = {params.rho} must strictly exceed 2*l_H/lambda = {rho_bound}"
         )
     return alpha_bound, rho_bound
 
@@ -336,7 +333,7 @@ class SolveResult:
     converged: bool  # the stop rule fired; False at the iteration cap
     iterations: int
     wall_time: float
-    merit_increases: list[tuple[int, float]]
+    merit_increases: list[tuple[int, float]] | None  # None from ``run``, which checks no merit
 
 
 def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> float:
@@ -393,7 +390,7 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     ``x`` holds the m blocks (a sequence of arrays or an array of shape
     (m, *block_shape)); they are copied into one stacked array, which must
     have the problem's shape (num_blocks, *block_shape).  y must have the
-    shape ``y_shape`` and z the shape of ``b``.
+    shape ``y_shape`` and z the shape of ``b``, and all three must be finite.
     """
     shape = (problem.num_blocks, *problem.block_shape)
     given = [np.shape(xi) for xi in x]
@@ -405,6 +402,9 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     for name, value, expected in (("y", y, problem.y_shape), ("z", z, problem.b.shape)):
         if value.shape != expected:
             raise ValueError(f"{name} of shape {value.shape} is not of shape {expected}")
+    for name, value in (("x", x), ("y", y), ("z", z)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has an entry that is not finite")
     return SolverState(x=x, y=y, z=z, residual=constraint_residual(problem, x, y), n=0)
 
 
@@ -484,61 +484,68 @@ def stopped(params: SolverParams, previous: SolverState, report: IterationReport
     return delta / base < params.stop_tolerance
 
 
-def merit_increases(merits, slack_scale: float = MERIT_SLACK_SCALE) -> list[tuple[int, float]]:
-    """Each (k, merits[k] - merits[k-1]) above slack_scale * (1 + |merits[0]|).
+def merit_increases(merits) -> list[tuple[int, float]]:
+    """Each (k, merits[k] - merits[k-1]) above MERIT_SLACK_SCALE * (1 + |merits[0]|).
 
     The merit rule of ``solve`` and of ``verify-trace``: a valid run with
     exact oracles has none.
     """
     if len(merits) < 2:
         return []
-    slack = slack_scale * (1.0 + abs(merits[0]))
+    slack = MERIT_SLACK_SCALE * (1.0 + abs(merits[0]))
     return [(k, later - earlier)
             for k, (earlier, later) in enumerate(zip(merits, merits[1:]), start=1)
             if later - earlier > slack]
 
 
-def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
-    """Iterate ``step`` until the stop rule fires or max_iterations is hit.
+def run(problem: BlockProblem, params: SolverParams, init: SolverState,
+        reports: list[IterationReport]) -> SolveResult:
+    """The sweep loop: iterate ``step`` from ``init`` until the stop rule
+    fires or max_iterations is hit, checking no gate and no merit (the
+    result's ``merit_increases`` is None).
 
-    The result's reports are a new list: the report of ``init`` (built
-    here when ``init`` has none) and then one per sweep, so two runs from
-    one ``init`` share nothing and ``init`` is left as it was.
-
-    The stop rule compares the norm of the step, formed from the report's
-    step norms, with the norm of the iterate the step started from: over
-    (x, y) for ``STOP_SHIFTED``, over (x, y, z) for ``STOP_RELATIVE``;
-    the result's ``converged`` says whether it fired before max_iterations.
-
-    ``merit_increases`` checks the merits of the run's own sweeps, whatever
-    ``init.n`` is.  An increase is a warning (the first one only), not an
-    error: the descent guarantee assumes exact oracles and honest
-    constants, and user-supplied constants may be underestimates.  Each
-    increase is recorded on the result as (report n, rise).
-
-    An oracle that raises or returns non-finite values ends the run: the
-    ``BlockOracleError`` naming the first block that failed propagates to
-    the caller, after the sweeps before it are checked for increases.  The
-    rest of that sweep computes on the non-finite values before the check
-    raises, so numpy's invalid and overflow warnings are silenced for the
-    run.
+    Appends to ``reports`` the report of ``init`` (built here when it has
+    none) and one per sweep, so a run that raises leaves the reports of its
+    earlier sweeps there; ``init`` is left as it was.  The stop rule
+    compares the norm of the step with the norm of the iterate it started
+    from: over (x, y) for ``STOP_SHIFTED``, over (x, y, z) for
+    ``STOP_RELATIVE``.  A failing oracle ends the run with the
+    ``BlockOracleError`` naming the first block that failed; the rest of
+    that sweep computes on non-finite values, so numpy's invalid and
+    overflow warnings are silenced for the run.
     """
-    validate_parameters(params)
     state = init
-    reports = [init.report or iteration_report(problem, params.rho, init)]
+    reports.append(init.report or iteration_report(problem, params.rho, init))
     converged = False
     start = time.perf_counter()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(params.max_iterations):
+            new_state = step(problem, params, state)
+            reports.append(new_state.report)
+            converged = stopped(params, state, new_state.report)
+            state = new_state
+            if converged:
+                break
+    return SolveResult(state=state, reports=reports, converged=converged,
+                       iterations=state.n - init.n, wall_time=time.perf_counter() - start,
+                       merit_increases=None)
+
+
+def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> SolveResult:
+    """``validate_parameters``, ``run`` on a new list of reports, then the
+    merit rule on the run's own sweeps, whatever ``init.n`` is, also when
+    the run raises.
+
+    An increase is a warning (the first one only), not an error: the
+    descent guarantee assumes exact oracles and honest constants, and
+    user-supplied constants may be underestimates.  Each increase is
+    recorded on the result as (report n, rise).
+    """
+    validate_parameters(params)
+    reports = []
     try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            for _ in range(params.max_iterations):
-                new_state = step(problem, params, state)
-                reports.append(new_state.report)
-                converged = stopped(params, state, new_state.report)
-                state = new_state
-                if converged:
-                    break
+        result = run(problem, params, init, reports)
     finally:
-        wall = time.perf_counter() - start
         increases = [(reports[k + 1].n, rise)
                      for k, rise in merit_increases([report.merit for report in reports[1:]])]
         if increases:
@@ -549,12 +556,5 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    return SolveResult(
-        state=state,
-        reports=reports,
-        converged=converged,
-        iterations=len(reports) - 1,
-        wall_time=wall,
-        merit_increases=increases,
-    )
+    result.merit_increases = increases
+    return result

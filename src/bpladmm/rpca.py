@@ -37,14 +37,11 @@ the small singular values.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
-side-by-side comparison: ``engine.step`` on ``PlainRpcaBlockProblem``,
-with the engine's reports, stop rule and oracle errors.  Its alpha = 0 and
-rho = 2 lie outside the parameter gates that ``engine.solve`` applies, so
-it runs the steps in a loop of its own, where no descent guarantee applies
-and the merit is recorded without a check.
+side-by-side comparison: one ``engine.run`` on ``PlainRpcaBlockProblem``.
+Its alpha = 0 and rho = 2 lie outside the parameter gates, so it skips
+``engine.solve``'s gates and merit rule.
 """
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,11 +197,12 @@ def _initial_state(problem: "RpcaBlockProblem", init_seed: int) -> engine.Solver
     return engine.initial_state(problem, blocks, M, np.zeros_like(M))
 
 
-def _solution(instance, state, wall_time, converged, reports) -> RpcaSolution:
+def _solution(instance: RpcaInstance, result: engine.SolveResult) -> RpcaSolution:
+    state = result.state
     solution = RpcaSolution(
         L=state.x[0], S=state.x[1], T=state.y, Z=state.z, iterations=state.n,
-        wall_time=wall_time, converged=converged,
-        relative_error=0.0, rank_L=0, sparsity_S=0, reports=reports,
+        wall_time=result.wall_time, converged=result.converged,
+        relative_error=0.0, rank_L=0, sparsity_S=0, reports=result.reports,
     )
     metrics = recovery_metrics(solution, instance)
     solution.relative_error, solution.rank_L, solution.sparsity_S = metrics
@@ -224,33 +222,21 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
     """
     problem = RpcaBlockProblem(instance, config)
     result = engine.solve(problem, config.solver_params(), _initial_state(problem, init_seed))
-    return _solution(instance, result.state, result.wall_time, result.converged, result.reports)
+    return _solution(instance, result)
 
 
 def admm3_baseline(instance: RpcaInstance, config: RpcaConfig, init_seed: int) -> RpcaSolution:
-    """Three-block ADMM on the plain l1 model: ``engine.step`` on
+    """Three-block ADMM on the plain l1 model: one ``engine.run`` on
     ``PlainRpcaBlockProblem`` with alpha = 0 and rho = 2, so no spectral
     shift, no proximal terms, and shrinkage thresholds 1/rho and tau/rho.
 
     Started, stopped and reported as ``bpl_admm_rpca`` is, with the same
-    errors and the same silenced numpy warnings.  Its alpha = 0 and rho = 2
-    lie outside the parameter gates (alpha > 0, rho > 2 gamma), so it loops
-    by itself instead of calling ``engine.solve``: no descent guarantee
-    applies, and the reports record the merit L_rho without a check.
+    errors.  Its parameters lie outside the gates, so no descent guarantee
+    applies and the reports record the merit L_rho without a check.
     """
     problem = PlainRpcaBlockProblem(instance, config)
     params = replace(config.solver_params(), rho=2.0, strong_convexity=0.0)
-    state = _initial_state(problem, init_seed)
-    reports = [engine.iteration_report(problem, params.rho, state)]
-    converged = False
-    start = time.perf_counter()
-    with np.errstate(invalid="ignore", over="ignore"):
-        while not converged and state.n < params.max_iterations:
-            new_state = engine.step(problem, params, state)
-            reports.append(new_state.report)
-            converged = engine.stopped(params, state, new_state.report)
-            state = new_state
-    return _solution(instance, state, time.perf_counter() - start, converged, reports)
+    return _solution(instance, engine.run(problem, params, _initial_state(problem, init_seed), []))
 
 
 class RpcaBlockProblem(BlockProblem):

@@ -85,7 +85,7 @@ def quadratic_form(M: np.ndarray) -> BregmanGenerator:
 
 def soft_shrink(v: np.ndarray, c: float) -> np.ndarray:
     """Entrywise sign(t) * max(|t| - c, 0); the proximal map of c*||.||_1."""
-    if c < 0:
+    if not c >= 0:  # NaN fails this too
         raise ValueError("shrinkage threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - c, 0.0)
@@ -191,7 +191,7 @@ def singular_value_shrink_with_norm(
     threshold tiny against sigma_1, or a Gram product that overflows) it
     shrinks the values of a full SVD.
     """
-    if c < 0:
+    if not c >= 0:  # NaN fails this too
         raise ValueError("shrinkage threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):

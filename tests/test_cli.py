@@ -1,5 +1,4 @@
 import csv
-import inspect
 import os
 import subprocess
 import sys
@@ -129,20 +128,24 @@ def test_verify_trace_of_a_warm_started_run_counts_what_the_engine_counts(tmp_pa
     assert "at n = 11" not in out and "at n = 12" in out
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "-1e-8"])
-def test_verify_trace_slack_scale_must_be_finite_and_non_negative(tmp_path, capsys, scale):
+@pytest.mark.parametrize("multiple, rc, verdict", [(0.5, 0, "OK"), (2.0, 1, "FAIL: 1 merit")],
+                         ids=["half-the-slack", "twice-the-slack"])
+def test_verify_trace_holds_rises_to_the_fixed_slack(tmp_path, capsys, multiple, rc, verdict):
+    # the starting row is not checked, so the slack is MERIT_SLACK_SCALE * (1 + |3|)
+    rise = multiple * engine.MERIT_SLACK_SCALE * 4.0
     path = tmp_path / "trace.csv"
-    path.write_text("n,merit\n0,5\n1,3\n2,9\n")
-    assert main(["verify-trace", str(path)]) == 1
-    assert "merit increased by 6.000000e+00 at n = 2" in capsys.readouterr().out
-    assert main(["verify-trace", str(path), f"--slack-scale={scale}"]) == 2
-    assert "--slack-scale must be finite and non-negative" in capsys.readouterr().err
+    path.write_text(f"n,merit\n0,5\n1,3\n2,{3.0 + rise!r}\n")
+    assert main(["verify-trace", str(path)]) == rc
+    assert verdict in capsys.readouterr().out
 
 
-def test_verify_trace_default_slack_scale_is_the_engines():
-    args = cli.build_parser().parse_args(["verify-trace", "trace.csv"])
-    engine_default = inspect.signature(engine.merit_increases).parameters["slack_scale"].default
-    assert args.slack_scale == engine_default == engine.MERIT_SLACK_SCALE
+def test_verify_trace_has_no_slack_scale_flag(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("n,merit\n0,5\n1,3\n2,3\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["verify-trace", str(path), "--slack-scale", "1"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --slack-scale" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [

@@ -106,6 +106,11 @@ def test_validate_parameters_alpha_gate():
         engine.validate_parameters(
             engine.SolverParams(rho=10.0, lipschitz_P=1.0, strong_convexity=0.5)
         )
+    # an alpha that is not positive misses the same gate, whose bound is never negative
+    for alpha in (0.0, -1.0):
+        with pytest.raises(engine.ParameterError,
+                           match=f"alpha = {alpha} must strictly exceed l_P \\+ beta = 0.0"):
+            engine.validate_parameters(engine.SolverParams(rho=1.0, strong_convexity=alpha))
 
 
 def test_validate_parameters_iteration_cap_and_tolerance():
@@ -538,6 +543,19 @@ def test_initial_state_rejects_a_y_or_z_of_the_wrong_shape():
         engine.initial_state(problem, x, np.zeros(p), np.zeros((p, 1)))
 
 
+def test_initial_state_rejects_a_start_that_is_not_finite():
+    problem = dcopf.build_problem(dcopf.two_bus_fixture())
+    x, p = np.zeros((2, dcopf.BLOCK_DIM)), problem.b.size
+    bad_x = x.copy()
+    bad_x[1, 0] = np.nan
+    bad = np.zeros(p)
+    bad[0] = np.inf
+    for name, args in (("x", (bad_x, np.zeros(p), np.zeros(p))),
+                       ("y", (x, bad, np.zeros(p))), ("z", (x, np.zeros(p), -bad))):
+        with pytest.raises(ValueError, match=f"^{name} has an entry that is not finite$"):
+            engine.initial_state(problem, *args)
+
+
 class Walker(ScalarToy):
     """Not an exact oracle: x walks away while y refuses to follow, so the
     residual and the merit both grow."""
@@ -560,10 +578,12 @@ def test_nonmonotone_merit_raises_warning():
 
 
 def test_merit_increases_counts_rises_above_the_slack_of_the_first_merit():
-    # slack 0.25 * (1 + |-3|) = 1: the rise of 0.5 is within it, the rises of 2 and 6 are not
-    merits = [-3.0, -3.5, -3.0, -1.0, -1.0, 5.0]
-    assert engine.merit_increases(merits, slack_scale=0.25) == [(3, 2.0), (5, 6.0)]
-    assert engine.merit_increases(merits, slack_scale=0.0) == [(2, 0.5), (3, 2.0), (5, 6.0)]
+    slack = engine.MERIT_SLACK_SCALE * (1.0 + 3.0)
+    # a rise of 0.9 slack is within it; 1.1 slack is not, though it is within
+    # the slack that the merit -4 before it would give
+    merits = [-3.0, -3.5, -3.5 + 0.9 * slack, -4.0, -4.0 + 1.1 * slack]
+    [(k, rise)] = engine.merit_increases(merits)
+    assert k == 4 and rise == pytest.approx(1.1 * slack, rel=1e-6)
     assert engine.merit_increases([5.0]) == engine.merit_increases([]) == []
 
 
@@ -602,6 +622,53 @@ def test_a_run_that_fails_still_warns_of_its_merit_increases():
     with pytest.warns(RuntimeWarning, match="at iteration 2"):
         with pytest.raises(engine.BlockOracleError, match="iteration 5"):
             engine.solve(toy, toy_params(max_iterations=10), init)
+
+
+def test_a_run_that_fails_leaves_its_earlier_reports_in_the_callers_list():
+    class RaiseAtSweep3(Walker):  # a Walker never stops, and run does not check its merit
+        sweeps = 0
+
+        def solve_x_block(self, i, ctx):
+            self.sweeps += 1
+            if self.sweeps == 3:
+                raise np.linalg.LinAlgError("singular subproblem")
+            return super().solve_x_block(i, ctx)
+
+    toy = RaiseAtSweep3()
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    reports = []
+    with pytest.raises(engine.BlockOracleError, match="iteration 3"):
+        engine.run(toy, toy_params(max_iterations=10), init, reports)
+    assert [r.n for r in reports] == [0, 1, 2]
+
+
+def test_run_takes_parameters_outside_the_gates_and_solve_rejects_them():
+    # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates
+    toy = ScalarToy()
+    params = toy_params(rho=2.0, lipschitz_H=1.0, strong_convexity=0.0, max_iterations=20)
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    with pytest.raises(engine.ParameterError, match="alpha"):
+        engine.solve(toy, params, init)
+    result = engine.run(toy, params, init, [])
+    assert result.iterations == result.state.n == len(result.reports) - 1 > 0
+    assert result.merit_increases is None
+
+
+def test_solve_is_run_plus_the_merit_rule():
+    toy = SmoothCoupling(0.7)
+    rng = np.random.default_rng(15)
+    init = engine.initial_state(toy, rng.standard_normal((2, 3)), rng.standard_normal(3),
+                                rng.standard_normal(3))
+    params = toy_params(rho=2.5, lipschitz_H=1.0, lipschitz_P=0.7, strong_convexity=0.8,
+                        max_iterations=30, stop_tolerance=0.0)
+    reports = []
+    ran, solved = engine.run(toy, params, init, reports), engine.solve(toy, params, init)
+    assert ran.reports is reports and solved.reports == reports
+    for a, b in ((ran.state.x, solved.state.x), (ran.state.y, solved.state.y),
+                 (ran.state.z, solved.state.z), (ran.state.residual, solved.state.residual)):
+        assert np.array_equal(a, b)
+    assert (ran.converged, ran.iterations) == (solved.converged, solved.iterations)
+    assert ran.merit_increases is None and solved.merit_increases == []
 
 
 def test_solve_reports_every_iterate():

@@ -120,17 +120,14 @@ def test_engine_step_equals_closed_form_sweeps():
 
 @pytest.mark.parametrize("solver", [rpca.bpl_admm_rpca, rpca.admm3_baseline],
                          ids=["bpl", "admm3"])
-def test_non_finite_observation_fails_naming_the_block_and_iteration(solver):
+def test_non_finite_observation_is_rejected_as_a_start(solver):
     instance = small_instance(seed=4)
     M = instance.M.copy()
     M[2, 3] = np.nan
     broken = rpca.RpcaInstance(M=M, L_O=instance.L_O, S_O=instance.S_O, T_O=instance.T_O)
-    # T starts at M, so the first sweep's L shrinkage is the first to see the NaN
-    with pytest.raises(engine.BlockOracleError,
-                       match="x-block 0 oracle failed at iteration 1") as info:
+    # T = y starts at M, so the start is not finite and no oracle runs
+    with pytest.raises(ValueError, match="^y has an entry that is not finite$"):
         solver(broken, rpca.RpcaConfig(rows=5, cols=5), init_seed=1)
-    assert (info.value.block, info.value.iteration) == ("x-block 0", 1)
-    assert "finite" in str(info.value)
 
 
 @pytest.mark.parametrize("solver", [rpca.bpl_admm_rpca, rpca.admm3_baseline],
@@ -278,6 +275,25 @@ def test_admm3_uses_plain_thresholds():
     assert solution.converged
     # the baseline solves the plain model; its objective has no spectral term
     assert solution.reports[-1].objective >= 0.0
+
+
+def test_admm3_is_one_engine_run(monkeypatch):
+    instance = small_instance(seed=4)
+    config = rpca.RpcaConfig(rows=5, cols=5, max_iterations=10)
+    runs, run = [], engine.run
+
+    def counted(problem, params, init, reports):
+        result = run(problem, params, init, reports)
+        runs.append((type(problem), params, result))
+        return result
+
+    monkeypatch.setattr(engine, "run", counted)
+    solution = rpca.admm3_baseline(instance, config, init_seed=0)
+    [(kind, params, result)] = runs
+    assert kind is rpca.PlainRpcaBlockProblem
+    assert (params.rho, params.strong_convexity) == (2.0, 0.0)
+    assert solution.reports is result.reports and solution.iterations == result.iterations
+    assert (solution.converged, solution.wall_time) == (result.converged, result.wall_time)
 
 
 def test_by_products_are_reused_only_for_the_block_they_came_from():

@@ -92,6 +92,11 @@ def test_soft_shrink_rejects_negative_threshold():
         spaces.soft_shrink(np.zeros(2), -0.1)
 
 
+def test_soft_shrink_rejects_a_nan_threshold():
+    with pytest.raises(ValueError, match="shrinkage threshold must be nonnegative"):
+        spaces.soft_shrink(np.eye(3), float("nan"))
+
+
 def test_singular_value_shrink_examples(rng):
     out = spaces.singular_value_shrink(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=SVD_REL)
@@ -124,6 +129,11 @@ def test_singular_value_shrink_rejects_nonfinite():
         spaces.singular_value_shrink(bad, 0.5)
     with pytest.raises(ValueError):
         spaces.singular_value_shrink(np.array([[np.inf]]), 0.0)
+
+
+def test_singular_value_shrink_rejects_a_nan_threshold():
+    with pytest.raises(ValueError, match="shrinkage threshold must be nonnegative"):
+        spaces.singular_value_shrink(np.eye(3), float("nan"))
 
 
 def test_shrink_operators_never_increase_their_objectives(rng):
