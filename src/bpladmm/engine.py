@@ -52,11 +52,12 @@ either way.
 
 ``run`` is the one sweep loop of every run: it iterates ``step`` until
 the stop rule fires (``converged`` on its result) or the iteration cap,
-and checks no gate and no merit.  ``solve`` is ``validate_parameters``,
-``run`` and then the merit rule; a run outside the gates, such as the RPCA
-admm3 baseline, calls ``run`` itself.  A state carries only the report of
-its own iterate.  A block oracle that raises or returns non-finite values
-ends the run with a ``BlockOracleError``.
+and checks its own settings but no gate and no merit.  ``solve`` is
+``validate_parameters``, ``run`` and then the merit rule; a run outside
+the gates, such as the RPCA admm3 baseline, calls ``run`` itself.  A
+state carries only the report of its own iterate.  A block oracle that
+raises or returns non-finite values ends the run with a
+``BlockOracleError``.
 """
 
 import math
@@ -186,7 +187,7 @@ class BlockProblem(ABC):
             try:
                 x_new[i] = self.solve_x_block(i, ctx)
             except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
-                earlier = _first_non_finite_block(x_new[:i], iteration)
+                earlier = first_non_finite_block(x_new[:i], iteration)
                 raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
             residual = partial + self.apply_A(i, x_new[i])
         return x_new, residual
@@ -250,6 +251,19 @@ def rho_above_gate(lipschitz_H: float) -> float:
     return 2.0 * lipschitz_H + 1e-10
 
 
+def check_loop_settings(params: SolverParams) -> None:
+    """Check the settings of the sweep loop itself: the stop rule, the
+    iteration cap and the stop tolerance.  ``run`` checks them on every
+    run, gated or not, and ``validate_parameters`` with the rest."""
+    rules = (STOP_SHIFTED, STOP_RELATIVE)
+    if params.stop_rule not in rules:
+        raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
+    if params.max_iterations < 0:
+        raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
+    if not params.stop_tolerance >= 0:  # NaN fails this too
+        raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
+
+
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
     """Check the stop rule, the iteration cap, the stop tolerance, that every
     constant is finite and every Lipschitz or weak convexity constant
@@ -260,13 +274,7 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     rejected.  They are where ``delta_x`` and ``delta_y`` change sign: the
     rho bound 2 l_H / lambda is the positive root of ``delta_y``.
     """
-    rules = (STOP_SHIFTED, STOP_RELATIVE)
-    if params.stop_rule not in rules:
-        raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
-    if params.max_iterations < 0:
-        raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
-    if not params.stop_tolerance >= 0:  # NaN fails this too
-        raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
+    check_loop_settings(params)
     for name in ("lipschitz_H", "lipschitz_P", "weak_convexity_G"):
         value = getattr(params, name)
         if not 0.0 <= value < math.inf:
@@ -423,7 +431,7 @@ def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
     return out
 
 
-def _first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError | None:
+def first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError | None:
     """The error naming the first block of ``x`` that is not finite, if any."""
     if np.isfinite(x).all():
         return None
@@ -449,7 +457,7 @@ def _x_sweep(
         raise
     except Exception as exc:  # noqa: BLE001 - an override's raise names the pass
         raise BlockOracleError("x-sweep", state.n + 1, exc) from exc
-    failed = _first_non_finite_block(x_new, state.n + 1)
+    failed = first_non_finite_block(x_new, state.n + 1)
     if failed is not None:
         raise failed
     return x_new, residual
@@ -501,8 +509,9 @@ def merit_increases(merits) -> list[tuple[int, float]]:
 def run(problem: BlockProblem, params: SolverParams, init: SolverState,
         reports: list[IterationReport]) -> SolveResult:
     """The sweep loop: iterate ``step`` from ``init`` until the stop rule
-    fires or max_iterations is hit, checking no gate and no merit (the
-    result's ``merit_increases`` is None).
+    fires or max_iterations is hit.  It checks its own settings
+    (``check_loop_settings``) but no gate and no merit (the result's
+    ``merit_increases`` is None).
 
     Appends to ``reports`` the report of ``init`` (built here when it has
     none) and one per sweep, so a run that raises leaves the reports of its
@@ -514,6 +523,7 @@ def run(problem: BlockProblem, params: SolverParams, init: SolverState,
     that sweep computes on non-finite values, so numpy's invalid and
     overflow warnings are silenced for the run.
     """
+    check_loop_settings(params)
     state = init
     reports.append(init.report or iteration_report(problem, params.rho, init))
     converged = False

@@ -18,7 +18,8 @@ the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.
 ``x_subproblem_value`` and ``y_subproblem_value`` evaluate the engine's
 block subproblems, so an oracle's output can be compared with other
-points.
+points.  ``random_radial_case`` draws the seeded radial DC-OPF cases that
+the tests run these references on.
 """
 
 import numpy as np
@@ -354,3 +355,22 @@ def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray)
         + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
     )
 
+
+def random_radial_case(num_buses, seed):
+    """A seeded radial feeder: bus k > 0 hangs off a uniformly drawn earlier bus."""
+    rng = np.random.default_rng(seed)
+    lines = tuple((int(rng.integers(0, k)), k, float(rng.uniform(2.0, 10.0)))
+                  for k in range(1, num_buses))
+    return dcopf.DcOpfCase(
+        demand=rng.uniform(0.1, 0.8, num_buses),
+        lines=lines,
+        pv_cost=float(rng.uniform(0.5, 2.0)),
+        gen_cost_a=rng.uniform(0.1, 0.5, num_buses),
+        gen_cost_b=rng.uniform(0.01, 0.1, num_buses),
+        gen_cost_c=rng.uniform(0.0, 0.5, num_buses),
+        pv_capacity=float(rng.uniform(0.3, 1.0)),
+        gen_capacity=rng.uniform(0.5, 5.0, num_buses),
+        line_limit=float(rng.uniform(0.3, 2.0)),
+        gamma=float(rng.uniform(1.0, 80.0)),
+        eta=float(10.0 ** rng.uniform(3.0, 5.0)),
+    )

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -7,7 +8,12 @@ import pytest
 
 from bpladmm import dcopf, engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient
-from oracles import rpca_reference_sweep, x_subproblem_value, y_subproblem_value
+from oracles import (
+    random_radial_case,
+    rpca_reference_sweep,
+    x_subproblem_value,
+    y_subproblem_value,
+)
 
 REL = 1e-10
 
@@ -430,8 +436,7 @@ def test_block_oracle_failure_names_the_block():
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
     """A copy of a DC-OPF problem whose chosen block goes infinite from a
     chosen sweep on.  An x block gets an infinite linear term, which the
-    fused x sweep carries through its per-bus products; the y block returns
-    inf."""
+    chunked x sweep meets in its gradient; the y block returns inf."""
 
     def __init__(self, problem, block, iteration):
         super().__init__(problem.case, problem._stacked_rows, problem._stacked_A,
@@ -473,6 +478,16 @@ def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     problem = InfiniteOutput(dcopf.build_problem(case), block, iteration=4)
     params = dcopf.solver_params_for(case, tol=1e-5, max_iterations=50)
     assert_fails_with_block_and_iteration(problem, params, dcopf.lower_bound_init(problem), label)
+
+
+def test_an_infinite_linear_term_past_the_first_chunk_names_its_bus():
+    # bus 11 is the fourth bus of the x sweep's second chunk, whose inverse
+    # mixes it into buses 8-10 if the sweep does not name it first
+    case = random_radial_case(20, 0)
+    problem = InfiniteOutput(dcopf.build_problem(case), 11, iteration=4)
+    params = dcopf.solver_params_for(case, tol=0.0, max_iterations=50)
+    assert_fails_with_block_and_iteration(problem, params, dcopf.lower_bound_init(problem),
+                                          "x-block 11")
 
 
 class NanThenRaise(RecordingProblem):
@@ -738,6 +753,23 @@ def test_shifted_stop_rule_leaves_the_multiplier_out():
     result = engine.solve(toy, toy_params(stop_rule=engine.STOP_SHIFTED, max_iterations=5), init)
     assert result.reports[-1].step_z == 3.0  # rho times the residual 1
     assert (result.converged, result.iterations) == (True, 1)
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(stop_rule="bogus"), "stop_rule 'bogus' is not one of ('shifted', 'relative')"),
+    (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
+    (dict(stop_tolerance=-1e-6), "stop_tolerance must be non-negative, got -1e-06"),
+    (dict(stop_tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
+], ids=["stop_rule", "max_iterations", "negative_tolerance", "nan_tolerance"])
+def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
+    # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates, which run does not check
+    toy = ScalarToy()
+    params = toy_params(rho=2.0, lipschitz_H=1.0, strong_convexity=0.0, **setting)
+    init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
+    reports = []
+    with pytest.raises(engine.ParameterError, match=re.escape(message)):
+        engine.run(toy, params, init, reports)
+    assert reports == []
 
 
 @pytest.mark.parametrize("max_iterations", [0, 5])

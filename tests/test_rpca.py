@@ -1,4 +1,7 @@
+import math
+import re
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -294,6 +297,18 @@ def test_admm3_is_one_engine_run(monkeypatch):
     assert (params.rho, params.strong_convexity) == (2.0, 0.0)
     assert solution.reports is result.reports and solution.iterations == result.iterations
     assert (solution.converged, solution.wall_time) == (result.converged, result.wall_time)
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
+    (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
+], ids=["nan_tolerance", "negative_max_iterations"])
+def test_admm3_rejects_a_bad_loop_setting_as_bpl_does(setting, message):
+    instance = rpca.generate_instance(8, 8, 2, 0.1, 1e-2, seed=3)
+    config = replace(rpca.RpcaConfig(rows=8, cols=8), **setting)
+    for solver in (rpca.bpl_admm_rpca, rpca.admm3_baseline):
+        with pytest.raises(engine.ParameterError, match=re.escape(message)):
+            solver(instance, config, init_seed=0)
 
 
 def test_by_products_are_reused_only_for_the_block_they_came_from():

@@ -1,6 +1,6 @@
 """``tools/sweep_ab.py``: two checkouts imported side by side in one
-process, stepped alternately, with their sweep quantiles and whether their
-iterates stayed bit-equal."""
+process, stepped alternately, with their sweep quantiles, whether their
+iterates stayed bit-equal and their worst scaled gap."""
 
 import importlib.util
 import shutil
@@ -13,8 +13,8 @@ spec = importlib.util.spec_from_file_location("sweep_ab", ROOT / "tools" / "swee
 sweep_ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(sweep_ab)
 
-PROBLEMS = ["radial141", "2bus", "2bus-frozen-u", "rpca-bpl", "rpca-plain"]
-DCOPF = {"radial141", "2bus", "2bus-frozen-u"}
+PROBLEMS = ["radial141", "radial1000", "2bus", "2bus-frozen-u", "rpca-bpl", "rpca-plain"]
+DCOPF = {"radial141", "radial1000", "2bus", "2bus-frozen-u"}
 
 
 def test_a_tree_against_itself_stays_bit_equal(capsys):
@@ -22,8 +22,9 @@ def test_a_tree_against_itself_stays_bit_equal(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[1:]] == PROBLEMS
     for line in lines[1:]:
-        ms_a, ms_b = (float(cell) for cell in line.split()[1:3])
-        assert ms_a > 0.0 and ms_b > 0.0 and line.endswith("yes")
+        _, ms_a, ms_b, _, equal, gap = line.split()
+        assert float(ms_a) > 0.0 and float(ms_b) > 0.0
+        assert (equal, float(gap)) == ("yes", 0.0)
 
 
 def test_a_tree_whose_slack_update_moves_one_ulp_is_not_bit_equal(tmp_path):
@@ -34,5 +35,6 @@ def test_a_tree_whose_slack_update_moves_one_ulp_is_not_bit_equal(tmp_path):
     rows = sweep_ab.compare(str(ROOT / "src"), str(tmp_path), 2)
     assert [row[0] for row in rows] == PROBLEMS
     assert all(np.isfinite(row[1:3]).all() for row in rows)
-    # only the DC-OPF problems call the slack update
+    # only the DC-OPF problems call the slack update, and it moves them by rounding
     assert {row[0]: row[3] for row in rows} == {name: name not in DCOPF for name in PROBLEMS}
+    assert all((row[4] > 0.0) == (row[0] in DCOPF) and row[4] < 1e-13 for row in rows)

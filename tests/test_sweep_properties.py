@@ -8,33 +8,17 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bpladmm import dcopf, engine  # noqa: E402
-from oracles import dcopf_reference_sweep, dense_reference_problem  # noqa: E402
+from oracles import (  # noqa: E402
+    dcopf_reference_sweep,
+    dense_reference_problem,
+    random_radial_case,
+)
 
 SWEEPS = 20
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-
-
-def random_radial_case(num_buses, seed):
-    """A seeded radial feeder: bus k > 0 hangs off a uniformly drawn earlier bus."""
-    rng = np.random.default_rng(seed)
-    lines = tuple((int(rng.integers(0, k)), k, float(rng.uniform(2.0, 10.0)))
-                  for k in range(1, num_buses))
-    return dcopf.DcOpfCase(
-        demand=rng.uniform(0.1, 0.8, num_buses),
-        lines=lines,
-        pv_cost=float(rng.uniform(0.5, 2.0)),
-        gen_cost_a=rng.uniform(0.1, 0.5, num_buses),
-        gen_cost_b=rng.uniform(0.01, 0.1, num_buses),
-        gen_cost_c=rng.uniform(0.0, 0.5, num_buses),
-        pv_capacity=float(rng.uniform(0.3, 1.0)),
-        gen_capacity=rng.uniform(0.5, 5.0, num_buses),
-        line_limit=float(rng.uniform(0.3, 2.0)),
-        gamma=float(rng.uniform(1.0, 80.0)),
-        eta=float(10.0 ** rng.uniform(3.0, 5.0)),
-    )
 
 
 def with_cancelled_line(case):
@@ -58,12 +42,27 @@ def make_run(num_buses, case_seed, jitter_seed, cancelled_line=False, u_frozen=N
     return problem, params, state
 
 
-CASES = dict(num_buses=st.integers(2, 8), case_seed=st.integers(0, 2**32 - 1),
+# the x sweep runs in chunks of 8 buses, so cases reach into a third chunk
+CASES = dict(num_buses=st.integers(2, 20), case_seed=st.integers(0, 2**32 - 1),
              jitter_seed=st.integers(0, 2**32 - 1))
+# a full chunk, one bus past it, two full chunks and one bus past them
+CHUNK_EDGES = (8, 9, 16, 17)
+
+
+def at_chunk_edges(**fixed):
+    """``hypothesis.example``s at every size of ``CHUNK_EDGES``, with ``fixed``."""
+    def decorate(test):
+        for num_buses in CHUNK_EDGES:
+            test = example(num_buses=num_buses, case_seed=num_buses, jitter_seed=1,
+                           **fixed)(test)
+        return test
+    return decorate
 
 
 @PROPERTY_SETTINGS
 @given(**CASES, cancelled_line=st.booleans(), u_seed=st.none() | st.integers(0, 2**32 - 1))
+@at_chunk_edges(cancelled_line=False, u_seed=None)
+@at_chunk_edges(cancelled_line=True, u_seed=7)
 def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
                                               cancelled_line, u_seed):
     # u_seed None runs the whole problem, an integer the frozen-u one of a random placement
@@ -83,6 +82,7 @@ def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
 
 @PROPERTY_SETTINGS
 @given(**CASES)
+@at_chunk_edges()
 def test_merit_is_nonincreasing_over_twenty_sweeps(num_buses, case_seed, jitter_seed):
     problem, params, state = make_run(num_buses, case_seed, jitter_seed)
     result = engine.solve(problem, params, state)

@@ -9,8 +9,8 @@ problem below, both trees start from the same inputs and take N sweeps of
 their own ``engine.step``, alternating one sweep of each, the first tree
 to go switching every sweep:
 
-- ``radial141``: the seeded radial 141-bus feeder of ``bench/radial.py``
-  (feeder seed 0, p = 1550);
+- ``radial141`` and ``radial1000``: the seeded radial 141- and 1000-bus
+  feeders of ``bench/radial.py`` (feeder seed 0, p = 1550 and 10999);
 - ``2bus``: the two-bus fixture, from the jitter-0.1 start of seed 0;
 - ``2bus-frozen-u``: its frozen-u problem at the placement u = (1, 0), from
   the zero start;
@@ -20,10 +20,13 @@ to go switching every sweep:
   parameters.
 
 It prints, per problem, each tree's 0.1% quantile of its sweep latencies,
-their ratio B/A, and whether the two trees' iterates (x, y, z, residual)
-and report fields stayed bit-equal over every sweep.  The host's speed can
-move by up to 2x between separate runs, so two trees are compared only
-inside one run, where both meet the same host states.
+their ratio B/A, whether the two trees' iterates (x, y, z, residual) and
+report fields stayed bit-equal over every sweep, and the worst scaled gap
+max|a - b| / max(1, max|a|) of those iterates over all sweeps.  The gap
+tells a change of rounding from a wrong one: a reordered but exact update
+stays far below 1e-10 over 2000 sweeps of these problems.  The host's
+speed can move by up to 2x between separate runs, so two trees are
+compared only inside one run, where both meet the same host states.
 """
 
 import argparse
@@ -61,10 +64,11 @@ def problems(tree: dict) -> dict:
     """Problem name -> (problem, params, initial state), built with ``tree``."""
     dcopf, engine, matpower, rpca = (tree[m] for m in ("dcopf", "engine", "matpower", "rpca"))
     out = {}
-    radial = matpower.to_dcopf_case(matpower.parse_case(radial_case_text(141, 0)))
-    problem = dcopf.build_problem(radial)
-    out["radial141"] = (problem, dcopf.solver_params_for(radial, tol=0.0),
-                        dcopf.lower_bound_init(problem))
+    for buses in (141, 1000):
+        radial = matpower.to_dcopf_case(matpower.parse_case(radial_case_text(buses, 0)))
+        problem = dcopf.build_problem(radial)
+        out[f"radial{buses}"] = (problem, dcopf.solver_params_for(radial, tol=0.0),
+                                 dcopf.lower_bound_init(problem))
     case = dcopf.two_bus_fixture()
     problem = dcopf.build_problem(case)
     params = dcopf.solver_params_for(case)
@@ -82,18 +86,27 @@ def problems(tree: dict) -> dict:
     return out
 
 
+ITERATE = ("x", "y", "z", "residual")
+
+
 def same_iterate(a, b) -> bool:
-    return (all(np.array_equal(getattr(a, f), getattr(b, f))
-                for f in ("x", "y", "z", "residual"))
+    return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ITERATE)
             and astuple(a.report) == astuple(b.report))
+
+
+def scaled_gap(a, b) -> float:
+    """The worst max|a - b| / max(1, max|a|) over the iterate's arrays."""
+    return max(float(np.max(np.abs(getattr(a, f) - getattr(b, f))))
+               / max(1.0, float(np.max(np.abs(getattr(a, f))))) for f in ITERATE)
 
 
 def race(engine_a, engine_b, a: tuple, b: tuple, sweeps: int) -> tuple:
     """Alternate ``sweeps`` steps of each tree; returns (latencies of A,
-    latencies of B, whether every pair of iterates was bit-equal)."""
+    latencies of B, whether every pair of iterates was bit-equal, the
+    worst scaled gap between them)."""
     (problem_a, params_a, state_a), (problem_b, params_b, state_b) = a, b
     times = np.empty((2, sweeps))
-    equal = True
+    equal, gap = True, 0.0
     for k in range(sweeps):
         for side in (k % 2, 1 - k % 2):
             start = perf_counter()
@@ -103,19 +116,21 @@ def race(engine_a, engine_b, a: tuple, b: tuple, sweeps: int) -> tuple:
                 state_b = engine_b.step(problem_b, params_b, state_b)
             times[side, k] = perf_counter() - start
         equal = equal and same_iterate(state_a, state_b)
-    return times[0], times[1], equal
+        gap = max(gap, scaled_gap(state_a, state_b))
+    return times[0], times[1], equal, gap
 
 
 def compare(src_a: str, src_b: str, sweeps: int) -> list[tuple]:
-    """(problem, A's quantile in ms, B's quantile in ms, bit-equal) per problem."""
+    """(problem, A's quantile in ms, B's quantile in ms, bit-equal, worst
+    scaled gap) per problem."""
     tree_a, tree_b = load_tree(src_a, "bpladmm_a"), load_tree(src_b, "bpladmm_b")
     built_a, built_b = problems(tree_a), problems(tree_b)
     rows = []
     for name in built_a:
-        time_a, time_b, equal = race(tree_a["engine"], tree_b["engine"],
-                                     built_a[name], built_b[name], sweeps)
+        time_a, time_b, equal, gap = race(tree_a["engine"], tree_b["engine"],
+                                          built_a[name], built_b[name], sweeps)
         rows.append((name, 1e3 * np.quantile(time_a, QUANTILE),
-                     1e3 * np.quantile(time_b, QUANTILE), equal))
+                     1e3 * np.quantile(time_b, QUANTILE), equal, gap))
     return rows
 
 
@@ -126,10 +141,11 @@ def main(argv=None) -> int:
     parser.add_argument("--sweeps", type=int, default=2000,
                         help="sweeps of each tree per problem (default 2000)")
     args = parser.parse_args(argv)
-    print(f"{'problem':<14} {'A p0.1 ms':>10} {'B p0.1 ms':>10} {'B/A':>6}  bit-equal")
-    for name, ms_a, ms_b, equal in compare(args.src_a, args.src_b, args.sweeps):
+    print(f"{'problem':<14} {'A p0.1 ms':>10} {'B p0.1 ms':>10} {'B/A':>6}  bit-equal"
+          f"  {'worst gap':>9}")
+    for name, ms_a, ms_b, equal, gap in compare(args.src_a, args.src_b, args.sweeps):
         print(f"{name:<14} {ms_a:>10.4f} {ms_b:>10.4f} {ms_b / ms_a:>6.3f}  "
-              f"{'yes' if equal else 'NO'}")
+              f"{'yes' if equal else 'NO':>9}  {gap:>9.1e}")
     return 0
 
 
