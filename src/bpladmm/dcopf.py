@@ -219,8 +219,7 @@ class DenseBlocks(Sequence):
 
 
 class DcOpfBlockProblem(BlockProblem):
-    """The model A x + y = b for the engine, with a cached factor of every
-    bus's system.
+    """The model A x + y = b for the engine.
 
     Each A_i is kept on ``rows[i]``, the sorted rows where it has a nonzero
     entry, as ``blocks[i]`` (len(rows[i]) x k), both views of one copy of
@@ -237,13 +236,10 @@ class DcOpfBlockProblem(BlockProblem):
         x = K_i^-1 (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
         K_i = diag(Q_diag[i]) + rho A_i^T A_i + w I,
 
-    with w the context's proximal weight alpha and r its partial residual.
-    The system matrix does not change across iterations (the penalty
-    gradient enters only the right-hand side), so its factors are built for
-    the first (rho, w) that asks for them and rebuilt only for another
-    pair.  A problem without the u column (the frozen-u recheck) has no
-    placement penalty, so gamma is the case's with four columns and 0 with
-    three.
+    with w the context's proximal weight alpha and r its partial residual,
+    one 4x4 solve per call with nothing cached.  A problem without the u
+    column (the frozen-u recheck) has no placement penalty, so gamma is the
+    case's with four columns and 0 with three.
 
     ``x_sweep`` runs the same updates without building a context per bus.
     With res the residual carried through the sweep, the update above is
@@ -272,9 +268,10 @@ class DcOpfBlockProblem(BlockProblem):
     of the fastest at N = 141.  Each chunk keeps R_C, Abar_C and the scaled
     inverse -rho (D + L)_CC^-1 (the sweep scales g by 1/rho to match),
     about 28 floats per nonzero of A: 0.60 MB at N = 141, 4.4 MB at
-    N = 1000.  The per-bus K_i^-1 stay for ``solve_x_block``.  A chunk
-    inverse mixes its buses (0 x inf is NaN), so the sweep first checks g
-    finite and names the first bus that is not.
+    N = 1000.  Only g changes between sweeps, so the sweep builds them for
+    the first (rho, w) and rebuilds them for another pair.  A chunk inverse
+    mixes its buses (0 x inf is NaN), so the sweep first checks g finite
+    and names the first bus that is not.
     """
 
     def __init__(self, case: DcOpfCase, stacked_rows: np.ndarray, stacked_A: np.ndarray,
@@ -292,23 +289,10 @@ class DcOpfBlockProblem(BlockProblem):
         self._stacked_rows, self._stacked_A, self._row_starts = stacked_rows, stacked_A, row_starts
         self.rows = np.split(stacked_rows, row_starts[1:])
         self.blocks = np.split(stacked_A, row_starts[1:])
-        self._factor_pair = self._inverses = self._chunks = None  # built by the first sweep
+        self._factor_pair = self._chunks = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
     A = property(DenseBlocks)
-
-    def _factors(self, rho, w):
-        """K_i^-1 of every bus, stacked, and the operator of every chunk, for (rho, w)."""
-        if self._factor_pair != (rho, w):
-            eye = np.eye(*self.block_shape)
-            self._inverses = np.linalg.inv([np.diag(Qk) + rho * (Ak.T @ Ak) + w * eye
-                                            for Qk, Ak in zip(self.Q_diag, self.blocks)])
-            bounds = np.append(self._row_starts, len(self._stacked_rows))
-            self._chunks = [self._chunk_operator(first, bounds[first:first + _CHUNK_BUSES + 1],
-                                                 rho, w)
-                            for first in range(0, self.num_blocks, _CHUNK_BUSES)]
-            self._factor_pair = (rho, w)
-        return self._inverses, self._chunks
 
     def _chunk_operator(self, first, bounds, rho, w):
         """(R_C, A_C, -rho (D + L)_CC^-1) of the chunk of buses from ``first``,
@@ -360,13 +344,17 @@ class DcOpfBlockProblem(BlockProblem):
 
     def solve_x_block(self, i, ctx: XBlockContext):
         rho, w, rows, A = ctx.rho, ctx.prox_weight, self.rows[i], self.blocks[i]
-        inverses, _ = self._factors(rho, w)
         rhs = w * ctx.current_iterate - self.q[i] - ctx.linear_term - A.T @ (
             ctx.multiplier[rows] + rho * ctx.partial_residual[rows])
-        return inverses[i] @ rhs
+        return np.linalg.solve(np.diag(self.Q_diag[i] + w) + rho * (A.T @ A), rhs)
 
     def x_sweep(self, state, linear, rho, prox_weight):
-        _, chunks = self._factors(rho, prox_weight)
+        if self._factor_pair != (rho, prox_weight):
+            bounds = np.append(self._row_starts, len(self._stacked_rows))
+            self._chunks = [self._chunk_operator(first, bounds[first:first + _CHUNK_BUSES + 1],
+                                                 rho, prox_weight)
+                            for first in range(0, self.num_blocks, _CHUNK_BUSES)]
+            self._factor_pair = (rho, prox_weight)
         gradient = self.Q_diag * state.x + self.q + linear
         gradient += np.add.reduceat(state.z[self._stacked_rows, None] * self._stacked_A,
                                     self._row_starts)
@@ -377,7 +365,7 @@ class DcOpfBlockProblem(BlockProblem):
         scaled, width = (gradient / rho).ravel(), _CHUNK_BUSES * gradient.shape[1]
         residual = state.residual.copy()
         steps = []
-        for start, (rows, A, S) in zip(range(0, scaled.size, width), chunks):
+        for start, (rows, A, S) in zip(range(0, scaled.size, width), self._chunks):
             r = residual[rows]
             dx = S.dot(A.T.dot(r) + scaled[start:start + width])
             residual[rows] = r + A.dot(dx)
@@ -396,7 +384,9 @@ class DcOpfSolution:
     generation, is f (``DcOpfBlockProblem.eval_f``): ``objective_opf1_raw``
     is f at the solved u and ``objective_opf1_rounded`` at u rounded to the
     nearest vertex (ties round up), since either reading of the model is
-    defensible.
+    defensible.  ``feasibility_residual`` is ||A x + y - b||, the splitting
+    residual between the constraints and their slacks, not the worst
+    violation max(A x - b)_+ (6.5e-6 against 0.206 on the seeded 141-bus feeder).
     """
 
     pv: np.ndarray
@@ -464,11 +454,15 @@ def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpf
 
     The u column moves into the right-hand side (b' = b - sum_i A_i[:, u]
     u_i), leaving a convex three-variable-per-bus power flow; one mask keeps
-    the stacked rows where the first three columns are nonzero.
+    the stacked rows where the first three columns are nonzero.  A
+    ``u_rounded`` that is not one 0 or 1 per bus raises a ``ValueError``.
     """
+    u = np.asarray(u_rounded)
+    if u.shape != (problem.num_blocks,) or not np.all((u == 0.0) | (u == 1.0)):
+        raise ValueError(f"u_rounded must hold one 0 or 1 per bus ({problem.num_blocks}), got {u}")
     rows, A, starts = problem._stacked_rows, problem._stacked_A, problem._row_starts
     b = problem.b.copy()
-    np.subtract.at(b, rows, A[:, U] * np.repeat(u_rounded, np.diff(starts, append=len(rows))))
+    np.subtract.at(b, rows, A[:, U] * np.repeat(u, np.diff(starts, append=len(rows))))
     keep = np.any(A[:, :U] != 0.0, axis=1)
     return DcOpfBlockProblem(problem.case, rows[keep], A[keep, :U],
                              np.searchsorted(np.flatnonzero(keep), starts), b,
@@ -484,13 +478,16 @@ def frozen_u_recheck(problem: DcOpfBlockProblem, u_rounded: np.ndarray, params: 
     Returns (feasible, worst constraint violation): max(A x - b'), read
     from the final state's carried residual A x + y - b' less its slack y,
     is feasible when it does not exceed ``RECHECK_FEASIBILITY_TOLERANCE``.
-    An oracle failure raises the engine's ``BlockOracleError``.
+    An oracle failure raises the engine's ``BlockOracleError``, and a
+    ``warm_x`` that is not one row of x per bus raises a ``ValueError``.
     """
     frozen = frozen_u_problem(problem, u_rounded)
-    x0 = np.asarray(warm_x, dtype=float)[:, :U]
+    x0, shape = np.asarray(warm_x, dtype=float), (problem.num_blocks, *problem.block_shape)
+    if x0.shape != shape:
+        raise ValueError(f"warm_x of shape {x0.shape} is not of shape {shape}")
     params = replace(params, stop_tolerance=RECHECK_TOLERANCE,
                      max_iterations=RECHECK_MAX_ITERATIONS)
-    state = engine.solve(frozen, params, _init_from_blocks(frozen, x0)).state
+    state = engine.solve(frozen, params, _init_from_blocks(frozen, x0[:, :U])).state
     violation = float(np.max(state.residual - state.y))
     return violation <= RECHECK_FEASIBILITY_TOLERANCE, max(violation, 0.0)
 

@@ -258,6 +258,8 @@ def check_loop_settings(params: SolverParams) -> None:
     rules = (STOP_SHIFTED, STOP_RELATIVE)
     if params.stop_rule not in rules:
         raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
+    if not isinstance(params.max_iterations, (int, np.integer)):
+        raise ParameterError(f"max_iterations must be an integer, got {params.max_iterations}")
     if params.max_iterations < 0:
         raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
     if not params.stop_tolerance >= 0:  # NaN fails this too

@@ -11,8 +11,8 @@ for ``DcOpfBlockProblem.eval_f`` and the costs ``dcopf.solve_dcopf``
 reports.  ``dense_reference_problem`` assembles the DC-OPF constraints row
 by row into dense blocks, a reference for ``dcopf.build_problem``, and
 ``dense_frozen_problem`` shifts them to a frozen placement.
-``dcopf_x_block_solve`` is the DC-OPF block update as a fresh linear solve,
-a reference for ``DcOpfBlockProblem``'s cached inverses.
+``dcopf_x_block_solve`` is the DC-OPF block update as a fresh linear solve
+on every row, a reference for ``DcOpfBlockProblem.solve_x_block``.
 ``dcopf_reference_sweep`` and ``rpca_reference_sweep`` are references for
 the engine's bookkeeping rather than for an operator: the plain loop, and
 the closed-form recursion, that the engine's sweep must reproduce.

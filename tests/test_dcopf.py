@@ -12,6 +12,7 @@ from oracles import (
     golden_section,
     newton_fd,
     opf1_cost,
+    random_radial_case,
 )
 
 REL = 1e-10
@@ -287,9 +288,9 @@ def block_context(rng, problem, rho=2.0, prox_weight=1.0):
 
 @pytest.mark.parametrize("make_case", CASES)
 @pytest.mark.parametrize("changed", ["rho", "prox_weight"])
-def test_x_oracle_rebuilds_its_inverses_for_another_pair(make_case, changed, rng):
-    # the inverses are built for the first context's (rho, w) and rebuilt
-    # whenever a context brings another pair, back and forth
+def test_x_oracle_solves_each_pair_afresh(make_case, changed, rng):
+    # each call solves the system of its own context's (rho, w), also when
+    # the contexts alternate between two pairs
     problem, params = problem_for(make_case())
     first = dict(rho=params.rho, prox_weight=params.strong_convexity)
     other = {**first, changed: 3.0 * first[changed]}
@@ -299,6 +300,36 @@ def test_x_oracle_rebuilds_its_inverses_for_another_pair(make_case, changed, rng
             reference = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
             out = problem.solve_x_block(i, ctx)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
+def counted_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that records each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_x_oracle_builds_no_chunk_operator(monkeypatch, rng):
+    # the per-bus oracle solves its own 4x4 system; the chunk operators are the sweep's
+    problem, params = problem_for(random_radial_case(20, 5))
+    built = counted_calls(monkeypatch, dcopf.DcOpfBlockProblem, "_chunk_operator")
+    for i in range(problem.num_blocks):
+        problem.solve_x_block(i, block_context(rng, problem, rho=params.rho,
+                                               prox_weight=params.strong_convexity))
+    assert built == []
+
+
+def test_a_solve_inverts_one_matrix_per_chunk(monkeypatch):
+    # 20 buses make chunks of 8, 8 and 4, each inverted once for the run's (rho, alpha)
+    problem, params = problem_for(random_radial_case(20, 5))
+    inverted = counted_calls(monkeypatch, np.linalg, "inv")
+    engine.solve(problem, replace(params, max_iterations=5), dcopf.lower_bound_init(problem))
+    assert [len(matrix) for (matrix,) in inverted] == [32, 32, 16]
 
 
 def test_x_oracle_matches_newton_oracle(rng):
@@ -486,6 +517,29 @@ def test_frozen_recheck_flags_infeasible_rounding():
     )
     assert not feasible
     assert violation > 1e-2
+
+
+@pytest.mark.parametrize("u_rounded, warm_x, message", [
+    ([1.0], np.zeros((2, 4)), "u_rounded must hold one 0 or 1 per bus (2), got [1.]"),
+    ([np.nan, 0.0], np.zeros((2, 4)), "u_rounded must hold one 0 or 1 per bus (2), got [nan  0.]"),
+    ([0.5, 0.5], np.zeros((2, 4)), "u_rounded must hold one 0 or 1 per bus (2), got [0.5 0.5]"),
+    ([1.0, 0.0], np.zeros(8), "warm_x of shape (8,) is not of shape (2, 4)"),
+], ids=["short-placement", "nan-placement", "fractional-placement", "flat-warm-x"])
+def test_recheck_rejects_a_malformed_placement_or_start(u_rounded, warm_x, message):
+    case = dcopf.two_bus_fixture()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dcopf.frozen_u_recheck(dcopf.build_problem(case), np.array(u_rounded),
+                               dcopf.solver_params_for(case), warm_x)
+
+
+def test_iteration_cap_must_be_an_integer():
+    with pytest.raises(engine.ParameterError,
+                       match=re.escape("max_iterations must be an integer, got 10.0")):
+        dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=10.0)
+    # a numpy integer is an integer
+    solution = dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=np.int64(10),
+                                 recheck=False)
+    assert solution.iterations == 10
 
 
 def test_recheck_forms_the_whole_residual_once(monkeypatch):

@@ -758,9 +758,11 @@ def test_shifted_stop_rule_leaves_the_multiplier_out():
 @pytest.mark.parametrize("setting, message", [
     (dict(stop_rule="bogus"), "stop_rule 'bogus' is not one of ('shifted', 'relative')"),
     (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
+    (dict(max_iterations=10.0), "max_iterations must be an integer, got 10.0"),
     (dict(stop_tolerance=-1e-6), "stop_tolerance must be non-negative, got -1e-06"),
     (dict(stop_tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
-], ids=["stop_rule", "max_iterations", "negative_tolerance", "nan_tolerance"])
+], ids=["stop_rule", "max_iterations", "float_max_iterations", "negative_tolerance",
+        "nan_tolerance"])
 def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
     # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates, which run does not check
     toy = ScalarToy()

@@ -302,7 +302,8 @@ def test_admm3_is_one_engine_run(monkeypatch):
 @pytest.mark.parametrize("setting, message", [
     (dict(tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
     (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
-], ids=["nan_tolerance", "negative_max_iterations"])
+    (dict(max_iterations=5.0), "max_iterations must be an integer, got 5.0"),
+], ids=["nan_tolerance", "negative_max_iterations", "float_max_iterations"])
 def test_admm3_rejects_a_bad_loop_setting_as_bpl_does(setting, message):
     instance = rpca.generate_instance(8, 8, 2, 0.1, 1e-2, seed=3)
     config = replace(rpca.RpcaConfig(rows=8, cols=8), **setting)

@@ -9,7 +9,8 @@ saves their final iterates, iteration counts and report columns:
 
 The solves are the two-bus fixture (canonical run and jitter-0.1 seeds
 0-4, 20000 sweeps at most, with the frozen-u recheck), 100 fixed sweeps on
-the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0),
+the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0) and
+its frozen-u recheck, which runs the three-column chunk pass at N = 141,
 BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4 and on a
 rank-4 60x40 and 40x60 instance (one of each orientation of a non-square
 matrix), and an engine run of ``RpcaBlockProblem`` on a 12x10 instance.
@@ -86,8 +87,7 @@ def collect(src: str) -> dict:
             case, max_iterations=20000, init_jitter=0.1, seed=seed))
 
     radial = matpower.to_dcopf_case(matpower.parse_case(radial_case_text(141, 0)))
-    keep_dcopf("radial141/seed0",
-               dcopf.solve_dcopf(radial, tol=0.0, max_iterations=100, recheck=False))
+    keep_dcopf("radial141/seed0", dcopf.solve_dcopf(radial, tol=0.0, max_iterations=100))
 
     rpca_runs = [(f"{seed}", 100, 100, 10, seed) for seed in range(5)]
     rpca_runs += [("-60x40", 60, 40, 4, 0), ("-40x60", 40, 60, 4, 0)]
