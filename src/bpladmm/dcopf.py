@@ -246,14 +246,16 @@ class DcOpfBlockProblem(BlockProblem):
     x_i+ = x_i + dx_i with
 
         K_i dx_i = -(g_i + rho A_i^T res[rows_i]),
-        g_i = Q_i x_i + q_i + linear_i + A_i^T z[rows_i],
+        g_i = Q_i x_i + q_i - gamma (2 u_i - 1) e_u + A_i^T z[rows_i],
 
     where g, the x subproblem's gradient at the sweep start, is formed for
-    all buses at once.  res is the sweep-start residual res0 plus
-    sum_{j<i} A_j dx_j, so the pass solves (D + L) dx = -(g + rho A^T res0)
-    with D = blockdiag(K_i) and L the strictly block-lower part of
-    rho A^T A: a block forward substitution.  It runs one chunk C of
-    ``_CHUNK_BUSES`` consecutive buses at a time,
+    all buses at once; its linear term, minus the placement penalty's
+    gradient (there is no P), is subtracted from the u column in place.
+    res is the sweep-start residual res0 plus sum_{j<i} A_j dx_j, so the
+    pass solves (D + L) dx = -(g + rho A^T res0) with D = blockdiag(K_i)
+    and L the strictly block-lower part of rho A^T A: a block forward
+    substitution.  It runs one chunk C of ``_CHUNK_BUSES`` consecutive
+    buses at a time,
 
         dx_C = -(D + L)_CC^-1 (g_C + rho Abar_C^T res[R_C]),
         res[R_C] += Abar_C dx_C,
@@ -331,7 +333,7 @@ class DcOpfBlockProblem(BlockProblem):
         if self.gamma == 0.0:
             return 0.0
         u = x[:, U]
-        return self.gamma * float(np.sum(u * u - u))
+        return self.gamma * float((u * u - u).sum())
 
     def subgrad_G(self, x):
         """Gradient of the placement penalty gamma * sum_i (u_i^2 - u_i): zero
@@ -348,14 +350,16 @@ class DcOpfBlockProblem(BlockProblem):
             ctx.multiplier[rows] + rho * ctx.partial_residual[rows])
         return np.linalg.solve(np.diag(self.Q_diag[i] + w) + rho * (A.T @ A), rhs)
 
-    def x_sweep(self, state, linear, rho, prox_weight):
+    def x_sweep(self, state, rho, prox_weight):
         if self._factor_pair != (rho, prox_weight):
             bounds = np.append(self._row_starts, len(self._stacked_rows))
             self._chunks = [self._chunk_operator(first, bounds[first:first + _CHUNK_BUSES + 1],
                                                  rho, prox_weight)
                             for first in range(0, self.num_blocks, _CHUNK_BUSES)]
             self._factor_pair = (rho, prox_weight)
-        gradient = self.Q_diag * state.x + self.q + linear
+        gradient = self.Q_diag * state.x + self.q
+        if self.gamma != 0.0:
+            gradient[:, U] -= self.gamma * (2.0 * state.x[:, U] - 1.0)
         gradient += np.add.reduceat(state.z[self._stacked_rows, None] * self._stacked_A,
                                     self._row_starts)
         failed = engine.first_non_finite_block(gradient, state.n + 1)

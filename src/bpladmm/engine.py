@@ -40,15 +40,15 @@ live in the whole constraint space.
 The x iterate is one array of shape (m, *block_shape): every block has the
 same shape, and block i is ``x[i]``.  The blocks are still updated one at a
 time in Gauss-Seidel order, but the per-sweep bookkeeping around them (the
-linearization grad P(x_n) - g_n, the step and iterate norms, the objective
-through ``BlockProblem.eval_f`` and the finite check of the oracle
-outputs) is one array operation per sweep instead of one per block.
+step and iterate norms, the objective through ``BlockProblem.eval_f`` and
+the finite check of the new iterate, read from the step norms) is one
+array operation per sweep instead of one per block.
 
-The Gauss-Seidel pass itself is ``BlockProblem.x_sweep``.  Its default
-calls ``solve_x_block`` once per block; a problem whose block updates have
-a closed form may override it with a pass of its own, which must give the
-same iterate up to rounding.  The engine checks the pass's output finite
-either way.
+The Gauss-Seidel pass itself is ``BlockProblem.x_sweep``, which forms its
+own linearization grad P(x_n) - g_n.  Its default calls ``solve_x_block``
+once per block; a problem whose block updates have a closed form may
+override it with a pass of its own, which must give the same iterate up to
+rounding.
 
 ``run`` is the one sweep loop of every run: it iterates ``step`` until
 the stop rule fires (``converged`` on its result) or the iteration cap,
@@ -164,20 +164,22 @@ class BlockProblem(ABC):
         """Exact minimizer of the y subproblem described by ``ctx``."""
 
     def x_sweep(
-        self, state: "SolverState", linear: np.ndarray, rho: float, prox_weight: float
+        self, state: "SolverState", rho: float, prox_weight: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Seidel pass over the x blocks; returns (x_new, A x_new + B y - b).
 
-        ``linear`` is grad P(x_n) - g_n, stacked like x.  The iterate
-        starts as a copy of the state's and each block rewrites its own
-        entry; the residual is rebound, never written into, so the state
+        grad P and the G subgradient are evaluated once, at the sweep
+        start, as the linear term grad P(x_n) - g_n of every block.  The
+        iterate starts as a copy of the state's and each block rewrites its
+        own entry; the residual is rebound, never written into, so the state
         is left as it was.  This default calls ``solve_x_block`` once per
         block; when an oracle raises, the blocks before it are checked
         finite first, so the ``BlockOracleError`` names the first block that
-        failed.  An override is checked finite after it returns, and any
-        other error it raises is reported as the block "x-sweep".
+        failed.  Any other error an override raises is reported as the
+        block "x-sweep".
         """
         iteration = state.n + 1
+        linear = self.grad_P(state.x) - self.subgrad_G(state.x)
         residual = state.residual
         x_new = state.x.copy()
         for i in range(len(x_new)):
@@ -258,10 +260,11 @@ def check_loop_settings(params: SolverParams) -> None:
     rules = (STOP_SHIFTED, STOP_RELATIVE)
     if params.stop_rule not in rules:
         raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
-    if not isinstance(params.max_iterations, (int, np.integer)):
-        raise ParameterError(f"max_iterations must be an integer, got {params.max_iterations}")
-    if params.max_iterations < 0:
-        raise ParameterError(f"max_iterations must be non-negative, got {params.max_iterations}")
+    cap = params.max_iterations
+    if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):  # bool is an int
+        raise ParameterError(f"max_iterations must be an integer, got {cap}")
+    if cap < 0:
+        raise ParameterError(f"max_iterations must be non-negative, got {cap}")
     if not params.stop_tolerance >= 0:  # NaN fails this too
         raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
 
@@ -303,7 +306,7 @@ def validate_parameters(params: SolverParams) -> tuple[float, float]:
     return alpha_bound, rho_bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationReport:
     """Scalar diagnostics of one iterate; ``merit`` is L_rho there."""
 
@@ -316,7 +319,7 @@ class IterationReport:
     step_z: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Current iterate (x, y, z), its residual A x + B y - b, and the
     report of that iterate.
@@ -377,21 +380,25 @@ def iteration_report(
 ) -> IterationReport:
     """Report of ``state``, from its carried residual A x + B y - b, with
     steps measured from ``previous`` (zero without one).  The objective is
-    evaluated once and the merit L_rho is formed from it.
+    evaluated once and the merit L_rho is formed from it.  ``previous`` is
+    finite, so the step norms check x and y finite before the objective
+    reads them: a step that is not finite names the first x block that is
+    not, else the y block, and one that only overflowed names nothing.
     """
-    residual = state.residual
-    objective = objective_value(problem, state.x, state.y)
-    squared = float(np.vdot(residual, residual))
-    l_rho = objective + float(np.vdot(state.z, residual)) + 0.5 * rho * squared
     step_x = step_y = step_z = 0.0
     if previous is not None:  # np.linalg.norm's own sqrt(d . d), without its dispatch
         step_x, step_y, step_z = (math.sqrt(np.vdot(d, d)) for d in (
             state.x - previous.x, state.y - previous.y, state.z - previous.z))
-    return IterationReport(
-        n=state.n, merit=l_rho,
-        feasibility=math.sqrt(squared), objective=objective,
-        step_x=step_x, step_y=step_y, step_z=step_z,
-    )
+        if not math.isfinite(step_x + step_y):
+            failed = first_non_finite_block(state.x, state.n)
+            if failed is not None or not np.isfinite(state.y).all():
+                raise failed or _not_finite("y-block", state.n)
+    residual = state.residual
+    objective = objective_value(problem, state.x, state.y)
+    squared = float(np.vdot(residual, residual))
+    l_rho = objective + float(np.vdot(state.z, residual)) + 0.5 * rho * squared
+    # positional, in field order, as the block contexts are built
+    return IterationReport(state.n, l_rho, math.sqrt(squared), objective, step_x, step_y, step_z)
 
 
 def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> SolverState:
@@ -422,17 +429,6 @@ def _not_finite(block: str, iteration: int) -> BlockOracleError:
     return BlockOracleError(block, iteration, FloatingPointError("output is not finite"))
 
 
-def _oracle_output(block: str, iteration: int, oracle, *args) -> np.ndarray:
-    """Run one block oracle; a raise or a non-finite output names the block."""
-    try:
-        out = np.asarray(oracle(*args), dtype=float)
-    except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
-        raise BlockOracleError(block, iteration, exc) from exc
-    if not np.isfinite(out).all():
-        raise _not_finite(block, iteration)
-    return out
-
-
 def first_non_finite_block(x: np.ndarray, iteration: int) -> BlockOracleError | None:
     """The error naming the first block of ``x`` that is not finite, if any."""
     if np.isfinite(x).all():
@@ -446,38 +442,36 @@ def _x_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The x pass of one sweep, ``problem.x_sweep``; returns (x_new, A x_new + B y - b).
 
-    grad P and the G subgradient are evaluated once at the sweep start, not
-    refreshed mid-sweep.  The pass's output is checked finite once, after
-    the sweep, and an error names the first block that is not.  An
-    override of ``x_sweep`` that raises anything but a ``BlockOracleError``
-    fails as the block "x-sweep".
+    An override of ``x_sweep`` that raises anything but a
+    ``BlockOracleError`` fails as the block "x-sweep".  The output is
+    checked finite by the sweep's report.
     """
-    linear = problem.grad_P(state.x) - problem.subgrad_G(state.x)
     try:
-        x_new, residual = problem.x_sweep(state, linear, params.rho, params.strong_convexity)
+        return problem.x_sweep(state, params.rho, params.strong_convexity)
     except BlockOracleError:
         raise
     except Exception as exc:  # noqa: BLE001 - an override's raise names the pass
         raise BlockOracleError("x-sweep", state.n + 1, exc) from exc
-    failed = first_non_finite_block(x_new, state.n + 1)
-    if failed is not None:
-        raise failed
-    return x_new, residual
 
 
 def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> SolverState:
     """One full sweep: x blocks in order, then y, then the multiplier ascent.
 
-    Returns the advanced state, carrying its own report.
+    Returns the advanced state, carrying its own report.  A y oracle that
+    raises fails as the first non-finite x block, whose NaN it met, if any.
     """
     x_new, residual_xy = _x_sweep(problem, params, state)
     x_residual = residual_xy - problem.apply_B(state.y)
     y_ctx = YBlockContext(state.z, x_residual, params.rho)  # positional, as in x_sweep
-    y_new = _oracle_output("y-block", state.n + 1, problem.solve_y_block, y_ctx)
+    try:
+        y_new = problem.solve_y_block(y_ctx)
+    except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
+        raise (first_non_finite_block(x_new, state.n + 1)
+               or BlockOracleError("y-block", state.n + 1, exc)) from exc
     residual = x_residual + problem.apply_B(y_new)
     z_new = state.z + params.rho * residual
 
-    new_state = SolverState(x=x_new, y=y_new, z=z_new, residual=residual, n=state.n + 1)
+    new_state = SolverState(x_new, y_new, z_new, residual, state.n + 1)
     new_state.report = iteration_report(problem, params.rho, new_state, state)
     return new_state
 
@@ -495,17 +489,18 @@ def stopped(params: SolverParams, previous: SolverState, report: IterationReport
 
 
 def merit_increases(merits) -> list[tuple[int, float]]:
-    """Each (k, merits[k] - merits[k-1]) above MERIT_SLACK_SCALE * (1 + |merits[0]|).
+    """Each (k, merits[k] - merits[k-1]) not at most MERIT_SLACK_SCALE * (1 + |merits[0]|).
 
     The merit rule of ``solve`` and of ``verify-trace``: a valid run with
-    exact oracles has none.
+    exact oracles has none.  A rise that is not a number, from or to a
+    non-finite merit, counts as an increase.
     """
     if len(merits) < 2:
         return []
     slack = MERIT_SLACK_SCALE * (1.0 + abs(merits[0]))
     return [(k, later - earlier)
             for k, (earlier, later) in enumerate(zip(merits, merits[1:]), start=1)
-            if later - earlier > slack]
+            if not later - earlier <= slack]
 
 
 def run(problem: BlockProblem, params: SolverParams, init: SolverState,

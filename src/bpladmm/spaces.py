@@ -15,6 +15,7 @@ from what its previous call returned; their docstrings give the routes
 and the tests that certify them.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,7 @@ def _check_same_shape(u, v):
 
 def stacked_norm(parts) -> float:
     """Norm of a tuple of arrays viewed as one long stacked vector."""
-    return float(np.sqrt(sum(float(np.vdot(p, p)) for p in parts)))
+    return math.sqrt(sum(float(np.vdot(p, p)) for p in parts))
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ def dist_sq_nonneg_orthant(y: np.ndarray) -> float:
     its gradient 2 min(y, 0) is 2-Lipschitz.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("input must be finite")
     negative_part = np.minimum(y, 0.0)
     return float(np.vdot(negative_part, negative_part))

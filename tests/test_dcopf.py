@@ -536,10 +536,30 @@ def test_iteration_cap_must_be_an_integer():
     with pytest.raises(engine.ParameterError,
                        match=re.escape("max_iterations must be an integer, got 10.0")):
         dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=10.0)
+    # a bool is a Python int, but no count of sweeps
+    with pytest.raises(engine.ParameterError,
+                       match=re.escape("max_iterations must be an integer, got True")):
+        dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=True, recheck=False)
     # a numpy integer is an integer
     solution = dcopf.solve_dcopf(dcopf.two_bus_fixture(), max_iterations=np.int64(10),
                                  recheck=False)
     assert solution.iterations == 10
+
+
+def test_a_two_bus_step_forms_no_zero_array(monkeypatch):
+    # the x pass forms its own linearization; there is no P, so it has no zeros to add
+    case = dcopf.two_bus_fixture()
+    problem = dcopf.build_problem(case)
+    state = dcopf.lower_bound_init(problem, jitter=0.1, seed=0)
+    calls, zeros_like = [], np.zeros_like
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return zeros_like(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", counted)
+    engine.step(problem, dcopf.solver_params_for(case), state)
+    assert calls == []
 
 
 def test_recheck_forms_the_whole_residual_once(monkeypatch):
@@ -581,8 +601,8 @@ def test_recheck_oracle_failure_raises(monkeypatch):
     # only the frozen-u problem, whose blocks lack the u column, returns inf
     x_sweep = dcopf.DcOpfBlockProblem.x_sweep
 
-    def inf_without_u(self, state, linear, rho, prox_weight):
-        x_new, residual = x_sweep(self, state, linear, rho, prox_weight)
+    def inf_without_u(self, state, rho, prox_weight):
+        x_new, residual = x_sweep(self, state, rho, prox_weight)
         if self.block_shape == (dcopf.U,):
             x_new = np.full_like(x_new, np.inf)
         return x_new, residual

@@ -1,12 +1,12 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from bpladmm import dcopf, engine, rpca
+from bpladmm import cli, dcopf, engine, rpca
 from bpladmm.spaces import spectral_norm_subgradient
 from oracles import (
     random_radial_case,
@@ -435,7 +435,7 @@ def test_block_oracle_failure_names_the_block():
 
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
     """A copy of a DC-OPF problem whose chosen block goes infinite from a
-    chosen sweep on.  An x block gets an infinite linear term, which the
+    chosen sweep on.  An x block gets an infinite linear cost q, which the
     chunked x sweep meets in its gradient; the y block returns inf."""
 
     def __init__(self, problem, block, iteration):
@@ -445,12 +445,12 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
         self.iteration = iteration
         self.sweep = 0
 
-    def x_sweep(self, state, linear, rho, prox_weight):
+    def x_sweep(self, state, rho, prox_weight):
         self.sweep += 1
-        if self.block != "y" and self.sweep >= self.iteration:
-            linear = linear.copy()
-            linear[self.block, dcopf.GEN] = np.inf
-        return super().x_sweep(state, linear, rho, prox_weight)
+        if self.block != "y" and self.sweep == self.iteration:
+            self.q = self.q.copy()  # the built problem's q stays finite
+            self.q[self.block, dcopf.GEN] = np.inf
+        return super().x_sweep(state, rho, prox_weight)
 
     def solve_y_block(self, ctx):
         out = super().solve_y_block(ctx)
@@ -527,7 +527,7 @@ def test_oracle_raising_mid_sweep_names_the_first_non_finite_block():
 
 def test_x_sweep_override_that_raises_fails_as_the_x_sweep():
     class Broken(ScalarToy):
-        def x_sweep(self, state, linear, rho, prox_weight):
+        def x_sweep(self, state, rho, prox_weight):
             raise np.linalg.LinAlgError("singular system")
 
     toy = Broken()
@@ -536,6 +536,54 @@ def test_x_sweep_override_that_raises_fails_as_the_x_sweep():
                                                      "singular system") as failure:
         engine.solve(toy, toy_params(), state)
     assert isinstance(failure.value.cause, np.linalg.LinAlgError)
+
+
+def test_a_y_oracle_raising_on_a_nan_x_residual_fails_as_the_x_block():
+    class NanBlock1(RecordingProblem):
+        """Block 1 returns NaN on the fourth sweep; the y oracle raises on
+        the NaN x residual that follows."""
+
+        sweeps = 0
+
+        def solve_x_block(self, i, ctx):
+            self.sweeps += i == 0
+            if i == 1 and self.sweeps == 4:
+                return np.full(1, np.nan)
+            return super().solve_x_block(i, ctx)
+
+        def solve_y_block(self, ctx):
+            if not np.isfinite(ctx.x_residual).all():
+                raise ValueError("the x residual is not finite")
+            return super().solve_y_block(ctx)
+
+    problem = NanBlock1()
+    init = engine.initial_state(problem, [[1.0], [2.0], [3.0]], np.zeros(3), np.zeros(3))
+    with pytest.raises(engine.BlockOracleError) as failure:
+        engine.run(problem, toy_params(max_iterations=50), init, [])
+    assert (failure.value.block, failure.value.iteration) == ("x-block 1", 4)
+    assert "not finite" in str(failure.value)
+
+
+def test_a_finite_step_that_overflows_names_no_block():
+    class Huge(ScalarToy):
+        def solve_x_block(self, i, ctx):
+            return np.full(1, 1e200)
+
+    toy = Huge()
+    state = engine.initial_state(toy, [np.zeros(1)], np.zeros(1), np.zeros(1))
+    new = engine.step(toy, toy_params(), state)
+    # (1e200)^2 overflows, so the step norms are inf while x and y are finite
+    assert new.x[0, 0] == new.y[0] == 1e200
+    assert new.report.step_x == new.report.step_y == math.inf
+
+
+def test_the_report_stays_frozen_and_keeps_its_fields():
+    report = engine.IterationReport(1, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    with pytest.raises(FrozenInstanceError):
+        report.merit = 0.0
+    assert cli.TRACE_FIELDS == ("n", "merit", "feasibility", "objective",
+                                "step_x", "step_y", "step_z")
+    assert (report.n, report.step_z) == (1, 7.0)
 
 
 def test_initial_state_rejects_blocks_of_unequal_shape():
@@ -600,6 +648,38 @@ def test_merit_increases_counts_rises_above_the_slack_of_the_first_merit():
     [(k, rise)] = engine.merit_increases(merits)
     assert k == 4 and rise == pytest.approx(1.1 * slack, rel=1e-6)
     assert engine.merit_increases([5.0]) == engine.merit_increases([]) == []
+    # a step from or to a merit that is not a number is not a descent
+    assert [k for k, _ in engine.merit_increases([1.0, math.nan, 0.5])] == [1, 2]
+
+
+class NanMerit(ScalarToy):
+    """x walks down by 0.5 a sweep and y follows it, so the residual and z
+    stay 0 and the merit is f(x) = x; the fourth call of ``eval_f``, the
+    report of sweep 3, returns NaN."""
+
+    calls = 0
+
+    def solve_x_block(self, i, ctx):
+        return ctx.current_iterate - 0.5
+
+    def solve_y_block(self, ctx):
+        return ctx.x_residual.copy()
+
+    def eval_f(self, x):
+        self.calls += 1
+        return math.nan if self.calls == 4 else float(x.sum())
+
+
+def test_a_nan_merit_counts_as_an_increase():
+    toy = NanMerit()
+    init = engine.initial_state(toy, [np.full(1, 1.5)], np.full(1, 1.5), np.zeros(1))
+    with pytest.warns(RuntimeWarning, match="merit increased by nan at iteration 3"):
+        result = engine.solve(toy, toy_params(max_iterations=6), init)
+    merits = [report.merit for report in result.reports]
+    assert merits[:3] == [1.5, 1.0, 0.5] and math.isnan(merits[3])
+    assert merits[4:] == [-0.5, -1.0, -1.5]
+    assert [n for n, _ in result.merit_increases] == [3, 4]
+    assert all(math.isnan(rise) for _, rise in result.merit_increases)
 
 
 def test_a_warm_started_run_checks_its_own_sweeps():
@@ -759,10 +839,12 @@ def test_shifted_stop_rule_leaves_the_multiplier_out():
     (dict(stop_rule="bogus"), "stop_rule 'bogus' is not one of ('shifted', 'relative')"),
     (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
     (dict(max_iterations=10.0), "max_iterations must be an integer, got 10.0"),
+    (dict(max_iterations=True), "max_iterations must be an integer, got True"),
+    (dict(max_iterations=False), "max_iterations must be an integer, got False"),
     (dict(stop_tolerance=-1e-6), "stop_tolerance must be non-negative, got -1e-06"),
     (dict(stop_tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
-], ids=["stop_rule", "max_iterations", "float_max_iterations", "negative_tolerance",
-        "nan_tolerance"])
+], ids=["stop_rule", "max_iterations", "float_max_iterations", "true_max_iterations",
+        "false_max_iterations", "negative_tolerance", "nan_tolerance"])
 def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
     # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates, which run does not check
     toy = ScalarToy()

@@ -38,3 +38,13 @@ def test_a_tree_whose_slack_update_moves_one_ulp_is_not_bit_equal(tmp_path):
     # only the DC-OPF problems call the slack update, and it moves them by rounding
     assert {row[0]: row[3] for row in rows} == {name: name not in DCOPF for name in PROBLEMS}
     assert all((row[4] > 0.0) == (row[0] in DCOPF) and row[4] < 1e-13 for row in rows)
+
+
+def test_a_tree_whose_stop_rule_differs_is_not_bit_equal(tmp_path):
+    # the iterates stay bit-equal, but a sweep is a step and its stop decision
+    shutil.copytree(ROOT / "src" / "bpladmm", tmp_path / "bpladmm")
+    with open(tmp_path / "bpladmm" / "engine.py", "a") as module:
+        module.write("\n\ndef stopped(params, previous, report):\n    return True\n")
+    rows = sweep_ab.compare(str(ROOT / "src"), str(tmp_path), 2)
+    assert [row[0] for row in rows] == PROBLEMS
+    assert all(row[3] is False and row[4] == 0.0 for row in rows)

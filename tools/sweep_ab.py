@@ -1,4 +1,4 @@
-"""Time ``engine.step`` of two checkouts of the library side by side.
+"""Time the sweeps of two checkouts of the library side by side.
 
     python3 tools/sweep_ab.py SRC_A SRC_B [--sweeps N]
 
@@ -6,8 +6,11 @@ Each SRC holds a ``bpladmm`` package.  Both are imported into this one
 process, as the packages ``bpladmm_a`` and ``bpladmm_b``; that works
 because the package imports its own modules only relatively.  On each
 problem below, both trees start from the same inputs and take N sweeps of
-their own ``engine.step``, alternating one sweep of each, the first tree
-to go switching every sweep:
+their own engine, alternating one sweep of each, the first tree to go
+switching every sweep.  A sweep is what ``engine.run`` does per loop and
+what the benchmark's sweep clock times from one ``engine.step`` call to
+the next: ``engine.step`` and then the stop rule ``engine.stopped`` on
+its report.  The problems are:
 
 - ``radial141`` and ``radial1000``: the seeded radial 141- and 1000-bus
   feeders of ``bench/radial.py`` (feeder seed 0, p = 1550 and 10999);
@@ -20,8 +23,9 @@ to go switching every sweep:
   parameters.
 
 It prints, per problem, each tree's 0.1% quantile of its sweep latencies,
-their ratio B/A, whether the two trees' iterates (x, y, z, residual) and
-report fields stayed bit-equal over every sweep, and the worst scaled gap
+their ratio B/A, whether the two trees' iterates (x, y, z, residual),
+report fields and stop decisions stayed bit-equal over every sweep (the
+run goes on after a stop), and the worst scaled gap
 max|a - b| / max(1, max|a|) of those iterates over all sweeps.  The gap
 tells a change of rounding from a wrong one: a reordered but exact update
 stays far below 1e-10 over 2000 sweeps of these problems.  The host's
@@ -101,21 +105,24 @@ def scaled_gap(a, b) -> float:
 
 
 def race(engine_a, engine_b, a: tuple, b: tuple, sweeps: int) -> tuple:
-    """Alternate ``sweeps`` steps of each tree; returns (latencies of A,
-    latencies of B, whether every pair of iterates was bit-equal, the
-    worst scaled gap between them)."""
-    (problem_a, params_a, state_a), (problem_b, params_b, state_b) = a, b
+    """Alternate ``sweeps`` sweeps of each tree, each a step and the stop
+    rule on it; returns (latencies of A, latencies of B, whether every pair
+    of iterates and stop decisions was bit-equal, the worst scaled gap
+    between the iterates)."""
+    engines, runs = (engine_a, engine_b), (list(a), list(b))
+    stops = [None, None]
     times = np.empty((2, sweeps))
     equal, gap = True, 0.0
     for k in range(sweeps):
         for side in (k % 2, 1 - k % 2):
+            engine, (problem, params, state) = engines[side], runs[side]
             start = perf_counter()
-            if side == 0:
-                state_a = engine_a.step(problem_a, params_a, state_a)
-            else:
-                state_b = engine_b.step(problem_b, params_b, state_b)
+            new = engine.step(problem, params, state)
+            stops[side] = engine.stopped(params, state, new.report)
             times[side, k] = perf_counter() - start
-        equal = equal and same_iterate(state_a, state_b)
+            runs[side][2] = new
+        state_a, state_b = runs[0][2], runs[1][2]
+        equal = equal and stops[0] == stops[1] and same_iterate(state_a, state_b)
         gap = max(gap, scaled_gap(state_a, state_b))
     return times[0], times[1], equal, gap
 
