@@ -51,13 +51,13 @@ override it with a pass of its own, which must give the same iterate up to
 rounding.
 
 ``run`` is the one sweep loop of every run: it iterates ``step`` until
-the stop rule fires (``converged`` on its result) or the iteration cap,
-and checks its own settings but no gate and no merit.  ``solve`` is
-``validate_parameters``, ``run`` and then the merit rule; a run outside
-the gates, such as the RPCA admm3 baseline, calls ``run`` itself.  A
-state carries only the report of its own iterate.  A block oracle that
-raises or returns non-finite values ends the run with a
-``BlockOracleError``.
+the one stop rule ``stopped``, on the relative change of (x, y, z), fires
+(``converged`` on its result) or the iteration cap, and checks its own
+settings but no gate and no merit.  ``solve`` is ``validate_parameters``,
+``run`` and then the merit rule; a run outside the gates, such as the RPCA
+admm3 baseline, calls ``run`` itself.  A state carries only the report of
+its own iterate.  A block oracle that raises or returns non-finite values
+ends the run with a ``BlockOracleError``.
 """
 
 import math
@@ -70,8 +70,6 @@ import numpy as np
 
 from .spaces import stacked_norm
 
-STOP_SHIFTED = "shifted"  # ||delta (x, y)|| / (||(x, y)|| + 1) <= tol, z left out
-STOP_RELATIVE = "relative"  # ||delta (x, y, z)|| / ||(x, y, z)|| < tol
 MERIT_SLACK_SCALE = 1e-8  # the merit rule's slack scale, for solve and verify-trace alike
 
 
@@ -216,7 +214,7 @@ class BlockProblem(ABC):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Penalty, proximal weight, the constants gating them, and the stop rule.
+    """Penalty, proximal weight, the constants gating them, and the loop's cap and tolerance.
 
     ``strong_convexity`` is alpha, the modulus of the kernel
     phi = (alpha/2)||.||^2 and so the weight of the x proximal term;
@@ -232,7 +230,6 @@ class SolverParams:
     lambda_min_BtB: float = 1.0
     max_iterations: int = 4000
     stop_tolerance: float = 1e-6
-    stop_rule: str = STOP_SHIFTED
 
     @property
     def delta_x(self) -> float:
@@ -254,12 +251,10 @@ def rho_above_gate(lipschitz_H: float) -> float:
 
 
 def check_loop_settings(params: SolverParams) -> None:
-    """Check the settings of the sweep loop itself: the stop rule, the
-    iteration cap and the stop tolerance.  ``run`` checks them on every
-    run, gated or not, and ``validate_parameters`` with the rest."""
-    rules = (STOP_SHIFTED, STOP_RELATIVE)
-    if params.stop_rule not in rules:
-        raise ParameterError(f"stop_rule {params.stop_rule!r} is not one of {rules}")
+    """Check the settings of the sweep loop itself: the iteration cap and
+    the stop tolerance, which must be finite, or every step stops the run.
+    ``run`` checks them on every run, gated or not, and
+    ``validate_parameters`` with the rest."""
     cap = params.max_iterations
     if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):  # bool is an int
         raise ParameterError(f"max_iterations must be an integer, got {cap}")
@@ -267,13 +262,14 @@ def check_loop_settings(params: SolverParams) -> None:
         raise ParameterError(f"max_iterations must be non-negative, got {cap}")
     if not params.stop_tolerance >= 0:  # NaN fails this too
         raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
+    if params.stop_tolerance == math.inf:
+        raise ParameterError(f"stop_tolerance must be finite, got {params.stop_tolerance}")
 
 
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the stop rule, the iteration cap, the stop tolerance, that every
-    constant is finite and every Lipschitz or weak convexity constant
-    non-negative, and the admissibility gates; return (alpha bound, rho
-    bound) on success.
+    """Check the iteration cap, the stop tolerance, that every constant is
+    finite and every Lipschitz or weak convexity constant non-negative, and
+    the admissibility gates; return (alpha bound, rho bound) on success.
 
     Both bounds are strict: an alpha or rho sitting exactly at its bound is
     rejected.  They are where ``delta_x`` and ``delta_y`` change sign: the
@@ -477,10 +473,8 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
 
 
 def stopped(params: SolverParams, previous: SolverState, report: IterationReport) -> bool:
-    """The stop rule on the step from ``previous`` to the iterate of ``report``."""
-    if params.stop_rule == STOP_SHIFTED:
-        delta = math.sqrt(report.step_x**2 + report.step_y**2)
-        return delta / (stacked_norm([previous.x, previous.y]) + 1.0) <= params.stop_tolerance
+    """The stop rule on the step from ``previous`` to the iterate of ``report``:
+    ||delta (x, y, z)|| < tol ||(x, y, z)_n||, and at a zero iterate a zero step."""
     delta = math.sqrt(report.step_x**2 + report.step_y**2 + report.step_z**2)
     base = stacked_norm([previous.x, previous.y, previous.z])
     if base == 0.0:
@@ -512,10 +506,10 @@ def run(problem: BlockProblem, params: SolverParams, init: SolverState,
 
     Appends to ``reports`` the report of ``init`` (built here when it has
     none) and one per sweep, so a run that raises leaves the reports of its
-    earlier sweeps there; ``init`` is left as it was.  The stop rule
-    compares the norm of the step with the norm of the iterate it started
-    from: over (x, y) for ``STOP_SHIFTED``, over (x, y, z) for
-    ``STOP_RELATIVE``.  A failing oracle ends the run with the
+    earlier sweeps there; ``init`` is left as it was.  The stop rule,
+    ``stopped``, is the one rule of every run: the norm of the step in
+    (x, y, z) below ``stop_tolerance`` times the norm of the iterate it
+    started from.  A failing oracle ends the run with the
     ``BlockOracleError`` naming the first block that failed; the rest of
     that sweep computes on non-finite values, so numpy's invalid and
     overflow warnings are silenced for the run.

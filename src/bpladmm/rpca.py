@@ -15,7 +15,7 @@ averaging step for T.
 ``bpl_admm_rpca`` is one ``engine.solve`` on ``RpcaBlockProblem``, with
 x = (L, S) and y = T.  The engine checks every oracle output finite,
 monitors the merit (the augmented Lagrangian L_rho) at runtime, and stops
-by its shifted rule, which leaves the multiplier out.  A failure raises
+by its one rule, the relative change of (L, S, T, Z).  A failure raises
 the engine's ``BlockOracleError`` naming x-block 0 (L), x-block 1 (S) or
 the y-block (T), and the iteration.
 
@@ -68,7 +68,7 @@ class RpcaConfig:
 
     ``rows`` and ``cols`` are the shape of the instances it solves.  The
     default penalty rho = 2*gamma + 1e-10 sits just above its admissible
-    bound.
+    bound.  ``tolerance`` bounds the relative change of (L, S, T, Z).
     """
 
     rows: int
@@ -215,8 +215,8 @@ def bpl_admm_rpca(instance: RpcaInstance, config: RpcaConfig, init_seed: int) ->
 
     L and S start from i.i.d. standard normal draws of ``init_seed``, T
     starts at the observation, and the multiplier starts at zero.  Stops
-    when ||(L,S,T)_{n+1} - (L,S,T)_n||_F / (||(L,S,T)_n||_F + 1) falls to
-    the configured tolerance (the engine's shifted rule).  An oracle
+    when ||(L,S,T,Z)_{n+1} - (L,S,T,Z)_n||_F < tolerance ||(L,S,T,Z)_n||_F,
+    the engine's one rule, the multiplier Z included.  An oracle
     failure raises the engine's ``BlockOracleError``, and a config of
     another shape than the instance a ``ValueError``.
     """

@@ -185,6 +185,8 @@ def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
     (["dcopf", "--fixture", "2bus"], "--max-iter=-3", "max_iterations must be non-negative"),
     (["dcopf", "--fixture", "2bus"], "--tol=-1e-6", "stop_tolerance must be non-negative"),
     (RPCA_SMALL, "--tol=nan", "stop_tolerance must be non-negative, got nan"),
+    (RPCA_SMALL, "--tol=inf", "stop_tolerance must be finite, got inf"),
+    (["dcopf", "--fixture", "2bus"], "--tol=inf", "stop_tolerance must be finite, got inf"),
     (RPCA_SMALL, "--max-iter=-1", "max_iterations must be non-negative"),
     *[(["dcopf", "--fixture", "2bus"], f"--jitter={value}",
        f"--jitter must be finite and non-negative, got {float(value)}")
@@ -196,8 +198,8 @@ def test_dcopf_trace_holds_every_report_at_full_precision(tmp_path):
     (RPCA_SMALL, "--rho=inf", "rho must be finite, got inf"),
     (["dcopf", "--fixture", "2bus"], "--rho=inf", "rho must be finite, got inf"),
     (RPCA_SMALL + ["--rho=5"], "--gamma=-1", "lipschitz_H must be finite and non-negative"),
-], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-max-iter",
-        "dcopf-jitter-negative", "dcopf-jitter-nan", "dcopf-jitter-inf",
+], ids=["dcopf-max-iter", "dcopf-tol", "rpca-tol-nan", "rpca-tol-inf", "dcopf-tol-inf",
+        "rpca-max-iter", "dcopf-jitter-negative", "dcopf-jitter-nan", "dcopf-jitter-inf",
         "rpca-noise-negative", "rpca-noise-nan", "rpca-noise-inf",
         "rpca-alpha-inf", "rpca-rho-inf", "dcopf-rho-inf", "rpca-gamma-negative"])
 def test_negative_cap_or_tolerance_is_usage_error(tmp_path, capsys, command, flag, message):

@@ -801,22 +801,6 @@ def test_each_solve_and_step_keeps_its_own_reports():
     assert [r.n for r in continued.reports] == [51, 52, 53]
 
 
-def test_stop_rule_variants():
-    toy = ScalarToy()
-    shifted = engine.solve(
-        toy, toy_params(stop_tolerance=1e-7, stop_rule=engine.STOP_SHIFTED),
-        engine.initial_state(toy, [np.array([1.0])], np.zeros(1), np.zeros(1)),
-    )
-    relative = engine.solve(
-        toy, toy_params(stop_tolerance=1e-7, stop_rule=engine.STOP_RELATIVE),
-        engine.initial_state(toy, [np.array([1.0])], np.zeros(1), np.zeros(1)),
-    )
-    assert shifted.converged
-    assert relative.converged
-    # the unshifted denominator is smaller, so it can only stop later
-    assert relative.iterations >= shifted.iterations
-
-
 class Stuck(ScalarToy):
     """x and y never move off x = 1, y = 0, so only the multiplier does."""
 
@@ -827,24 +811,27 @@ class Stuck(ScalarToy):
         return np.zeros(1)
 
 
-def test_shifted_stop_rule_leaves_the_multiplier_out():
+def test_the_stop_rule_counts_the_multiplier():
+    # x and y stand still, so only a moving z keeps the run going to its cap;
+    # run, not solve: the merit rises with z, and solve would warn
     toy = Stuck()
     init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
-    result = engine.solve(toy, toy_params(stop_rule=engine.STOP_SHIFTED, max_iterations=5), init)
-    assert result.reports[-1].step_z == 3.0  # rho times the residual 1
-    assert (result.converged, result.iterations) == (True, 1)
+    result = engine.run(toy, engine.SolverParams(rho=3.0, max_iterations=5), init, [])
+    assert [r.step_z for r in result.reports[1:]] == [3.0] * 5  # rho times the residual 1
+    assert all(r.step_x == r.step_y == 0.0 for r in result.reports[1:])
+    assert (result.converged, result.iterations) == (False, 5)
 
 
 @pytest.mark.parametrize("setting, message", [
-    (dict(stop_rule="bogus"), "stop_rule 'bogus' is not one of ('shifted', 'relative')"),
     (dict(max_iterations=-1), "max_iterations must be non-negative, got -1"),
     (dict(max_iterations=10.0), "max_iterations must be an integer, got 10.0"),
     (dict(max_iterations=True), "max_iterations must be an integer, got True"),
     (dict(max_iterations=False), "max_iterations must be an integer, got False"),
     (dict(stop_tolerance=-1e-6), "stop_tolerance must be non-negative, got -1e-06"),
     (dict(stop_tolerance=math.nan), "stop_tolerance must be non-negative, got nan"),
-], ids=["stop_rule", "max_iterations", "float_max_iterations", "true_max_iterations",
-        "false_max_iterations", "negative_tolerance", "nan_tolerance"])
+    (dict(stop_tolerance=math.inf), "stop_tolerance must be finite, got inf"),
+], ids=["max_iterations", "float_max_iterations", "true_max_iterations",
+        "false_max_iterations", "negative_tolerance", "nan_tolerance", "inf_tolerance"])
 def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
     # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates, which run does not check
     toy = ScalarToy()
@@ -854,13 +841,3 @@ def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
     with pytest.raises(engine.ParameterError, match=re.escape(message)):
         engine.run(toy, params, init, reports)
     assert reports == []
-
-
-@pytest.mark.parametrize("max_iterations", [0, 5])
-def test_unknown_stop_rule_is_rejected_up_front(max_iterations):
-    toy = ScalarToy()
-    params = toy_params(stop_rule="bogus", max_iterations=max_iterations)
-    with pytest.raises(engine.ParameterError, match="'shifted', 'relative'"):
-        engine.validate_parameters(params)
-    with pytest.raises(engine.ParameterError, match="bogus"):
-        engine.solve(toy, params, engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1)))

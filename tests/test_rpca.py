@@ -236,6 +236,28 @@ def test_solver_runs_are_bit_deterministic():
     assert first.iterations == second.iterations
 
 
+def test_bpl_stops_at_the_first_sweep_whose_relative_change_of_l_s_t_z_is_below_tol():
+    # the desk table's seed-0 instance, stepped here with the rule recomputed
+    # from the iterates: ||d(L, S, T, Z)|| < tol ||(L, S, T, Z)_n||, Z included
+    instance = rpca.generate_instance(100, 100, 10, 0.05, 1e-2, seed=0)
+    config = rpca.RpcaConfig(rows=100, cols=100)
+    problem = rpca.RpcaBlockProblem(instance, config)
+    state = rpca._initial_state(problem, 0)
+    stacked = lambda s: np.concatenate([s.x.ravel(), s.y.ravel(), s.z.ravel()])  # noqa: E731
+    for n in range(1, config.max_iterations + 1):
+        new = engine.step(problem, config.solver_params(), state)
+        change = np.linalg.norm(stacked(new) - stacked(state))
+        size = np.linalg.norm(stacked(state))
+        state = new
+        if change < config.tolerance * size:
+            break
+    solution = rpca.bpl_admm_rpca(instance, config, init_seed=0)
+    assert solution.converged and solution.iterations == n < config.max_iterations
+    for got, want in ((solution.L, state.x[0]), (solution.S, state.x[1]),
+                      (solution.T, state.y), (solution.Z, state.z)):
+        assert np.array_equal(got, want)
+
+
 def test_warm_starts_last_one_solve(monkeypatch):
     # A, then B, then A again in one process: both A runs give the same
     # bits, so no shrinkage start outlives the solve that made it

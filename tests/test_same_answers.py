@@ -1,7 +1,8 @@
 """The comparison of ``tools/same_answers.py``: CSV columns matched by
 header name, float columns within ``--rtol`` and integer and text columns
-exact; report columns keyed by field name and held to ``--rtol``; a CSV or
-report column that one file holds listed and not compared."""
+exact; report columns keyed by field name and held to ``--rtol``, over the
+sweeps both runs took when they stop apart; a CSV or report column that
+one file holds listed and not compared."""
 
 import importlib.util
 from dataclasses import dataclass
@@ -95,3 +96,17 @@ def test_a_report_column_that_one_file_holds_is_listed_not_compared():
     # any other value that one file lacks is a difference
     old["run/x"] = np.zeros(2)
     assert same_answers.compare(old, new)[0] == ["run/x is only in the old file"]
+
+
+def test_a_run_that_stops_one_sweep_later_is_named_once_by_its_iteration_counts():
+    merits = [-637.25, -637.5, -637.625, -637.6875]
+    old = same_answers.report_columns("run", [Report(n, m) for n, m in enumerate(merits[:3])])
+    new = same_answers.report_columns("run", [Report(n, m) for n, m in enumerate(merits)])
+    old["run/iterations"], new["run/iterations"] = np.array(2), np.array(3)
+    assert same_answers.compare(old, new, 0.0)[0] == ["run: iterations 2 vs 3"]
+    # without the saved count the reports give it, and the sweeps both took are still held
+    # to rtol, scaled by the largest old merit, 637.625
+    del old["run/iterations"], new["run/iterations"]
+    new["run/report.merit"][1] = -637.0
+    assert same_answers.compare(old, new, 1e-4)[0] == [
+        f"run report.merit: gap {0.5 / 637.625:.2e} exceeds 1e-04", "run: iterations 2 vs 3"]

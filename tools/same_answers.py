@@ -20,7 +20,9 @@ both with ``--no-timing``) and saves every CSV they write.
 
 Each report column is saved under its ``IterationReport`` field name.
 ``--compare`` requires the same runs, equal iteration counts and equal
-report numbers n.  Every other number (final iterates, recheck violation
+report numbers n.  A run that stops at another sweep is named once, by its
+two iteration counts, and its report columns are compared over the sweeps
+both runs took.  Every other number (final iterates, recheck violation
 and each report column) must satisfy max|a - b| <= R * max(1, max|a|),
 with a the old values and R from ``--rtol`` (default 0: bit-equal).  A
 report column that only one file holds, a field added or dropped between
@@ -171,6 +173,7 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, l
     kind -> (gap, run), and the report and CSV columns only one file holds."""
     problems = []
     worst = {}
+    stops = {}  # run -> (old, new) iteration counts, for the runs that stop apart
     runs = [{key.rsplit("/", 1)[0] for key in saved} for saved in (old, new)]
     if runs[0] != runs[1]:
         return [f"different runs: {sorted(runs[0] ^ runs[1])}"], worst, []
@@ -191,6 +194,9 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, l
     for key in sorted(set(old) & set(new)):
         run, kind = key.rsplit("/", 1)
         a, b = old[key], new[key]
+        if kind.startswith(REPORT) and len(a) != len(b):  # a report per sweep and the start's
+            stops.setdefault(run, (len(a) - 1, len(b) - 1))
+            a, b = a[:len(b)], b[:len(a)]
         if run.startswith("cli/"):
             mismatch, gap, columns_only = csv_gap(a.tobytes(), b.tobytes())
             only += [f"{key}: {line}" for line in columns_only]
@@ -198,13 +204,17 @@ def compare(old: dict, new: dict, rtol: float = 0.0) -> tuple[list[str], dict, l
                 check(key, "csv", gap, rtol)
             else:
                 problems.append(f"{key}: {mismatch}")
+        elif kind == "iterations":
+            if not np.array_equal(a, b):
+                stops[run] = (int(a), int(b))
         elif a.shape != b.shape:
             problems.append(f"{key}: shape {a.shape} vs {b.shape}")
-        elif kind in ("iterations", f"{REPORT}n"):
+        elif kind == f"{REPORT}n":
             if not np.array_equal(a, b):
                 problems.append(f"{key}: {a} vs {b}")
         else:
             check(run, kind, scaled_gap(a, b), rtol)
+    problems += [f"{run}: iterations {a} vs {b}" for run, (a, b) in sorted(stops.items())]
     return problems, worst, only
 
 
