@@ -17,8 +17,8 @@ independent, and the y update is a componentwise two-branch formula.  A
 bus block touches only its own rows, the rows of its neighbours' balance
 and line limits and the penetration floor.  ``build_problem`` writes each
 A_i on those rows alone (the dense p x 4 blocks are built one by one when
-read), so the x sweep costs O(nnz(A)), not O(N p); the engine sees the blocks
-in the whole constraint space.
+read), so the x sweep and the start's residual cost O(nnz(A)), not O(N p);
+the engine sees the blocks in the whole constraint space.
 The engine stacks the bus blocks into one N x 4 array, so the placement
 penalty, its gradient, the quadratic costs and the per-bus result columns
 are column operations on it.
@@ -28,10 +28,11 @@ Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 4).  On this
 quadratic subproblem the pass is a block forward substitution, which
 ``DcOpfBlockProblem`` takes eight buses at a time through a dense operator
 per run of eight, cached like a factorization (Boyd et al., Distributed
-Optimization and Statistical Learning via ADMM, 2011, sec. 4.2).  The
-blocks are small, so numpy's per-call overhead, not arithmetic, is the
-cost of a sweep, and a run of eight buses makes about as many calls as
-one bus would alone.
+Optimization and Statistical Learning via ADMM, 2011, sec. 4.2).  It
+carries the multiplier in its scaled form (ibid., sec. 3.1.1), z/rho added
+to the residual, so no sweep forms A^T z.  The blocks are small, so
+numpy's per-call overhead, not arithmetic, is the cost of a sweep, and a
+run of eight buses makes about as many calls as one bus would alone.
 """
 
 from collections.abc import Sequence
@@ -133,7 +134,8 @@ def expected_row_count(case: DcOpfCase) -> int:
 def _compact_blocks(n: int, entries: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group (bus array, row, column, value) entries, scalars filled out to
     the bus length, into all blocks A_i end to end in bus order (each on its
-    sorted nonzero rows) and each bus's first index; repeats sum in order."""
+    sorted nonzero rows) and the N + 1 bounds of the buses' runs; repeats
+    sum in order."""
     bus, row, col, value = (np.concatenate(part) for part in zip(
         *([np.full(len(entry[0]), field) for field in entry] for entry in entries)))
     order = np.lexsort((row, bus))
@@ -143,7 +145,7 @@ def _compact_blocks(n: int, entries: list) -> tuple[np.ndarray, np.ndarray, np.n
     np.add.at(compact, (np.cumsum(first) - 1, col), value)
     keep = np.any(compact != 0.0, axis=1)
     bus, row, compact = bus[first][keep], row[first][keep], compact[keep]
-    return row, compact, np.searchsorted(bus, np.arange(n))
+    return row, compact, np.searchsorted(bus, np.arange(n + 1))
 
 
 def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
@@ -241,43 +243,46 @@ class DcOpfBlockProblem(BlockProblem):
     column (the frozen-u recheck) has no placement penalty, so gamma is the
     case's with four columns and 0 with three.
 
-    ``x_sweep`` runs the same updates without building a context per bus.
-    With res the residual carried through the sweep, the update above is
-    x_i+ = x_i + dx_i with
+    ``x_sweep`` runs the same updates without building a context per bus,
+    with the multiplier in scaled form, A_i^T (z + rho r) = rho A_i^T (z/rho
+    + r).  With c = z/rho + res carried through the sweep, res the
+    residual, the update above is x_i+ = x_i + dx_i with
 
-        K_i dx_i = -(g_i + rho A_i^T res[rows_i]),
-        g_i = Q_i x_i + q_i - gamma (2 u_i - 1) e_u + A_i^T z[rows_i],
+        K_i dx_i = -(g_i + rho A_i^T c[rows_i]),
+        g_i = Q_i x_i + q_i - gamma (2 u_i - 1) e_u,
 
-    where g, the x subproblem's gradient at the sweep start, is formed for
-    all buses at once; its linear term, minus the placement penalty's
-    gradient (there is no P), is subtracted from the u column in place.
-    res is the sweep-start residual res0 plus sum_{j<i} A_j dx_j, so the
-    pass solves (D + L) dx = -(g + rho A^T res0) with D = blockdiag(K_i)
-    and L the strictly block-lower part of rho A^T A: a block forward
-    substitution.  It runs one chunk C of ``_CHUNK_BUSES`` consecutive
-    buses at a time,
+    where g, at the sweep start, is one column operation on the N x k
+    iterate: the placement penalty's gradient (there is no P) is
+    subtracted from its u column in place.  c is z/rho plus the sweep-start
+    residual res0 plus sum_{j<i} A_j dx_j, so the pass solves (D + L) dx =
+    -(g + rho A^T (z/rho + res0)) with D = blockdiag(K_i) and L the
+    strictly block-lower part of rho A^T A: a block forward substitution.
+    It runs one chunk C of ``_CHUNK_BUSES`` consecutive buses at a time,
 
-        dx_C = -(D + L)_CC^-1 (g_C + rho Abar_C^T res[R_C]),
-        res[R_C] += Abar_C dx_C,
+        dx_C = -(D + L)_CC^-1 (g_C + rho Abar_C^T c[R_C]),
+        c[R_C] += Abar_C dx_C,
 
     with R_C the sorted union of the chunk's rows and Abar_C the dense
     |R_C| x 8k block of A on them.  A bus meets the earlier buses of its
-    chunk through the chunk inverse and earlier chunks through res, so
-    this is the natural-order pass up to rounding.  A chunk costs a gather,
-    three ``ndarray.dot`` products and a scatter whatever its size, while
-    its dense products and memory grow with it: of chunks of 4 to 24
+    chunk through the chunk inverse and earlier chunks through c, so this
+    is the natural-order pass up to rounding; it returns c - z/rho as the
+    new residual, with rounding of the size of z/rho.  A chunk costs a
+    gather, three ``ndarray.dot`` products and a scatter whatever its size,
+    while its dense products and memory grow with it: of chunks of 4 to 24
     buses, 8 gave the fastest engine step at N = 1000 and came within 2%
     of the fastest at N = 141.  Each chunk keeps R_C, Abar_C and the scaled
     inverse -rho (D + L)_CC^-1 (the sweep scales g by 1/rho to match),
     about 28 floats per nonzero of A: 0.60 MB at N = 141, 4.4 MB at
-    N = 1000.  Only g changes between sweeps, so the sweep builds them for
-    the first (rho, w) and rebuilds them for another pair.  A chunk inverse
-    mixes its buses (0 x inf is NaN), so the sweep first checks g finite
-    and names the first bus that is not.
+    N = 1000.  They do not depend on the iterate, so the sweep builds them
+    for the first (rho, w) and rebuilds them for another pair.  A chunk
+    inverse mixes its buses (0 x inf is NaN), so the sweep first checks g
+    finite and names the first bus that is not; a z that is not finite is
+    named by the report of the sweep that made it (the block "multiplier"),
+    so no sweep of a run meets one.
     """
 
     def __init__(self, case: DcOpfCase, stacked_rows: np.ndarray, stacked_A: np.ndarray,
-                 row_starts: np.ndarray, b: np.ndarray, Q_diag: np.ndarray, q: np.ndarray):
+                 bounds: np.ndarray, b: np.ndarray, Q_diag: np.ndarray, q: np.ndarray):
         self.case, self.b, self.Q_diag, self.q = case, b, Q_diag, q
         self.p = len(b)
         self.num_blocks, width = q.shape
@@ -285,20 +290,19 @@ class DcOpfBlockProblem(BlockProblem):
         self.eta = case.eta
         self.block_shape = (width,)
         self.y_shape = (self.p,)
-        # the blocks end to end, for the products of all buses at once; the
-        # segment sum needs every bus's run of rows non-empty, and every bus
-        # has at least its PV linking rows
-        self._stacked_rows, self._stacked_A, self._row_starts = stacked_rows, stacked_A, row_starts
-        self.rows = np.split(stacked_rows, row_starts[1:])
-        self.blocks = np.split(stacked_A, row_starts[1:])
+        # the blocks end to end, for the products of all buses at once; bus
+        # i's run of them is bounds[i]:bounds[i + 1]
+        self._stacked_rows, self._stacked_A, self._bounds = stacked_rows, stacked_A, bounds
+        self.rows = np.split(stacked_rows, bounds[1:-1])
+        self.blocks = np.split(stacked_A, bounds[1:-1])
         self._factor_pair = self._chunks = None  # built by the first sweep
         self._cost_const_total = float(np.sum(case.gen_cost_c))
 
     A = property(DenseBlocks)
 
-    def _chunk_operator(self, first, bounds, rho, w):
-        """(R_C, A_C, -rho (D + L)_CC^-1) of the chunk of buses from ``first``,
-        whose stacked rows begin and end at ``bounds``."""
+    def _chunk_operator(self, first, rho, w):
+        """(R_C, A_C, -rho (D + L)_CC^-1) of the chunk of buses from ``first``."""
+        bounds = self._bounds[first:first + _CHUNK_BUSES + 1]
         k, count = self.block_shape[0], len(bounds) - 1
         span = slice(bounds[0], bounds[-1])
         rows = self._stacked_rows[span]
@@ -321,6 +325,11 @@ class DcOpfBlockProblem(BlockProblem):
 
     def apply_B(self, y):
         return y
+
+    def residual(self, x, y):
+        """A x + y - b as one product: each stacked row of A times its bus's x."""
+        terms = np.einsum("ij,ij->i", self._stacked_A, np.repeat(x, np.diff(self._bounds), axis=0))
+        return np.bincount(self._stacked_rows, terms, self.p) + y - self.b
 
     def eval_f(self, x):
         quadratic = 0.5 * float(np.vdot(self.Q_diag * x, x))
@@ -352,29 +361,26 @@ class DcOpfBlockProblem(BlockProblem):
 
     def x_sweep(self, state, rho, prox_weight):
         if self._factor_pair != (rho, prox_weight):
-            bounds = np.append(self._row_starts, len(self._stacked_rows))
-            self._chunks = [self._chunk_operator(first, bounds[first:first + _CHUNK_BUSES + 1],
-                                                 rho, prox_weight)
+            self._chunks = [self._chunk_operator(first, rho, prox_weight)
                             for first in range(0, self.num_blocks, _CHUNK_BUSES)]
             self._factor_pair = (rho, prox_weight)
         gradient = self.Q_diag * state.x + self.q
         if self.gamma != 0.0:
             gradient[:, U] -= self.gamma * (2.0 * state.x[:, U] - 1.0)
-        gradient += np.add.reduceat(state.z[self._stacked_rows, None] * self._stacked_A,
-                                    self._row_starts)
         failed = engine.first_non_finite_block(gradient, state.n + 1)
         if failed is not None:  # a chunk inverse would spread it to the chunk's earlier buses
             raise failed
-        # each chunk's correction, against the residual carried so far
+        # each chunk's correction, against z/rho plus the residual carried so far
         scaled, width = (gradient / rho).ravel(), _CHUNK_BUSES * gradient.shape[1]
-        residual = state.residual.copy()
+        shift = state.z / rho
+        carried = state.residual + shift
         steps = []
         for start, (rows, A, S) in zip(range(0, scaled.size, width), self._chunks):
-            r = residual[rows]
-            dx = S.dot(A.T.dot(r) + scaled[start:start + width])
-            residual[rows] = r + A.dot(dx)
+            c = carried[rows]
+            dx = S.dot(A.T.dot(c) + scaled[start:start + width])
+            carried[rows] = c + A.dot(dx)
             steps.append(dx)
-        return state.x + np.concatenate(steps).reshape(state.x.shape), residual
+        return state.x + np.concatenate(steps).reshape(state.x.shape), carried - shift
 
     def solve_y_block(self, ctx: YBlockContext):
         return y_block_update(ctx.x_residual, ctx.multiplier, self.eta, ctx.rho)
@@ -463,12 +469,12 @@ def frozen_u_problem(problem: DcOpfBlockProblem, u_rounded: np.ndarray) -> DcOpf
     u = np.asarray(u_rounded)
     if u.shape != (problem.num_blocks,) or not np.all((u == 0.0) | (u == 1.0)):
         raise ValueError(f"u_rounded must hold one 0 or 1 per bus ({problem.num_blocks}), got {u}")
-    rows, A, starts = problem._stacked_rows, problem._stacked_A, problem._row_starts
+    rows, A, bounds = problem._stacked_rows, problem._stacked_A, problem._bounds
     b = problem.b.copy()
-    np.subtract.at(b, rows, A[:, U] * np.repeat(u, np.diff(starts, append=len(rows))))
+    np.subtract.at(b, rows, A[:, U] * np.repeat(u, np.diff(bounds)))
     keep = np.any(A[:, :U] != 0.0, axis=1)
     return DcOpfBlockProblem(problem.case, rows[keep], A[keep, :U],
-                             np.searchsorted(np.flatnonzero(keep), starts), b,
+                             np.searchsorted(np.flatnonzero(keep), bounds), b,
                              problem.Q_diag[:, :U], problem.q[:, :U])
 
 

@@ -34,8 +34,9 @@ sweeps and in ``verify-trace`` on a dumped trace.
 
 The state carries its residual A x + B y - b from sweep to sweep, and a
 block update swaps its own product A_i x_i in that residual instead of
-recomputing the sum.  ``apply_A(i, .)`` and every vector of the contract
-live in the whole constraint space.
+recomputing the sum; ``BlockProblem.residual`` forms it whole for a
+start.  ``apply_A(i, .)`` and every vector of the contract live in the
+whole constraint space.
 
 The x iterate is one array of shape (m, *block_shape): every block has the
 same shape, and block i is ``x[i]``.  The blocks are still updated one at a
@@ -57,7 +58,8 @@ settings but no gate and no merit.  ``solve`` is ``validate_parameters``,
 ``run`` and then the merit rule; a run outside the gates, such as the RPCA
 admm3 baseline, calls ``run`` itself.  A state carries only the report of
 its own iterate.  A block oracle that raises or returns non-finite values
-ends the run with a ``BlockOracleError``.
+ends the run with a ``BlockOracleError``, as does a multiplier that is
+not finite (the block "multiplier").
 """
 
 import math
@@ -78,8 +80,9 @@ class ParameterError(ValueError):
 
 
 class BlockOracleError(RuntimeError):
-    """A block subproblem oracle raised or returned non-finite values;
-    carries the offending block and the iteration it was computing."""
+    """A block subproblem oracle raised or returned non-finite values, or
+    the multiplier is not finite; carries the offending block ("multiplier"
+    for z) and the iteration it was computing."""
 
     def __init__(self, block: str, iteration: int, cause: Exception):
         super().__init__(f"{block} oracle failed at iteration {iteration}: {cause}")
@@ -191,6 +194,10 @@ class BlockProblem(ABC):
                 raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
             residual = partial + self.apply_A(i, x_new[i])
         return x_new, residual
+
+    def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A x + B y - b; this default adds the blocks' whole-space products to B y - b."""
+        return sum((self.apply_A(i, xi) for i, xi in enumerate(x)), self.apply_B(y) - self.b)
 
     def eval_f(self, x: np.ndarray) -> float:
         """sum_i f_i(x_i) over the stacked blocks."""
@@ -351,11 +358,8 @@ def objective_value(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> floa
 
 
 def constraint_residual(problem: BlockProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A x + B y - b."""
-    r = problem.apply_B(y) - problem.b
-    for i, xi in enumerate(x):
-        r += problem.apply_A(i, xi)
-    return r
+    """A x + B y - b, as ``problem.residual`` forms it."""
+    return problem.residual(x, y)
 
 
 def augmented_lagrangian(
@@ -377,18 +381,21 @@ def iteration_report(
     """Report of ``state``, from its carried residual A x + B y - b, with
     steps measured from ``previous`` (zero without one).  The objective is
     evaluated once and the merit L_rho is formed from it.  ``previous`` is
-    finite, so the step norms check x and y finite before the objective
-    reads them: a step that is not finite names the first x block that is
-    not, else the y block, and one that only overflowed names nothing.
+    finite, so the step norms check the iterate finite before the objective
+    reads it: a step that is not finite names the first x block that is
+    not, else the y block, else the multiplier, and one that only
+    overflowed names nothing.
     """
     step_x = step_y = step_z = 0.0
     if previous is not None:  # np.linalg.norm's own sqrt(d . d), without its dispatch
         step_x, step_y, step_z = (math.sqrt(np.vdot(d, d)) for d in (
             state.x - previous.x, state.y - previous.y, state.z - previous.z))
-        if not math.isfinite(step_x + step_y):
+        if not math.isfinite(step_x + step_y + step_z):
             failed = first_non_finite_block(state.x, state.n)
             if failed is not None or not np.isfinite(state.y).all():
                 raise failed or _not_finite("y-block", state.n)
+            if not np.isfinite(state.z).all():
+                raise _not_finite("multiplier", state.n)
     residual = state.residual
     objective = objective_value(problem, state.x, state.y)
     squared = float(np.vdot(residual, residual))
@@ -409,9 +416,7 @@ def initial_state(problem: BlockProblem, x, y: np.ndarray, z: np.ndarray) -> Sol
     given = [np.shape(xi) for xi in x]
     if given != [shape[1:]] * shape[0]:
         raise ValueError(f"x blocks of shapes {given} do not stack to {shape}")
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    z = np.array(z, dtype=float)
+    x, y, z = (np.array(value, dtype=float) for value in (x, y, z))
     for name, value, expected in (("y", y, problem.y_shape), ("z", z, problem.b.shape)):
         if value.shape != expected:
             raise ValueError(f"{name} of shape {value.shape} is not of shape {expected}")

@@ -436,26 +436,28 @@ def test_block_oracle_failure_names_the_block():
 class InfiniteOutput(dcopf.DcOpfBlockProblem):
     """A copy of a DC-OPF problem whose chosen block goes infinite from a
     chosen sweep on.  An x block gets an infinite linear cost q, which the
-    chunked x sweep meets in its gradient; the y block returns inf."""
+    chunked x sweep meets in its gradient; the y block returns inf.  For
+    the "multiplier" the y block returns the finite 1e308, so x and y stay
+    finite while rho times the residual, and with it z, overflows."""
 
     def __init__(self, problem, block, iteration):
         super().__init__(problem.case, problem._stacked_rows, problem._stacked_A,
-                         problem._row_starts, problem.b, problem.Q_diag, problem.q)
+                         problem._bounds, problem.b, problem.Q_diag, problem.q)
         self.block = block
         self.iteration = iteration
         self.sweep = 0
 
     def x_sweep(self, state, rho, prox_weight):
         self.sweep += 1
-        if self.block != "y" and self.sweep == self.iteration:
+        if isinstance(self.block, int) and self.sweep == self.iteration:
             self.q = self.q.copy()  # the built problem's q stays finite
             self.q[self.block, dcopf.GEN] = np.inf
         return super().x_sweep(state, rho, prox_weight)
 
     def solve_y_block(self, ctx):
         out = super().solve_y_block(ctx)
-        if self.block == "y" and self.sweep >= self.iteration:
-            out[0] = -np.inf
+        if self.block in ("y", "multiplier") and self.sweep >= self.iteration:
+            out[0] = -np.inf if self.block == "y" else 1e308
         return out
 
 
@@ -472,7 +474,8 @@ def assert_fails_with_block_and_iteration(problem, params, init, label):
     assert "not finite" in str(failure.value)
 
 
-@pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block")])
+@pytest.mark.parametrize("block, label", [(1, "x-block 1"), ("y", "y-block"),
+                                          ("multiplier", "multiplier")])
 def test_non_finite_oracle_output_fails_with_block_and_iteration(block, label):
     case = dcopf.two_bus_fixture()
     problem = InfiniteOutput(dcopf.build_problem(case), block, iteration=4)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from bpladmm import dcopf, engine  # noqa: E402
 from oracles import (  # noqa: E402
     dcopf_reference_sweep,
+    dense_frozen_problem,
     dense_reference_problem,
     random_radial_case,
 )
@@ -59,17 +60,11 @@ def at_chunk_edges(**fixed):
     return decorate
 
 
-@PROPERTY_SETTINGS
-@given(**CASES, cancelled_line=st.booleans(), u_seed=st.none() | st.integers(0, 2**32 - 1))
-@at_chunk_edges(cancelled_line=False, u_seed=None)
-@at_chunk_edges(cancelled_line=True, u_seed=7)
-def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
-                                              cancelled_line, u_seed):
-    # u_seed None runs the whole problem, an integer the frozen-u one of a random placement
-    u_frozen = (None if u_seed is None else
-                np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float))
-    problem, params, state = make_run(num_buses, case_seed, jitter_seed, cancelled_line,
-                                            u_frozen)
+def assert_step_matches_the_reference_sweep(problem, params, state, u_frozen):
+    """One engine step from ``state`` gives the reference sweep's (x, y, z)
+    to 1e-12 of each one's largest entry (or 1), and its carried residual
+    is the dense A x + y - b to 1e-12 of the largest of 1, the dense
+    residual and the start's z/rho, which the x pass adds and takes off."""
     new = engine.step(problem, params, state)
     ref_x, ref_y, ref_z = dcopf_reference_sweep(problem, params, list(state.x), state.y,
                                                  state.z, u_frozen)
@@ -78,6 +73,46 @@ def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
         assert mine.shape == reference.shape
         scale = max(1.0, float(np.max(np.abs(reference))))
         assert np.max(np.abs(mine - reference)) <= 1e-12 * scale, name
+    if u_frozen is None:
+        A, b = dense_reference_problem(problem.case)
+    else:
+        A, b = dense_frozen_problem(problem.case, u_frozen)
+    dense = sum(Ai @ xi for Ai, xi in zip(A, new.x)) + new.y - b
+    scale = max(1.0, float(np.max(np.abs(state.z))) / params.rho, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(new.residual - dense)) <= 1e-12 * scale, "residual"
+
+
+def random_placement(num_buses, u_seed):
+    """None for u_seed None (the whole problem), else a random 0/1 placement."""
+    return (None if u_seed is None else
+            np.random.default_rng(u_seed).integers(0, 2, num_buses).astype(float))
+
+
+@PROPERTY_SETTINGS
+@given(**CASES, cancelled_line=st.booleans(), u_seed=st.none() | st.integers(0, 2**32 - 1))
+@at_chunk_edges(cancelled_line=False, u_seed=None)
+@at_chunk_edges(cancelled_line=True, u_seed=7)
+def test_one_step_matches_the_reference_sweep(num_buses, case_seed, jitter_seed,
+                                              cancelled_line, u_seed):
+    u_frozen = random_placement(num_buses, u_seed)
+    problem, params, state = make_run(num_buses, case_seed, jitter_seed, cancelled_line,
+                                      u_frozen)
+    assert_step_matches_the_reference_sweep(problem, params, state, u_frozen)
+
+
+@PROPERTY_SETTINGS
+@given(**CASES, u_seed=st.none() | st.integers(0, 2**32 - 1), z_seed=st.integers(0, 2**32 - 1),
+       magnitude=st.floats(1e2, 1e6))
+@at_chunk_edges(u_seed=None, z_seed=0, magnitude=1e6)
+def test_one_step_from_a_large_multiplier_matches_the_reference_sweep(
+        num_buses, case_seed, jitter_seed, u_seed, z_seed, magnitude):
+    # z/rho is ``magnitude`` times the start's largest residual entry, so in
+    # the z/rho + r that the x pass carries, r sits far below z/rho
+    u_frozen = random_placement(num_buses, u_seed)
+    problem, params, state = make_run(num_buses, case_seed, jitter_seed, u_frozen=u_frozen)
+    state.z = (params.rho * magnitude * max(1.0, float(np.max(np.abs(state.residual))))
+               * np.random.default_rng(z_seed).standard_normal(problem.p))
+    assert_step_matches_the_reference_sweep(problem, params, state, u_frozen)
 
 
 @PROPERTY_SETTINGS
@@ -131,3 +166,23 @@ def test_assembly_matches_the_dense_row_by_row_oracle(num_buses, case_seed, u_se
     U = dcopf.U
     assert_blocks_match(dcopf.frozen_u_problem(problem, u), [Ai[:, :U] for Ai in A],
                         b - sum(Ai[:, U] * ui for Ai, ui in zip(A, u)), rng)
+
+
+@PROPERTY_SETTINGS
+@given(num_buses=CASES["num_buses"], case_seed=CASES["case_seed"],
+       u_seed=st.none() | st.integers(0, 2**32 - 1), xy_seed=st.integers(0, 2**32 - 1),
+       cancelled_line=st.booleans())
+def test_stacked_residual_matches_the_per_block_sum(num_buses, case_seed, u_seed, xy_seed,
+                                                    cancelled_line):
+    # the DC-OPF override against the engine's default sum of apply_A products
+    case = random_radial_case(num_buses, case_seed)
+    if cancelled_line:
+        case = with_cancelled_line(case)
+    problem = dcopf.build_problem(case)
+    u_frozen = random_placement(num_buses, u_seed)
+    if u_frozen is not None:
+        problem = dcopf.frozen_u_problem(problem, u_frozen)
+    rng = np.random.default_rng(xy_seed)
+    x = rng.standard_normal((num_buses, *problem.block_shape))
+    y = rng.standard_normal(problem.p)
+    assert within_rounding(problem.residual(x, y), engine.BlockProblem.residual(problem, x, y))
