@@ -422,9 +422,9 @@ class DcOpfSolution:
 def solver_params_for(case: DcOpfCase, rho: float | None = None, alpha: float = 1e-2,
                       tol: float = 1e-5, max_iterations: int = 4000) -> SolverParams:
     """Engine parameters for a case: l_H = eta and the engine's lambda = 1
-    and l_P = beta = 0.  The default penalty rho = 2*eta + 1e-10 sits just
-    above its admissible bound.  ``tol`` is the engine's stop tolerance on
-    the relative change of the stacked iterate (x, y, z)."""
+    and l_P = beta = 0.  The default penalty ``rho_above_gate(eta)`` sits
+    just above its admissible bound.  ``tol`` is the engine's stop
+    tolerance on the relative change of the stacked iterate (x, y, z)."""
     return SolverParams(
         rho=engine.rho_above_gate(case.eta) if rho is None else rho,
         lipschitz_H=case.eta,

@@ -252,9 +252,10 @@ class SolverParams:
 
 
 def rho_above_gate(lipschitz_H: float) -> float:
-    """2 l_H + 1e-10: a penalty just above the rho gate 2 l_H / lambda for
-    lambda_min(B^T B) = 1, the default of both applications."""
-    return 2.0 * lipschitz_H + 1e-10
+    """2 l_H + 1e-10, or the next float above 2 l_H where that rounds to
+    2 l_H (l_H >= 2^19): a penalty just above the rho gate 2 l_H / lambda
+    for lambda_min(B^T B) = 1, the default of both applications."""
+    return max(2.0 * lipschitz_H + 1e-10, math.nextafter(2.0 * lipschitz_H, math.inf))
 
 
 def check_loop_settings(params: SolverParams) -> None:

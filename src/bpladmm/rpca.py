@@ -23,17 +23,17 @@ The two spectral kernels come from ``spaces``, and neither takes a full
 SVD per sweep; their docstrings give the routes.  Both solvers call
 ``rpca.singular_value_shrink_with_norm``, which shrinks L to about 1e-8
 relative or better and also returns the nuclear norm of L for the
-objective and the kept right singular vectors that start the next
-sweep's shrinkage.  ``leading_singular_pair`` gives the top singular pair
-of S to rounding, started from the previous pair's right vector; one pair
-per iterate gives both the spectral term of its objective and the
-subgradient of the next sweep.  Each solve keeps these starts for itself
-in its problem object, beside the other by-products.  The warm starts
-fail in the first sweeps, while the kept rank still falls, and the
-kernels take their cold routes.  Full SVDs remain only once per solve:
-the nuclear norm of the random starting L and the numerical rank of the
-result, where the Gram matrix would square the condition number and lose
-the small singular values.
+objective and the start of the next sweep's shrinkage, its kept right
+singular vectors and a certified residual.  ``leading_singular_pair``
+gives the top singular pair of S to rounding, started from the previous
+pair's right vector; one pair per iterate gives both the spectral term
+of its objective and the subgradient of the next sweep.  Each solve
+keeps these starts for itself in its problem object, beside the other
+by-products.  The warm starts fail in the first sweeps, while the kept
+rank still falls, and the kernels take their cold routes.  Full SVDs
+remain only once per solve: the nuclear norm of the random starting L
+and the numerical rank of the result, where the Gram matrix would square
+the condition number and lose the small singular values.
 
 ``admm3_baseline`` runs the classical three-block ADMM on the plain l1
 model (no spectral term, no proximal regularization, penalty rho = 2) for
@@ -67,7 +67,7 @@ class RpcaConfig:
     """Solver configuration; defaults follow the standard benchmark setup.
 
     ``rows`` and ``cols`` are the shape of the instances it solves.  The
-    default penalty rho = 2*gamma + 1e-10 sits just above its admissible
+    default penalty ``engine.rho_above_gate(gamma)`` sits just above its
     bound.  ``tolerance`` bounds the relative change of (L, S, T, Z).
     """
 
@@ -253,11 +253,12 @@ class RpcaBlockProblem(BlockProblem):
     L oracle's output, for ``eval_f``, and the leading singular pair of S,
     for both ``eval_G`` (the report of an iterate) and ``subgrad_G`` (the
     sweep that starts from it).  A solve of n sweeps thus computes n + 1
-    leading pairs and one SVD, of the starting L.  The kept right singular
-    vectors of the last L shrinkage start the next one, and the right
-    vector of the last leading pair starts the next pair, unless its sigma
-    was 0.  Both kernels certify their output whatever the start, so the
-    start affects their cost, not their answer beyond 1e-12 relative.
+    leading pairs and one SVD, of the starting L.  The ``WarmStart`` of
+    the last L shrinkage starts the next one, and the right vector of the
+    last leading pair starts the next pair, unless its sigma was 0.  Both
+    kernels certify their output whatever the start vectors, and a
+    reference residual counts only if the shrinkage made it, so the start
+    affects their cost, not their answer beyond 1e-12 relative.
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):
@@ -273,7 +274,7 @@ class RpcaBlockProblem(BlockProblem):
         self._gamma_M = config.gamma * instance.M
         self._nuclear = (None, 0.0)  # (L, ||L||_*)
         self._pair = (None, None)  # (S, leading_singular_pair(S))
-        self._basis = None  # the start of the next L shrinkage
+        self._basis = None  # the WarmStart of the next L shrinkage
 
     def apply_A(self, i, x):
         return x

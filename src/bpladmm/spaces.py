@@ -11,13 +11,13 @@ spectral-norm subgradient.  ``singular_value_shrink_with_norm`` returns
 the shrinkage to about 1e-8 relative or better, and
 ``leading_singular_pair`` the top singular value to rounding.  Neither
 takes a full SVD where it can certify a cheaper route, and each starts
-from what its previous call returned; their docstrings give the routes
-and the tests that certify them.
+from what its previous call returned, the shrinkage also from a certified
+residual; their docstrings give the routes and the tests that certify them.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,11 +85,12 @@ def quadratic_form(M: np.ndarray) -> BregmanGenerator:
 
 
 def soft_shrink(v: np.ndarray, c: float) -> np.ndarray:
-    """Entrywise sign(t) * max(|t| - c, 0); the proximal map of c*||.||_1."""
+    """Entrywise sign(t) * max(|t| - c, 0), as t - clip(t, -c, c); the
+    proximal map of c*||.||_1."""
     if not c >= 0:  # NaN fails this too
         raise ValueError("shrinkage threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - c, 0.0)
+    return v - np.clip(v, -c, c)
 
 
 def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -103,6 +104,17 @@ def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
 # sweeps, and a failed start of width w costs the subspace steps at w; on
 # the 100x100 and 400x400 RPCA solves, fractions of 0.1 to 0.25 saved the most
 _WARM_WIDTH_CAP = 0.2
+# a warm shrinkage's reference residual is certified below theta c, so
+# that Weyl's inequality certifies later residuals within (1 - theta) c of it
+_REFERENCE_THETA = 0.9
+
+
+class WarmStart(NamedTuple):
+    """The start a shrinkage returns: its kept right singular vectors and,
+    from a warm one, a reference (E_ref, beta, c) with ||E_ref||_2 <= beta."""
+
+    basis: np.ndarray
+    reference: tuple | None = None
 
 
 def _eigenvalues_below(A: np.ndarray, bound: float) -> bool:
@@ -124,38 +136,46 @@ def _certified(lam_max: float, c: float) -> bool:
 
 
 def _gram_shrink(N: np.ndarray, c: float):
-    """(output, kept singular values, kept right singular vectors) of the
-    shrinkage of N by c from one eigendecomposition of N^T N, or None
-    outside the certificate."""
+    """(output, kept singular values, ``WarmStart`` of the kept right
+    singular vectors) of the shrinkage of N by c from one eigendecomposition
+    of N^T N, or None outside the certificate."""
     lam, V = np.linalg.eigh(N.T @ N)
     if not _certified(lam[-1], c):
         return None
     keep = lam > c * c
     sigma, V_k = np.sqrt(lam[keep]), V[:, keep]
-    return (N @ (V_k * ((sigma - c) / sigma))) @ V_k.T, sigma, V_k
+    return (N @ (V_k * ((sigma - c) / sigma))) @ V_k.T, sigma, WarmStart(V_k)
 
 
-def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray):
+def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray | WarmStart):
     """What ``_gram_shrink`` returns, refined from a start basis of the kept
     right singular vectors, or None when the start cannot certify it.
 
-    Two subspace steps Q <- qr(N^T (N Q)) refine the start.  The Ritz pairs
-    of N on range(Q) come from the k x k Gram matrix of Y = N Q: with
+    One QR of N^T N N^T N Q_0, two subspace steps from the start Q_0,
+    refines it, unless that product overflows.  The Ritz pairs of N on
+    range(Q) come from the k x k Gram matrix of Y = N Q: with
     Y^T Y = W diag(sigma^2) W^T, V = Q W and U = Y W / sigma, N is
     U Sigma V^T + E with E = N (I - Q Q^T) and E V = 0.  Without the cross
     term U U^T E, N is the direct sum of U Sigma V^T and (I - U U^T) E.  If
-    every sigma exceeds c and every singular value of E lies below c (a
-    Cholesky factorization of c^2 I - E^T E succeeds), the shrinkage of
-    that sum is U (Sigma - c) V^T.  The shrinkage is nonexpansive, so this
-    differs from the shrinkage of N by at most ||U^T E||_F, which must be
-    at most 1e-12 ||Sigma - c||_F.  The Ritz values carry the Gram
-    certificate.
+    every sigma exceeds c and every singular value of E lies below c, the
+    shrinkage of that sum is U (Sigma - c) V^T.  The shrinkage is
+    nonexpansive, so this differs from the shrinkage of N by at most
+    ||U^T E||_F, which must be at most 1e-12 ||Sigma - c||_F.  The Ritz
+    values carry the Gram certificate.
+
+    A ``WarmStart``'s reference (E_ref, beta, c) of E's shape certifies E
+    by Weyl's inequality, sigma_1(E) <= beta + ||E - E_ref||_F < c.  Else a
+    Cholesky test of (theta c)^2 I - E^T E makes E the reference, or one at
+    c^2, the only test of a bare array start, certifies E alone.
     """
-    if start.shape[0] != N.shape[1] or not 0 < start.shape[1] <= _WARM_WIDTH_CAP * N.shape[1]:
+    warm = isinstance(start, WarmStart)
+    basis, ref = start if warm else (start, None)
+    if basis.shape[0] != N.shape[1] or not 0 < basis.shape[1] <= _WARM_WIDTH_CAP * N.shape[1]:
         return None
-    Q = start
-    for _ in range(2):
-        Q = np.linalg.qr(N.T @ (N @ Q))[0]
+    power = N.T @ (N @ (N.T @ (N @ basis)))
+    if not np.isfinite(power).all():
+        return None
+    Q = np.linalg.qr(power)[0]
     Y = N @ Q
     lam, W = np.linalg.eigh(Y.T @ Y)
     if not (_certified(lam[-1], c) and lam[0] > c * c):
@@ -163,20 +183,27 @@ def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray):
     sigma = np.sqrt(lam)
     U = (Y @ W) / sigma
     E = N - Y @ Q.T
-    if not (np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c)
-            and _eigenvalues_below(E.T @ E, c * c)):
+    if not np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c):
         return None
+    if ref is None or ref[2] != c or ref[0].shape != E.shape or not (
+            ref[1] + np.linalg.norm(E - ref[0]) * (1.0 + 1e-12) < c):
+        G, beta = E.T @ E, _REFERENCE_THETA * c
+        ref = (E, beta, c) if warm and _eigenvalues_below(G, beta * beta) else None
+        if ref is None and not _eigenvalues_below(G, c * c):
+            return None
     V = Q @ W
-    return (U * (sigma - c)) @ V.T, sigma, V
+    return (U * (sigma - c)) @ V.T, sigma, WarmStart(V, ref)
 
 
 def singular_value_shrink_with_norm(
-    M: np.ndarray, c: float, start: np.ndarray | None = None
-) -> tuple[np.ndarray, float, np.ndarray]:
+    M: np.ndarray, c: float, start: np.ndarray | WarmStart | None = None
+) -> tuple[np.ndarray, float, WarmStart]:
     """Soft shrinkage of the singular values, the proximal map of c*||.||_*,
-    with the nuclear norm of its output and the kept right singular vectors
-    V_k of N (N = M or M^T, whichever is tall), both free from the
-    shrinkage.  V_k is the ``start`` of a next call on a nearby matrix.
+    with the nuclear norm of its output and a ``WarmStart`` holding the
+    kept right singular vectors V_k of N (N = M or M^T, whichever is tall),
+    both free from the shrinkage.  That ``WarmStart`` starts a next call on
+    a nearby matrix; so may a bare array of V_k.  Pass a ``WarmStart`` only
+    as a call returned it: its reference is trusted as certified.
 
     For c > 0 and a ``start`` of at most ``_WARM_WIDTH_CAP`` times the
     columns of N, it first tries ``_warm_shrink``, which certifies its
@@ -207,11 +234,11 @@ def singular_value_shrink_with_norm(
         except np.linalg.LinAlgError:  # an eigh of an overflowed Gram product
             shrunk = None
         if shrunk is not None:
-            out, sigma, V_k = shrunk
-            return (out.T if transposed else out), float((sigma - c).sum()), V_k
+            out, sigma, next_start = shrunk
+            return (out.T if transposed else out), float((sigma - c).sum()), next_start
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     shrunk = np.maximum(s - c, 0.0)
-    return (U * shrunk) @ Vt, float(shrunk.sum()), (U if transposed else Vt.T)[:, s > c]
+    return (U * shrunk) @ Vt, float(shrunk.sum()), WarmStart((U if transposed else Vt.T)[:, s > c])
 
 
 def singular_value_shrink(M: np.ndarray, c: float) -> np.ndarray:

@@ -68,6 +68,15 @@ def test_rpca_bench_default_rho_follows_gamma(tmp_path):
     assert all(row["converged"] == "1" for row in read_csv(tmp_path / "rpca_runs.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["dcopf", "--fixture", "2bus", "--eta", "1e6", "--max-iter", "50", "--allow-maxiter"],
+    ["rpca-bench", "--size", "10", "10", "--rank", "2", "--seeds", "1", "--gamma", "1e6"],
+], ids=["dcopf-eta", "rpca-gamma"])
+def test_default_rho_passes_its_gate_for_a_large_l_H(argv, tmp_path):
+    # at l_H = 1e6, 2 l_H + 1e-10 rounds to 2 l_H, which the gate rejects
+    assert main(argv + ["--jobs", "1", "--no-timing", "--out", str(tmp_path)]) == 0
+
+
 def test_rpca_bench_rejects_bad_rank(tmp_path, capsys):
     rc = main(RPCA_SMALL[:1] + ["--size", "10", "10", "--rank", "50", "--seeds", "1",
                                 "--out", str(tmp_path)])

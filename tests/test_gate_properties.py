@@ -45,3 +45,13 @@ def test_gates_accept_exactly_the_positive_descent_weights(l_H, l_P, beta, lam, 
     for scale, sign in ((1.0 + GAP, 1.0), (1.0 - GAP, -1.0)):
         assert sign * replace(params, strong_convexity=scale * alpha_bound).delta_x > 0.0
         assert sign * replace(params, rho=scale * rho_bound).delta_y > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(l_H=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 2.0**19, 1e6, 1e300])))
+def test_the_default_rho_passes_its_gate(l_H):
+    # 2 l_H + 1e-10 alone rounds to 2 l_H for l_H >= 2^19
+    rho = engine.rho_above_gate(l_H)
+    assert accepted(engine.SolverParams(rho=rho, lipschitz_H=l_H))
+    if l_H < 2.0**19:
+        assert rho == 2.0 * l_H + 1e-10

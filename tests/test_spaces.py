@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bpladmm import spaces
+from bpladmm import cli, rpca, spaces
 from oracles import (
     finite_difference_gradient,
     golden_section,
@@ -85,6 +85,16 @@ def test_soft_shrink_matches_scalar_minimization_oracle(rng):
         assert spaces.soft_shrink(np.array([t]), c)[0] == pytest.approx(
             scalar_prox_l1(t, c), abs=1e-8
         )
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, np.inf])
+def test_soft_shrink_equals_the_sign_formula(c, rng):
+    special = [c, -c, 0.0, -0.0, np.inf, -np.inf, np.nan]
+    v = np.concatenate([3.0 * rng.standard_normal(200), special]).reshape(9, 23)
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        expected = np.sign(v) * np.maximum(np.abs(v) - c, 0.0)
+        out = spaces.soft_shrink(v, c)
+    assert np.array_equal(out, expected, equal_nan=True)  # 0.0 == -0.0 here
 
 
 def test_soft_shrink_rejects_negative_threshold():
@@ -238,7 +248,7 @@ def projector(V):
 ], ids=["gram", "svd", "zero"])
 def test_every_route_returns_the_kept_right_singular_vectors(c, values, kept, shape, rng):
     M = with_singular_values(rng, *shape, values)
-    V_k = spaces.singular_value_shrink_with_norm(M, c)[2]
+    V_k = spaces.singular_value_shrink_with_norm(M, c)[2].basis
     assert V_k.shape == (4, kept)
     assert np.allclose(projector(V_k), projector(kept_basis(M, kept)), rtol=0.0, atol=1e-10)
 
@@ -264,13 +274,13 @@ def test_warm_shrinkage_from_a_good_start_takes_no_gram_eigendecomposition(shape
     expected, expected_nuclear = svd_shrink(M, 1.0)
     kept = projector(kept_basis(M, 3))
     eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
-    out, nuclear, V_k = spaces.singular_value_shrink_with_norm(M, 1.0, start)
-    again = spaces.singular_value_shrink_with_norm(M, 1.0, V_k)[0]  # V_k starts the next call
+    out, nuclear, warm = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+    again = spaces.singular_value_shrink_with_norm(M, 1.0, warm)[0]  # it starts the next call
     assert not eighs and not svds
     assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
     assert np.linalg.norm(again - expected) <= REL * np.linalg.norm(expected)
     assert nuclear == pytest.approx(expected_nuclear, rel=REL)
-    assert np.allclose(projector(V_k), kept, rtol=0.0, atol=1e-10)
+    assert np.allclose(projector(warm.basis), kept, rtol=0.0, atol=1e-10)
 
 
 VALUES = [8.0, 5.0, 3.0, 0.9, 0.5, 0.2]  # three above c = 1, a tail close below it
@@ -303,11 +313,103 @@ def test_shrinkage_from_a_start_that_cannot_certify_takes_the_gram_route(kind, s
     expected, expected_nuclear = svd_shrink(matrix, 1.0)
     kept = int(np.sum(np.linalg.svd(matrix, compute_uv=False) > 1.0))
     eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
-    out, nuclear, V_k = spaces.singular_value_shrink_with_norm(matrix, 1.0, start)
+    out, nuclear, warm = spaces.singular_value_shrink_with_norm(matrix, 1.0, start)
     assert (len(eighs), len(svds)) == (1, 0)
     assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
     assert nuclear == pytest.approx(expected_nuclear, rel=REL)
-    assert V_k.shape == (20, kept)
+    assert warm.basis.shape == (20, kept)
+
+
+CERTIFIED = 1e-12  # the warm shrinkage's certificate, relative to the output
+TAIL = [100.0, 50.0, 30.0, 0.6, 0.5, 0.2]  # three above c = 1, a tail below 0.9 c
+
+
+def assert_shrinks(M, c, out, nuclear):
+    expected, expected_nuclear = svd_shrink(M, c)
+    assert np.linalg.norm(out - expected) <= CERTIFIED * np.linalg.norm(expected)
+    assert nuclear == pytest.approx(expected_nuclear, rel=CERTIFIED)
+
+
+def with_reference(M, c):
+    """The start a warm shrinkage of M by c returns with its reference: the
+    Gram route's start has none, and a warm call from it makes one."""
+    start = spaces.singular_value_shrink_with_norm(M, c)[2]
+    start = spaces.singular_value_shrink_with_norm(M, c, start)[2]
+    assert start.reference is not None
+    return start
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_nearby_matrices_take_no_cholesky_once_a_reference_is_set(shape, rng, monkeypatch):
+    M = with_singular_values(rng, *shape, TAIL)
+    start = with_reference(M, 1.0)
+    choleskys, eighs = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigh", 20)
+    for _ in range(5):
+        M = M + 1e-6 * rng.standard_normal(shape)
+        out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+        assert_shrinks(M, 1.0, out, nuclear)
+        assert next_start.reference is start.reference  # certified by Weyl's bound, kept
+        start = next_start
+    assert not choleskys and not eighs
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_a_value_rising_above_c_outvotes_the_reference(shape, rng):
+    U, s, Vt = np.linalg.svd(with_singular_values(rng, *shape, TAIL), full_matrices=False)
+    start = with_reference((U * s) @ Vt, 1.0)
+    s[3] = 1.0 + 1e-3  # the fourth value rises above c; its vector is outside the basis
+    M = (U * s) @ Vt
+    out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+    assert_shrinks(M, 1.0, out, nuclear)
+    assert next_start.basis.shape == (20, 4) and next_start.reference is None
+
+
+@pytest.mark.parametrize("other", ["c", "shape"])
+def test_a_reference_for_another_c_or_shape_is_not_used(other, rng, monkeypatch):
+    M = with_singular_values(rng, 30, 20, TAIL)
+    start = with_reference(M, 1.0)
+    # Weyl's bound would certify the same residual at a larger c, and the
+    # residual of a shorter matrix cannot be compared with the reference;
+    # the shorter one keeps M's right singular vectors, so the start fits it
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    shorter = (np.linalg.qr(rng.standard_normal((25, 20)))[0] * s) @ Vt
+    M, c = (M, 1.2) if other == "c" else (shorter, 1.0)
+    choleskys, eighs = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigh", 20)
+    out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, c, start)
+    assert_shrinks(M, c, out, nuclear)
+    assert (len(choleskys), len(eighs)) == (1, 0)  # the warm route, with a new reference
+    reference = next_start.reference
+    assert reference[2] == c and reference[0].shape == (25 if other == "shape" else 30, 20)
+
+
+def test_an_overflowing_power_falls_back_to_the_gram_route(rng, monkeypatch):
+    # N^T N N^T N scales as 1e320 and overflows, N^T N as 1e160 does not
+    M = 1e80 * with_singular_values(rng, 30, 20, TAIL)
+    basis = kept_basis(M, 3)
+    eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
+    out, nuclear, start = spaces.singular_value_shrink_with_norm(M, 1e80, basis)
+    assert (len(eighs), len(svds)) == (1, 0)  # no warning either: pytest makes it an error
+    assert_shrinks(M, 1e80, out, nuclear)
+    assert start.basis.shape == (20, 3)
+
+
+def test_most_warm_shrinkages_of_a_desk_solve_take_no_cholesky(monkeypatch):
+    instance = rpca.generate_instance(100, 100, 10, 0.05, 1e-2, seed=0)
+    config = rpca.RpcaConfig(rows=100, cols=100)
+    choleskys, taken = counting(monkeypatch, "cholesky"), []
+    warm_shrink = spaces._warm_shrink
+
+    def counted(*args):
+        before = len(choleskys)
+        out = warm_shrink(*args)
+        if out is not None:
+            taken.append(len(choleskys) > before)
+        return out
+
+    monkeypatch.setattr(spaces, "_warm_shrink", counted)
+    for solver in (rpca.bpl_admm_rpca, rpca.admm3_baseline):
+        solver(instance, config, cli.INIT_SEED_OFFSET)
+    assert len(taken) > 100 and sum(taken) < len(taken) / 2
 
 
 def assert_top_pair(S, pair):
