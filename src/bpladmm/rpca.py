@@ -256,9 +256,9 @@ class RpcaBlockProblem(BlockProblem):
     leading pairs and one SVD, of the starting L.  The ``WarmStart`` of
     the last L shrinkage starts the next one, and the right vector of the
     last leading pair starts the next pair, unless its sigma was 0.  Both
-    kernels certify their output whatever the start vectors, and a
-    reference residual counts only if the shrinkage made it, so the start
-    affects their cost, not their answer beyond 1e-12 relative.
+    kernels certify their output whatever the start vectors, and the only
+    residual a start carries is one the last shrinkage certified, so the
+    start affects their cost, not their answer beyond 1e-12 relative.
     """
 
     def __init__(self, instance: RpcaInstance, config: RpcaConfig):

@@ -22,11 +22,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-def _check_same_shape(u, v):
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-
-
 def stacked_norm(parts) -> float:
     """Norm of a tuple of arrays viewed as one long stacked vector."""
     return math.sqrt(sum(float(np.vdot(p, p)) for p in parts))
@@ -49,7 +44,8 @@ class BregmanGenerator:
 
 def bregman_distance(gen: BregmanGenerator, u: np.ndarray, v: np.ndarray) -> float:
     """phi(u) - phi(v) - <grad phi(v), u - v>; nonnegative for convex phi."""
-    _check_same_shape(u, v)
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     return float(gen.value(u) - gen.value(v) - np.vdot(gen.grad(v), u - v))
 
 
@@ -85,8 +81,7 @@ def quadratic_form(M: np.ndarray) -> BregmanGenerator:
 
 
 def soft_shrink(v: np.ndarray, c: float) -> np.ndarray:
-    """Entrywise sign(t) * max(|t| - c, 0), as t - clip(t, -c, c); the
-    proximal map of c*||.||_1."""
+    """Entrywise t - clip(t, -c, c) = sign(t) max(|t| - c, 0): the prox of c*||.||_1."""
     if not c >= 0:  # NaN fails this too
         raise ValueError("shrinkage threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
@@ -104,17 +99,18 @@ def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
 # sweeps, and a failed start of width w costs the subspace steps at w; on
 # the 100x100 and 400x400 RPCA solves, fractions of 0.1 to 0.25 saved the most
 _WARM_WIDTH_CAP = 0.2
-# a warm shrinkage's reference residual is certified below theta c, so
-# that Weyl's inequality certifies later residuals within (1 - theta) c of it
+# a warm shrinkage's carried residual is certified below theta c, so that
+# Weyl's inequality certifies later residuals within (1 - theta) c of it
 _REFERENCE_THETA = 0.9
 
 
 class WarmStart(NamedTuple):
     """The start a shrinkage returns: its kept right singular vectors and,
-    from a warm one, a reference (E_ref, beta, c) with ||E_ref||_2 <= beta."""
+    from a warm one, a residual it certified, with ||residual||_2 < bound."""
 
     basis: np.ndarray
-    reference: tuple | None = None
+    residual: np.ndarray | None = None
+    bound: float = math.inf
 
 
 def _eigenvalues_below(A: np.ndarray, bound: float) -> bool:
@@ -147,7 +143,7 @@ def _gram_shrink(N: np.ndarray, c: float):
     return (N @ (V_k * ((sigma - c) / sigma))) @ V_k.T, sigma, WarmStart(V_k)
 
 
-def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray | WarmStart):
+def _warm_shrink(N: np.ndarray, c: float, start: WarmStart):
     """What ``_gram_shrink`` returns, refined from a start basis of the kept
     right singular vectors, or None when the start cannot certify it.
 
@@ -163,13 +159,13 @@ def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray | WarmStart):
     ||U^T E||_F, which must be at most 1e-12 ||Sigma - c||_F.  The Ritz
     values carry the Gram certificate.
 
-    A ``WarmStart``'s reference (E_ref, beta, c) of E's shape certifies E
-    by Weyl's inequality, sigma_1(E) <= beta + ||E - E_ref||_F < c.  Else a
-    Cholesky test of (theta c)^2 I - E^T E makes E the reference, or one at
-    c^2, the only test of a bare array start, certifies E alone.
+    A start's residual E_ref, ||E_ref||_2 < bound, certifies E of its shape
+    by Weyl's inequality, sigma_1(E) <= bound + ||E - E_ref||_F < c.  Else
+    a Cholesky test of (theta c)^2 I - E^T E or, that failing, one at c^2
+    certifies E, which is returned with bound theta c or c.  Within
+    (1 - theta) c of E_ref, only the second runs and E_ref is kept.
     """
-    warm = isinstance(start, WarmStart)
-    basis, ref = start if warm else (start, None)
+    basis, residual, bound = start
     if basis.shape[0] != N.shape[1] or not 0 < basis.shape[1] <= _WARM_WIDTH_CAP * N.shape[1]:
         return None
     power = N.T @ (N @ (N.T @ (N @ basis)))
@@ -185,25 +181,30 @@ def _warm_shrink(N: np.ndarray, c: float, start: np.ndarray | WarmStart):
     E = N - Y @ Q.T
     if not np.linalg.norm(U.T @ E) <= 1e-12 * np.linalg.norm(sigma - c):
         return None
-    if ref is None or ref[2] != c or ref[0].shape != E.shape or not (
-            ref[1] + np.linalg.norm(E - ref[0]) * (1.0 + 1e-12) < c):
-        G, beta = E.T @ E, _REFERENCE_THETA * c
-        ref = (E, beta, c) if warm and _eigenvalues_below(G, beta * beta) else None
-        if ref is None and not _eigenvalues_below(G, c * c):
+    moved = math.inf if residual is None or residual.shape != E.shape else (
+        np.linalg.norm(E - residual) * (1.0 + 1e-12))
+    if not bound + moved < c:
+        G, theta_c = E.T @ E, _REFERENCE_THETA * c
+        far = moved >= c - theta_c
+        if far and _eigenvalues_below(G, theta_c * theta_c):
+            residual, bound = E, theta_c
+        elif not _eigenvalues_below(G, c * c):
             return None
+        elif far:
+            residual, bound = E, c
     V = Q @ W
-    return (U * (sigma - c)) @ V.T, sigma, WarmStart(V, ref)
+    return (U * (sigma - c)) @ V.T, sigma, WarmStart(V, residual, bound)
 
 
 def singular_value_shrink_with_norm(
-    M: np.ndarray, c: float, start: np.ndarray | WarmStart | None = None
+    M: np.ndarray, c: float, start: WarmStart | None = None
 ) -> tuple[np.ndarray, float, WarmStart]:
     """Soft shrinkage of the singular values, the proximal map of c*||.||_*,
     with the nuclear norm of its output and a ``WarmStart`` holding the
     kept right singular vectors V_k of N (N = M or M^T, whichever is tall),
     both free from the shrinkage.  That ``WarmStart`` starts a next call on
-    a nearby matrix; so may a bare array of V_k.  Pass a ``WarmStart`` only
-    as a call returned it: its reference is trusted as certified.
+    a nearby matrix; so may ``WarmStart(V_k)``.  Pass a residual only as a
+    call returned it: it is trusted as certified.
 
     For c > 0 and a ``start`` of at most ``_WARM_WIDTH_CAP`` times the
     columns of N, it first tries ``_warm_shrink``, which certifies its

@@ -256,7 +256,7 @@ def test_every_route_returns_the_kept_right_singular_vectors(c, values, kept, sh
 def test_shrinkage_of_an_overflowing_gram_product_falls_back_to_the_svd(rng, monkeypatch):
     M = 1e200 * rng.standard_normal((8, 6))
     expected, expected_nuclear = svd_shrink(M, 1.0)
-    starts = (None, kept_basis(M, 1))
+    starts = (None, spaces.WarmStart(kept_basis(M, 1)))
     calls = counting(monkeypatch, "svd")
     for start in starts:  # no warning either way
         out, nuclear, _ = spaces.singular_value_shrink_with_norm(M, 1.0, start)
@@ -270,7 +270,7 @@ def test_warm_shrinkage_from_a_good_start_takes_no_gram_eigendecomposition(shape
                                                                            monkeypatch):
     M = with_singular_values(rng, *shape, [100.0, 50.0, 30.0, 0.3, 0.2, 0.1])
     # the kept vectors of a nearby matrix, as the previous sweep leaves them
-    start = kept_basis(M + 1e-6 * rng.standard_normal(shape), 3)
+    start = spaces.WarmStart(kept_basis(M + 1e-6 * rng.standard_normal(shape), 3))
     expected, expected_nuclear = svd_shrink(M, 1.0)
     kept = projector(kept_basis(M, 3))
     eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
@@ -309,11 +309,12 @@ BAD_STARTS = {
 def test_shrinkage_from_a_start_that_cannot_certify_takes_the_gram_route(kind, shape, rng,
                                                                          monkeypatch):
     M = with_singular_values(rng, *shape, VALUES)
-    matrix, start = BAD_STARTS[kind](M, kept_basis(M, 6), rng)
+    matrix, basis = BAD_STARTS[kind](M, kept_basis(M, 6), rng)
     expected, expected_nuclear = svd_shrink(matrix, 1.0)
     kept = int(np.sum(np.linalg.svd(matrix, compute_uv=False) > 1.0))
     eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
-    out, nuclear, warm = spaces.singular_value_shrink_with_norm(matrix, 1.0, start)
+    out, nuclear, warm = spaces.singular_value_shrink_with_norm(matrix, 1.0,
+                                                                spaces.WarmStart(basis))
     assert (len(eighs), len(svds)) == (1, 0)
     assert np.linalg.norm(out - expected) <= REL * np.linalg.norm(expected)
     assert nuclear == pytest.approx(expected_nuclear, rel=REL)
@@ -330,56 +331,84 @@ def assert_shrinks(M, c, out, nuclear):
     assert nuclear == pytest.approx(expected_nuclear, rel=CERTIFIED)
 
 
-def with_reference(M, c):
-    """The start a warm shrinkage of M by c returns with its reference: the
+def with_residual(M, c):
+    """The start a warm shrinkage of M by c returns with its residual: the
     Gram route's start has none, and a warm call from it makes one."""
     start = spaces.singular_value_shrink_with_norm(M, c)[2]
     start = spaces.singular_value_shrink_with_norm(M, c, start)[2]
-    assert start.reference is not None
+    assert start.residual is not None and start.bound == 0.9 * c
     return start
 
 
 @pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
-def test_nearby_matrices_take_no_cholesky_once_a_reference_is_set(shape, rng, monkeypatch):
+def test_nearby_matrices_take_no_cholesky_once_a_residual_is_set(shape, rng, monkeypatch):
     M = with_singular_values(rng, *shape, TAIL)
-    start = with_reference(M, 1.0)
+    start = with_residual(M, 1.0)
     choleskys, eighs = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigh", 20)
     for _ in range(5):
         M = M + 1e-6 * rng.standard_normal(shape)
         out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
         assert_shrinks(M, 1.0, out, nuclear)
-        assert next_start.reference is start.reference  # certified by Weyl's bound, kept
+        assert next_start.residual is start.residual  # certified by Weyl's bound, kept
         start = next_start
     assert not choleskys and not eighs
 
 
 @pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
-def test_a_value_rising_above_c_outvotes_the_reference(shape, rng):
+def test_a_value_rising_above_c_outvotes_the_residual(shape, rng):
     U, s, Vt = np.linalg.svd(with_singular_values(rng, *shape, TAIL), full_matrices=False)
-    start = with_reference((U * s) @ Vt, 1.0)
+    start = with_residual((U * s) @ Vt, 1.0)
     s[3] = 1.0 + 1e-3  # the fourth value rises above c; its vector is outside the basis
     M = (U * s) @ Vt
     out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
     assert_shrinks(M, 1.0, out, nuclear)
-    assert next_start.basis.shape == (20, 4) and next_start.reference is None
+    assert next_start.basis.shape == (20, 4) and next_start.residual is None
 
 
-@pytest.mark.parametrize("other", ["c", "shape"])
-def test_a_reference_for_another_c_or_shape_is_not_used(other, rng, monkeypatch):
+@pytest.mark.parametrize("c", [0.95, 1.2])
+def test_a_residual_certifies_at_another_c(c, rng, monkeypatch):
+    # its bound holds whatever c it was made for, so Weyl's test holds too
     M = with_singular_values(rng, 30, 20, TAIL)
-    start = with_reference(M, 1.0)
-    # Weyl's bound would certify the same residual at a larger c, and the
-    # residual of a shorter matrix cannot be compared with the reference;
-    # the shorter one keeps M's right singular vectors, so the start fits it
-    _, s, Vt = np.linalg.svd(M, full_matrices=False)
-    shorter = (np.linalg.qr(rng.standard_normal((25, 20)))[0] * s) @ Vt
-    M, c = (M, 1.2) if other == "c" else (shorter, 1.0)
+    start = with_residual(M, 1.0)
     choleskys, eighs = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigh", 20)
     out, nuclear, next_start = spaces.singular_value_shrink_with_norm(M, c, start)
     assert_shrinks(M, c, out, nuclear)
-    assert (len(choleskys), len(eighs)) == (1, 0)  # the warm route, with a new reference
-    reference = next_start.reference
-    assert reference[2] == c and reference[0].shape == (25 if other == "shape" else 30, 20)
+    assert (len(choleskys), len(eighs)) == (0, 0)
+    assert next_start.residual is start.residual and next_start.bound == 0.9
+
+
+@pytest.mark.parametrize("shape", [(30, 20), (20, 30)], ids=["tall", "wide"])
+def test_a_tail_between_theta_c_and_c_takes_one_cholesky_a_call(shape, rng, monkeypatch):
+    U, s, Vt = np.linalg.svd(with_singular_values(rng, *shape, TAIL), full_matrices=False)
+    s[3] = 0.95  # the tail's top sits above 0.9 c, so the first test fails
+    M = (U * s) @ Vt
+    start = spaces.singular_value_shrink_with_norm(M, 1.0)[2]
+    choleskys = counting(monkeypatch, "cholesky")
+    for calls in range(1, 6):
+        M = M + 1e-6 * rng.standard_normal(shape)
+        out, nuclear, start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+        assert_shrinks(M, 1.0, out, nuclear)
+        assert start.bound == 1.0 and len(choleskys) == calls + 1  # both tests once, then one
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    s[3] = 0.6  # the residual moves 0.35 c, more than 0.1 c: the first test runs and passes
+    M = (U * s) @ Vt
+    out, nuclear, start = spaces.singular_value_shrink_with_norm(M, 1.0, start)
+    assert_shrinks(M, 1.0, out, nuclear)
+    assert start.bound == 0.9 and len(choleskys) == 7
+
+
+def test_a_residual_of_another_shape_is_not_used(rng, monkeypatch):
+    M = with_singular_values(rng, 30, 20, TAIL)
+    start = with_residual(M, 1.0)
+    # the shorter matrix keeps M's right singular vectors, so the basis fits
+    # it, but its residual cannot be compared with the carried one
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    shorter = (np.linalg.qr(rng.standard_normal((25, 20)))[0] * s) @ Vt
+    choleskys, eighs = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigh", 20)
+    out, nuclear, next_start = spaces.singular_value_shrink_with_norm(shorter, 1.0, start)
+    assert_shrinks(shorter, 1.0, out, nuclear)
+    assert (len(choleskys), len(eighs)) == (1, 0)  # the warm route, with a new residual
+    assert next_start.residual.shape == (25, 20)
 
 
 def test_an_overflowing_power_falls_back_to_the_gram_route(rng, monkeypatch):
@@ -387,7 +416,8 @@ def test_an_overflowing_power_falls_back_to_the_gram_route(rng, monkeypatch):
     M = 1e80 * with_singular_values(rng, 30, 20, TAIL)
     basis = kept_basis(M, 3)
     eighs, svds = counting(monkeypatch, "eigh", 20), counting(monkeypatch, "svd")
-    out, nuclear, start = spaces.singular_value_shrink_with_norm(M, 1e80, basis)
+    out, nuclear, start = spaces.singular_value_shrink_with_norm(M, 1e80,
+                                                                 spaces.WarmStart(basis))
     assert (len(eighs), len(svds)) == (1, 0)  # no warning either: pytest makes it an error
     assert_shrinks(M, 1e80, out, nuclear)
     assert start.basis.shape == (20, 3)
