@@ -41,13 +41,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import engine
-from .engine import (
-    BlockProblem,
-    IterationReport,
-    SolverParams,
-    XBlockContext,
-    YBlockContext,
-)
+from .engine import BlockProblem, IterationReport, SolverParams
 from .spaces import dist_sq_nonneg_orthant
 
 PV, GEN, THETA, U = 0, 1, 2, 3  # column layout of a bus block
@@ -229,22 +223,22 @@ class DcOpfBlockProblem(BlockProblem):
     built one by one when read.  ``Q_diag`` and ``q`` are N x k arrays of
     the per-bus cost diagonals and linear terms.  ``apply_A`` scatters a
     compact product into the whole constraint space, and ``solve_x_block``
-    gathers its context's vectors on ``rows[i]``.
+    gathers z and the partial residual on ``rows[i]``.
     ``build_problem`` builds the whole model (k = 4) and
     ``frozen_u_problem`` the model of a frozen placement (k = 3).
 
     The x oracle is the closed-form update
 
-        x = K_i^-1 (w x_cur - q_i - linear_term - A_i^T (z + rho r)),
+        x = K_i^-1 (w x_i - q_i - linear_i - A_i^T (z + rho r)),
         K_i = diag(Q_diag[i]) + rho A_i^T A_i + w I,
 
-    with w the context's proximal weight alpha and r its partial residual,
-    one 4x4 solve per call with nothing cached.  A problem without the u
+    with w the proximal weight alpha and r the partial residual, one 4x4
+    solve per call with nothing cached.  A problem without the u
     column (the frozen-u recheck) has no placement penalty, so gamma is the
     case's with four columns and 0 with three.
 
-    ``x_sweep`` runs the same updates without building a context per bus,
-    with the multiplier in scaled form, A_i^T (z + rho r) = rho A_i^T (z/rho
+    ``x_sweep`` runs the same updates without an oracle call per bus, with
+    the multiplier in scaled form, A_i^T (z + rho r) = rho A_i^T (z/rho
     + r).  With c = z/rho + res carried through the sweep, res the
     residual, the update above is x_i+ = x_i + dx_i with
 
@@ -268,17 +262,18 @@ class DcOpfBlockProblem(BlockProblem):
     is the natural-order pass up to rounding; it returns c - z/rho as the
     new residual, with rounding of the size of z/rho.  A chunk costs a
     gather, three ``ndarray.dot`` products and a scatter whatever its size,
-    while its dense products and memory grow with it: of chunks of 4 to 24
-    buses, 8 gave the fastest engine step at N = 1000 and came within 2%
-    of the fastest at N = 141.  Each chunk keeps R_C, Abar_C and the scaled
+    while its dense products and memory grow with it, so its size trades
+    calls against arithmetic.  Each chunk keeps R_C, Abar_C and the scaled
     inverse -rho (D + L)_CC^-1 (the sweep scales g by 1/rho to match),
-    about 28 floats per nonzero of A: 0.60 MB at N = 141, 4.4 MB at
-    N = 1000.  They do not depend on the iterate, so the sweep builds them
-    for the first (rho, w) and rebuilds them for another pair.  A chunk
-    inverse mixes its buses (0 x inf is NaN), so the sweep first checks g
-    finite and names the first bus that is not; a z that is not finite is
-    named by the report of the sweep that made it (the block "multiplier"),
-    so no sweep of a run meets one.
+    about 28 floats per nonzero of A, so they grow with nnz(A), not N p.
+    The CHANGES.md entry "Chunked exact Gauss-Seidel for the DC-OPF x
+    sweep" times the sizes tried and gives this memory.  The operators do
+    not depend on the iterate, so the sweep builds them for the first
+    (rho, w) and rebuilds them for another pair.  A chunk inverse mixes its
+    buses (0 x inf is NaN), so the sweep first checks g finite and names
+    the first bus that is not; a z that is not finite is named by the
+    report of the sweep that made it (the block "multiplier"), so no sweep
+    of a run meets one.
     """
 
     def __init__(self, case: DcOpfCase, stacked_rows: np.ndarray, stacked_A: np.ndarray,
@@ -353,10 +348,9 @@ class DcOpfBlockProblem(BlockProblem):
             out[:, U] = self.gamma * (2.0 * x[:, U] - 1.0)
         return out
 
-    def solve_x_block(self, i, ctx: XBlockContext):
-        rho, w, rows, A = ctx.rho, ctx.prox_weight, self.rows[i], self.blocks[i]
-        rhs = w * ctx.current_iterate - self.q[i] - ctx.linear_term - A.T @ (
-            ctx.multiplier[rows] + rho * ctx.partial_residual[rows])
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        w, rows, A = prox_weight, self.rows[i], self.blocks[i]
+        rhs = w * x_i - self.q[i] - linear_i - A.T @ (z[rows] + rho * partial_residual[rows])
         return np.linalg.solve(np.diag(self.Q_diag[i] + w) + rho * (A.T @ A), rhs)
 
     def x_sweep(self, state, rho, prox_weight):
@@ -382,8 +376,8 @@ class DcOpfBlockProblem(BlockProblem):
             steps.append(dx)
         return state.x + np.concatenate(steps).reshape(state.x.shape), carried - shift
 
-    def solve_y_block(self, ctx: YBlockContext):
-        return y_block_update(ctx.x_residual, ctx.multiplier, self.eta, ctx.rho)
+    def solve_y_block(self, z, x_residual, rho):
+        return y_block_update(x_residual, z, self.eta, rho)
 
 
 @dataclass
@@ -396,7 +390,10 @@ class DcOpfSolution:
     nearest vertex (ties round up), since either reading of the model is
     defensible.  ``feasibility_residual`` is ||A x + y - b||, the splitting
     residual between the constraints and their slacks, not the worst
-    violation max(A x - b)_+ (6.5e-6 against 0.206 on the seeded 141-bus feeder).
+    violation max(A x - b)_+: a slack may stay negative, so the residual can
+    be small while a constraint is far from met (the CHANGES.md entry "The
+    DC-OPF x step caches one operator" measures both on the seeded 141-bus
+    feeder).
     """
 
     pv: np.ndarray

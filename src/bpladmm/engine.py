@@ -91,43 +91,6 @@ class BlockOracleError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(slots=True)
-class XBlockContext:
-    """Everything an x-block oracle needs for one exact subproblem solve.
-
-    ``partial_residual`` is sum_{k<i} A_k x_{k,n+1} + sum_{k>i} A_k x_{k,n}
-    + B y_n - b; it excludes exactly block i's own contribution, so the
-    subproblem's coupling term is (rho/2)||A_i x_i + partial_residual||^2.
-    It and ``multiplier`` (z_n) hold every row of the constraint space.
-    ``linear_term`` is grad_i P(x_n) - g_{i,n}.  With phi = (alpha/2)||.||^2
-    the proximal term D_phi(x_i, x_{i,n}) is (alpha/2)||x_i - x_{i,n}||^2,
-    and ``prox_weight`` is alpha.
-
-    One context is built per block and sweep, so it is a plain slotted
-    dataclass (a frozen one costs several times more to build); oracles
-    must treat it as read-only.
-    """
-
-    current_iterate: np.ndarray
-    linear_term: np.ndarray
-    multiplier: np.ndarray
-    partial_residual: np.ndarray
-    rho: float
-    prox_weight: float
-
-
-@dataclass(slots=True)
-class YBlockContext:
-    """Inputs of the y subproblem; ``x_residual`` is A x_{n+1} - b.  The y
-    step has no proximal term, so the current y is not among them.  One is
-    built per sweep, so it is a plain slotted dataclass like
-    ``XBlockContext``; the oracle must treat it as read-only."""
-
-    multiplier: np.ndarray
-    x_residual: np.ndarray
-    rho: float
-
-
 class BlockProblem(ABC):
     """A problem instance: block spaces, operators, and subproblem oracles.
 
@@ -157,12 +120,26 @@ class BlockProblem(ABC):
         """B y, living in the constraint space."""
 
     @abstractmethod
-    def solve_x_block(self, i: int, ctx: XBlockContext) -> np.ndarray:
-        """Exact minimizer of the block-i subproblem described by ``ctx``."""
+    def solve_x_block(self, i: int, x_i: np.ndarray, linear_i: np.ndarray, z: np.ndarray,
+                      partial_residual: np.ndarray, rho: float, prox_weight: float) -> np.ndarray:
+        """Exact minimizer over x of the block-i subproblem
+
+            f_i(x) + <linear_i, x> + <z, A_i x> + (rho/2)||A_i x + partial_residual||^2
+                   + (prox_weight/2)||x - x_i||^2,
+
+        with x_i = x_{i,n}, linear_i = grad_i P(x_n) - g_{i,n}, z = z_n and
+        prox_weight = alpha.  ``partial_residual`` is sum_{k<i} A_k x_{k,n+1}
+        + sum_{k>i} A_k x_{k,n} + B y_n - b, the residual without block i's
+        own product; it and z hold every row of the constraint space.  The
+        arrays are the engine's: read them, never write into them.
+        """
 
     @abstractmethod
-    def solve_y_block(self, ctx: YBlockContext) -> np.ndarray:
-        """Exact minimizer of the y subproblem described by ``ctx``."""
+    def solve_y_block(self, z: np.ndarray, x_residual: np.ndarray, rho: float) -> np.ndarray:
+        """Exact minimizer over y of H(y) + <z, B y> + (rho/2)||x_residual + B y||^2,
+        with z = z_n and x_residual = A x_{n+1} - b; the y step has no
+        proximal term.  The arrays are the engine's: read them, never write
+        into them."""
 
     def x_sweep(
         self, state: "SolverState", rho: float, prox_weight: float
@@ -185,10 +162,9 @@ class BlockProblem(ABC):
         x_new = state.x.copy()
         for i in range(len(x_new)):
             partial = residual - self.apply_A(i, x_new[i])
-            # positional, in field order: keyword arguments double the build time
-            ctx = XBlockContext(x_new[i], linear[i], state.z, partial, rho, prox_weight)
             try:
-                x_new[i] = self.solve_x_block(i, ctx)
+                x_new[i] = self.solve_x_block(i, x_new[i], linear[i], state.z, partial, rho,
+                                              prox_weight)
             except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
                 earlier = first_non_finite_block(x_new[:i], iteration)
                 raise earlier or BlockOracleError(f"x-block {i}", iteration, exc) from exc
@@ -401,7 +377,7 @@ def iteration_report(
     objective = objective_value(problem, state.x, state.y)
     squared = float(np.vdot(residual, residual))
     l_rho = objective + float(np.vdot(state.z, residual)) + 0.5 * rho * squared
-    # positional, in field order, as the block contexts are built
+    # positional, in field order: one is built per sweep, and keywords cost more
     return IterationReport(state.n, l_rho, math.sqrt(squared), objective, step_x, step_y, step_z)
 
 
@@ -464,9 +440,8 @@ def step(problem: BlockProblem, params: SolverParams, state: SolverState) -> Sol
     """
     x_new, residual_xy = _x_sweep(problem, params, state)
     x_residual = residual_xy - problem.apply_B(state.y)
-    y_ctx = YBlockContext(state.z, x_residual, params.rho)  # positional, as in x_sweep
     try:
-        y_new = problem.solve_y_block(y_ctx)
+        y_new = problem.solve_y_block(state.z, x_residual, params.rho)
     except Exception as exc:  # noqa: BLE001 - diagnostic must name the block
         raise (first_non_finite_block(x_new, state.n + 1)
                or BlockOracleError("y-block", state.n + 1, exc)) from exc

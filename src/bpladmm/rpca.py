@@ -47,13 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, spaces
-from .engine import (
-    BlockProblem,
-    IterationReport,
-    SolverParams,
-    XBlockContext,
-    YBlockContext,
-)
+from .engine import BlockProblem, IterationReport, SolverParams
 from .spaces import (
     leading_singular_pair,
     singular_value_shrink_with_norm,
@@ -309,12 +303,12 @@ class RpcaBlockProblem(BlockProblem):
             out[1] = self.tau * np.outer(u, v)
         return out
 
-    def solve_x_block(self, i, ctx: XBlockContext):
-        weight = ctx.rho + ctx.prox_weight
-        target = ctx.prox_weight * ctx.current_iterate
-        target -= ctx.linear_term
-        target -= ctx.multiplier
-        target -= ctx.rho * ctx.partial_residual
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        weight = rho + prox_weight
+        target = prox_weight * x_i
+        target -= linear_i
+        target -= z
+        target -= rho * partial_residual
         target /= weight
         if i == 0:
             L, nuclear, self._basis = singular_value_shrink_with_norm(
@@ -325,10 +319,10 @@ class RpcaBlockProblem(BlockProblem):
         # rpca.soft_shrink as a sweep, and it stamps each engine.step already
         return spaces.soft_shrink(target, self.tau / weight)
 
-    def solve_y_block(self, ctx: YBlockContext):
-        out = self._gamma_M + ctx.multiplier
-        out += ctx.rho * ctx.x_residual
-        out /= self.config.gamma + ctx.rho
+    def solve_y_block(self, z, x_residual, rho):
+        out = self._gamma_M + z
+        out += rho * x_residual
+        out /= self.config.gamma + rho
         return out
 
 

@@ -96,8 +96,9 @@ def _tall(M: np.ndarray) -> tuple[np.ndarray, bool]:
 
 # the widest start basis the shrinkage refines, as a fraction of the Gram
 # size.  A start fails while the kept count still falls, in a solve's first
-# sweeps, and a failed start of width w costs the subspace steps at w; on
-# the 100x100 and 400x400 RPCA solves, fractions of 0.1 to 0.25 saved the most
+# sweeps, and a failed start of width w costs the subspace steps at w, so a
+# cap bounds that waste; the CHANGES.md entry "Eigh-free steady-state RPCA
+# sweeps" times the caps tried
 _WARM_WIDTH_CAP = 0.2
 # a warm shrinkage's carried residual is certified below theta c, so that
 # Weyl's inequality certifies later residuals within (1 - theta) c of it

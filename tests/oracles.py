@@ -25,7 +25,7 @@ the tests run these references on.
 import numpy as np
 
 from bpladmm import dcopf
-from bpladmm.engine import BlockProblem, XBlockContext, YBlockContext
+from bpladmm.engine import BlockProblem
 from bpladmm.spaces import singular_value_shrink, soft_shrink
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -251,18 +251,17 @@ def dense_frozen_problem(case, u_frozen):
     return [Ai[:, :dcopf.U] for Ai in A], b
 
 
-def dcopf_x_block_solve(ctx, Q_diag, q, A):
+def dcopf_x_block_solve(Q_diag, q, A, x_i, linear_i, z, partial_residual, rho, w):
     """The DC-OPF block update as one fresh solve of the SPD system
 
-        (diag(Q_diag) + rho A^T A + w I) x = w x_cur - q - linear_term - A^T (z + rho r)
+        (diag(Q_diag) + rho A^T A + w I) x = w x_i - q - linear_i - A^T (z + rho r)
 
-    with w the context's proximal weight, z its multiplier and r its partial
-    residual, both on every row, and A the dense block A_i.
+    with w the proximal weight, z the multiplier and r the partial
+    residual, both on every row, and A the dense block A_i; the arguments
+    after A are those of ``solve_x_block`` after i.
     """
-    w = ctx.prox_weight
-    matrix = np.diag(Q_diag) + ctx.rho * (A.T @ A) + w * np.eye(len(q))
-    rhs = (w * ctx.current_iterate - q - ctx.linear_term
-           - A.T @ (ctx.multiplier + ctx.rho * ctx.partial_residual))
+    matrix = np.diag(Q_diag) + rho * (A.T @ A) + w * np.eye(len(q))
+    rhs = w * x_i - q - linear_i - A.T @ (z + rho * partial_residual)
     return np.linalg.solve(matrix, rhs)
 
 
@@ -300,9 +299,7 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
         for k in range(len(x)):
             if k != i:
                 partial = partial + A[k] @ x[k]
-        ctx = XBlockContext(current_iterate=x[i], linear_term=linear[i], multiplier=z,
-                            partial_residual=partial, rho=rho, prox_weight=alpha)
-        x[i] = dcopf_x_block_solve(ctx, Q_diag[i], q[i], A[i])
+        x[i] = dcopf_x_block_solve(Q_diag[i], q[i], A[i], x[i], linear[i], z, partial, rho, alpha)
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
     y = dcopf.y_block_update(ax_minus_b, z, problem.eta, rho)
     return x, y, z + rho * (ax_minus_b + y)
@@ -324,35 +321,37 @@ def rpca_reference_sweep(L, S, T, Z, M, tau, gamma, rho, alpha, g2):
     return L_new, S_new, T_new, Z + rho * (L_new + S_new - T_new)
 
 
-def x_subproblem_value(problem: BlockProblem, i: int, ctx: XBlockContext,
-                       x: np.ndarray) -> float:
-    """Objective of the block-i subproblem described by ``ctx`` at the point
-    x, up to a constant: f_i(x) is ``eval_f`` of a stack that is zero
-    outside block i, which adds sum_{k != i} f_k(0) (f is separable).
+def x_subproblem_value(problem: BlockProblem, i: int, x: np.ndarray, x_i, linear_i, z,
+                       partial_residual, rho, prox_weight) -> float:
+    """Objective at the point x of the block-i subproblem that
+    ``solve_x_block`` is given by the arguments after x, up to a constant:
+    f_i(x) is ``eval_f`` of a stack that is zero outside block i, which
+    adds sum_{k != i} f_k(0) (f is separable).
 
     An exact oracle's output never evaluates worse than any other point,
     in particular the incumbent iterate.
     """
     stack = np.zeros((problem.num_blocks, *problem.block_shape))
     stack[i] = x
-    coupling = ctx.partial_residual + problem.apply_A(i, x)
+    coupling = partial_residual + problem.apply_A(i, x)
     value = (
         problem.eval_f(stack)
-        + float(np.vdot(ctx.linear_term, x))
-        + float(np.vdot(ctx.multiplier, problem.apply_A(i, x)))
-        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
+        + float(np.vdot(linear_i, x))
+        + float(np.vdot(z, problem.apply_A(i, x)))
+        + 0.5 * rho * float(np.vdot(coupling, coupling))
     )
-    step = x - ctx.current_iterate
-    return value + 0.5 * ctx.prox_weight * float(np.vdot(step, step))
+    step = x - x_i
+    return value + 0.5 * prox_weight * float(np.vdot(step, step))
 
 
-def y_subproblem_value(problem: BlockProblem, ctx: YBlockContext, y: np.ndarray) -> float:
-    """Objective of the y subproblem described by ``ctx`` at the point y."""
-    coupling = ctx.x_residual + problem.apply_B(y)
+def y_subproblem_value(problem: BlockProblem, y: np.ndarray, z, x_residual, rho) -> float:
+    """Objective at the point y of the y subproblem that ``solve_y_block``
+    is given by the arguments after y."""
+    coupling = x_residual + problem.apply_B(y)
     return (
         problem.eval_H(y)
-        + float(np.vdot(ctx.multiplier, problem.apply_B(y)))
-        + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
+        + float(np.vdot(z, problem.apply_B(y)))
+        + 0.5 * rho * float(np.vdot(coupling, coupling))
     )
 
 

@@ -87,6 +87,16 @@ def test_rpca_bench_rejects_bad_rank(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sparsity", ["0", "1"])
+def test_rpca_bench_rejects_a_sparsity_outside_the_open_interval(tmp_path, capsys, sparsity):
+    out = tmp_path / "out"
+    rc = main(RPCA_SMALL[:1] + ["--size", "10", "10", "--rank", "2", "--sparsity", sparsity,
+                                "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert "sparsity ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_trace_accepts_good_and_rejects_tampered(tmp_path, capsys):
     rc = main(RPCA_SMALL + ["--seed-list", "3", "--out", str(tmp_path), "--dump-trace"])
     assert rc == 0

@@ -176,6 +176,7 @@ CASES = [pytest.param(dcopf.two_bus_fixture, id="two-bus"),
 @pytest.mark.parametrize("make_case", CASES)
 def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
     problem, params = problem_for(make_case())
+    assert len(problem.A) == problem.num_blocks
     for i, A in enumerate(problem.A):
         rows = problem.rows[i]
         assert np.array_equal(rows, np.unique(rows))
@@ -186,9 +187,9 @@ def test_compact_blocks_scatter_back_to_the_dense_blocks(make_case, rng):
         # apply_A scatters the compact product into the whole constraint space
         assert np.array_equal(np.column_stack([problem.apply_A(i, e) for e in np.eye(4)]), A)
         # the oracle, which gathers the block's rows, matches the dense update
-        ctx = block_context(rng, problem, rho=params.rho, prox_weight=params.strong_convexity)
-        dense = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
-        assert np.allclose(problem.solve_x_block(i, ctx), dense, rtol=1e-9, atol=1e-12)
+        data = block_data(rng, problem, rho=params.rho, prox_weight=params.strong_convexity)
+        dense = dcopf_x_block_solve(problem.Q_diag[i], problem.q[i], A, *data)
+        assert np.allclose(problem.solve_x_block(i, *data), dense, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("make_case", CASES)
@@ -274,31 +275,27 @@ def test_placement_gradient_values_and_finite_differences(rng):
     assert np.allclose(grads[:, dcopf.U], numeric, atol=1e-6)
 
 
-def block_context(rng, problem, rho=2.0, prox_weight=1.0):
-    """A random context for a bus block of ``problem``, on every row."""
-    return engine.XBlockContext(
-        current_iterate=rng.standard_normal(4),
-        linear_term=rng.standard_normal(4),
-        multiplier=rng.standard_normal(problem.p),
-        partial_residual=rng.standard_normal(problem.p),
-        rho=rho,
-        prox_weight=prox_weight,
-    )
+def block_data(rng, problem, rho=2.0, prox_weight=1.0):
+    """Random subproblem data for a bus block of ``problem``, on every row:
+    the arguments of ``solve_x_block`` after i."""
+    x_i, linear_i = rng.standard_normal(4), rng.standard_normal(4)
+    z, partial_residual = rng.standard_normal(problem.p), rng.standard_normal(problem.p)
+    return x_i, linear_i, z, partial_residual, rho, prox_weight
 
 
 @pytest.mark.parametrize("make_case", CASES)
 @pytest.mark.parametrize("changed", ["rho", "prox_weight"])
 def test_x_oracle_solves_each_pair_afresh(make_case, changed, rng):
-    # each call solves the system of its own context's (rho, w), also when
-    # the contexts alternate between two pairs
+    # each call solves the system of its own (rho, w), also when the calls
+    # alternate between two pairs
     problem, params = problem_for(make_case())
     first = dict(rho=params.rho, prox_weight=params.strong_convexity)
     other = {**first, changed: 3.0 * first[changed]}
     for pair in (first, other, first):
         for i, A in enumerate(problem.A):
-            ctx = block_context(rng, problem, **pair)
-            reference = dcopf_x_block_solve(ctx, problem.Q_diag[i], problem.q[i], A)
-            out = problem.solve_x_block(i, ctx)
+            data = block_data(rng, problem, **pair)
+            reference = dcopf_x_block_solve(problem.Q_diag[i], problem.q[i], A, *data)
+            out = problem.solve_x_block(i, *data)
             assert np.max(np.abs(out - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
@@ -319,8 +316,8 @@ def test_x_oracle_builds_no_chunk_operator(monkeypatch, rng):
     problem, params = problem_for(random_radial_case(20, 5))
     built = counted_calls(monkeypatch, dcopf.DcOpfBlockProblem, "_chunk_operator")
     for i in range(problem.num_blocks):
-        problem.solve_x_block(i, block_context(rng, problem, rho=params.rho,
-                                               prox_weight=params.strong_convexity))
+        problem.solve_x_block(i, *block_data(rng, problem, rho=params.rho,
+                                             prox_weight=params.strong_convexity))
     assert built == []
 
 
@@ -337,18 +334,18 @@ def test_x_oracle_matches_newton_oracle(rng):
     problem = dcopf.build_problem(case)
     alpha = 0.5
     for i, A in enumerate(problem.A):
-        ctx = block_context(rng, problem, prox_weight=alpha)
-        out = problem.solve_x_block(i, ctx)
+        x_i, linear_i, z, partial, rho, _ = data = block_data(rng, problem, prox_weight=alpha)
+        out = problem.solve_x_block(i, *data)
 
-        def objective(x, A=A, i=i, ctx=ctx):
-            coupling = A @ x + ctx.partial_residual
+        def objective(x, A=A, i=i, x_i=x_i, linear_i=linear_i, z=z, partial=partial, rho=rho):
+            coupling = A @ x + partial
             return (
                 0.5 * x @ (problem.Q_diag[i] * x)
                 + problem.q[i] @ x
-                + float(np.vdot(ctx.linear_term, x))
-                + float(np.vdot(ctx.multiplier, A @ x))
-                + 0.5 * ctx.rho * float(np.vdot(coupling, coupling))
-                + 0.5 * alpha * float(np.vdot(x - ctx.current_iterate, x - ctx.current_iterate))
+                + float(np.vdot(linear_i, x))
+                + float(np.vdot(z, A @ x))
+                + 0.5 * rho * float(np.vdot(coupling, coupling))
+                + 0.5 * alpha * float(np.vdot(x - x_i, x - x_i))
             )
 
         reference = newton_fd(objective, np.zeros(4))
@@ -362,10 +359,9 @@ def test_x_oracle_decoupled_case(rng):
     problem = dcopf.build_problem(case)
     alpha = 0.25
     for i in range(case.num_buses):
-        ctx = replace(block_context(rng, problem, rho=0.0, prox_weight=alpha),
-                      linear_term=np.zeros(4), multiplier=np.zeros(problem.p))
-        out = problem.solve_x_block(i, ctx)
-        expected = (alpha * ctx.current_iterate - problem.q[i]) / (problem.Q_diag[i] + alpha)
+        x_i, _, _, partial, _, _ = block_data(rng, problem)
+        out = problem.solve_x_block(i, x_i, np.zeros(4), np.zeros(problem.p), partial, 0.0, alpha)
+        expected = (alpha * x_i - problem.q[i]) / (problem.Q_diag[i] + alpha)
         assert np.allclose(out, expected, rtol=REL)
 
 
@@ -377,7 +373,7 @@ def test_x_oracle_fixed_point(rng):
     i = 0
     A = problem.A[i]
     x_star = rng.standard_normal(4)
-    # choose the context so the subproblem gradient vanishes at x_star
+    # choose the data so the subproblem gradient vanishes at x_star
     partial = rng.standard_normal(problem.p)
     multiplier = rng.standard_normal(problem.p)
     linear = -(
@@ -385,15 +381,7 @@ def test_x_oracle_fixed_point(rng):
         + problem.q[i]
         + A.T @ (multiplier + rho * (A @ x_star + partial))
     )
-    ctx = engine.XBlockContext(
-        current_iterate=x_star,
-        linear_term=linear,
-        multiplier=multiplier,
-        partial_residual=partial,
-        rho=rho,
-        prox_weight=alpha,
-    )
-    out = problem.solve_x_block(i, ctx)
+    out = problem.solve_x_block(i, x_star, linear, multiplier, partial, rho, alpha)
     assert np.allclose(out, x_star, atol=1e-10)
 
 

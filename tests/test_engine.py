@@ -33,16 +33,11 @@ class ScalarToy(engine.BlockProblem):
     def apply_B(self, y):
         return -y
 
-    def solve_x_block(self, i, ctx):
-        return (
-            ctx.prox_weight * ctx.current_iterate
-            - ctx.linear_term
-            - ctx.multiplier
-            - ctx.rho * ctx.partial_residual
-        ) / (ctx.rho + ctx.prox_weight)
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        return (prox_weight * x_i - linear_i - z - rho * partial_residual) / (rho + prox_weight)
 
-    def solve_y_block(self, ctx):
-        return ctx.x_residual + ctx.multiplier / ctx.rho
+    def solve_y_block(self, z, x_residual, rho):
+        return x_residual + z / rho
 
 
 def toy_params(**overrides):
@@ -58,7 +53,7 @@ def toy_params(**overrides):
 
 class RecordingProblem(engine.BlockProblem):
     """Three scalar blocks embedded as the coordinates of R^3; the oracle
-    logs its context so the Gauss-Seidel ordering can be inspected."""
+    logs its partial residual so the Gauss-Seidel ordering can be inspected."""
 
     num_blocks, block_shape = 3, (1,)
 
@@ -75,11 +70,11 @@ class RecordingProblem(engine.BlockProblem):
     def apply_B(self, y):
         return -y
 
-    def solve_x_block(self, i, ctx):
-        self.seen.append((i, ctx.partial_residual.copy()))
-        return ctx.current_iterate + 1.0
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        self.seen.append((i, partial_residual.copy()))
+        return x_i + 1.0
 
-    def solve_y_block(self, ctx):
+    def solve_y_block(self, z, x_residual, rho):
         return np.zeros(3)
 
 
@@ -223,13 +218,13 @@ class SmoothCoupling(engine.BlockProblem):
     def eval_H(self, y):
         return 0.5 * float(np.vdot(y - self.c, y - self.c))
 
-    def solve_x_block(self, i, ctx):
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
         a = self.a[i]
-        return (ctx.prox_weight * ctx.current_iterate - ctx.linear_term - a * ctx.multiplier
-                - ctx.rho * a * ctx.partial_residual) / (ctx.rho * a * a + ctx.prox_weight)
+        return (prox_weight * x_i - linear_i - a * z - rho * a * partial_residual) / (
+            rho * a * a + prox_weight)
 
-    def solve_y_block(self, ctx):
-        return (self.c + ctx.multiplier + ctx.rho * ctx.x_residual) / (1.0 + ctx.rho)
+    def solve_y_block(self, z, x_residual, rho):
+        return (self.c + z + rho * x_residual) / (1.0 + rho)
 
 
 def test_smooth_coupling_enters_the_sweep_and_the_merit_descends():
@@ -315,26 +310,16 @@ def test_block_oracle_never_worse_than_incumbent():
     )
     residual = engine.constraint_residual(problem, state.x, state.y)
     for i in range(2):
-        ctx = engine.XBlockContext(
-            current_iterate=state.x[i],
-            linear_term=problem.subgrad_G(state.x)[i] * -1.0,
-            multiplier=state.z,
-            partial_residual=residual - problem.apply_A(i, state.x[i]),
-            rho=params.rho,
-            prox_weight=params.strong_convexity,
+        data = (state.x[i], problem.subgrad_G(state.x)[i] * -1.0, state.z,
+                residual - problem.apply_A(i, state.x[i]), params.rho, params.strong_convexity)
+        candidate = problem.solve_x_block(i, *data)
+        assert x_subproblem_value(problem, i, candidate, *data) <= (
+            x_subproblem_value(problem, i, state.x[i], *data) + 1e-10
         )
-        candidate = problem.solve_x_block(i, ctx)
-        assert x_subproblem_value(problem, i, ctx, candidate) <= (
-            x_subproblem_value(problem, i, ctx, state.x[i]) + 1e-10
-        )
-    y_ctx = engine.YBlockContext(
-        multiplier=state.z,
-        x_residual=residual - problem.apply_B(state.y),
-        rho=params.rho,
-    )
-    y_new = problem.solve_y_block(y_ctx)
-    assert y_subproblem_value(problem, y_ctx, y_new) <= (
-        y_subproblem_value(problem, y_ctx, state.y) + 1e-10
+    y_data = (state.z, residual - problem.apply_B(state.y), params.rho)
+    y_new = problem.solve_y_block(*y_data)
+    assert y_subproblem_value(problem, y_new, *y_data) <= (
+        y_subproblem_value(problem, state.y, *y_data) + 1e-10
     )
 
 
@@ -422,7 +407,7 @@ def test_quantified_merit_descent_on_rpca_engine_run():
 
 def test_block_oracle_failure_names_the_block():
     class Broken(ScalarToy):
-        def solve_x_block(self, i, ctx):
+        def solve_x_block(self, i, *data):
             raise np.linalg.LinAlgError("singular subproblem")
 
     toy = Broken()
@@ -454,8 +439,8 @@ class InfiniteOutput(dcopf.DcOpfBlockProblem):
             self.q[self.block, dcopf.GEN] = np.inf
         return super().x_sweep(state, rho, prox_weight)
 
-    def solve_y_block(self, ctx):
-        out = super().solve_y_block(ctx)
+    def solve_y_block(self, *data):
+        out = super().solve_y_block(*data)
         if self.block in ("y", "multiplier") and self.sweep >= self.iteration:
             out[0] = -np.inf if self.block == "y" else 1e308
         return out
@@ -503,22 +488,20 @@ class NanThenRaise(RecordingProblem):
         super().__init__()
         self.sweep = 0
 
-    def solve_x_block(self, i, ctx):
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, w):
         if i == 0:
             self.sweep += 1
             if self.sweep >= 4:
                 return np.full(1, np.nan)
-        if not np.isfinite(ctx.partial_residual).all():
+        if not np.isfinite(partial_residual).all():
             raise np.linalg.LinAlgError(f"block {i} cannot solve with a NaN residual")
-        w = ctx.prox_weight
-        return (w * ctx.current_iterate - 1.0 - ctx.linear_term - ctx.multiplier[i]
-                - ctx.rho * ctx.partial_residual[i]) / (ctx.rho + w)
+        return (w * x_i - 1.0 - linear_i - z[i] - rho * partial_residual[i]) / (rho + w)
 
     def eval_f(self, x):
         return float(np.sum(x))
 
-    def solve_y_block(self, ctx):
-        return ctx.x_residual + ctx.multiplier / ctx.rho
+    def solve_y_block(self, z, x_residual, rho):
+        return x_residual + z / rho
 
 
 def test_oracle_raising_mid_sweep_names_the_first_non_finite_block():
@@ -548,16 +531,16 @@ def test_a_y_oracle_raising_on_a_nan_x_residual_fails_as_the_x_block():
 
         sweeps = 0
 
-        def solve_x_block(self, i, ctx):
+        def solve_x_block(self, i, *data):
             self.sweeps += i == 0
             if i == 1 and self.sweeps == 4:
                 return np.full(1, np.nan)
-            return super().solve_x_block(i, ctx)
+            return super().solve_x_block(i, *data)
 
-        def solve_y_block(self, ctx):
-            if not np.isfinite(ctx.x_residual).all():
+        def solve_y_block(self, z, x_residual, rho):
+            if not np.isfinite(x_residual).all():
                 raise ValueError("the x residual is not finite")
-            return super().solve_y_block(ctx)
+            return super().solve_y_block(z, x_residual, rho)
 
     problem = NanBlock1()
     init = engine.initial_state(problem, [[1.0], [2.0], [3.0]], np.zeros(3), np.zeros(3))
@@ -569,7 +552,7 @@ def test_a_y_oracle_raising_on_a_nan_x_residual_fails_as_the_x_block():
 
 def test_a_finite_step_that_overflows_names_no_block():
     class Huge(ScalarToy):
-        def solve_x_block(self, i, ctx):
+        def solve_x_block(self, i, *data):
             return np.full(1, 1e200)
 
     toy = Huge()
@@ -626,10 +609,10 @@ class Walker(ScalarToy):
     """Not an exact oracle: x walks away while y refuses to follow, so the
     residual and the merit both grow."""
 
-    def solve_x_block(self, i, ctx):
-        return ctx.current_iterate + 3.0
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        return x_i + 3.0
 
-    def solve_y_block(self, ctx):
+    def solve_y_block(self, z, x_residual, rho):
         return np.zeros(1)  # every Walker run starts from y = 0
 
 
@@ -662,11 +645,11 @@ class NanMerit(ScalarToy):
 
     calls = 0
 
-    def solve_x_block(self, i, ctx):
-        return ctx.current_iterate - 0.5
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        return x_i - 0.5
 
-    def solve_y_block(self, ctx):
-        return ctx.x_residual.copy()
+    def solve_y_block(self, z, x_residual, rho):
+        return x_residual.copy()
 
     def eval_f(self, x):
         self.calls += 1
@@ -709,11 +692,11 @@ def test_a_run_that_fails_still_warns_of_its_merit_increases():
     class WalkerThenRaise(Walker):
         sweeps = 0
 
-        def solve_x_block(self, i, ctx):
+        def solve_x_block(self, i, *data):
             self.sweeps += 1
             if self.sweeps == 5:
                 raise np.linalg.LinAlgError("singular subproblem")
-            return super().solve_x_block(i, ctx)
+            return super().solve_x_block(i, *data)
 
     toy = WalkerThenRaise()
     init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
@@ -726,11 +709,11 @@ def test_a_run_that_fails_leaves_its_earlier_reports_in_the_callers_list():
     class RaiseAtSweep3(Walker):  # a Walker never stops, and run does not check its merit
         sweeps = 0
 
-        def solve_x_block(self, i, ctx):
+        def solve_x_block(self, i, *data):
             self.sweeps += 1
             if self.sweeps == 3:
                 raise np.linalg.LinAlgError("singular subproblem")
-            return super().solve_x_block(i, ctx)
+            return super().solve_x_block(i, *data)
 
     toy = RaiseAtSweep3()
     init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
@@ -807,10 +790,10 @@ def test_each_solve_and_step_keeps_its_own_reports():
 class Stuck(ScalarToy):
     """x and y never move off x = 1, y = 0, so only the multiplier does."""
 
-    def solve_x_block(self, i, ctx):
-        return ctx.current_iterate.copy()
+    def solve_x_block(self, i, x_i, linear_i, z, partial_residual, rho, prox_weight):
+        return x_i.copy()
 
-    def solve_y_block(self, ctx):
+    def solve_y_block(self, z, x_residual, rho):
         return np.zeros(1)
 
 

@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bpladmm import dcopf, engine, rpca  # noqa: E402
+from bpladmm import dcopf, rpca  # noqa: E402
 from oracles import x_subproblem_value  # noqa: E402
 from test_sweep_properties import random_radial_case  # noqa: E402
 
@@ -18,33 +18,30 @@ PERTURBATIONS = 8
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def random_context(rng, problem):
-    """A context of standard normal vectors, a penalty rho in [0.1, 1e4]
-    and a proximal weight in [1e-3, 10], both log-uniform."""
-    return engine.XBlockContext(
-        current_iterate=rng.standard_normal(problem.block_shape),
-        linear_term=rng.standard_normal(problem.block_shape),
-        multiplier=rng.standard_normal(problem.b.shape),
-        partial_residual=rng.standard_normal(problem.b.shape),
-        rho=float(10.0 ** rng.uniform(-1.0, 4.0)),
-        prox_weight=float(10.0 ** rng.uniform(-3.0, 1.0)),
-    )
+def random_data(rng, problem):
+    """The arguments of ``solve_x_block`` after i: standard normal vectors,
+    a penalty rho in [0.1, 1e4] and a proximal weight in [1e-3, 10], both
+    log-uniform."""
+    x_i, linear_i = (rng.standard_normal(problem.block_shape) for _ in range(2))
+    z, partial_residual = (rng.standard_normal(problem.b.shape) for _ in range(2))
+    rho = float(10.0 ** rng.uniform(-1.0, 4.0))
+    return x_i, linear_i, z, partial_residual, rho, float(10.0 ** rng.uniform(-3.0, 1.0))
 
 
 def assert_oracle_optimal(problem, rng):
     """Every block's oracle output beats its incumbent and perturbations of
     itself of relative size 1e-6 to 1e-2, up to rounding of the values."""
     for i in range(problem.num_blocks):
-        ctx = random_context(rng, problem)
-        out = problem.solve_x_block(i, ctx)
-        best = x_subproblem_value(problem, i, ctx, out)
+        data = random_data(rng, problem)
+        out = problem.solve_x_block(i, *data)
+        best = x_subproblem_value(problem, i, out, *data)
         slack = 1e-12 * (1.0 + abs(best))
-        assert best <= x_subproblem_value(problem, i, ctx, ctx.current_iterate) + slack, i
+        assert best <= x_subproblem_value(problem, i, data[0], *data) + slack, i
         scale = 1.0 + float(np.max(np.abs(out)))
         for size in 10.0 ** rng.uniform(-6.0, -2.0, PERTURBATIONS):
             direction = rng.standard_normal(out.shape)
             nearby = out + size * scale * direction / np.linalg.norm(direction)
-            assert best <= x_subproblem_value(problem, i, ctx, nearby) + slack, (i, size)
+            assert best <= x_subproblem_value(problem, i, nearby, *data) + slack, (i, size)
 
 
 @PROPERTY_SETTINGS

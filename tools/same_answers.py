@@ -11,9 +11,12 @@ The solves are the two-bus fixture (canonical run and jitter-0.1 seeds
 0-4, 20000 sweeps at most, with the frozen-u recheck), 100 fixed sweeps on
 the seeded radial 141-bus feeder of ``bench/radial.py`` (feeder seed 0) and
 its frozen-u recheck, which runs the three-column chunk pass at N = 141,
-BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4 and on a
+BPL-ADMM and admm3 on the 100x100 RPCA instances of seeds 0-4, on a
 rank-4 60x40 and 40x60 instance (one of each orientation of a non-square
-matrix), and an engine run of ``RpcaBlockProblem`` on a 12x10 instance.
+matrix) and on the 100x100 instance of seed 0 with noise 0.05, and an
+engine run of ``RpcaBlockProblem`` on a 12x10 instance.  The noise-0.05
+instance is the one input here on which warm shrinkages
+(``spaces._warm_shrink``) fail the theta c test and pass the c^2 one.
 It also runs the two command line manifests of acceptance criterion 10
 (``rpca-bench`` with ``--dump-trace`` and ``dcopf`` on the two-bus fixture,
 both with ``--no-timing``) and saves every CSV they write.
@@ -91,11 +94,12 @@ def collect(src: str) -> dict:
     radial = matpower.to_dcopf_case(matpower.parse_case(radial_case_text(141, 0)))
     keep_dcopf("radial141/seed0", dcopf.solve_dcopf(radial, tol=0.0, max_iterations=100))
 
-    rpca_runs = [(f"{seed}", 100, 100, 10, seed) for seed in range(5)]
-    rpca_runs += [("-60x40", 60, 40, 4, 0), ("-40x60", 40, 60, 4, 0)]
-    for tag, m, d, r, seed in rpca_runs:
+    rpca_runs = [(f"{seed}", 100, 100, 10, 1e-2, seed) for seed in range(5)]
+    rpca_runs += [("-60x40", 60, 40, 4, 1e-2, 0), ("-40x60", 40, 60, 4, 1e-2, 0),
+                  ("0-noise0.05", 100, 100, 10, 0.05, 0)]
+    for tag, m, d, r, noise, seed in rpca_runs:
         config = rpca.RpcaConfig(rows=m, cols=d)
-        instance = rpca.generate_instance(m, d, r, 0.05, 1e-2, seed=seed)
+        instance = rpca.generate_instance(m, d, r, 0.05, noise, seed=seed)
         for name, solver in (("bpl", rpca.bpl_admm_rpca), ("admm3", rpca.admm3_baseline)):
             sol = solver(instance, config, seed + cli.INIT_SEED_OFFSET)
             keep(f"rpca/{name}{tag}", [sol.L, sol.S], sol.T, sol.Z, sol.iterations, sol.reports)
