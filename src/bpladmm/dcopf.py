@@ -59,8 +59,8 @@ _CHUNK_BUSES = 8  # buses per block row of the x sweep's forward substitution
 class DcOpfCase:
     """Grid data in per-unit: demands, lines, costs, and capacities.
 
-    ``lines`` holds undirected edges (i, j, susceptance) with 0-based bus
-    indices; susceptance is stored once per edge and used symmetrically.
+    ``lines`` holds undirected edges (i, j, susceptance) with 0-based integer
+    bus indices; susceptance is stored once per edge and used symmetrically.
     A case checks itself when built, also by ``dataclasses.replace``, and
     raises a ``ValueError`` naming the bad line or field.
     """
@@ -81,16 +81,8 @@ class DcOpfCase:
     def num_buses(self) -> int:
         return len(self.demand)
 
-    def neighbors(self) -> list[list[int]]:
-        """Sorted neighbor lists; symmetric by construction."""
-        adj: list[set] = [set() for _ in range(self.num_buses)]
-        for i, j, _ in self.lines:
-            adj[i].add(j)
-            adj[j].add(i)
-        return [sorted(s) for s in adj]
-
     def susceptance(self) -> dict:
-        """Map (i, j) -> b_ij for both orientations; parallel edges sum."""
+        """Map (i, j) -> b_ij for both orientations, parallel edges summed: the directed lines."""
         table: dict = {}
         for i, j, b in self.lines:
             table[(i, j)] = table.get((i, j), 0.0) + b
@@ -100,6 +92,9 @@ class DcOpfCase:
     def __post_init__(self):
         n = self.num_buses
         for i, j, b in self.lines:
+            # bool is an int, and a float would index by truncation
+            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in (i, j)):
+                raise ValueError(f"line ({i}, {j}) has an endpoint that is not a bus index")
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"line ({i}, {j}) has an invalid endpoint")
             if not np.isfinite(b) or b == 0.0:
@@ -120,9 +115,8 @@ class DcOpfCase:
 
 
 def expected_row_count(case: DcOpfCase) -> int:
-    """p = 9|N| + sum_i |M_i| + 1."""
-    degree_sum = sum(len(m) for m in case.neighbors())
-    return 9 * case.num_buses + degree_sum + 1
+    """p = 9|N| + sum_i |M_i| + 1, the degree sum being the directed lines of ``susceptance``."""
+    return 9 * case.num_buses + len(case.susceptance()) + 1
 
 
 def _compact_blocks(n: int, entries: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,7 +147,7 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     n = case.num_buses
     b_table = case.susceptance()
     buses = np.arange(n)
-    edges = [(i, j) for i, adjacent in enumerate(case.neighbors()) for j in adjacent]
+    edges = sorted(b_table)  # the directed lines, grouped by source bus
     source, target = np.array(edges, dtype=int).reshape(-1, 2).T
     weight = np.array([b_table[e] for e in edges])
     line_rows = n + 1 + np.arange(len(edges))
@@ -186,16 +180,6 @@ def build_problem(case: DcOpfCase) -> "DcOpfBlockProblem":
     Q_diag[:, GEN] = 2.0 * case.gen_cost_a
     q[:, GEN], q[:, U] = case.gen_cost_b, case.pv_cost
     return DcOpfBlockProblem(case, *stacked, b, Q_diag, q)
-
-
-def y_block_update(x_residual: np.ndarray, z: np.ndarray, eta: float, rho: float) -> np.ndarray:
-    """Closed-form slack update, componentwise (one call, as 0 < k < 1):
-
-        y_j = max(0, v_j) + k min(0, v_j) = max(v_j, k v_j),
-        k = rho/(eta + rho),  v = -(A x - b) - z / rho.
-    """
-    v = -x_residual - z / rho
-    return np.maximum(v, (rho / (eta + rho)) * v)
 
 
 @dataclass
@@ -377,7 +361,13 @@ class DcOpfBlockProblem(BlockProblem):
         return state.x + np.concatenate(steps).reshape(state.x.shape), carried - shift
 
     def solve_y_block(self, z, x_residual, rho):
-        return y_block_update(x_residual, z, self.eta, rho)
+        """Closed-form slack update, componentwise (one call, as 0 < k < 1):
+
+            y_j = max(0, v_j) + k min(0, v_j) = max(v_j, k v_j),
+            k = rho/(eta + rho),  v = -(A x - b) - z / rho.
+        """
+        v = -x_residual - z / rho
+        return np.maximum(v, (rho / (self.eta + rho)) * v)
 
 
 @dataclass

@@ -29,8 +29,8 @@ augmented Lagrangian itself,
     merit_n = L_rho(x_n, y_n, z_n),
 
 downhill by at least delta_x ||x_{n+1}-x_n||^2 + delta_y ||y_{n+1}-y_n||^2
-per sweep.  ``merit_increases`` checks this, in ``solve`` on the run's
-sweeps and in ``verify-trace`` on a dumped trace.
+per sweep.  ``merit_increases`` checks this on the (n, merit) rows of a
+run, in ``solve`` and in ``verify-trace`` on a dumped trace.
 
 The state carries its residual A x + B y - b from sweep to sweep, and a
 block update swaps its own product A_i x_i in that residual instead of
@@ -53,13 +53,13 @@ rounding.
 
 ``run`` is the one sweep loop of every run: it iterates ``step`` until
 the one stop rule ``stopped``, on the relative change of (x, y, z), fires
-(``converged`` on its result) or the iteration cap, and checks its own
-settings but no gate and no merit.  ``solve`` is ``validate_parameters``,
-``run`` and then the merit rule; a run outside the gates, such as the RPCA
-admm3 baseline, calls ``run`` itself.  A state carries only the report of
-its own iterate.  A block oracle that raises or returns non-finite values
-ends the run with a ``BlockOracleError``, as does a multiplier that is
-not finite (the block "multiplier").
+(``converged`` on its result) or the iteration cap, and checks no gate and
+no merit (``SolverParams`` checks itself when built).  ``solve`` is
+``validate_parameters``, ``run`` and then the merit rule; a run outside the
+gates, such as the RPCA admm3 baseline, calls ``run`` itself.  A state
+carries only the report of its own iterate.  A block oracle that raises or
+returns non-finite values ends the run with a ``BlockOracleError``, as
+does a multiplier that is not finite (the block "multiplier").
 """
 
 import math
@@ -202,7 +202,11 @@ class SolverParams:
     ``strong_convexity`` is alpha, the modulus of the kernel
     phi = (alpha/2)||.||^2 and so the weight of the x proximal term;
     ``lambda_min_BtB`` is the smallest eigenvalue of B^T B and must be
-    positive (full column rank of B).
+    positive (full column rank of B), which ``validate_parameters`` checks
+    with the gates.  The parameters check the rest when built, also by
+    ``dataclasses.replace``, so every run, gated or not, has a non-negative
+    integer cap, a finite non-negative tolerance and finite constants, the
+    Lipschitz and weak convexity ones non-negative, or a ``ParameterError``.
     """
 
     rho: float
@@ -213,6 +217,23 @@ class SolverParams:
     lambda_min_BtB: float = 1.0
     max_iterations: int = 4000
     stop_tolerance: float = 1e-6
+
+    def __post_init__(self):
+        cap = self.max_iterations
+        if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):  # bool is an int
+            raise ParameterError(f"max_iterations must be an integer, got {cap}")
+        if cap < 0:
+            raise ParameterError(f"max_iterations must be non-negative, got {cap}")
+        if not self.stop_tolerance >= 0:  # NaN fails this too
+            raise ParameterError(f"stop_tolerance must be non-negative, got {self.stop_tolerance}")
+        if self.stop_tolerance == math.inf:
+            raise ParameterError(f"stop_tolerance must be finite, got {self.stop_tolerance}")
+        for name in ("lipschitz_H", "lipschitz_P", "weak_convexity_G"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("rho", "strong_convexity", "lambda_min_BtB"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {value}")
 
     @property
     def delta_x(self) -> float:
@@ -234,40 +255,14 @@ def rho_above_gate(lipschitz_H: float) -> float:
     return max(2.0 * lipschitz_H + 1e-10, math.nextafter(2.0 * lipschitz_H, math.inf))
 
 
-def check_loop_settings(params: SolverParams) -> None:
-    """Check the settings of the sweep loop itself: the iteration cap and
-    the stop tolerance, which must be finite, or every step stops the run.
-    ``run`` checks them on every run, gated or not, and
-    ``validate_parameters`` with the rest."""
-    cap = params.max_iterations
-    if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):  # bool is an int
-        raise ParameterError(f"max_iterations must be an integer, got {cap}")
-    if cap < 0:
-        raise ParameterError(f"max_iterations must be non-negative, got {cap}")
-    if not params.stop_tolerance >= 0:  # NaN fails this too
-        raise ParameterError(f"stop_tolerance must be non-negative, got {params.stop_tolerance}")
-    if params.stop_tolerance == math.inf:
-        raise ParameterError(f"stop_tolerance must be finite, got {params.stop_tolerance}")
-
-
 def validate_parameters(params: SolverParams) -> tuple[float, float]:
-    """Check the iteration cap, the stop tolerance, that every constant is
-    finite and every Lipschitz or weak convexity constant non-negative, and
-    the admissibility gates; return (alpha bound, rho bound) on success.
+    """Check that lambda_min(B^T B) is positive and the admissibility
+    gates hold; return (alpha bound, rho bound) on success.
 
     Both bounds are strict: an alpha or rho sitting exactly at its bound is
     rejected.  They are where ``delta_x`` and ``delta_y`` change sign: the
     rho bound 2 l_H / lambda is the positive root of ``delta_y``.
     """
-    check_loop_settings(params)
-    for name in ("lipschitz_H", "lipschitz_P", "weak_convexity_G"):
-        value = getattr(params, name)
-        if not 0.0 <= value < math.inf:
-            raise ParameterError(f"{name} must be finite and non-negative, got {value}")
-    for name in ("rho", "strong_convexity", "lambda_min_BtB"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
     if params.lambda_min_BtB <= 0:
         raise ParameterError(
             "B lacks full column rank: lambda_min(B^T B) must be positive, "
@@ -463,27 +458,30 @@ def stopped(params: SolverParams, previous: SolverState, report: IterationReport
     return delta / base < params.stop_tolerance
 
 
-def merit_increases(merits) -> list[tuple[int, float]]:
-    """Each (k, merits[k] - merits[k-1]) not at most MERIT_SLACK_SCALE * (1 + |merits[0]|).
+def merit_increases(rows) -> list[tuple[int, float]]:
+    """Each (n, rise) of a run's (n, merit) rows, its start first, where the
+    merit rose from the sweep before by more than MERIT_SLACK_SCALE * (1 +
+    |merit of the first sweep|); the step from the start is not checked.
 
     The merit rule of ``solve`` and of ``verify-trace``: a valid run with
     exact oracles has none.  A rise that is not a number, from or to a
     non-finite merit, counts as an increase.
     """
-    if len(merits) < 2:
-        return []
-    slack = MERIT_SLACK_SCALE * (1.0 + abs(merits[0]))
-    return [(k, later - earlier)
-            for k, (earlier, later) in enumerate(zip(merits, merits[1:]), start=1)
-            if not later - earlier <= slack]
+    increases = []
+    for k, (n, merit) in enumerate(rows):  # an iterable: solve builds no list of its rows
+        if k == 1:
+            slack = MERIT_SLACK_SCALE * (1.0 + abs(merit))
+        elif k > 1 and not merit - earlier <= slack:
+            increases.append((n, merit - earlier))
+        earlier = merit
+    return increases
 
 
 def run(problem: BlockProblem, params: SolverParams, init: SolverState,
         reports: list[IterationReport]) -> SolveResult:
     """The sweep loop: iterate ``step`` from ``init`` until the stop rule
-    fires or max_iterations is hit.  It checks its own settings
-    (``check_loop_settings``) but no gate and no merit (the result's
-    ``merit_increases`` is None).
+    fires or max_iterations is hit.  It checks no gate and no merit (the
+    result's ``merit_increases`` is None).
 
     Appends to ``reports`` the report of ``init`` (built here when it has
     none) and one per sweep, so a run that raises leaves the reports of its
@@ -495,7 +493,6 @@ def run(problem: BlockProblem, params: SolverParams, init: SolverState,
     that sweep computes on non-finite values, so numpy's invalid and
     overflow warnings are silenced for the run.
     """
-    check_loop_settings(params)
     state = init
     reports.append(init.report or iteration_report(problem, params.rho, init))
     converged = False
@@ -528,8 +525,7 @@ def solve(problem: BlockProblem, params: SolverParams, init: SolverState) -> Sol
     try:
         result = run(problem, params, init, reports)
     finally:
-        increases = [(reports[k + 1].n, rise)
-                     for k, rise in merit_increases([report.merit for report in reports[1:]])]
+        increases = merit_increases((report.n, report.merit) for report in reports)
         if increases:
             n, increase = increases[0]
             warnings.warn(

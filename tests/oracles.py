@@ -167,7 +167,9 @@ def opf1_cost(case, u, gen):
 
 def dense_reference_problem(case):
     """The constraints A x <= b of a ``DcOpfCase`` as dense p x 4 blocks,
-    written row by row with a running row counter; returns (A, b).
+    written row by row; returns (A, b).  The adjacency and the line weights
+    are read from ``case.lines`` here, parallel lines summed, and p is the
+    number of rows written.
 
     Row order: power balance per bus, the penetration floor, thermal limits
     per directed line (grouped by source bus), then per bus the PV linking
@@ -176,71 +178,61 @@ def dense_reference_problem(case):
     """
     PV, GEN, THETA, U = dcopf.PV, dcopf.GEN, dcopf.THETA, dcopf.U
     n = case.num_buses
-    adjacency = case.neighbors()
-    b_table = case.susceptance()
-    p = dcopf.expected_row_count(case)
-    A = [np.zeros((p, dcopf.BLOCK_DIM)) for _ in range(n)]
-    b = np.zeros(p)
-    row = 0
+    weight = [{} for _ in range(n)]  # weight[i][j] = b_ij, for both orientations
+    for i, j, b_ij in case.lines:
+        weight[i][j] = weight[i].get(j, 0.0) + b_ij
+        weight[j][i] = weight[j].get(i, 0.0) + b_ij
+    rows, b = [], []
+
+    def new_row(bound=0.0):
+        """A new all-zero row, as its n x 4 entries over the blocks, with its bound."""
+        rows.append(np.zeros((n, dcopf.BLOCK_DIM)))
+        b.append(bound)
+        return rows[-1]
 
     # demand coverage: -P_pv - P_gen + sum_j b_ij (theta_i - theta_j) <= -D_i
     for i in range(n):
-        A[i][row, PV] = -1.0
-        A[i][row, GEN] = -1.0
-        for j in adjacency[i]:
-            A[i][row, THETA] += b_table[(i, j)]
-            A[j][row, THETA] = -b_table[(i, j)]
-        b[row] = -case.demand[i]
-        row += 1
+        row = new_row(-case.demand[i])
+        row[i, PV] = -1.0
+        row[i, GEN] = -1.0
+        for j in sorted(weight[i]):
+            row[i, THETA] += weight[i][j]
+            row[j, THETA] = -weight[i][j]
 
     # penetration floor: total PV output covers half of total demand
-    for i in range(n):
-        A[i][row, PV] = -1.0
-    b[row] = -float(np.sum(case.demand)) / 2.0
-    row += 1
+    row = new_row(-float(np.sum(case.demand)) / 2.0)
+    row[:, PV] = -1.0
 
     # thermal limit of each directed line: b_ij (theta_i - theta_j) <= limit
     for i in range(n):
-        for j in adjacency[i]:
-            A[i][row, THETA] = b_table[(i, j)]
-            A[j][row, THETA] = -b_table[(i, j)]
-            b[row] = case.line_limit
-            row += 1
+        for j in sorted(weight[i]):
+            row = new_row(case.line_limit)
+            row[i, THETA] = weight[i][j]
+            row[j, THETA] = -weight[i][j]
 
     # PV output linked to placement: 0 <= P_pv <= u * capacity
     for i in range(n):
-        A[i][row, PV] = 1.0
-        A[i][row, U] = -case.pv_capacity
-        row += 1
-        A[i][row, PV] = -1.0
-        row += 1
+        row = new_row()
+        row[i, PV] = 1.0
+        row[i, U] = -case.pv_capacity
+        new_row()[i, PV] = -1.0
 
     # generator bounds: 0 <= P_gen <= capacity_i
     for i in range(n):
-        A[i][row, GEN] = 1.0
-        b[row] = case.gen_capacity[i]
-        row += 1
-        A[i][row, GEN] = -1.0
-        row += 1
+        new_row(case.gen_capacity[i])[i, GEN] = 1.0
+        new_row()[i, GEN] = -1.0
 
     # placement box: u in [0, 1]
     for i in range(n):
-        A[i][row, U] = 1.0
-        b[row] = 1.0
-        row += 1
-        A[i][row, U] = -1.0
-        row += 1
+        new_row(1.0)[i, U] = 1.0
+        new_row()[i, U] = -1.0
 
     # angle box: theta in [0, 2*pi]
     for i in range(n):
-        A[i][row, THETA] = 1.0
-        b[row] = 2.0 * np.pi
-        row += 1
-        A[i][row, THETA] = -1.0
-        row += 1
+        new_row(2.0 * np.pi)[i, THETA] = 1.0
+        new_row()[i, THETA] = -1.0
 
-    assert row == p
-    return A, b
+    return [np.array(block) for block in np.stack(rows, axis=1)], np.array(b)
 
 
 def dense_frozen_problem(case, u_frozen):
@@ -276,17 +268,23 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
     placement) on every row, and on a whole case the linear
     term -gamma (2 u_i - 1) on its u entry, from the placement penalty at the
     sweep start.  The block oracle is ``dcopf_x_block_solve`` on all rows,
-    with the penalty and proximal weight of ``params``, the slack is
-    ``y_block_update`` of the dense A x - b, and the multiplier ascends by
-    rho times the dense residual.  Returns the new (x, y, z), with x a list
-    of blocks.
+    with the penalty and proximal weight of ``params`` and the generation
+    and installation costs of the case, the slack minimizes the y
+    subproblem componentwise at the dense A x - b, and the multiplier
+    ascends by rho times the dense residual.  Only ``problem.case`` is
+    read.  Returns the new (x, y, z), with x a list of blocks.
     """
+    case = problem.case
     if u_frozen is None:
-        A, b = dense_reference_problem(problem.case)
+        A, b = dense_reference_problem(case)
     else:
-        A, b = dense_frozen_problem(problem.case, u_frozen)
-    Q_diag, q = problem.Q_diag, problem.q
-    rho, alpha, gamma = params.rho, params.strong_convexity, problem.gamma
+        A, b = dense_frozen_problem(case, u_frozen)
+    # f_i = a_i gen_i^2 + b_i gen_i + pv_cost u_i, as (1/2) x Q_i x + q_i x, on A's columns
+    Q_diag, q = (np.zeros((case.num_buses, dcopf.BLOCK_DIM)) for _ in range(2))
+    Q_diag[:, dcopf.GEN] = 2.0 * case.gen_cost_a
+    q[:, dcopf.GEN], q[:, dcopf.U] = case.gen_cost_b, case.pv_cost
+    Q_diag, q = Q_diag[:, :A[0].shape[1]], q[:, :A[0].shape[1]]
+    rho, alpha, gamma, eta = params.rho, params.strong_convexity, case.gamma, case.eta
     x = [np.array(xi, dtype=float) for xi in x]
     linear = []
     for xi in x:
@@ -301,7 +299,11 @@ def dcopf_reference_sweep(problem, params, x, y, z, u_frozen=None):
                 partial = partial + A[k] @ x[k]
         x[i] = dcopf_x_block_solve(Q_diag[i], q[i], A[i], x[i], linear[i], z, partial, rho, alpha)
     ax_minus_b = sum(A[k] @ x[k] for k in range(len(x))) - b
-    y = dcopf.y_block_update(ax_minus_b, z, problem.eta, rho)
+    # slack j minimizes (eta/2) min(y_j, 0)^2 + z_j y_j + (rho/2)(r_j + y_j)^2, r = A x - b:
+    # the stationary point -(z_j + rho r_j)/rho where that is non-negative, else
+    # -(z_j + rho r_j)/(eta + rho), which is then negative
+    pull = z + rho * ax_minus_b
+    y = np.where(pull <= 0.0, -pull / rho, -pull / (eta + rho))
     return x, y, z + rho * (ax_minus_b + y)
 
 

@@ -161,6 +161,20 @@ def test_verify_trace_holds_rises_to_the_fixed_slack(tmp_path, capsys, multiple,
     assert verdict in capsys.readouterr().out
 
 
+def test_verify_trace_counts_the_sweeps_after_the_start(tmp_path, capsys):
+    # a dumped run of 30 sweeps holds 31 reports, its start first
+    assert main(["dcopf", "--fixture", "2bus", "--max-iter", "30", "--allow-maxiter",
+                 "--jobs", "1", "--dump-trace", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify-trace", str(tmp_path / "trace_dcopf_seed0.csv")]) == 0
+    assert capsys.readouterr().out.startswith("OK: merit nonincreasing over 30 sweeps ")
+    # a warm start's trace: the row at n = 10 is its start, and three sweeps follow
+    path = tmp_path / "warm.csv"
+    path.write_text("n,merit\n10,9\n11,5\n12,4\n13,4\n")
+    assert main(["verify-trace", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("OK: merit nonincreasing over 3 sweeps ")
+
+
 def test_verify_trace_has_no_slack_scale_flag(tmp_path, capsys):
     path = tmp_path / "trace.csv"
     path.write_text("n,merit\n0,5\n1,3\n2,3\n")

@@ -119,6 +119,20 @@ def test_build_problem_rejects_bad_cases():
         replace(case, lines=((0, 1, np.nan),))
 
 
+@pytest.mark.parametrize("end", [1.5, 1.0, True, np.float64(1.0), np.True_])
+def test_a_line_endpoint_must_be_an_integer_bus_index(end):
+    # a float would index by truncation and a bool would be bus 0 or 1
+    for line in ((0, end), (end, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"line ({line[0]}, {line[1]}) has an endpoint that is not a bus index")):
+            replace(dcopf.two_bus_fixture(), lines=((*line, 5.0),))
+
+
+def test_a_numpy_integer_endpoint_is_a_bus_index():
+    case = replace(dcopf.two_bus_fixture(), lines=((np.int64(0), np.int32(1), 5.0),))
+    assert dcopf.build_problem(case).p == dcopf.expected_row_count(case) == 21
+
+
 @pytest.mark.parametrize("jitter", [-0.1, np.nan, np.inf])
 def test_lower_bound_init_rejects_a_negative_or_non_finite_jitter(jitter):
     problem = dcopf.build_problem(dcopf.two_bus_fixture())
@@ -385,11 +399,17 @@ def test_x_oracle_fixed_point(rng):
     assert np.allclose(out, x_star, atol=1e-10)
 
 
-def test_y_block_update_branches_and_oracle():
+def slack_step(eta):
+    """``solve_y_block`` of the two-bus problem with slack penalty ``eta``;
+    the step is componentwise, so it takes vectors of any length."""
+    return dcopf.build_problem(replace(dcopf.two_bus_fixture(), eta=eta)).solve_y_block
+
+
+def test_slack_step_branches_and_oracle():
     eta, rho = 3.0, 6.0  # rho = 2 eta
     z = np.zeros(2)
     x_residual = -np.array([3.0, -2.0])  # v = (3, -2)
-    out = dcopf.y_block_update(x_residual, z, eta, rho)
+    out = slack_step(eta)(z, x_residual, rho)
     assert out[0] == pytest.approx(3.0, rel=REL)
     assert out[1] == pytest.approx(-4.0 / 3.0, rel=REL)
 
@@ -398,7 +418,7 @@ def test_y_block_update_branches_and_oracle():
 
     for v in (3.0, -2.0):
         numeric = golden_section(lambda s: scalar_objective(s, v), -10, 10)
-        formula = dcopf.y_block_update(np.array([-v]), np.zeros(1), eta, rho)[0]
+        formula = slack_step(eta)(np.zeros(1), np.array([-v]), rho)[0]
         assert formula == pytest.approx(numeric, abs=1e-6)
 
     # the one-call form max(v, k v) equals the two-branch formula exactly,
@@ -407,7 +427,7 @@ def test_y_block_update_branches_and_oracle():
         v = -x_residual - z / rho
         k = rho / (eta + rho)
         expected = np.maximum(v, 0.0) + k * np.minimum(v, 0.0)
-        assert (dcopf.y_block_update(x_residual, z, eta, rho) == expected).all()
+        assert (slack_step(eta)(z, x_residual, rho) == expected).all()
 
     edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 3.0, -2.0])
     assert_two_branch_value(edges, np.zeros_like(edges), eta, rho)
@@ -428,11 +448,11 @@ def test_y_block_update_branches_and_oracle():
     check()
 
 
-def test_y_block_update_local_minimality_probe(rng):
+def test_slack_step_local_minimality_probe(rng):
     eta, rho = 9.0, 20.0
     z = rng.standard_normal(15)
     x_residual = rng.standard_normal(15)
-    y = dcopf.y_block_update(x_residual, z, eta, rho)
+    y = slack_step(eta)(z, x_residual, rho)
 
     def objective(candidate):
         neg = np.minimum(candidate, 0.0)

@@ -629,13 +629,22 @@ def test_nonmonotone_merit_raises_warning():
 def test_merit_increases_counts_rises_above_the_slack_of_the_first_merit():
     slack = engine.MERIT_SLACK_SCALE * (1.0 + 3.0)
     # a rise of 0.9 slack is within it; 1.1 slack is not, though it is within
-    # the slack that the merit -4 before it would give
-    merits = [-3.0, -3.5, -3.5 + 0.9 * slack, -4.0, -4.0 + 1.1 * slack]
-    [(k, rise)] = engine.merit_increases(merits)
-    assert k == 4 and rise == pytest.approx(1.1 * slack, rel=1e-6)
-    assert engine.merit_increases([5.0]) == engine.merit_increases([]) == []
+    # the slack that the merit -4 before it would give; the start (-100,
+    # then a rise of 97) is skipped, and so is the size of its merit
+    merits = [-100.0, -3.0, -3.5, -3.5 + 0.9 * slack, -4.0, -4.0 + 1.1 * slack]
+    [(n, rise)] = engine.merit_increases(list(enumerate(merits)))
+    assert n == 5 and rise == pytest.approx(1.1 * slack, rel=1e-6)
+    for short in ([], [5.0], [5.0, 7.0]):  # no two sweeps after the start, no step to check
+        assert engine.merit_increases(list(enumerate(short))) == []
     # a step from or to a merit that is not a number is not a descent
-    assert [k for k, _ in engine.merit_increases([1.0, math.nan, 0.5])] == [1, 2]
+    rises = engine.merit_increases(list(enumerate([0.0, 1.0, math.nan, 0.5])))
+    assert [n for n, _ in rises] == [2, 3]
+
+
+def test_merit_increases_names_each_rise_by_its_own_n():
+    # a warm start: the rows start at n = 10, and n need not step by one
+    rows = [(10, 0.0), (11, 5.0), (12, 4.0), (14, 6.0), (15, 6.5), (20, 6.0)]
+    assert engine.merit_increases(rows) == [(14, 2.0), (15, 0.5)]
 
 
 class NanMerit(ScalarToy):
@@ -821,9 +830,20 @@ def test_the_stop_rule_counts_the_multiplier():
 def test_run_rejects_a_bad_loop_setting_outside_the_gates(setting, message):
     # admm3's alpha = 0 and rho = 2 with l_H = 1 miss both gates, which run does not check
     toy = ScalarToy()
-    params = toy_params(rho=2.0, lipschitz_H=1.0, strong_convexity=0.0, **setting)
     init = engine.initial_state(toy, [np.ones(1)], np.zeros(1), np.zeros(1))
     reports = []
     with pytest.raises(engine.ParameterError, match=re.escape(message)):
+        params = toy_params(rho=2.0, lipschitz_H=1.0, strong_convexity=0.0, **setting)
         engine.run(toy, params, init, reports)
     assert reports == []
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(stop_tolerance=math.inf), "stop_tolerance must be finite, got inf"),
+    (dict(max_iterations=True), "max_iterations must be an integer, got True"),
+    (dict(rho=math.nan), "rho must be finite, got nan"),
+], ids=["inf_tolerance", "true_max_iterations", "nan_rho"])
+def test_parameters_check_themselves_when_replaced(setting, message):
+    # the frozen-u recheck and the admm3 baseline derive their parameters by replace
+    with pytest.raises(engine.ParameterError, match=re.escape(message)):
+        replace(toy_params(), **setting)

@@ -30,8 +30,10 @@ def test_a_tree_against_itself_stays_bit_equal(capsys):
 def test_a_tree_whose_slack_update_moves_one_ulp_is_not_bit_equal(tmp_path):
     shutil.copytree(ROOT / "src" / "bpladmm", tmp_path / "bpladmm")
     with open(tmp_path / "bpladmm" / "dcopf.py", "a") as module:
-        module.write("\n_exact = y_block_update\n\n\ndef y_block_update(*args):\n"
-                     "    return _exact(*args) * (1.0 + 2.0**-52)\n")
+        module.write("\n_exact = DcOpfBlockProblem.solve_y_block\n\n\n"
+                     "def _one_ulp_up(self, *args):\n"
+                     "    return _exact(self, *args) * (1.0 + 2.0**-52)\n\n\n"
+                     "DcOpfBlockProblem.solve_y_block = _one_ulp_up\n")
     rows = sweep_ab.compare(str(ROOT / "src"), str(tmp_path), 2)
     assert [row[0] for row in rows] == PROBLEMS
     assert all(np.isfinite(row[1:3]).all() for row in rows)

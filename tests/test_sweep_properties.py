@@ -160,6 +160,7 @@ def test_assembly_matches_the_dense_row_by_row_oracle(num_buses, case_seed, u_se
         case = with_cancelled_line(case)
     problem = dcopf.build_problem(case)
     A, b = dense_reference_problem(case)
+    assert dcopf.expected_row_count(case) == len(b)  # the formula against the rows written
     rng = np.random.default_rng(u_seed)
     u = rng.integers(0, 2, num_buses).astype(float)
     assert_blocks_match(problem, A, b, rng)
